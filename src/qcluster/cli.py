@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .bicharacter import symmetrization
@@ -56,6 +56,7 @@ from .qtorus import (
 from .scalarfield import Coeff, ScalarExp
 from .schubertdata import (
     CartanData,
+    WordData,
     exchange_matrix_for_word,
     frame_exponent_matrix,
     verify_word_compatibility,
@@ -105,7 +106,6 @@ class RunConfig:
     mutations: Tuple[int, ...] = ()
     out: Optional[str] = None
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -123,11 +123,6 @@ class RunConfig:
             raise ConfigError("custom preset needs --file")
         if self.command == "schubert" and self.preset != "schubert":
             raise ConfigError("the schubert command needs --preset schubert")
-        if self.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def load_presentation(config: RunConfig) -> Presentation:
@@ -145,16 +140,60 @@ def load_presentation(config: RunConfig) -> Presentation:
             raise ConfigError(f"{config.file} is not valid JSON: {e}")
         try:
             return presentation_from_dict(data)
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise ConfigError(f"bad presentation data: {e}")
     raise ConfigError(f"command {config.command!r} needs an algebra preset")
 
 
-def cartan_for(config: RunConfig) -> CartanData:
+def load_word(config: RunConfig) -> WordData:
+    """The root system and reduced word of the schubert preset, validated."""
     try:
-        return CartanData(config.type, config.rank)
+        return word_data(CartanData(config.type, config.rank), config.word)
     except ValueError as e:
         raise ConfigError(str(e))
+
+
+class Session:
+    """One run's input and the results its checks share, each built once.
+
+    A cached_property stores no raised exception, so every check that
+    reads a failing member fails again, with the same message.
+    """
+
+    def __init__(
+        self, config: Optional[RunConfig], pres: Optional[Presentation] = None
+    ):
+        self.config = config
+        if pres is not None:
+            self.pres = pres
+        self._bts: dict = {}
+
+    @cached_property
+    def pres(self) -> Presentation:
+        return load_presentation(self.config)
+
+    @cached_property
+    def word(self) -> WordData:
+        return load_word(self.config)
+
+    @cached_property
+    def identity(self):
+        """The identity frame and its exchange matrix."""
+        tp = identity_frame(self.pres)
+        return tp, btilde_for_tau(tp)
+
+    @cached_property
+    def frames(self) -> list:
+        """The frames along the canonical permutation chain."""
+        pres = self.pres
+        seq = compute_primes(pres)
+        return [frame_for_tau(pres, tau, seq) for tau in gamma_chain(pres.n)]
+
+    def btilde(self, t: int):
+        """Exchange matrix of chain frame t, solved on first use."""
+        if t not in self._bts:
+            self._bts[t] = btilde_for_tau(self.frames[t])
+        return self._bts[t]
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -210,12 +249,8 @@ def cmd_intervals(config: RunConfig) -> dict:
     ed = seq.eta_data
     entries = []
     for i in range(pres.n):
-        m = 1
-        while True:
-            try:
-                j = ed.succ_power(i, m)
-            except ValueError:
-                break
+        for m in range(1, ed.o_plus[i] + 1):
+            j = ed.succ_power(i, m)
             pi, f = pi_f_data(pres, i, m)
             entries.append(
                 {
@@ -228,21 +263,19 @@ def cmd_intervals(config: RunConfig) -> dict:
                     "f": list(f),
                 }
             )
-            m += 1
     return {"intervals": entries}
 
 
 def cmd_bmatrix(config: RunConfig) -> dict:
     if config.preset == "schubert":
-        cd = cartan_for(config)
+        cd = load_word(config).cartan
         bmat = exchange_matrix_for_word(cd, config.word)
         report = verify_word_compatibility(cd, config.word)
         return {
             "bmatrix": bmat_dict(bmat),
             "crosscheck": bool(report.ok),
         }
-    pres = load_presentation(config)
-    bmat = btilde_for_tau(identity_frame(pres))
+    _, bmat = Session(config).identity
     crosscheck = None
     if config.preset == "quantum-matrices":
         crosscheck = bmat == quantum_matrix_btilde(config.m, config.n)
@@ -250,14 +283,11 @@ def cmd_bmatrix(config: RunConfig) -> dict:
 
 
 def cmd_frames(config: RunConfig) -> dict:
-    pres = load_presentation(config)
-    seq = compute_primes(pres)
     out = []
-    for tau in gamma_chain(pres.n):
-        tp = frame_for_tau(pres, tau, seq)
+    for tp in Session(config).frames:
         out.append(
             {
-                "tau": list(tau),
+                "tau": list(tp.tau),
                 "sigma": list(tp.sigma),
                 "exchangeable": list(tp.ex),
                 "images": [term_list(img) for img in tp.frame.images],
@@ -268,9 +298,8 @@ def cmd_frames(config: RunConfig) -> dict:
 
 
 def cmd_mutate(config: RunConfig) -> dict:
-    pres = load_presentation(config)
-    tp = identity_frame(pres)
-    seed = Seed(tp.frame, btilde_for_tau(tp))
+    tp, bmat = Session(config).identity
+    seed = Seed(tp.frame, bmat)
     trace = []
     for k in config.mutations:
         if k not in seed.bmat.cols:
@@ -284,7 +313,7 @@ def cmd_mutate(config: RunConfig) -> dict:
             }
         )
     return {
-        "initial_bmatrix": bmat_dict(btilde_for_tau(tp)),
+        "initial_bmatrix": bmat_dict(bmat),
         "trace": trace,
     }
 
@@ -294,18 +323,21 @@ def chain_walk(pres: Presentation):
 
     Returns a list of step records; raises AssertionError on a violation.
     """
-    seq = compute_primes(pres)
-    taus = gamma_chain(pres.n)
-    swaps = gamma_chain_swaps(pres.n)
-    frames = [frame_for_tau(pres, tau, seq) for tau in taus]
+    return _walk(Session(None, pres))
+
+
+def _walk(session: Session):
+    """chain_walk on the frames and exchange matrices of a session."""
+    pres = session.pres
+    frames = session.frames
     steps = []
-    for t, pos in enumerate(swaps):
+    for t, pos in enumerate(gamma_chain_swaps(pres.n)):
         tp, tq = frames[t], frames[t + 1]
-        bt = btilde_for_tau(tp)
+        bt = session.btilde(t)
         if tp.eta_tau[pos] != tp.eta_tau[pos + 1]:
             assert tp.frame.images == tq.frame.images, f"step {t}: images moved"
             assert tp.frame.emat == tq.frame.emat, f"step {t}: exponents moved"
-            assert bt == btilde_for_tau(tq), f"step {t}: matrix moved"
+            assert bt == session.btilde(t + 1), f"step {t}: matrix moved"
             steps.append({"step": t, "mutated_at": None})
             continue
         kb = tp.sigma[pos]
@@ -320,7 +352,7 @@ def chain_walk(pres: Presentation):
         assert mutate_emat(tp.frame.emat, bt, kb) == tq.frame.emat, (
             f"step {t}: exponent matrix does not mutate to the next frame"
         )
-        assert mutate_matrix(bt, kb)[0] == btilde_for_tau(tq), (
+        assert mutate_matrix(bt, kb)[0] == session.btilde(t + 1), (
             f"step {t}: exchange matrix does not mutate to the next frame"
         )
         steps.append({"step": t, "mutated_at": kb})
@@ -328,8 +360,7 @@ def chain_walk(pres: Presentation):
 
 
 def cmd_chain(config: RunConfig) -> dict:
-    pres = load_presentation(config)
-    steps = chain_walk(pres)
+    steps = chain_walk(load_presentation(config))
     return {
         "steps": steps,
         "mutations": sum(1 for s in steps if s["mutated_at"] is not None),
@@ -337,11 +368,8 @@ def cmd_chain(config: RunConfig) -> dict:
 
 
 def cmd_schubert(config: RunConfig) -> dict:
-    cd = cartan_for(config)
-    try:
-        data = word_data(cd, config.word)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    data = load_word(config)
+    cd = data.cartan
     report = verify_word_compatibility(cd, config.word)
     return {
         "type": f"{cd.letter}{cd.rank}",
@@ -363,8 +391,8 @@ def cmd_schubert(config: RunConfig) -> dict:
 # -- the verify suite --------------------------------------------------------
 
 
-def _check_primes(config: RunConfig):
-    pres = load_presentation(config)
+def _check_primes(s: Session):
+    config, pres = s.config, s.pres
     seq = compute_primes(pres)
     ed = seq.eta_data
     for k in range(pres.n):
@@ -377,8 +405,8 @@ def _check_primes(config: RunConfig):
         assert ed.rank() == config.m + config.n - 1, "wrong number of chains"
 
 
-def _check_intervals(config: RunConfig):
-    pres = load_presentation(config)
+def _check_intervals(s: Session):
+    config, pres = s.config, s.pres
     seq = compute_primes(pres)
     ed = seq.eta_data
     if config.preset == "quantum-matrices":
@@ -400,19 +428,18 @@ def _check_intervals(config: RunConfig):
         assert all(g.is_one for g in gamma), "rescaling is not trivial"
 
 
-def _check_bmatrix(config: RunConfig):
-    pres = load_presentation(config)
-    bmat = btilde_for_tau(identity_frame(pres))
+def _check_bmatrix(s: Session):
+    config = s.config
+    _, bmat = s.identity
     if config.preset == "quantum-matrices":
         assert bmat == quantum_matrix_btilde(config.m, config.n), (
             "solved matrix differs from the closed form"
         )
 
 
-def _check_exchange(config: RunConfig):
-    pres = load_presentation(config)
-    tp = identity_frame(pres)
-    bmat = btilde_for_tau(tp)
+def _check_exchange(s: Session):
+    config, pres = s.config, s.pres
+    tp, bmat = s.identity
     for k in bmat.ex:
         var = mutated_variable(tp.frame, bmat.cols[k], k)
         assert exchange_identity_holds(tp.frame, bmat.cols[k], k, var)
@@ -421,38 +448,21 @@ def _check_exchange(config: RunConfig):
         assert var == pres.gen(3), "2x2 mutation should produce the last generator"
 
 
-def _check_chain(config: RunConfig):
-    pres = load_presentation(config)
-    chain_walk(pres)
-
-
-def _check_coverage(config: RunConfig):
-    pres = load_presentation(config)
-    seq = compute_primes(pres)
-    found = [False] * pres.n
-    for tau in gamma_chain(pres.n):
-        tp = frame_for_tau(pres, tau, seq)
-        for img in tp.frame.images:
-            for k in range(pres.n):
-                if not found[k] and img == pres.gen(k):
-                    found[k] = True
-    missing = [k for k in range(pres.n) if not found[k]]
+def _check_coverage(s: Session):
+    pres = s.pres
+    images = [img for tp in s.frames for img in tp.frame.images]
+    missing = [k for k in range(pres.n) if pres.gen(k) not in images]
     assert not missing, f"generators {missing} never appear as cluster variables"
 
 
-def _check_interval_identity(config: RunConfig):
-    pres = load_presentation(config)
+def _check_interval_identity(s: Session):
+    pres = s.pres
     seq = compute_primes(pres)
     ed = seq.eta_data
     nu = pres.nu()
-    checked = 0
     for i in range(pres.n):
-        m = 1
-        while True:
-            try:
-                top = ed.succ_power(i, m)
-            except ValueError:
-                break
+        for m in range(1, ed.o_plus[i] + 1):
+            top = ed.succ_power(i, m)
             fr = interval_frame(pres, i, m)
             w = top - i + 1
             pi, f = pi_f_data(pres, i, m)
@@ -477,13 +487,10 @@ def _check_interval_identity(config: RunConfig):
                 symmetrization(nu, f).inv()
             ).scaled(pi)
             assert u == dec, f"u decomposition fails at ({i},{m})"
-            checked += 1
-            m += 1
-    return checked
 
 
-def _check_first_column(config: RunConfig):
-    pres = load_presentation(config)
+def _check_first_column(s: Session):
+    pres = s.pres
     seq = compute_primes(pres)
     ed = seq.eta_data
     for i in range(pres.n):
@@ -492,8 +499,8 @@ def _check_first_column(config: RunConfig):
         assert first_column_crosscheck(pres, i), f"first-column check fails at {i}"
 
 
-def _check_mutation_suite(config: RunConfig):
-    rng = random.Random(config.seed)
+def _check_mutation_suite(s: Session):
+    rng = random.Random(s.config.seed)
     for _ in range(25):
         n = rng.randint(1, 4)
         emat, bmat, _ = random_compatible_pair(rng, n)
@@ -514,9 +521,8 @@ def _check_mutation_suite(config: RunConfig):
         assert frame_value(re, moved) == frame_value(seed.frame, g)
 
 
-def _check_schubert_word(config: RunConfig):
-    cd = cartan_for(config)
-    report = verify_word_compatibility(cd, config.word)
+def _check_schubert_word(s: Session):
+    report = verify_word_compatibility(s.word.cartan, s.word.word)
     assert report.ok, (
         f"compatibility fails: pairings {report.pairing_failures}, "
         f"gradings {report.grading_failures}"
@@ -528,7 +534,7 @@ _CHECKS = {
     "intervals": _check_intervals,
     "bmatrix": _check_bmatrix,
     "exchange": _check_exchange,
-    "chain": _check_chain,
+    "chain": _walk,
     "coverage": _check_coverage,
     "interval-identity": _check_interval_identity,
     "first-column": _check_first_column,
@@ -537,10 +543,17 @@ _CHECKS = {
 }
 
 
-def verify_names(config: RunConfig) -> List[str]:
-    if config.preset == "schubert":
+def verify_names(session: Session) -> List[str]:
+    """The checks that apply to the session's input, loaded first.
+
+    Unusable input is then a ConfigError, not a failure of every check.
+    """
+    if session.config.preset == "schubert":
+        session.word  # raises ConfigError for an unusable word
         return ["schubert-word"]
-    names = [
+    if not session.pres.symmetric:
+        return ["primes", "bmatrix", "mutation-suite"]
+    return [
         "primes",
         "intervals",
         "bmatrix",
@@ -551,34 +564,21 @@ def verify_names(config: RunConfig) -> List[str]:
         "first-column",
         "mutation-suite",
     ]
-    if config.preset == "custom":
-        pres = load_presentation(config)
-        if not pres.symmetric:
-            names = ["primes", "bmatrix", "mutation-suite"]
-    return names
 
 
-def _run_check(args) -> Tuple[str, str]:
-    cfg, name = args
-    config = RunConfig(**cfg)
+def _run_check(session: Session, name: str) -> str:
     try:
-        _CHECKS[name](config)
+        _CHECKS[name](session)
     except AssertionError as e:
-        return name, f"fail: {e}" if str(e) else "fail"
+        return f"fail: {e}" if str(e) else "fail"
     except Exception as e:  # a crash is still a failed check
-        return name, f"fail: {type(e).__name__}: {e}"
-    return name, "pass"
+        return f"fail: {type(e).__name__}: {e}"
+    return "pass"
 
 
 def cmd_verify(config: RunConfig) -> dict:
-    names = verify_names(config)
-    jobs = [(config.as_dict(), name) for name in names]
-    if config.jobs > 1 and len(names) > 1:
-        with multiprocessing.Pool(min(config.jobs, len(names))) as pool:
-            results = pool.map(_run_check, jobs)
-    else:
-        results = [_run_check(j) for j in jobs]
-    checks = dict(sorted(results))
+    session = Session(config)
+    checks = {name: _run_check(session, name) for name in verify_names(session)}
     return {"checks": checks, "ok": all(v == "pass" for v in checks.values())}
 
 
@@ -602,8 +602,6 @@ def run(config: RunConfig):
         payload["shape"] = [config.m, config.n]
     try:
         payload.update(body(config))
-    except ConfigError:
-        raise
     except AssertionError as e:
         payload["error"] = str(e) or "check failed"
         return 1, payload
@@ -651,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="seed for random cases")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     return p
 
 
@@ -670,7 +667,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             mutations=tuple(args.mutations),
             out=args.out,
             seed=args.seed,
-            jobs=args.jobs,
         )
         code, payload = run(config)
     except ConfigError as e:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega
@@ -35,6 +36,15 @@ def reverse_lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
 
 def _rev_key(f):
     return tuple(reversed(f))
+
+
+def _default_root(lam: ExpMatrix) -> int:
+    """Twice the common denominator of the exponents: q**(1/root) suffices."""
+    d = 1
+    for row in lam.rows:
+        for x in row:
+            d = d * x.denominator // gcd(d, x.denominator)
+    return 2 * d
 
 
 class Presentation:
@@ -54,25 +64,24 @@ class Presentation:
         n = lam.n
         self.n = n
         self.lam = lam
-        if root is None:
-            d = 1
-            for row in lam.rows:
-                for x in row:
-                    d = d * x.denominator // _gcd(d, x.denominator)
-            root = 2 * d
-        self.root = root
+        self.root = _default_root(lam) if root is None else root
         self.weights = tuple(tuple(int(w) for w in ws) for ws in weights)
-        if len(self.weights) != n:
-            raise ValueError("need one weight vector per generator")
-        wlen = len(self.weights[0]) if n else 0
-        if any(len(w) != wlen for w in self.weights):
-            raise ValueError("ragged weight vectors")
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(n))
-        if len(self.names) != n:
-            raise ValueError("need one name per generator")
         self.lam_diag = tuple(lam_diag)
         self.lam_star = tuple(lam_star) if lam_star is not None else (None,) * n
         self.eta = tuple(int(e) for e in eta) if eta is not None else None
+        for key, vals in (
+            ("weights", self.weights),
+            ("names", self.names),
+            ("lambda_diag", self.lam_diag),
+            ("lambda_star", self.lam_star),
+            ("eta", self.eta),
+        ):
+            if vals is not None and len(vals) != n:
+                raise ValueError(f"{key} has {len(vals)} entries for {n} generators")
+        wlen = len(self.weights[0]) if n else 0
+        if any(len(w) != wlen for w in self.weights):
+            raise ValueError("ragged weight vectors")
 
         table: dict = {}
         symmetric = True
@@ -113,7 +122,12 @@ class Presentation:
                 table[(k, j)] = tuple(clean)
         self.delta = table
         self.symmetric = symmetric
+        # caches, filled on first use; primeseq.compute_primes and
+        # primeseq.restrict_presentation fill _prime_seq and _restrict_cache
         self._mtg_cache: dict = {}
+        self._prime_seq = None
+        self._restrict_cache: dict = {}
+        self._nu: Optional[ExpMatrix] = None
 
     # -- small constructors -------------------------------------------------
 
@@ -173,7 +187,9 @@ class Presentation:
 
     def nu(self) -> ExpMatrix:
         """The square-root commutation matrix (half the lam exponents)."""
-        return self.lam.scaled(Fraction(1, 2))
+        if self._nu is None:
+            self._nu = self.lam.scaled(Fraction(1, 2))
+        return self._nu
 
     # -- rewriting core ------------------------------------------------------
 
@@ -245,12 +261,6 @@ class Presentation:
 
     def __repr__(self) -> str:
         return f"Presentation({self.n} generators, root {self.root})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class PBWElement:
@@ -519,14 +529,12 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
     system rather than an error.
     """
     lam = ExpMatrix([[Fraction(x) for x in row] for row in data["lambda"]])
+    n = lam.n
+    if n == 0:
+        raise ValueError("a presentation needs at least one generator")
     root = data.get("root")
     if root is None:
-        d = 1
-        for row in lam.rows:
-            for x in row:
-                d = d * x.denominator // _gcd(d, x.denominator)
-        root = 2 * d
-    n = lam.n
+        root = _default_root(lam)
 
     def exp_list(key):
         vals = data.get(key)

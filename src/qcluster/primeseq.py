@@ -186,9 +186,8 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
     satisfies the recursion with a normal result; anything else means the
     presentation is not of the supported kind and raises ValueError.
     """
-    cached = getattr(pres, "_prime_seq", None)
-    if cached is not None:
-        return cached
+    if pres._prime_seq is not None:
+        return pres._prime_seq
     n = pres.n
     one = Coeff.one(pres.root)
     preds: List[Optional[int]] = []
@@ -248,9 +247,7 @@ def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
     """The presentation of the subalgebra on generators j..k (inclusive)."""
     if not 0 <= j <= k < pres.n:
         raise ValueError("bad generator range")
-    cache = getattr(pres, "_restrict_cache", None)
-    if cache is None:
-        cache = pres._restrict_cache = {}
+    cache = pres._restrict_cache
     hit = cache.get((j, k))
     if hit is not None:
         return hit
@@ -378,12 +375,10 @@ def rescale_generators(pres: Presentation):
         if pi_idx is None:
             continue
         pi, f = pi_f_data(pres, pi_idx, 1)
-        gf = one
-        for t, x in enumerate(f):
-            if x:
-                gf = gf * gamma[t] ** x
         target = interval_scalar_target(pres, pi_idx, f).to_coeff(pres.root)
-        gamma[i] = gamma[pi_idx].inv() * gf * pi.inv() * target
+        gamma[i] = (
+            gamma[pi_idx].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
+        )
     delta = {
         (k, j): tuple(
             (

@@ -8,8 +8,10 @@ import json
 
 import pytest
 
+from qcluster import cli
 from qcluster.cli import main
 from qcluster.orealgebra import quantum_matrix_preset
+from qcluster.xicombinatorics import gamma_chain
 
 BAD_CUSTOM = {
     "lambda": [["0", "0"], ["0", "0"]],
@@ -162,15 +164,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == direct
 
 
-def test_jobs_do_not_change_output(capsys):
-    _, serial, _ = run_cli(capsys, "--cmd", "verify", "--m", "2", "--n", "2",
-                           "--jobs", "1")
-    _, parallel, _ = run_cli(capsys, "--cmd", "verify", "--m", "2", "--n", "2",
-                             "--jobs", "2")
-    assert serial == parallel
-    assert json.loads(serial)["ok"] is True
-
-
 def test_custom_preset_round_trip(capsys, tmp_path):
     source = tmp_path / "grid22.json"
     source.write_text(json.dumps(serialize(quantum_matrix_preset(2, 2))))
@@ -200,3 +193,76 @@ def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cmd", "nope"])
     assert exc.value.code == 2
+
+
+GRID22 = serialize(quantum_matrix_preset(2, 2))
+ZERO_EXPONENT = [list(row) for row in GRID22["lambda"]]
+ZERO_EXPONENT[0][1] = "1/0"
+SHORT_DIAG = {**GRID22, "lambda_diag": GRID22["lambda_diag"][:2]}
+SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        (SHORT_DIAG, ("--cmd", "bmatrix")),
+        (SHORT_DIAG, ("--cmd", "verify")),
+        ({**GRID22, "eta": GRID22["eta"][:3]}, ("--cmd", "primes")),
+        ({"lambda": [], "weights": []}, ("--cmd", "bmatrix")),
+        ({"lambda": [], "weights": []}, ("--cmd", "verify")),
+        ({**GRID22, "lambda": ZERO_EXPONENT}, ("--cmd", "primes")),
+        (None, ("--cmd", "bmatrix") + SCHUBERT_A2 + ("1", "1")),
+        (None, ("--cmd", "verify") + SCHUBERT_A2 + ("1", "1")),
+        (None, ("--cmd", "bmatrix") + SCHUBERT_A2 + ("1", "5")),
+        (None, ("--cmd", "verify") + SCHUBERT_A2 + ("1", "5")),
+        (None, ("--cmd", "verify", "--m", "0", "--n", "2")),
+    ],
+    ids=[
+        "short-lambda-diag-bmatrix",
+        "short-lambda-diag-verify",
+        "short-eta",
+        "empty-bmatrix",
+        "empty-verify",
+        "zero-denominator",
+        "non-reduced-bmatrix",
+        "non-reduced-verify",
+        "letter-out-of-range-bmatrix",
+        "letter-out-of-range-verify",
+        "verify-zero-rows",
+    ],
+)
+def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
+    if data is not None:
+        source = tmp_path / "custom.json"
+        source.write_text(json.dumps(data))
+        argv += ("--preset", "custom", "--file", str(source))
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("qcluster:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_builds_once(capsys, monkeypatch):
+    built, solved = [], []
+
+    def preset(m, n):
+        built.append((m, n))
+        return quantum_matrix_preset(m, n)
+
+    def btilde(tp):
+        solved.append(tuple(tp.tau))
+        return real_btilde(tp)
+
+    real_btilde = cli.btilde_for_tau
+    monkeypatch.setattr(cli, "quantum_matrix_preset", preset)
+    monkeypatch.setattr(cli, "btilde_for_tau", btilde)
+    rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "2", "--n", "3")
+    assert rc == 0 and json.loads(out)["ok"] is True
+    assert built == [(2, 3)]
+    taus = [tuple(tau) for tau in gamma_chain(6)]
+    # the chain solves each frame once; bmatrix and exchange share one
+    # solve of the identity frame
+    assert sorted(solved) == sorted(taus + [tuple(range(6))])
+    solved.clear()
+    cli.chain_walk(quantum_matrix_preset(2, 3))
+    assert solved == taus
