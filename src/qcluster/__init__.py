@@ -4,6 +4,7 @@ polynomial algebras.
 The package is organized bottom-up:
 
 * ``scalarfield``   exact scalars q**e and rational functions in q**(1/D)
+* ``linalg``        exact fraction-free elimination: solve, rank, det, inverse
 * ``bicharacter``   skew-symmetric exponent matrices and the Omega pairing
 * ``qtorus``        based quantum torus elements and toric frames
 * ``mutation``      compatible pairs, exchange matrices, seed mutation

@@ -54,14 +54,7 @@ from .qtorus import (
     reindex_frame,
 )
 from .scalarfield import Coeff, ScalarExp
-from .schubertdata import (
-    CartanData,
-    WordData,
-    exchange_matrix_for_word,
-    frame_exponent_matrix,
-    verify_word_compatibility,
-    word_data,
-)
+from .schubertdata import CartanData, WordData, word_data
 from .xicombinatorics import (
     frame_for_tau,
     gamma_chain,
@@ -140,7 +133,7 @@ def load_presentation(config: RunConfig) -> Presentation:
             raise ConfigError(f"{config.file} is not valid JSON: {e}")
         try:
             return presentation_from_dict(data)
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as e:
             raise ConfigError(f"bad presentation data: {e}")
     raise ConfigError(f"command {config.command!r} needs an algebra preset")
 
@@ -268,12 +261,10 @@ def cmd_intervals(config: RunConfig) -> dict:
 
 def cmd_bmatrix(config: RunConfig) -> dict:
     if config.preset == "schubert":
-        cd = load_word(config).cartan
-        bmat = exchange_matrix_for_word(cd, config.word)
-        report = verify_word_compatibility(cd, config.word)
+        data = load_word(config)
         return {
-            "bmatrix": bmat_dict(bmat),
-            "crosscheck": bool(report.ok),
+            "bmatrix": bmat_dict(data.exchange_matrix()),
+            "crosscheck": bool(data.compatibility().ok),
         }
     _, bmat = Session(config).identity
     crosscheck = None
@@ -370,14 +361,14 @@ def cmd_chain(config: RunConfig) -> dict:
 def cmd_schubert(config: RunConfig) -> dict:
     data = load_word(config)
     cd = data.cartan
-    report = verify_word_compatibility(cd, config.word)
+    report = data.compatibility()
     return {
         "type": f"{cd.letter}{cd.rank}",
         "word": list(config.word),
         "roots": [list(b) for b in data.roots],
         "lengths": list(data.lengths),
-        "bmatrix": bmat_dict(exchange_matrix_for_word(cd, config.word)),
-        "rmatrix": expmat_rows(frame_exponent_matrix(cd, config.word)),
+        "bmatrix": bmat_dict(data.exchange_matrix()),
+        "rmatrix": expmat_rows(data.frame_matrix()),
         "report": {
             "ok": report.ok,
             "columns": list(report.columns),
@@ -522,7 +513,7 @@ def _check_mutation_suite(s: Session):
 
 
 def _check_schubert_word(s: Session):
-    report = verify_word_compatibility(s.word.cartan, s.word.word)
+    report = s.word.compatibility()
     assert report.ok, (
         f"compatibility fails: pairings {report.pairing_failures}, "
         f"gradings {report.grading_failures}"

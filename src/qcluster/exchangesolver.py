@@ -4,118 +4,82 @@ A column b at an exchangeable index l is characterized by three exact
 conditions: its pairing against every other lattice direction under the
 frame exponent matrix vanishes, the pairing against its own direction has
 the prescribed square, and the weight of the frame value M(b) is zero.
-This module solves that linear system with exact rational elimination,
-asserts integrality and uniqueness, assembles full exchange matrices, and
-carries the independent closed-form pattern for quantum matrices used to
-cross-check the solver.
+This module solves that linear system for all columns of a frame with one
+exact elimination (:mod:`linalg`), asserts integrality and uniqueness,
+assembles full exchange matrices, and carries the independent closed-form
+pattern for quantum matrices used to cross-check the solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .bicharacter import ExpMatrix
+from .linalg import primitive, solve
 from .mutation import ExchangeMatrix, compatibility_check, skew_symmetrizable
-from .scalarfield import ScalarExp
 from .xicombinatorics import TauPresentation
 
 
 class LinearSystem:
-    """Dense rational system A x = rhs with exact elimination."""
+    """Dense rational system A X = rhs, solved exactly by :mod:`linalg`.
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-        self.rows = [list(Fraction(x) for x in row) for row in rows]
-        self.rhs = [Fraction(x) for x in rhs]
+    rhs is one vector, or a matrix given by rows for many right-hand sides
+    sharing one elimination; the solution has the same shape.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]], rhs: Sequence):
+        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.many = bool(rhs) and isinstance(rhs[0], (list, tuple))
+        self.rhs = [[Fraction(x) for x in (b if self.many else [b])] for b in rhs]
         if len(self.rows) != len(self.rhs):
             raise ValueError("one right-hand side entry per row required")
 
-    def solve_unique(self) -> List[Fraction]:
+    def solve_unique(self) -> List:
         """The unique solution; raises ValueError if none or many exist."""
-        rows = [row[:] + [b] for row, b in zip(self.rows, self.rhs)]
-        n_cols = len(self.rows[0]) if self.rows else 0
-        pivots = []
-        r = 0
-        for c in range(n_cols):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, len(rows)):
-            if rows[i][n_cols] != 0:
-                raise ValueError("inconsistent system")
-        if len(pivots) != n_cols:
-            raise ValueError("solution is not unique")
-        sol = [Fraction(0)] * n_cols
-        for i, c in enumerate(pivots):
-            sol[c] = rows[i][n_cols]
-        return sol
-
-
-def solve_bcolumn(
-    r_tau: ExpMatrix,
-    weights: Sequence[Sequence[int]],
-    lambda_star_l: ScalarExp,
-    l: int,
-) -> Tuple[int, ...]:
-    """The integer column with prescribed pairings and zero total weight.
-
-    weights[k] is the torus weight of the k-th frame image.  Raises
-    ValueError when the system has no solution, a non-unique one, or a
-    non-integral one; each of these means the input data does not come
-    from a valid normalized presentation.
-    """
-    n = r_tau.n
-    if lambda_star_l is None or lambda_star_l.e == 0:
-        raise ValueError(f"index {l} lacks a nontrivial squared scalar")
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for j in range(n):
-        rows.append([r_tau.rows[i][j] for i in range(n)])
-        rhs.append(lambda_star_l.e / 2 if j == l else Fraction(0))
-    d = len(weights[0]) if weights else 0
-    for t in range(d):
-        rows.append([Fraction(weights[k][t]) for k in range(n)])
-        rhs.append(Fraction(0))
-    sol = LinearSystem(rows, rhs).solve_unique()
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError(f"column at {l} is not integral: {sol}")
-    return tuple(int(x) for x in sol)
+        sol = solve(self.rows, self.rhs)
+        return sol if self.many else [x for (x,) in sol]
 
 
 def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
     """Full exchange matrix for a reordered frame, verified on the spot.
 
-    Solves one column per exchangeable index (original labels), then
-    checks the compatible-pair conditions and skew-symmetrizability with
-    symmetrizers read off the squared scalars, raising on any failure.
+    The column b at an exchangeable index l (original labels) pairs with
+    direction j under the frame exponent matrix as q^(lam*_l / 2) when
+    j == l and trivially otherwise, and M(b) has total weight zero.  The
+    columns share these coefficients, so one elimination solves them all;
+    each must be unique and integral.  Then the compatible-pair conditions
+    and skew-symmetrizability, with symmetrizers read off the squared
+    scalars, are checked.  Raises ValueError on any failure: each one
+    means the input data does not come from a valid normalized
+    presentation.
     """
     pres = tau_pres.pres
     emat = tau_pres.frame.emat
+    ex = tau_pres.ex
+    if not ex:
+        return ExchangeMatrix(pres.n, {})
+    for l in ex:
+        lam_star = pres.lam_star[l]
+        if lam_star is None or lam_star.e == 0:
+            raise ValueError(f"index {l} lacks a nontrivial squared scalar")
+    # rows of R_tau^T give the pairings with each direction, then one row
+    # per weight coordinate
+    rows = list(zip(*emat.rows)) + list(zip(*tau_pres.image_weights))
+    rhs = [
+        [pres.lam_star[l].e / 2 if j == l else 0 for l in ex]
+        for j in range(len(rows))
+    ]
+    sol = LinearSystem(rows, rhs).solve_unique()
     cols = {}
-    for l in tau_pres.ex:
-        cols[l] = solve_bcolumn(
-            emat, tau_pres.image_weights, pres.lam_star[l], l
-        )
+    for c, l in enumerate(ex):
+        col = [row[c] for row in sol]
+        if any(x.denominator != 1 for x in col):
+            raise ValueError(f"column at {l} is not integral: {col}")
+        cols[l] = tuple(int(x) for x in col)
     bmat = ExchangeMatrix(pres.n, cols)
-    if tau_pres.ex:
-        compatibility_check(emat, bmat)
-        d = symmetrizers_from_scalars(pres, tau_pres.ex)
-        if not skew_symmetrizable(bmat, d):
-            raise ValueError("principal part is not skew-symmetrizable")
+    compatibility_check(emat, bmat)
+    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(pres, ex)):
+        raise ValueError("principal part is not skew-symmetrizable")
     return bmat
 
 
@@ -132,20 +96,9 @@ def symmetrizers_from_scalars(pres, ex: Sequence[int]) -> Dict[int, int]:
         if lam_star is None or lam_star.e == 0:
             raise ValueError(f"index {l} lacks a squared scalar")
         exps[l] = lam_star.e
-    if not exps:
-        return {}
-    signs = {e > 0 for e in exps.values()}
-    if len(signs) != 1:
+    if len({e > 0 for e in exps.values()}) > 1:
         raise ValueError("squared-scalar exponents of mixed sign")
-    flip = -1 if (False in signs) else 1
-    denom = 1
-    for e in exps.values():
-        denom = denom * e.denominator // gcd(denom, e.denominator)
-    ints = {l: abs(int(e * denom * flip)) for l, e in exps.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {l: v // g for l, v in ints.items()}
+    return dict(zip(exps, primitive([abs(e) for e in exps.values()])))
 
 
 def quantum_matrix_btilde(m: int, n: int) -> ExchangeMatrix:

@@ -24,6 +24,7 @@ from math import gcd
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .bicharacter import ExpMatrix, exp_mat_product, omega
+from .linalg import primitive, rank
 from .orealgebra import pbw_div_right
 from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
 from .scalarfield import ScalarExp
@@ -67,11 +68,7 @@ class ExchangeMatrix:
         return {(j, k): self.cols[k][j] for j in self.ex for k in self.ex}
 
     def full_rank(self) -> bool:
-        rows = [
-            [Fraction(self.cols[k][i]) for k in self.ex]
-            for i in range(self.n_rows)
-        ]
-        return _rank(rows) == len(self.ex)
+        return rank(list(self.cols.values())) == len(self.ex)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):
@@ -80,27 +77,6 @@ class ExchangeMatrix:
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix(n_rows={self.n_rows}, ex={self.ex})"
-
-
-def _rank(rows) -> int:
-    rows = [row[:] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        piv = next(
-            (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, ScalarExp]:
@@ -187,15 +163,8 @@ def find_symmetrizer(bmat: ExchangeMatrix) -> Optional[Dict[int, int]]:
                     d[j] = want
                     comp.append(j)
                     queue.append(j)
-        denom = 1
-        for k in comp:
-            denom = denom * d[k].denominator // gcd(denom, d[k].denominator)
-        numer = 0
-        for k in comp:
-            numer = gcd(numer, int(d[k] * denom))
-        for k in comp:
-            d[k] = d[k] * denom / numer
-    return {k: int(v) for k, v in d.items()}
+        d.update(zip(comp, primitive([d[k] for k in comp])))
+    return d
 
 
 def e_matrix(bmat: ExchangeMatrix, k: int, eps: int):

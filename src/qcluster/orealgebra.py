@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega
@@ -40,11 +40,15 @@ def _rev_key(f):
 
 def _default_root(lam: ExpMatrix) -> int:
     """Twice the common denominator of the exponents: q**(1/root) suffices."""
-    d = 1
-    for row in lam.rows:
-        for x in row:
-            d = d * x.denominator // gcd(d, x.denominator)
-    return 2 * d
+    return 2 * lcm(*(x.denominator for row in lam.rows for x in row))
+
+
+def _integer(x, key: str) -> int:
+    """x as an int; ValueError when its value is not an integer."""
+    v = Fraction(x)
+    if v.denominator != 1:
+        raise ValueError(f"{key} entry {x!r} is not an integer")
+    return int(v)
 
 
 class Presentation:
@@ -64,12 +68,14 @@ class Presentation:
         n = lam.n
         self.n = n
         self.lam = lam
-        self.root = _default_root(lam) if root is None else root
-        self.weights = tuple(tuple(int(w) for w in ws) for ws in weights)
+        self.root = _default_root(lam) if root is None else _integer(root, "root")
+        self.weights = tuple(
+            tuple(_integer(w, "weights") for w in ws) for ws in weights
+        )
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(n))
         self.lam_diag = tuple(lam_diag)
         self.lam_star = tuple(lam_star) if lam_star is not None else (None,) * n
-        self.eta = tuple(int(e) for e in eta) if eta is not None else None
+        self.eta = None if eta is None else tuple(_integer(e, "eta") for e in eta)
         for key, vals in (
             ("weights", self.weights),
             ("names", self.names),
@@ -96,7 +102,7 @@ class Presentation:
             ejk[j] += 1
             ejk[k] += 1
             for f, c in terms:
-                f = tuple(int(x) for x in f)
+                f = tuple(_integer(x, "monomial") for x in f)
                 if len(f) != n or any(x < 0 for x in f):
                     raise ValueError(f"bad monomial {f} in delta[{k},{j}]")
                 c = self._as_coeff(c)

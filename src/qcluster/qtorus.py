@@ -17,10 +17,10 @@ denominators, see :func:`check_frame_identity`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
+from .linalg import det
 from .scalarfield import Coeff, ScalarExp
 
 
@@ -162,24 +162,36 @@ def torus_div_right(a: TorusElement, b: TorusElement) -> TorusElement:
 
     Works by eliminating the graded-lex minimal term of the remainder
     against the minimal term of b; raises ValueError when the division is
-    not exact (guarded by an iteration cap so bad inputs fail fast).
+    not exact.  The torus is a domain, so if c exists its top term is
+    max(a) - max(b) and, coordinate by coordinate, its terms lie between
+    min(a) - min(b) and max(a) - max(b).  Every quotient term the loop
+    finds is a term of c, so one outside these bounds proves the division
+    inexact; the quotient terms increase and the box is finite, so the
+    loop ends.
     """
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("division by zero torus element")
+    if a.is_zero:
+        return TorusElement(a.base, a.root, {})
     base, root = a.base, a.root
     gb = min(b.terms, key=_grlex_key)
     cb = b.terms[gb]
+    top_a, top_b = (max(x.terms, key=_grlex_key) for x in (a, b))
+    top = _grlex_key(tuple(x - y for x, y in zip(top_a, top_b)))
+    box = [
+        (min(xs) - min(ys), max(xs) - max(ys))
+        for xs, ys in zip(zip(*a.terms), zip(*b.terms))
+    ]
     rem = dict(a.terms)
     quo: dict = {}
-    steps = 0
-    cap = 100000
     while rem:
-        steps += 1
-        if steps > cap:
-            raise ValueError("right division did not terminate; not exact")
         ga = min(rem, key=_grlex_key)
         gq = tuple(x - y for x, y in zip(ga, gb))
+        if _grlex_key(gq) > top or any(
+            not lo <= x <= hi for x, (lo, hi) in zip(gq, box)
+        ):
+            raise ValueError("right division is not exact")
         c = rem[ga] / (cb * omega(base, gq, gb).to_coeff(root))
         quo[gq] = c
         # rem -= (c Y^(gq)) * b
@@ -246,26 +258,6 @@ def frame_value(frame: ToricFrame, g: Sequence[int]):
     return out
 
 
-def _int_det(cols) -> Fraction:
-    n = len(cols)
-    rows = [[Fraction(cols[k][i]) for k in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def reindex_frame(frame: ToricFrame, sigma_cols: Sequence[Sequence[int]]) -> ToricFrame:
     """The composed frame M o sigma for unimodular sigma.
 
@@ -277,7 +269,7 @@ def reindex_frame(frame: ToricFrame, sigma_cols: Sequence[Sequence[int]]) -> Tor
     cols = [tuple(int(x) for x in c) for c in sigma_cols]
     if len(cols) != n or any(len(c) != n for c in cols):
         raise ValueError("sigma must be a square integer matrix of frame size")
-    if abs(_int_det(cols)) != 1:
+    if abs(det(cols)) != 1:
         raise ValueError("sigma is not invertible over the integers")
     sigma_rows = [[cols[k][i] for k in range(n)] for i in range(n)]
     return ToricFrame(

@@ -18,10 +18,11 @@ other index in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bicharacter import ExpMatrix
+from .linalg import det, inverse, primitive
 from .mutation import ExchangeMatrix
 from .primeseq import EtaData
 from .scalarfield import ScalarExp
@@ -95,33 +96,9 @@ def _symmetrizer(cartan) -> Tuple[int, ...]:
                     comp.append(j)
                 elif d[j] != want:
                     raise ValueError("Cartan matrix is not symmetrizable")
-        denom = 1
-        for i in comp:
-            denom = denom * d[i].denominator // gcd(denom, d[i].denominator)
-        numer = 0
-        for i in comp:
-            numer = gcd(numer, int(d[i] * denom))
-        for i in comp:
-            d[i] = d[i] * denom / numer
-    return tuple(int(x) for x in d)
-
-
-def _inverse(matrix) -> List[List[Fraction]]:
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+        for i, v in zip(comp, primitive([d[i] for i in comp])):
+            d[i] = v
+    return tuple(d)
 
 
 class CartanData:
@@ -142,16 +119,20 @@ class CartanData:
         self.cartan = cartan_matrix(letter, rank)
         self.d = _symmetrizer(self.cartan)
         sym = [
-            [Fraction(self.d[i] * self.cartan[i][j]) for j in range(self.rank)]
+            [self.d[i] * self.cartan[i][j] for j in range(self.rank)]
             for i in range(self.rank)
         ]
         for i in range(self.rank):
             for j in range(self.rank):
                 if sym[i][j] != sym[j][i]:
                     raise ValueError("symmetrized Cartan matrix is lopsided")
-        if not _positive_definite(sym):
+        # Sylvester's criterion: positive definite iff every leading
+        # principal minor is positive
+        if not all(
+            det([row[:k] for row in sym[:k]]) > 0 for k in range(1, self.rank + 1)
+        ):
             raise ValueError("Cartan matrix is not of finite type")
-        inv = _inverse(self.cartan)
+        inv = inverse(self.cartan)
         self.gram = tuple(
             tuple(self.d[i] * inv[i][j] for j in range(self.rank))
             for i in range(self.rank)
@@ -160,10 +141,7 @@ class CartanData:
             for j in range(self.rank):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise AssertionError("weight Gram matrix is lopsided")
-        scale = 1
-        for row in self.gram:
-            for x in row:
-                scale = scale * x.denominator // gcd(scale, x.denominator)
+        scale = lcm(*(x.denominator for row in self.gram for x in row))
         self.gram_scale = scale
         self._gram_scaled = tuple(
             tuple(int(x * scale) for x in row) for row in self.gram
@@ -219,20 +197,6 @@ class CartanData:
 
     def __repr__(self) -> str:
         return f"CartanData({self.letter}{self.rank})"
-
-
-def _positive_definite(sym) -> bool:
-    n = len(sym)
-    rows = [row[:] for row in sym]
-    for k in range(n):
-        if rows[k][k] <= 0:
-            return False
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / piv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return True
 
 
 def _alpha_columns(cd: CartanData):
@@ -324,6 +288,47 @@ class WordData:
         self.lam_diag = tuple(ScalarExp(-2 * d) for d in self.lengths)
         self.lam_star = tuple(ScalarExp(2 * d) for d in self.lengths)
 
+    def frame_matrix(self) -> ExpMatrix:
+        """Torus exponent matrix of the frame the word determines.
+
+        The (j, k) entry for j < k is half the pairing of (prefix_j + full)
+        applied to letter j's fundamental weight against (prefix_k - full)
+        applied to letter k's, extended skew-symmetrically with zero
+        diagonal.
+        """
+        cd, word = self.cartan, self.word
+        plus, minus = _plus_minus(word, _prefix_weight_matrices(cd, word))
+        n = len(word)
+        upper = {}
+        for j in range(n):
+            for k in range(j + 1, n):
+                upper[(j, k)] = cd.weight_pairing(plus[j], minus[k]) / 2
+        return ExpMatrix.from_upper(n, upper)
+
+    def exchange_matrix(self) -> ExchangeMatrix:
+        """Closed-form exchange matrix of the word.
+
+        Columns sit at the positions whose letter already occurred; rows
+        carry +1 at the previous occurrence, -1 at the next one, and
+        +-(Cartan entry of the two letters) at positions whose occurrence
+        pattern interleaves the column's in the two recognized ways.
+        """
+        return _exchange_matrix(self.cartan, self.word, self.eta.p, self.eta.s)
+
+    def compatibility(self) -> "CompatReport":
+        """Check the two compatibility conditions for the word.
+
+        Pairing: each exchange column pairs trivially with every direction
+        except its own, where the exponent is minus the letter's length.
+        Grading: each column's signed sum of (full minus prefix) weight
+        images vanishes.  Both checks are exact; the report lists any
+        failures.
+        """
+        prefixes = _prefix_weight_matrices(self.cartan, self.word)
+        return _verify_prepared(
+            self.cartan, self.word, prefixes, self.eta.p, self.eta.s
+        )
+
     def __repr__(self) -> str:
         return f"WordData({self.cartan!r}, word={self.word})"
 
@@ -343,30 +348,18 @@ def _prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
 
 
 def frame_exponent_matrix(cd: CartanData, word: Sequence[int]) -> ExpMatrix:
-    """Torus exponent matrix of the frame a reduced word determines.
+    """Torus exponent matrix of the frame a reduced word determines."""
+    return WordData(cd, word).frame_matrix()
 
-    The (j, k) entry for j < k is half the pairing of (prefix_j + full)
-    applied to letter j's fundamental weight against (prefix_k - full)
-    applied to letter k's, extended skew-symmetrically with zero diagonal.
-    """
-    roots_for_word(cd, word)
-    prefixes = _prefix_weight_matrices(cd, word)
-    full = prefixes[-1]
-    n = len(word)
-    idx = [cd._letter(i) for i in word]
-    plus = [
-        tuple(a + b for a, b in zip(prefixes[j][idx[j]], full[idx[j]]))
-        for j in range(n)
-    ]
-    minus = [
-        tuple(a - b for a, b in zip(prefixes[k][idx[k]], full[idx[k]]))
-        for k in range(n)
-    ]
-    upper = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            upper[(j, k)] = cd.weight_pairing(plus[j], minus[k]) / 2
-    return ExpMatrix.from_upper(n, upper)
+
+def _plus_minus(word, prefixes):
+    """Per position k, the images of letter k's fundamental weight under
+    prefix_k plus and minus its image under the whole word."""
+    full = prefixes[len(word)]
+    pairs = [(prefixes[k][i - 1], full[i - 1]) for k, i in enumerate(word)]
+    plus = [tuple(a + b for a, b in zip(pre, fin)) for pre, fin in pairs]
+    minus = [tuple(a - b for a, b in zip(pre, fin)) for pre, fin in pairs]
+    return plus, minus
 
 
 def _pred_key(p: Optional[int]) -> int:
@@ -374,15 +367,8 @@ def _pred_key(p: Optional[int]) -> int:
 
 
 def exchange_matrix_for_word(cd: CartanData, word: Sequence[int]) -> ExchangeMatrix:
-    """Closed-form exchange matrix of a reduced word.
-
-    Columns sit at the positions whose letter already occurred; rows carry
-    +1 at the previous occurrence, -1 at the next one, and +-(Cartan entry
-    of the two letters) at positions whose occurrence pattern interleaves
-    the column's in the two recognized ways.
-    """
-    data = WordData(cd, word)
-    return _exchange_matrix(cd, data.word, data.eta.p, data.eta.s)
+    """Closed-form exchange matrix of a reduced word."""
+    return WordData(cd, word).exchange_matrix()
 
 
 def _exchange_matrix(cd, word, p, s) -> ExchangeMatrix:
@@ -425,23 +411,12 @@ def _verify_prepared(cd, word, prefixes, p, s):
     bmat = _exchange_matrix(cd, word, p, s)
     if not bmat.ex:
         return CompatReport(True, (), (), (), True)
-    full = prefixes[n]
     gram = cd._gram_scaled
     rank = cd.rank
-    minus_g = []
-    for k in range(n):
-        nu = tuple(
-            a - b for a, b in zip(prefixes[k][idx[k]], full[idx[k]])
-        )
-        minus_g.append(
-            tuple(
-                sum(gram[t][u] * nu[u] for u in range(rank))
-                for t in range(rank)
-            )
-        )
-    plus = [
-        tuple(a + b for a, b in zip(prefixes[j][idx[j]], full[idx[j]]))
-        for j in range(n)
+    plus, minus = _plus_minus(word, prefixes)
+    minus_g = [
+        tuple(sum(gram[t][u] * nu[u] for u in range(rank)) for t in range(rank))
+        for nu in minus
     ]
     scaled = [[0] * n for _ in range(n)]
     for j in range(n):
@@ -463,10 +438,8 @@ def _verify_prepared(cd, word, prefixes, p, s):
         acc = [0] * rank
         for j in range(n):
             if col[j]:
-                pre = prefixes[j][idx[j]]
-                fin = full[idx[j]]
                 for t in range(rank):
-                    acc[t] += col[j] * (fin[t] - pre[t])
+                    acc[t] -= col[j] * minus[j][t]
         if any(acc):
             grading_failures.append(k)
     symmetrizable = all(
@@ -485,16 +458,8 @@ def _verify_prepared(cd, word, prefixes, p, s):
 
 
 def verify_word_compatibility(cd: CartanData, word: Sequence[int]) -> CompatReport:
-    """Check the two compatibility conditions for one reduced word.
-
-    Pairing: each exchange column pairs trivially with every direction
-    except its own, where the exponent is minus the letter's length.
-    Grading: each column's signed sum of (full minus prefix) weight images
-    vanishes.  Both checks are exact; the report lists any failures.
-    """
-    data = WordData(cd, word)
-    prefixes = _prefix_weight_matrices(cd, data.word)
-    return _verify_prepared(cd, data.word, prefixes, data.eta.p, data.eta.s)
+    """Check the two compatibility conditions for one reduced word."""
+    return WordData(cd, word).compatibility()
 
 
 def enumerate_reduced_words(cd: CartanData, max_len: int):

@@ -199,6 +199,10 @@ GRID22 = serialize(quantum_matrix_preset(2, 2))
 ZERO_EXPONENT = [list(row) for row in GRID22["lambda"]]
 ZERO_EXPONENT[0][1] = "1/0"
 SHORT_DIAG = {**GRID22, "lambda_diag": GRID22["lambda_diag"][:2]}
+FRACTIONAL_WEIGHT = [list(w) for w in GRID22["weights"]]
+FRACTIONAL_WEIGHT[0][0] = 1.9
+INFINITE_WEIGHT = [list(w) for w in GRID22["weights"]]
+INFINITE_WEIGHT[0][0] = float("inf")
 SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
 
 
@@ -216,6 +220,10 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         (None, ("--cmd", "bmatrix") + SCHUBERT_A2 + ("1", "5")),
         (None, ("--cmd", "verify") + SCHUBERT_A2 + ("1", "5")),
         (None, ("--cmd", "verify", "--m", "0", "--n", "2")),
+        ({**GRID22, "weights": FRACTIONAL_WEIGHT}, ("--cmd", "primes")),
+        ({**GRID22, "eta": [0.5, 1.7, -1, 0]}, ("--cmd", "primes")),
+        ({**GRID22, "weights": INFINITE_WEIGHT}, ("--cmd", "primes")),
+        ({**GRID22, "root": 2.5}, ("--cmd", "bmatrix")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -229,6 +237,10 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "letter-out-of-range-bmatrix",
         "letter-out-of-range-verify",
         "verify-zero-rows",
+        "fractional-weight",
+        "fractional-eta",
+        "infinite-weight",
+        "fractional-root",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):

@@ -20,6 +20,9 @@ from qcluster.xicombinatorics import identity_frame
 def test_linear_system():
     sys_ = LinearSystem([[1, 1], [1, -1]], [3, 1])
     assert sys_.solve_unique() == [Fraction(2), Fraction(1)]
+    # many right-hand sides, given by rows, share one elimination
+    sys_ = LinearSystem([[1, 1], [1, -1]], [[3, 1], [1, 1]])
+    assert sys_.solve_unique() == [[2, 1], [1, 0]]
     with pytest.raises(ValueError):
         LinearSystem([[1, 1], [2, 2]], [1, 3]).solve_unique()
     with pytest.raises(ValueError):
