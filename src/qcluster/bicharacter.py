@@ -2,7 +2,10 @@
 
 A multiplicatively skew-symmetric scalar matrix with entries q**E[k][j] is
 stored through its additive exponent matrix E (rational entries, E[k][k] = 0,
-E[j][k] = -E[k][j]).  The induced pairing on integer vectors is
+E[j][k] = -E[k][j]).  The entries are kept as integer numerators ``num``
+over one common denominator ``den`` in lowest terms, so every pairing below
+is integer arithmetic and equal matrices have equal (num, den).  The
+induced pairing on integer vectors is
 
     omega(E, f, g) = q ** (f^T E g),
 
@@ -16,30 +19,66 @@ Vectors are plain tuples/lists of ints indexed 0..N-1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, List, Sequence
 
 from .scalarfield import ScalarExp
 
 
 class ExpMatrix:
-    """Skew-symmetric matrix of q-exponents, immutable."""
+    """Skew-symmetric matrix of q-exponents, immutable.
 
-    __slots__ = ("n", "rows")
+    Entry (k, j) is num[k][j] / den with den >= 1 and no common factor of
+    den and all numerators.  ``rows`` is the same matrix as Fractions,
+    built on first use.
+    """
+
+    __slots__ = ("n", "num", "den", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        mat = [[Fraction(x) for x in row] for row in rows]
         n = len(mat)
         for row in mat:
             if len(row) != n:
                 raise ValueError("exponent matrix must be square")
+        # the lcm of the entry denominators is already the lowest common one
+        den = lcm(*(x.denominator for row in mat for x in row))
+        num = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in mat
+        )
         for k in range(n):
-            if mat[k][k] != 0:
+            if num[k][k] != 0:
                 raise ValueError(f"nonzero diagonal exponent at {k}")
             for j in range(k):
-                if mat[k][j] != -mat[j][k]:
+                if num[k][j] != -num[j][k]:
                     raise ValueError(f"not skew-symmetric at ({k},{j})")
         self.n = n
-        self.rows = mat
+        self.num = num
+        self.den = den
+        self._rows = None
+
+    @classmethod
+    def _make(cls, num, den: int) -> "ExpMatrix":
+        # internal: num is a skew-symmetric integer matrix (tuple of tuples)
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        obj = object.__new__(cls)
+        obj.n = len(num)
+        obj.num = num
+        obj.den = den
+        obj._rows = None
+        return obj
+
+    @property
+    def rows(self):
+        """The entries as a tuple of tuples of Fractions."""
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return self._rows
 
     @classmethod
     def zero(cls, n: int) -> "ExpMatrix":
@@ -58,11 +97,15 @@ class ExpMatrix:
         return cls(rows)
 
     def entry(self, k: int, j: int) -> ScalarExp:
-        return ScalarExp(self.rows[k][j])
+        return ScalarExp(Fraction(self.num[k][j], self.den))
 
     def scaled(self, c) -> "ExpMatrix":
         c = Fraction(c)
-        return ExpMatrix([[x * c for x in row] for row in self.rows])
+        a = c.numerator
+        return ExpMatrix._make(
+            tuple(tuple(x * a for x in row) for row in self.num),
+            self.den * c.denominator,
+        )
 
     def permuted(self, perm: Sequence[int]) -> "ExpMatrix":
         """Conjugate by the permutation matrix sending e_k to e_{perm[k]}.
@@ -73,21 +116,27 @@ class ExpMatrix:
         """
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
-        return ExpMatrix(
-            [[self.rows[perm[k]][perm[j]] for j in range(self.n)] for k in range(self.n)]
+        num = self.num
+        return ExpMatrix._make(
+            tuple(tuple(num[a][b] for b in perm) for a in perm), self.den
         )
 
     def restricted(self, indices: Sequence[int]) -> "ExpMatrix":
         """Submatrix on the given (distinct) indices, in the given order."""
-        return ExpMatrix(
-            [[self.rows[a][b] for b in indices] for a in indices]
+        num = self.num
+        return ExpMatrix._make(
+            tuple(tuple(num[a][b] for b in indices) for a in indices), self.den
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExpMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, ExpMatrix)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.den, self.num))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -98,31 +147,35 @@ class ExpMatrix:
 
 def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> ScalarExp:
     """The pairing q ** (f^T E g) as a ScalarExp."""
-    rows = emat.rows
-    total = Fraction(0)
+    num = emat.num
+    gs = [(j, gj) for j, gj in enumerate(g) if gj]
+    total = 0
     for k, fk in enumerate(f):
-        if not fk:
-            continue
-        row = rows[k]
-        acc = Fraction(0)
-        for j, gj in enumerate(g):
-            if gj:
-                acc += row[j] * gj
-        total += fk * acc
-    return ScalarExp(total)
+        if fk:
+            row = num[k]
+            total += fk * sum(row[j] * gj for j, gj in gs)
+    return ScalarExp(Fraction(total, emat.den))
+
+
+def pairing_row(emat: ExpMatrix, f: Sequence[int]) -> List[int]:
+    """den * f^T E: the pairings of f with every direction, in units 1/den."""
+    num = emat.num
+    row = [0] * emat.n
+    for k, fk in enumerate(f):
+        if fk:
+            row = [a + fk * x for a, x in zip(row, num[k])]
+    return row
 
 
 def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> ScalarExp:
     """Symmetrization scalar of the monomial with exponent vector f."""
-    rows = emat.rows
-    total = Fraction(0)
-    support = [j for j, fj in enumerate(f) if fj]
-    for a, j in enumerate(support):
-        fj = f[j]
-        row = rows[j]
-        for k in support[a + 1 :]:
-            total -= row[k] * fj * f[k]
-    return ScalarExp(total)
+    num = emat.num
+    support = [(j, fj) for j, fj in enumerate(f) if fj]
+    total = 0
+    for a, (j, fj) in enumerate(support):
+        row = num[j]
+        total -= fj * sum(row[k] * fk for k, fk in support[a + 1 :])
+    return ScalarExp(Fraction(total, emat.den))
 
 
 def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:
@@ -135,17 +188,14 @@ def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:
     n = emat.n
     if len(mat) != n:
         raise ValueError("matrix row count must match exponent matrix size")
-    m = len(mat[0])
+    m = len(mat[0]) if mat else 0
     for row in mat:
         if len(row) != m:
             raise ValueError("ragged matrix")
-    # E * mat
-    em = [
-        [sum(emat.rows[i][k] * mat[k][j] for k in range(n)) for j in range(m)]
-        for i in range(n)
-    ]
-    out = [
-        [sum(mat[k][i] * em[k][j] for k in range(n)) for j in range(m)]
-        for i in range(m)
-    ]
-    return ExpMatrix(out)
+    cols = list(zip(*mat))
+    supports = [[(k, c) for k, c in enumerate(col) if c] for col in cols]
+    out = []
+    for col in cols:
+        r = pairing_row(emat, col)
+        out.append(tuple(sum(r[k] * c for k, c in sup) for sup in supports))
+    return ExpMatrix._make(tuple(out), emat.den)

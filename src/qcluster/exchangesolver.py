@@ -23,14 +23,15 @@ from .xicombinatorics import TauPresentation
 class LinearSystem:
     """Dense rational system A X = rhs, solved exactly by :mod:`linalg`.
 
-    rhs is one vector, or a matrix given by rows for many right-hand sides
-    sharing one elimination; the solution has the same shape.
+    Entries are ints or Fractions.  rhs is one vector, or a matrix given
+    by rows for many right-hand sides sharing one elimination; the
+    solution has the same shape.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]], rhs: Sequence):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
+        self.rows = rows
         self.many = bool(rhs) and isinstance(rhs[0], (list, tuple))
-        self.rhs = [[Fraction(x) for x in (b if self.many else [b])] for b in rhs]
+        self.rhs = rhs if self.many else [[b] for b in rhs]
         if len(self.rows) != len(self.rhs):
             raise ValueError("one right-hand side entry per row required")
 
@@ -62,11 +63,11 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
         lam_star = pres.lam_star[l]
         if lam_star is None or lam_star.e == 0:
             raise ValueError(f"index {l} lacks a nontrivial squared scalar")
-    # rows of R_tau^T give the pairings with each direction, then one row
-    # per weight coordinate
-    rows = list(zip(*emat.rows)) + list(zip(*tau_pres.image_weights))
+    # rows of den * R_tau^T give den times the pairings with each
+    # direction, then one row per weight coordinate
+    rows = list(zip(*emat.num)) + list(zip(*tau_pres.image_weights))
     rhs = [
-        [pres.lam_star[l].e / 2 if j == l else 0 for l in ex]
+        [pres.lam_star[l].e * emat.den / 2 if j == l else 0 for l in ex]
         for j in range(len(rows))
     ]
     sol = LinearSystem(rows, rhs).solve_unique()

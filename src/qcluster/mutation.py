@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .bicharacter import ExpMatrix, exp_mat_product, omega
+from .bicharacter import ExpMatrix, omega, pairing_row
 from .linalg import primitive, rank
 from .orealgebra import pbw_div_right
 from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
@@ -89,21 +89,17 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Scal
     """
     if emat.n != bmat.n_rows:
         raise ValueError("size mismatch between torus matrix and columns")
+    den = emat.den
     diag: Dict[int, ScalarExp] = {}
     for k in bmat.ex:
-        col = bmat.cols[k]
-        for j in range(bmat.n_rows):
-            e = sum(
-                (Fraction(col[l]) * emat.rows[l][j] for l in range(bmat.n_rows)),
-                Fraction(0),
-            )
+        for j, e in enumerate(pairing_row(emat, bmat.cols[k])):
             if j == k:
                 if e == 0:
                     raise ValueError(f"diagonal pairing at {k} is trivial")
-                diag[k] = ScalarExp(e)
+                diag[k] = ScalarExp(Fraction(e, den))
             elif e != 0:
                 raise ValueError(
-                    f"pairing of column {k} with direction {j} is q^{e} != 1"
+                    f"pairing of column {k} with direction {j} is q^{Fraction(e, den)} != 1"
                 )
     if not bmat.full_rank():
         raise AssertionError("compatible pair with rank-deficient matrix")
@@ -252,12 +248,24 @@ def mutate_emat(
 ) -> ExpMatrix:
     """Mutated torus exponent matrix: conjugation by the row factor.
 
+    The row factor is I + u e_k^T with u = E_eps e_k - e_k, so for skew E
+    the conjugate is the rank-one update E + v e_k^T - e_k v^T, v = E u.
     The result does not depend on eps for compatible pairs, which is what
     the check enforces before conjugating.
     """
+    if k not in bmat.cols:
+        raise ValueError(f"direction {k} is not exchangeable")
     if check:
         compatibility_check(emat, bmat)
-    return exp_mat_product(emat, e_matrix(bmat, k, eps))
+    u = [(i, -eps * b) for i, b in enumerate(bmat.cols[k]) if i != k and eps * b < 0]
+    u.append((k, -2))
+    num = emat.num
+    v = [sum(row[i] * c for i, c in u) for row in num]
+    rows = [row[:k] + (row[k] + vi,) + row[k + 1 :] for row, vi in zip(num, v)]
+    kth = [x - vj for x, vj in zip(num[k], v)]
+    kth[k] = 0
+    rows[k] = tuple(kth)
+    return ExpMatrix._make(tuple(rows), emat.den)
 
 
 class Seed:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega
@@ -40,7 +39,7 @@ def _rev_key(f):
 
 def _default_root(lam: ExpMatrix) -> int:
     """Twice the common denominator of the exponents: q**(1/root) suffices."""
-    return 2 * lcm(*(x.denominator for row in lam.rows for x in row))
+    return 2 * lam.den
 
 
 def _integer(x, key: str) -> int:
@@ -131,6 +130,7 @@ class Presentation:
         # caches, filled on first use; primeseq.compute_primes and
         # primeseq.restrict_presentation fill _prime_seq and _restrict_cache
         self._mtg_cache: dict = {}
+        self._lam_coeffs: dict = {}
         self._prime_seq = None
         self._restrict_cache: dict = {}
         self._nu: Optional[ExpMatrix] = None
@@ -219,7 +219,9 @@ class Presentation:
         fp = list(f)
         fp[L] -= 1
         fp = tuple(fp)
-        lam_c = self.lam.entry(L, j).to_coeff(self.root)
+        lam_c = self._lam_coeffs.get((L, j))
+        if lam_c is None:
+            lam_c = self._lam_coeffs[(L, j)] = self.lam.entry(L, j).to_coeff(self.root)
         out: dict = {}
         for g, c in self._mono_times_gen(fp, j).items():
             gg = list(g)

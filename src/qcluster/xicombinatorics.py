@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .bicharacter import ExpMatrix, omega, symmetrization
+from .bicharacter import exp_mat_product, symmetrization
 from .orealgebra import PBWElement, Presentation, weight_of
 from .primeseq import EtaData, PrimeSequence, compute_primes, interval_prime
 from .qtorus import ToricFrame, matrix_from_images
@@ -217,10 +217,8 @@ def frame_for_tau(
             raise ValueError(
                 f"position {k}: prefix chain disagrees with interval chain"
             )
-    nu = pres.nu()
-    r_hat = ExpMatrix(
-        [[omega(nu, vecs[l], vecs[j]).e for j in range(n)] for l in range(n)]
-    )
+    # pairings of the chain vectors: V^T nu V with V = [vecs as columns]
+    r_hat = exp_mat_product(pres.nu(), list(zip(*vecs)))
     bullet = tau_bullet(ed.eta, tau)
     sigma = tuple(bullet[tau[k]] for k in range(n))
     sigma_inv = [0] * n
@@ -279,13 +277,7 @@ def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:
             end = k
         vecs.append(ed.interval_vector(start, end))
         images.append(_interval_image(pres, seq, start, end))
-    nu = pres.nu()
-    emat = ExpMatrix(
-        [
-            [omega(nu, vecs[a], vecs[b]).e for b in range(width)]
-            for a in range(width)
-        ]
-    )
+    emat = exp_mat_product(pres.nu(), list(zip(*vecs)))
     return ToricFrame(emat, images, pres.one(), pres.root)
 
 

@@ -6,6 +6,7 @@ into its symmetrized form.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +115,74 @@ def test_scaled(e, c):
     for k in range(N):
         for j in range(N):
             assert s.rows[k][j] == e.rows[k][j] * c
+
+
+def lowest_terms(e):
+    return e.den >= 1 and gcd(e.den, *(x for row in e.num for x in row)) == 1
+
+
+@st.composite
+def skew_integer_matrices(draw, n=N):
+    num = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            num[j][k] = draw(st.integers(-6, 6))
+            num[k][j] = -num[j][k]
+    return num
+
+
+@given(skew_integer_matrices())
+@settings(max_examples=50)
+def test_normal_form_across_denominators(num):
+    thirds = ExpMatrix([[Fraction(x, 3) for x in row] for row in num])
+    sixths = ExpMatrix([[Fraction(2 * x, 6) for x in row] for row in num])
+    strings = ExpMatrix([[f"{2 * x}/6" for x in row] for row in num])
+    assert thirds == sixths == strings
+    assert hash(thirds) == hash(sixths) == hash(strings)
+    assert lowest_terms(thirds)
+    assert (thirds.num, thirds.den) == (sixths.num, sixths.den)
+
+
+@given(skew_matrices(), st.permutations(range(N)))
+@settings(max_examples=50)
+def test_normal_form_across_routes(e, perm):
+    inv = [0] * N
+    for k, p in enumerate(perm):
+        inv[p] = k
+    for other in (e.scaled(2).scaled(Fraction(1, 2)), e.permuted(perm).permuted(inv)):
+        assert other == e and hash(other) == hash(e)
+        assert (other.num, other.den) == (e.num, e.den)
+    for derived in (e.scaled(Fraction(3, 2)), e.permuted(perm), e.restricted((1, 3))):
+        assert lowest_terms(derived)
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=6, max_size=6))
+@settings(max_examples=50)
+def test_rows_are_the_fraction_entries(upper):
+    keys = [(j, k) for j in range(N) for k in range(j + 1, N)]
+    e = ExpMatrix.from_upper(N, dict(zip(keys, upper)))
+    rows = [[Fraction(0)] * N for _ in range(N)]
+    for (j, k), x in zip(keys, upper):
+        rows[j][k], rows[k][j] = x, -x
+    assert e.rows == tuple(tuple(row) for row in rows)
+    assert all(isinstance(x, Fraction) for row in e.rows for x in row)
+    assert all(e.entry(k, j) == ScalarExp(rows[k][j]) for k in range(N) for j in range(N))
+    assert repr(e) == "ExpMatrix[" + "; ".join(" ".join(str(x) for x in row) for row in rows) + "]"
+
+
+@given(
+    skew_matrices(),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=N, max_size=N),
+)
+@settings(max_examples=50)
+def test_exp_mat_product_matches_fraction_reference(e, mat):
+    out = exp_mat_product(e, mat)
+    want = [
+        [
+            sum(mat[k][i] * e.rows[k][l] * mat[l][j] for k in range(N) for l in range(N))
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    assert out.rows == tuple(tuple(Fraction(x) for x in row) for row in want)
+    assert lowest_terms(out)

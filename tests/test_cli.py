@@ -4,9 +4,12 @@ Everything runs in process through main(argv); stdout is captured with
 capsys so the byte-stability assertions really compare emitted text.
 """
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcluster import cli
 from qcluster.cli import main
@@ -278,3 +281,95 @@ def test_verify_builds_once(capsys, monkeypatch):
     solved.clear()
     cli.chain_walk(quantum_matrix_preset(2, 3))
     assert solved == taus
+
+
+# stdout digests of commands that print ExpMatrix rows (frames carries
+# entries such as 1/2), recorded before the exponents became integers
+GOLDEN_STDOUT = [
+    (
+        ("--cmd", "frames", "--m", "2", "--n", "3"),
+        "07b9e82e728b1651376fb41d129e850604f2aeb3258532497f3a5a9beb55e1d3",
+    ),
+    (
+        ("--cmd", "schubert", "--preset", "schubert", "--type", "B", "--rank", "3",
+         "--word", "1", "2", "3", "1", "2", "3", "1", "2", "3"),
+        "b27399c4dfd37e8a6b4aee5b56dda70255ef96ab7972bd7f27c2bb8d9fae561b",
+    ),
+    (
+        ("--cmd", "schubert", "--preset", "schubert", "--type", "G", "--rank", "2",
+         "--word", "1", "2", "1", "2", "1", "2"),
+        "1ac8e36f1ff6c63d2c3316109526fd13036ae0a72efef491fd4bad4cc90b1eba",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=["frames-2x3", "schubert-B3", "schubert-G2"])
+def test_golden_stdout(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FUZZ_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(10**15, 10**40).map(lambda x: x * (-1) ** (x % 2)),
+    st.sampled_from(["", "x", "1/0", "1e3", "nan", " 1 ", "1/2/3", "0x10"]),
+    st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+
+
+@st.composite
+def fuzzed_lambda(draw):
+    """The 2x2 preset's lambda with one to three edits."""
+    lam = [list(row) for row in GRID22["lambda"]]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["entry", "skew-pair", "diagonal", "ragged", "extra-row"]))
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if kind == "entry" and j < len(lam[i]):
+            lam[i][j] = draw(FUZZ_ENTRY)
+        elif kind == "skew-pair" and i != j and max(i, j) < min(map(len, lam[:4])):
+            x = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+            lam[i][j], lam[j][i] = str(x), str(-x)
+        elif kind == "diagonal" and i < len(lam[i]):
+            lam[i][i] = draw(FUZZ_ENTRY)
+        elif kind == "ragged":
+            del lam[i][j:]
+        elif kind == "extra-row":
+            lam.append(list(lam[i]))
+    return lam
+
+
+# roots stay small: the cost of the PBW layer grows with the root
+FUZZ_ROOT = st.one_of(
+    st.none(),
+    st.integers(-2, 24),
+    st.floats(min_value=-24, max_value=24),
+    st.sampled_from(["4", "x", "", [4], {"4": 1}, True, float("nan"), float("inf")]),
+)
+
+
+@given(fuzzed_lambda(), FUZZ_ROOT)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_custom_lambda_and_root_fuzz(capsys, tmp_path, lam, root):
+    data = {**GRID22, "lambda": lam}
+    if root is None:
+        del data["root"]
+    else:
+        data["root"] = root
+    source = tmp_path / "fuzz.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "--cmd", "bmatrix", "--preset", "custom", "--file", str(source))
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
+    else:
+        assert rc in (0, 1) and err == ""
+        payload = json.loads(out)
+        assert (rc == 1) == ("error" in payload)

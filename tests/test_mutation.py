@@ -8,12 +8,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcluster.bicharacter import ExpMatrix
+from qcluster.bicharacter import ExpMatrix, exp_mat_product
+from qcluster.exchangesolver import btilde_for_tau
 from qcluster.mutation import (
     ExchangeMatrix,
     Seed,
     compatibility_check,
+    e_matrix,
     exchange_identity_holds,
     exchange_terms,
     find_symmetrizer,
@@ -26,6 +30,7 @@ from qcluster.mutation import (
     seed_from_pair,
     skew_symmetrizable,
 )
+from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.qtorus import (
     ToricFrame,
     TorusElement,
@@ -34,6 +39,7 @@ from qcluster.qtorus import (
     reindex_frame,
 )
 from qcluster.scalarfield import ScalarExp
+from qcluster.xicombinatorics import frame_for_tau, gamma_chain
 
 
 def pairs(seed, count, n_range=(1, 4)):
@@ -98,6 +104,42 @@ def test_emat_mutation_sign_independent_and_involutive():
         assert plus == minus
         bmat2 = mutate_matrix_direct(bmat, k)
         assert mutate_emat(plus, bmat2, k) == emat
+
+
+def dense_mutate_emat(emat, bmat, k, eps):
+    """Conjugation by the full row factor, the O(n^3) reference."""
+    return exp_mat_product(emat, e_matrix(bmat, k, eps))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 4), st.data())
+@settings(max_examples=100)
+def test_rank_one_mutate_emat_equals_dense_product(seed, n, data):
+    emat, bmat, _ = random_compatible_pair(random.Random(seed), n)
+    k = data.draw(st.sampled_from(bmat.ex))
+    for eps in (1, -1):
+        assert mutate_emat(emat, bmat, k, eps) == dense_mutate_emat(emat, bmat, k, eps)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_rank_one_mutate_emat_on_chain_frames(shape):
+    pres = quantum_matrix_preset(*shape)
+    for tau in gamma_chain(pres.n):
+        tp = frame_for_tau(pres, tau)
+        emat, bmat = tp.frame.emat, btilde_for_tau(tp)
+        for k in bmat.ex:
+            for eps in (1, -1):
+                assert mutate_emat(emat, bmat, k, eps) == dense_mutate_emat(
+                    emat, bmat, k, eps
+                )
+
+
+def test_mutate_emat_rejects_frozen_direction():
+    emat, bmat, _ = random_compatible_pair(random.Random(3), 2)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match=f"direction {k} is not exchangeable"):
+            mutate_emat(emat, bmat, k)
+        with pytest.raises(ValueError, match="not exchangeable"):
+            mutate_emat(emat, bmat, k, check=False)
 
 
 def test_mutation_preserves_compatibility():
