@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega
-from .scalarfield import Coeff, ScalarExp
+from .scalarfield import Coeff, ScalarExp, as_coeff
 
 
 def reverse_lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
@@ -104,7 +104,7 @@ class Presentation:
                 f = tuple(_integer(x, "monomial") for x in f)
                 if len(f) != n or any(x < 0 for x in f):
                     raise ValueError(f"bad monomial {f} in delta[{k},{j}]")
-                c = self._as_coeff(c)
+                c = as_coeff(c, self.root)
                 if c.is_zero:
                     continue
                 sup = [i for i, x in enumerate(f) if x]
@@ -127,6 +127,8 @@ class Presentation:
                 table[(k, j)] = tuple(clean)
         self.delta = table
         self.symmetric = symmetric
+        # the one unit of the rewriting core: _terms_times_gen skips it
+        self._one = Coeff.one(self.root)
         # caches, filled on first use; primeseq.compute_primes and
         # primeseq.restrict_presentation fill _prime_seq and _restrict_cache
         self._mtg_cache: dict = {}
@@ -136,15 +138,6 @@ class Presentation:
         self._nu: Optional[ExpMatrix] = None
 
     # -- small constructors -------------------------------------------------
-
-    def _as_coeff(self, c) -> Coeff:
-        if isinstance(c, Coeff):
-            if c.root != self.root:
-                raise ValueError("coefficient root mismatch")
-            return c
-        if isinstance(c, ScalarExp):
-            return c.to_coeff(self.root)
-        return Coeff.from_fraction(c, self.root)
 
     def zero(self) -> "PBWElement":
         return PBWElement(self, {})
@@ -158,7 +151,7 @@ class Presentation:
         return self.monomial(tuple(f))
 
     def monomial(self, f: Sequence[int], coeff=1) -> "PBWElement":
-        c = self._as_coeff(coeff)
+        c = as_coeff(coeff, self.root)
         f = tuple(int(x) for x in f)
         if len(f) != self.n:
             raise ValueError("exponent tuple has wrong length")
@@ -170,7 +163,7 @@ class Presentation:
         out: dict = {}
         for f, c in terms:
             f = tuple(int(x) for x in f)
-            c = self._as_coeff(c)
+            c = as_coeff(c, self.root)
             if c.is_zero:
                 continue
             if f in out:
@@ -213,7 +206,7 @@ class Presentation:
         if L <= j:
             g = list(f)
             g[j] += 1
-            out = {tuple(g): Coeff.one(self.root)}
+            out = {tuple(g): self._one}
             self._mtg_cache[key] = out
             return out
         fp = list(f)
@@ -245,10 +238,11 @@ class Presentation:
         return out
 
     def _terms_times_gen(self, terms: dict, j: int) -> dict:
+        one = self._one
         out: dict = {}
         for f, c in terms.items():
             for h, c2 in self._mono_times_gen(f, j).items():
-                prod = c * c2
+                prod = c if c2 is one else c * c2
                 acc = out.get(h)
                 if acc is None:
                     out[h] = prod
@@ -261,7 +255,7 @@ class Presentation:
         return out
 
     def _mono_times_mono(self, f: tuple, g: tuple) -> dict:
-        cur = {f: Coeff.one(self.root)}
+        cur = {f: self._one}
         for j, e in enumerate(g):
             for _ in range(e):
                 cur = self._terms_times_gen(cur, j)
@@ -319,7 +313,7 @@ class PBWElement:
         return self.scaled(other)
 
     def scaled(self, c) -> "PBWElement":
-        c = self.pres._as_coeff(c)
+        c = as_coeff(c, self.pres.root)
         if c.is_zero:
             return self.pres.zero()
         return PBWElement(
@@ -394,7 +388,7 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
                     del out[f]
                     continue
                 out[f] = acc
-    return PBWElement(pres, {f: c for f, c in out.items() if not c.is_zero})
+    return PBWElement(pres, out)
 
 
 def leading_term(a: PBWElement) -> tuple:
@@ -530,7 +524,8 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
     ({"k,j": [[monomial, coeff], ...]} with coeff a u-polynomial
-    {"exp": "frac"} or an exponent), optional "eta", "names", "root".
+    {"exp": int or "frac"}, no floats, or an exponent), optional "eta",
+    "names", "root".
 
     Runs a randomized associativity spot check on the finished algebra,
     since a malformed derivation table yields an inconsistent rewriting
@@ -556,6 +551,11 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
         parsed = []
         for mono, coeff in terms:
             if isinstance(coeff, dict):
+                if any(isinstance(v, float) for v in coeff.values()):
+                    raise ValueError(
+                        f"delta[{key}] coefficient {coeff} has a float value; "
+                        "write it as an integer or a fraction string"
+                    )
                 c = Coeff(
                     root,
                     {int(e): Fraction(v) for e, v in coeff.items()},

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
 from .linalg import det
-from .scalarfield import Coeff, ScalarExp
+from .scalarfield import Coeff, ScalarExp, as_coeff
 
 
 class TorusElement:
@@ -56,17 +56,8 @@ class TorusElement:
         if self.root != other.root:
             raise ValueError("mixed coefficient roots")
 
-    def _coeff(self, c) -> Coeff:
-        if isinstance(c, Coeff):
-            if c.root != self.root:
-                raise ValueError("coefficient root mismatch")
-            return c
-        if isinstance(c, ScalarExp):
-            return c.to_coeff(self.root)
-        return Coeff.from_fraction(c, self.root)
-
     def scaled(self, c) -> "TorusElement":
-        c = self._coeff(c)
+        c = as_coeff(c, self.root)
         if c.is_zero:
             return TorusElement(self.base, self.root, {})
         return TorusElement(

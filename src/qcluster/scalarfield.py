@@ -10,19 +10,22 @@ Two layers:
 * :class:`Coeff` is an element of the rational function field Q(u) where
   u = q**(1/root) and ``root`` is a fixed positive integer chosen per
   algebra instance.  Numerator and denominator are sparse polynomials
-  {exponent: Fraction}.  The numerator may have negative exponents (it is a
-  Laurent polynomial); the denominator is normalized to have constant term 1
-  and no common factor with the numerator, so equality is structural.
+  {exponent: int} with integer coefficients, in one normal form, so
+  equality is structural.  The numerator may have negative exponents (it
+  is a Laurent polynomial); the denominator has lowest exponent 0 and a
+  positive constant term and no common factor with the numerator; the
+  integer coefficients of both together have gcd 1.  A Laurent element
+  has the denominator {0: d}, one positive integer, so its arithmetic is
+  integer dict arithmetic plus one gcd when d != 1.
 
-Everything is immutable by convention; operations return fresh objects.
+Everything is immutable by convention; operations return fresh objects,
+except that a product with the unit is the other factor itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 
 class ScalarExp:
@@ -69,7 +72,9 @@ class ScalarExp:
             raise ValueError(
                 f"exponent {self.e} not representable with root {root}"
             )
-        return Coeff._make(root, {int(k): _ONE}, _DEN_ONE)
+        if not k:
+            return Coeff.one(root)
+        return Coeff._make(root, {int(k): 1}, _UNIT)
 
 
 def scalar_pow(s: ScalarExp, m) -> ScalarExp:
@@ -77,9 +82,12 @@ def scalar_pow(s: ScalarExp, m) -> ScalarExp:
     return s ** m
 
 
-# -- sparse polynomial helpers (dict exponent -> Fraction, no zero values) --
+# -- sparse polynomial helpers (dict exponent -> int, no zero values) --
 
-_DEN_ONE = {0: _ONE}
+# The denominator of every Laurent element with d = 1, and the numerator of
+# the unit; no other numerator is this object, so `num is _UNIT` tells the
+# unit without comparing dicts.
+_UNIT = {0: 1}
 
 
 def _padd(a, b):
@@ -95,10 +103,6 @@ def _padd(a, b):
             else:
                 del out[k]
     return out
-
-
-def _pneg(a):
-    return {k: -v for k, v in a.items()}
 
 
 def _pmul(a, b):
@@ -132,14 +136,19 @@ def _pshift(a, d):
     return {k + d: v for k, v in a.items()}
 
 
-def _pscale(a, c: Fraction):
-    if c == 1:
-        return a
-    return {k: v * c for k, v in a.items()}
+def _primitive(a):
+    """a divided by the gcd of its coefficients."""
+    g = gcd(*a.values()) or 1
+    return {k: v // g for k, v in a.items()}
 
 
 def _pdivmod(a, b):
-    """Polynomial division (nonnegative exponents only)."""
+    """Quotient and remainder of a by b over Z (nonnegative exponents).
+
+    Where b's leading coefficient does not divide, the remainder is scaled
+    by it (a pseudo-remainder; the quotient is then of no use).  When b is
+    primitive and divides a over Q, Gauss's lemma makes every step exact.
+    """
     db = max(b)
     lb = b[db]
     rem = dict(a)
@@ -148,25 +157,26 @@ def _pdivmod(a, b):
         dr = max(rem)
         if dr < db:
             break
-        c = rem[dr] / lb
+        c, r = divmod(rem[dr], lb)
+        if r:
+            rem = {k: v * lb for k, v in rem.items()}
+            c = rem[dr] // lb
         quo[dr - db] = c
         for k, v in b.items():
             kk = dr - db + k
-            w = rem.get(kk, _ZERO) - c * v
+            w = rem.get(kk, 0) - c * v
             if w:
                 rem[kk] = w
-            elif kk in rem:
+            else:
                 del rem[kk]
     return quo, rem
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q of two polynomials with nonnegative exponents."""
+    """Primitive gcd over Q of two polynomials with nonnegative exponents."""
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    lead = a[max(a)]
-    return _pscale(a, 1 / lead)
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _primitive(a)
 
 
 class Coeff:
@@ -179,10 +189,11 @@ class Coeff:
             raise ValueError("root must be a positive integer")
         self.root = root
         n = {int(k): Fraction(v) for k, v in (num or {}).items() if v}
-        d = {int(k): Fraction(v) for k, v in (den or {}).items() if v}
-        if not d:
-            d = {} if den else dict(_DEN_ONE)
-        self.num, self.den = _normalize(n, d)
+        d = {int(k): Fraction(v) for k, v in den.items() if v} if den else {0: 1}
+        s = lcm(*(v.denominator for p in (n, d) for v in p.values()))
+        self.num, self.den = _normalize(
+            *({k: int(v * s) for k, v in p.items()} for p in (n, d))
+        )
 
     @classmethod
     def _make(cls, root, num, den):
@@ -195,18 +206,20 @@ class Coeff:
 
     @classmethod
     def zero(cls, root: int) -> "Coeff":
-        return cls._make(root, {}, _DEN_ONE)
+        return cls._make(root, {}, _UNIT)
 
     @classmethod
     def one(cls, root: int) -> "Coeff":
-        return cls._make(root, {0: _ONE}, _DEN_ONE)
+        return cls._make(root, _UNIT, _UNIT)
 
     @classmethod
     def from_fraction(cls, c, root: int) -> "Coeff":
         c = Fraction(c)
         if not c:
             return cls.zero(root)
-        return cls._make(root, {0: c}, _DEN_ONE)
+        if c == 1:
+            return cls.one(root)
+        return cls._make(root, *_normalize({0: c.numerator}, {0: c.denominator}))
 
     @classmethod
     def q_power(cls, e, root: int) -> "Coeff":
@@ -221,23 +234,24 @@ class Coeff:
 
     @property
     def is_one(self) -> bool:
-        return self.num == _DEN_ONE and self.den == _DEN_ONE
+        return self.num == _UNIT and self.den == _UNIT
 
     @property
     def is_laurent(self) -> bool:
-        """True when the denominator is trivial."""
-        return self.den == _DEN_ONE
+        """True when the denominator is a constant."""
+        return len(self.den) == 1
 
     @property
     def is_monomial(self) -> bool:
-        return len(self.num) == 1 and self.den == _DEN_ONE
+        return len(self.num) == 1 and len(self.den) == 1
 
     def as_scalar_exp(self) -> ScalarExp:
         """Return e with self == q**e; requires a monomial with coeff 1."""
         if not self.is_monomial:
             raise ValueError(f"{self} is not a q power")
         ((k, v),) = self.num.items()
-        if v != 1:
+        if v != 1 or self.den[0] != 1:
+            v = Fraction(v, self.den[0])
             raise ValueError(f"{self} is not a q power (coefficient {v})")
         return ScalarExp(Fraction(k, self.root))
 
@@ -258,16 +272,16 @@ class Coeff:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            return Coeff._make(self.root, _padd(self.num, other.num), _DEN_ONE)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        den = _pmul(self.den, other.den)
-        return Coeff._make(self.root, *_normalize(num, den))
+        a, b = self.den, other.den
+        if a is _UNIT and b is _UNIT:
+            return Coeff._make(self.root, _padd(self.num, other.num), _UNIT)
+        num = _padd(_pmul(self.num, b), _pmul(other.num, a))
+        return Coeff._make(self.root, *_normalize(num, _pmul(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coeff._make(self.root, _pneg(self.num), self.den)
+        return Coeff._make(self.root, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -282,11 +296,14 @@ class Coeff:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            return Coeff._make(self.root, _pmul(self.num, other.num), _DEN_ONE)
+        if other.num is _UNIT:
+            return self
+        if self.num is _UNIT:
+            return other
         num = _pmul(self.num, other.num)
-        den = _pmul(self.den, other.den)
-        return Coeff._make(self.root, *_normalize(num, den))
+        if self.den is _UNIT and other.den is _UNIT:
+            return Coeff._make(self.root, num, _UNIT)
+        return Coeff._make(self.root, *_normalize(num, _pmul(self.den, other.den)))
 
     __rmul__ = __mul__
 
@@ -335,37 +352,35 @@ class Coeff:
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
-        num = _poly_str(self.num, self.root)
-        if self.den == _DEN_ONE:
+        d = self.den[0]
+        num = _poly_str(self.num, self.root, d)
+        if len(self.den) == 1:
             return num
-        return f"({num})/({_poly_str(self.den, self.root)})"
+        return f"({num})/({_poly_str(self.den, self.root, d)})"
 
 
 def _normalize(num: dict, den: dict):
-    """Reduce num/den: units into the numerator, gcd out, den(0) = 1."""
+    """Reduce num/den: units into the numerator, gcd and content out."""
     if not num:
-        return {}, dict(_DEN_ONE)
+        return {}, _UNIT
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if den == _DEN_ONE:
-        return num, dict(_DEN_ONE)
-    vn = min(num)
     vd = min(den)
-    shift = vn - vd
-    n = _pshift(num, -vn)
-    d = _pshift(den, -vd)
-    if len(d) > 1 or d.get(0) != 1:
-        g = _pgcd(n, d)
-        if len(g) > 1 or g.get(0) != 1:
-            n, _ = _pdivmod(n, g)
-            d, _ = _pdivmod(d, g)
-        c = d[0]
-        if c != 1:
-            n = _pscale(n, 1 / c)
-            d = _pscale(d, 1 / c)
-    if d == _DEN_ONE:
-        d = dict(_DEN_ONE)
-    return _pshift(n, shift), d
+    num, den = _pshift(num, -vd), _pshift(den, -vd)
+    if len(den) > 1:
+        vn = min(num)
+        num = _pshift(num, -vn)
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+        num = _pshift(num, vn)
+    if den == _UNIT:
+        return num, _UNIT
+    c = gcd(*num.values(), *den.values())
+    if den[0] < 0:
+        c = -c
+    den = {k: v // c for k, v in den.items()}
+    return {k: v // c for k, v in num.items()}, _UNIT if den == _UNIT else den
 
 
 def coeff_div(a: Coeff, b: Coeff) -> Coeff:
@@ -381,10 +396,22 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return Coeff._make(a.root, *_normalize(num, den))
 
 
-def _poly_str(p: dict, root: int) -> str:
+def as_coeff(c, root: int) -> Coeff:
+    """c, a Coeff with this root, a ScalarExp or a rational, as a Coeff."""
+    if isinstance(c, Coeff):
+        if c.root != root:
+            raise ValueError("coefficient root mismatch")
+        return c
+    if isinstance(c, ScalarExp):
+        return c.to_coeff(root)
+    return Coeff.from_fraction(c, root)
+
+
+def _poly_str(p: dict, root: int, d: int) -> str:
+    """p/d as a sum of q powers, highest first."""
     parts = []
     for k in sorted(p, reverse=True):
-        v = p[k]
+        v = Fraction(p[k], d)
         e = Fraction(k, root)
         if e == 0:
             term = str(v)

@@ -206,6 +206,7 @@ FRACTIONAL_WEIGHT = [list(w) for w in GRID22["weights"]]
 FRACTIONAL_WEIGHT[0][0] = 1.9
 INFINITE_WEIGHT = [list(w) for w in GRID22["weights"]]
 INFINITE_WEIGHT[0][0] = float("inf")
+FLOAT_DELTA = {"3,0": [[GRID22["delta"]["3,0"][0][0], {"2": -1.1, "-2": 1.1}]]}
 SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
 
 
@@ -227,6 +228,7 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "eta": [0.5, 1.7, -1, 0]}, ("--cmd", "primes")),
         ({**GRID22, "weights": INFINITE_WEIGHT}, ("--cmd", "primes")),
         ({**GRID22, "root": 2.5}, ("--cmd", "bmatrix")),
+        ({**GRID22, "delta": FLOAT_DELTA}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -244,6 +246,7 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "fractional-eta",
         "infinite-weight",
         "fractional-root",
+        "float-delta-coefficient",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -255,6 +258,8 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
     assert rc == 2 and out == ""
     assert err.startswith("qcluster:") and err.count("\n") == 1
     assert "Traceback" not in err
+    if data is not None and data.get("delta") is FLOAT_DELTA:
+        assert "delta[3,0]" in err
 
 
 def test_verify_builds_once(capsys, monkeypatch):
@@ -284,7 +289,9 @@ def test_verify_builds_once(capsys, monkeypatch):
 
 
 # stdout digests of commands that print ExpMatrix rows (frames carries
-# entries such as 1/2), recorded before the exponents became integers
+# entries such as 1/2), recorded before the exponents became integers, and
+# of the commands that print Coeff reprs (primes, intervals), recorded
+# before the coefficients became integers
 GOLDEN_STDOUT = [
     (
         ("--cmd", "frames", "--m", "2", "--n", "3"),
@@ -300,10 +307,29 @@ GOLDEN_STDOUT = [
          "--word", "1", "2", "1", "2", "1", "2"),
         "1ac8e36f1ff6c63d2c3316109526fd13036ae0a72efef491fd4bad4cc90b1eba",
     ),
+    (
+        ("--cmd", "primes", "--m", "3", "--n", "3"),
+        "b2b28b9c6cc83a20e0be07d767d2007f4aae6981682ea2133497e44d00104c44",
+    ),
+    (
+        ("--cmd", "intervals", "--m", "3", "--n", "3"),
+        "c76359e2d737e379961b021a82c88cb7e48067768593a030a5e917a3f801f4f5",
+    ),
+    (
+        ("--cmd", "intervals", "--m", "2", "--n", "4"),
+        "1dfd083d04bd44844c53ccc0f0176a28f9bf615294be48aba32b2854e1129540",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=["frames-2x3", "schubert-B3", "schubert-G2"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_STDOUT,
+    ids=[
+        "frames-2x3", "schubert-B3", "schubert-G2",
+        "primes-3x3", "intervals-3x3", "intervals-2x4",
+    ],
+)
 def test_golden_stdout(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
@@ -363,6 +389,54 @@ def test_custom_lambda_and_root_fuzz(capsys, tmp_path, lam, root):
         del data["root"]
     else:
         data["root"] = root
+    source = tmp_path / "fuzz.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "--cmd", "bmatrix", "--preset", "custom", "--file", str(source))
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
+    else:
+        assert rc in (0, 1) and err == ""
+        payload = json.loads(out)
+        assert (rc == 1) == ("error" in payload)
+
+
+FUZZ_COEFF_VALUE = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(10**15, 10**40).map(lambda x: x * (-1) ** (x % 2)),
+    st.sampled_from(["0", "1/0", "", "x", "1.5", "nan"]),
+    st.none(),
+)
+FUZZ_COEFF_EXPONENT = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["1/2", "1.5", "x", "", "1e3", " 2"]),
+)
+
+
+# the preset's coefficient -(q - q^-1) scaled by a fuzzed factor
+SCALED_QDIFF = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
+    lambda x: {"2": str(-x), "-2": str(x)}
+)
+
+
+@given(
+    st.one_of(
+        st.dictionaries(FUZZ_COEFF_EXPONENT, FUZZ_COEFF_VALUE, max_size=3),
+        SCALED_QDIFF,
+        FUZZ_COEFF_VALUE,
+    )
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_custom_delta_fuzz(capsys, tmp_path, coeff):
+    """The 2x2 preset with its one derivation coefficient replaced."""
+    mono = GRID22["delta"]["3,0"][0][0]
+    data = {**GRID22, "delta": {"3,0": [[mono, coeff]]}}
     source = tmp_path / "fuzz.json"
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", "bmatrix", "--preset", "custom", "--file", str(source))

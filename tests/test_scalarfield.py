@@ -1,6 +1,7 @@
 """Field arithmetic for exact q-power scalars and rational coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -65,8 +66,11 @@ def test_coeff_constructors():
     assert one.is_one and not one.is_zero
     assert Coeff.zero(ROOT).is_zero
     assert Coeff.from_fraction(Fraction(2, 3), ROOT) * 3 == 2
-    # normalization: (2u)/(2) reduces to u
+    # normalization: (2u)/(2) reduces to u, and a negative denominator
+    # moves its sign and content into the numerator
     assert Coeff(ROOT, {1: 2}, {0: 2}) == Coeff(ROOT, {1: 1})
+    assert hash(Coeff(ROOT, {1: 2}, {0: 2})) == hash(Coeff(ROOT, {1: 1}))
+    assert Coeff(ROOT, {1: 2}, {0: -4}) == Coeff(ROOT, {1: "-1/2"})
 
 
 @given(coeffs, coeffs, coeffs)
@@ -126,3 +130,193 @@ def test_monomial_predicates():
 def test_mixed_roots_rejected():
     with pytest.raises(ValueError):
         Coeff.one(2) + Coeff.one(4)
+
+
+# -- oracle: a miniature of the dict-of-Fraction Coeff the integer form
+# replaced.  Its normal form has den(0) = 1; the integer form has den(0) > 0
+# and integer coefficients with gcd 1, so the two agree after dividing the
+# integer form by den(0).
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def _ref_mul(a, b):
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out = _ref_add(out, {ka + kb: va * vb})
+    return out
+
+
+def _ref_divmod(a, b):
+    db = max(b)
+    rem, quo = dict(a), {}
+    while rem and max(rem) >= db:
+        dr = max(rem)
+        c = quo[dr - db] = rem[dr] / b[db]
+        rem = _ref_add(rem, {dr - db + k: -c * v for k, v in b.items()})
+    return quo, rem
+
+
+def _ref_normalize(num, den):
+    if not num:
+        return {}, {0: Fraction(1)}
+    vn, vd = min(num), min(den)
+    n = {k - vn: v for k, v in num.items()}
+    d = {k - vd: v for k, v in den.items()}
+    a, b = n, d
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    n, d = _ref_divmod(n, a)[0], _ref_divmod(d, a)[0]
+    c = d[0]
+    return {k + vn - vd: v / c for k, v in n.items()}, {k: v / c for k, v in d.items()}
+
+
+class RefCoeff:
+    def __init__(self, num, den=None):
+        num = {k: Fraction(v) for k, v in num.items() if v}
+        den = {k: Fraction(v) for k, v in (den or {0: 1}).items() if v}
+        self.num, self.den = _ref_normalize(num, den)
+
+    def __add__(self, o):
+        return RefCoeff(
+            _ref_add(_ref_mul(self.num, o.den), _ref_mul(o.num, self.den)),
+            _ref_mul(self.den, o.den),
+        )
+
+    def __neg__(self):
+        return RefCoeff({k: -v for k, v in self.num.items()}, self.den)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        return RefCoeff(_ref_mul(self.num, o.num), _ref_mul(self.den, o.den))
+
+    def __truediv__(self, o):
+        return RefCoeff(_ref_mul(self.num, o.den), _ref_mul(self.den, o.num))
+
+    def inv(self):
+        return RefCoeff({0: 1}) / self
+
+    def __pow__(self, m):
+        out = RefCoeff({0: 1})
+        for _ in range(abs(m)):
+            out = out * (self if m > 0 else self.inv())
+        return out
+
+    def __repr__(self):
+        if not self.num:
+            return "0"
+        num = _ref_poly_str(self.num)
+        if self.den == {0: 1}:
+            return num
+        return f"({num})/({_ref_poly_str(self.den)})"
+
+
+def _ref_poly_str(p):
+    parts = []
+    for k in sorted(p, reverse=True):
+        v, e = p[k], Fraction(k, ROOT)
+        mono = "q" if e == 1 else f"q^({e})" if e.denominator != 1 else f"q^{e}"
+        if e == 0:
+            parts.append(str(v))
+        else:
+            parts.append(mono if v == 1 else f"-{mono}" if v == -1 else f"{v}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def agrees(c, r):
+    """c is in the integer normal form, and equals r in the old one."""
+    d = c.den[0]
+    assert min(c.den) == 0 and d > 0
+    assert all(type(v) is int for v in [*c.num.values(), *c.den.values()])
+    if c.num:
+        assert gcd(*c.num.values(), *c.den.values()) == 1
+    assert {k: Fraction(v, d) for k, v in c.num.items()} == r.num
+    assert {k: Fraction(v, d) for k, v in c.den.items()} == r.den
+    assert repr(c) == repr(r)
+    return True
+
+
+poly_terms = st.lists(
+    st.tuples(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    max_size=3,
+)
+den_terms = st.lists(
+    st.tuples(st.integers(0, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    min_size=1,
+    max_size=3,
+).filter(lambda ts: any(v for _, v in ts))
+
+
+@st.composite
+def paired(draw, laurent):
+    """The same element of Q(u) as a Coeff and as a RefCoeff."""
+    num = {}
+    for k, v in draw(poly_terms):
+        num[k] = num.get(k, 0) + v
+    den = {0: draw(st.fractions(min_value=1, max_value=6, max_denominator=3))}
+    if not laurent:
+        den = {}
+        for k, v in draw(den_terms):
+            den[k] = den.get(k, 0) + v
+        if not any(den.values()):
+            den = {0: 1}
+    return Coeff(ROOT, num, den), RefCoeff(num, den)
+
+
+pairs = st.one_of(paired(True), paired(False))
+
+
+@given(pairs, pairs)
+@settings(max_examples=150, deadline=None)
+def test_coeff_matches_fraction_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    agrees(a, ra)
+    agrees(a + b, ra + rb)
+    agrees(a - b, ra - rb)
+    agrees(a * b, ra * rb)
+    agrees(-a, -ra)
+    if not b.is_zero:
+        agrees(a / b, ra / rb)
+        agrees(b.inv(), rb.inv())
+        agrees(b ** -2, rb ** -2)
+    agrees(a ** 3, ra ** 3)
+
+
+@given(pairs, pairs)
+@settings(max_examples=60, deadline=None)
+def test_normal_form_across_routes(x, y):
+    (a, _), (b, _) = x, y
+    if not b.is_zero:
+        back = (a * b) / b
+        assert back == a and hash(back) == hash(a)
+        back = (a / b) * b
+        assert back == a and hash(back) == hash(a)
+
+
+def test_rational_content_example():
+    # (2u + 1)/(3u - 6): content and sign go into the denominator's form
+    c = Coeff(ROOT, {1: 2, 0: 1}, {1: 3, 0: -6})
+    assert c.num == {1: -2, 0: -1} and c.den == {1: -3, 0: 6}
+    assert repr(c) == "(-1/3*q^(1/2) - 1/6)/(-1/2*q^(1/2) + 1)"
+    assert c * Coeff(ROOT, {1: 3, 0: -6}) == Coeff(ROOT, {1: 2, 0: 1})
+
+
+@given(pairs)
+@settings(max_examples=40)
+def test_unit_product_is_the_other_factor(x):
+    c, _ = x
+    one = Coeff.one(ROOT)
+    assert c * one is c
+    assert one * c is c
+    assert c * Coeff.from_fraction(1, ROOT) is c
+    assert c * Coeff.q_power(0, ROOT) is c
