@@ -11,13 +11,13 @@ indices < k.  Elements are kept in the PBW basis x_0^{a_0} ... x_{N-1}^{a_N}
 Monomials are compared in reverse lexicographic order: f < g when at the
 highest index where they differ, f has the smaller exponent.  Each
 delta_k(x_j) is required to be strictly smaller than e_j + e_k and to have
-the same weight; that guard is what makes the rewriting below terminate on
-the algebras this package targets.
+the same weight; that guard is what makes the rewriting below terminate
+(see :func:`check_overlaps`, which also certifies that the normal forms
+are well defined).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -338,9 +338,6 @@ class PBWElement:
                     break
         return top
 
-    def coeff_of(self, f) -> Coeff:
-        return self.terms.get(tuple(f), Coeff.zero(self.pres.root))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -517,25 +514,88 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
     )
 
 
-def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> Presentation:
+def check_overlaps(pres: Presentation) -> None:
+    """Certify that the PBW monomials are a basis (Bergman's diamond lemma).
+
+    The rules x_k x_j -> q**lam[k][j] x_j x_k + delta_k(x_j), k > j, have no
+    inclusion ambiguities; their overlap ambiguities are the words
+    x_k x_j x_i with k > j > i.  The rewriting terminates: order words first
+    by their exponent multiset, compared lexicographically from the highest
+    index -- a well-order on N^N, compatible with multiplication because it
+    is invariant under adding a vector -- and break ties by the number of
+    inversions.  Both are compatible with multiplication on either side.  A
+    rule either swaps one inverted neighbour pair (same multiset, one
+    inversion fewer) or writes a delta monomial, whose exponent is strictly
+    below e_j + e_k (the reverse-lex guard in Presentation).  By the lemma
+    the normal forms are well defined, so the tables present an iterated
+    Ore extension with the PBW basis, exactly when (x_k x_j) x_i and
+    x_k (x_j x_i) have one normal form for every k > j > i.  Raises
+    ValueError naming the first (k, j, i) that fails.
+
+    Presentations built from a certified one inherit the certificate:
+    ``rescale_generators`` applies the automorphism x_i -> gamma_i x_i of
+    the free algebra, which sends each rule to a nonzero multiple of a rule
+    and so each reduction to a reduction; ``restrict_presentation`` keeps the
+    rules among x_j..x_k, whose right-hand sides stay in that range (it
+    rejects a table where they do not), so the overlaps of the restriction
+    are overlaps of the whole, rewritten by the same steps.
+
+    The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU),
+    a large share of a request on those shapes.  So ``presentation_from_dict``
+    runs it on every load, and the built-in ``quantum_matrix_preset``, which
+    is code rather than input, is certified by a test over every shape up to
+    5x5 instead.
+    """
+    gens = [pres.gen(i) for i in range(pres.n)]
+    for k in range(pres.n):
+        for j in range(k):
+            xkxj = pbw_mul(gens[k], gens[j])
+            for i in range(j):
+                left = pbw_mul(xkxj, gens[i])
+                if left != pbw_mul(gens[k], pbw_mul(gens[j], gens[i])):
+                    raise ValueError(
+                        f"overlap ({k},{j},{i}) does not resolve: "
+                        f"(x{k} x{j}) x{i} and x{k} (x{j} x{i}) have different "
+                        "normal forms, so the derivation table is inconsistent "
+                        "with the commutation exponents"
+                    )
+
+
+def _exact(v, where: str):
+    """v unchanged; ValueError when it is a JSON float, which would be read
+    as its binary expansion rather than as the number it spells."""
+    if isinstance(v, float):
+        raise ValueError(
+            f"{where} has a float value {v!r}; "
+            "write it as an integer or a fraction string"
+        )
+    return v
+
+
+def presentation_from_dict(data: dict) -> Presentation:
     """Build a presentation from plain JSON-style data.
 
     Expected keys: "lambda" (N x N exponent matrix, entries int/"a/b"),
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
     ({"k,j": [[monomial, coeff], ...]} with coeff a u-polynomial
-    {"exp": int or "frac"}, no floats, or an exponent), optional "eta",
-    "names", "root".
+    {"exp": int or "frac"} or an exponent), optional "eta", "names",
+    "root".  A JSON float in an exponent or a coefficient is a ValueError.
 
-    Runs a randomized associativity spot check on the finished algebra,
-    since a malformed derivation table yields an inconsistent rewriting
-    system rather than an error.
+    The finished algebra is certified by :func:`check_overlaps`, since a
+    malformed derivation table yields an inconsistent rewriting system
+    rather than an error.
     """
-    lam = ExpMatrix([[Fraction(x) for x in row] for row in data["lambda"]])
+    lam = ExpMatrix(
+        [
+            [Fraction(_exact(x, f"lambda[{r}][{t}]")) for t, x in enumerate(row)]
+            for r, row in enumerate(data["lambda"])
+        ]
+    )
     n = lam.n
     if n == 0:
         raise ValueError("a presentation needs at least one generator")
-    root = data.get("root")
+    root = _exact(data.get("root"), "root")
     if root is None:
         root = _default_root(lam)
 
@@ -543,7 +603,10 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
         vals = data.get(key)
         if vals is None:
             return [None] * n
-        return [None if v is None else ScalarExp(Fraction(v)) for v in vals]
+        return [
+            None if v is None else ScalarExp(Fraction(_exact(v, f"{key}[{i}]")))
+            for i, v in enumerate(vals)
+        ]
 
     delta = {}
     for key, terms in (data.get("delta") or {}).items():
@@ -551,18 +614,18 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
         parsed = []
         for mono, coeff in terms:
             if isinstance(coeff, dict):
-                if any(isinstance(v, float) for v in coeff.values()):
-                    raise ValueError(
-                        f"delta[{key}] coefficient {coeff} has a float value; "
-                        "write it as an integer or a fraction string"
-                    )
                 c = Coeff(
                     root,
-                    {int(e): Fraction(v) for e, v in coeff.items()},
+                    {
+                        int(e): Fraction(_exact(v, f"delta[{key}] coefficient {coeff}"))
+                        for e, v in coeff.items()
+                    },
                 )
             else:
-                c = Coeff.q_power(Fraction(coeff), root)
-            parsed.append((tuple(mono), c))
+                e = _exact(coeff, f"delta[{key}] exponent")
+                c = Coeff.q_power(Fraction(e), root)
+            mono = tuple(_exact(x, f"delta[{key}] monomial") for x in mono)
+            parsed.append((mono, c))
         delta[(k, j)] = tuple(parsed)
     pres = Presentation(
         lam,
@@ -574,16 +637,5 @@ def presentation_from_dict(data: dict, spot_checks: int = 25, seed: int = 0) -> 
         names=data.get("names"),
         root=root,
     )
-    if spot_checks:
-        rng = random.Random(seed)
-        for _ in range(spot_checks):
-            a, b, c = (
-                pres.monomial(tuple(rng.randint(0, 1) for _ in range(n)))
-                for _ in range(3)
-            )
-            if pbw_mul(pbw_mul(a, b), c) != pbw_mul(a, pbw_mul(b, c)):
-                raise ValueError(
-                    "associativity spot check failed; derivation table is "
-                    "inconsistent with the commutation exponents"
-                )
+    check_overlaps(pres)
     return pres

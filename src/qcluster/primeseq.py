@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bicharacter import omega, symmetrization
+from .bicharacter import omega, pairing_row, symmetrization
 from .orealgebra import (
     PBWElement,
     Presentation,
@@ -28,7 +28,6 @@ from .orealgebra import (
     leading_term,
     pbw_mul,
 )
-from .qtorus import proportionality_scalar
 from .scalarfield import Coeff, ScalarExp
 
 
@@ -113,15 +112,6 @@ class EtaData:
             j = nxt
         return j
 
-    def pred_power(self, i: int, m: int) -> int:
-        j = i
-        for _ in range(m):
-            prv = self.p[j]
-            if prv is None:
-                raise ValueError(f"index {i} has no {m}-th predecessor")
-            j = prv
-        return j
-
     def interval_vector(self, i: int, j: int) -> Tuple[int, ...]:
         """Indicator vector of the chain i, s(i), ..., j."""
         vec = [0] * self.n
@@ -167,15 +157,62 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def is_normal_in_stage(pres: Presentation, a: PBWElement, k: int) -> bool:
-    """Whether a quasi-commutes with every generator x_0..x_k."""
-    for i in range(k + 1):
-        xi = pres.gen(i)
-        try:
-            proportionality_scalar(pbw_mul(a, xi), pbw_mul(xi, a))
-        except ValueError:
-            return False
-    return True
+def _sigma_homogeneous(pres: Presentation, k: int, y: PBWElement, ebar) -> bool:
+    """Whether sigma_k(y) = q**omega(e_k, ebar) y: every monomial of y has
+    the sigma_k-scalar of the chain monomial x^ebar."""
+    row = pres.lam.num[k]
+    want = sum(r * x for r, x in zip(row, ebar))
+    return all(sum(r * x for r, x in zip(row, f)) == want for f in y.terms)
+
+
+def certify_prime(
+    pres: Presentation, k: int, ebar_j: Sequence[int], c: PBWElement, d: PBWElement
+) -> bool:
+    """Whether y = y_j x_k - c is normal in R_k, with one PBW product.
+
+    Premises, which compute_primes keeps true at every stage: the trailing
+    prime y_j, whose leading monomial is x^ebar_j with coefficient 1, is
+    normal in R_{k-1} with y_j x_i = mu_i x_i y_j, mu_i = q**omega(ebar_j, e_i),
+    and sigma_k(y_j) = a y_j, which forces a = alpha = q**omega(e_k, ebar_j).
+    Here d = delta_k(y_j) and the recursion takes c = d / s with
+    s = alpha (lambda_k - 1).  R_k is a domain and a free left R_{k-1}-module
+    on 1, x_k, x_k^2, ...; normality means y x_i = nu_i x_i y for scalars nu_i.
+
+    i = k.  y x_k = y_j x_k^2 - c x_k and
+    x_k y = a y_j x_k^2 + (d - sigma_k(c)) x_k - delta_k(c), so nu_k = 1/a and
+    the condition is sigma_k(c) = a c + d and delta_k(c) = 0: one
+    apply_sigma_delta of c.  This part is exact for any c.
+
+    i < k.  x_k x_i = lam_ki x_i x_k + delta_k(x_i) with lam_ki = q**lam[k][i],
+    so the x_k-coefficients force nu_i = lam_ki mu_i and the condition is
+
+        y_j delta_k(x_i) = c x_i - nu_i x_i c.                        (1)
+
+    Applying the sigma_k-derivation delta_k to y_j x_i = mu_i x_i y_j gives
+    a y_j delta_k(x_i) + d x_i = nu_i x_i d + mu_i delta_k(x_i) y_j, so with
+    d = s c the right side of (1) is (mu_i delta_k(x_i) y_j - a y_j delta_k(x_i)) / s.
+    By normality of y_j, x^f y_j = q**(-omega(ebar_j, f)) y_j x^f, and (1)
+    for delta_k(x_i) = sum_f c_f x^f becomes
+
+        y_j sum_f c_f (a - mu_i q**(-omega(ebar_j, f)) + s) x^f = 0.
+
+    R is a domain and the x^f are distinct PBW monomials, so (1) holds iff
+    each scalar a - mu_i q**(-omega(ebar_j, f)) + s is zero: no product at
+    all, and nothing to check where delta_k(x_i) = 0.
+    """
+    root = pres.root
+    one = Coeff.one(root)
+    a = omega(pres.lam, _unit_vec(pres.n, k), ebar_j).to_coeff(root)
+    s = a * (pres.lam_diag[k].to_coeff(root) - one)
+    row = pairing_row(pres.lam, ebar_j)  # den * omega(ebar_j, e_t)
+    den = pres.lam.den
+    for i in range(k):
+        for f, _ in pres.delta.get((k, i), ()):
+            e = row[i] - sum(r * x for r, x in zip(row, f))
+            if not (a - Coeff.q_power(Fraction(e, den), root) + s).is_zero:
+                return False
+    sig, dc = apply_sigma_delta(pres, k, c)
+    return dc.is_zero and sig == c.scaled(a) + d
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
@@ -183,8 +220,15 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
 
     At each stage either the derivation vanishes identically below the new
     generator (new level set) or exactly one earlier trailing prime y_j
-    satisfies the recursion with a normal result; anything else means the
-    presentation is not of the supported kind and raises ValueError.
+    satisfies the recursion with a normal result (see certify_prime);
+    anything else means the presentation is not of the supported kind and
+    raises ValueError.  certify_prime assumes every trailing prime normal
+    in R_{k-1}.  To keep that true at the next stage, each stage requires
+    every trailing prime to be sigma_k-homogeneous, and rejects a delta_k
+    that moves a trailing prime the stage does not choose; a stage without
+    a derivation moves none.  A CGL extension never breaks these rules, and
+    the homogeneity holds in every presentation that passes
+    orealgebra.check_overlaps, where sigma_k respects every relation.
     """
     if pres._prime_seq is not None:
         return pres._prime_seq
@@ -196,37 +240,49 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
     ebar: List[Tuple[int, ...]] = []
     for k in range(n):
         xk = pres.gen(k)
+        # trailing primes of stage k-1: indices never used as a predecessor
+        used = {p for p in preds if p is not None}
+        trailing = [j for j in range(k) if j not in used]
+        for j in trailing:
+            if not _sigma_homogeneous(pres, k, ys[j], ebar[j]):
+                raise ValueError(
+                    f"stage {k}: trailing prime {j} is not sigma_{k}-homogeneous"
+                )
         if not any((k, j) in pres.delta for j in range(k)):
             preds.append(None)
             ys.append(xk)
             ebar.append(_unit_vec(n, k))
             continue
-        # trailing primes of stage k-1: indices never used as a predecessor
-        used = {p for p in preds if p is not None}
-        candidates = [j for j in range(k) if j not in used]
+        moved = []
         hits = []
-        for j in candidates:
+        for j in trailing:
             d = apply_sigma_delta(pres, k, ys[j])[1]
             if d.is_zero:
                 continue
+            moved.append(j)
             alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
             lam_k = pres.lam_diag[k]
             if lam_k is None or lam_k.e == 0:
                 raise ValueError(f"stage {k} needs a nontrivial diagonal scalar")
             denom = alpha.to_coeff(pres.root) * (lam_k.to_coeff(pres.root) - one)
             c = d.scaled(denom.inv())
-            y = pbw_mul(ys[j], xk) - c
-            if is_normal_in_stage(pres, y, k):
-                hits.append((j, y, c))
+            if certify_prime(pres, k, ebar[j], c, d):
+                hits.append((j, c))
         if len(hits) != 1:
             raise ValueError(
                 f"stage {k}: {len(hits)} normal candidates, expected exactly 1"
             )
-        j, y, c = hits[0]
+        j, c = hits[0]
+        for other in moved:
+            if other != j:
+                raise ValueError(
+                    f"stage {k}: delta_{k} moves trailing prime {other}, "
+                    "which the stage does not choose"
+                )
         if not all(cf.is_laurent for cf in c.terms.values()):
             raise ValueError(f"stage {k}: non-Laurent centering coefficient")
         preds.append(j)
-        ys.append(y)
+        ys.append(pbw_mul(ys[j], xk) - c)
         cs[k] = c
         ebar.append(tuple(a + b for a, b in zip(ebar[j], _unit_vec(n, k))))
     eta_data = EtaData.from_predecessors(preds)
@@ -244,7 +300,12 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
 
 
 def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
-    """The presentation of the subalgebra on generators j..k (inclusive)."""
+    """The presentation of the subalgebra on generators j..k (inclusive).
+
+    It inherits the overlap certificate of pres (see
+    orealgebra.check_overlaps), provided every derivation among x_j..x_k
+    stays in that range; a table where one does not is a ValueError.
+    """
     if not 0 <= j <= k < pres.n:
         raise ValueError("bad generator range")
     cache = pres._restrict_cache
@@ -256,6 +317,8 @@ def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
     for (b, a), terms in pres.delta.items():
         if a < j or b > k:
             continue
+        if any(any(f[:j]) for f, _ in terms):
+            raise ValueError(f"delta[{b},{a}] leaves the generators {j}..{k}")
         delta[(b - j, a - j)] = tuple((f[j : k + 1], c) for f, c in terms)
     sub = Presentation(
         pres.lam.restricted(idx),
@@ -360,6 +423,9 @@ def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Scal
 
 def rescale_generators(pres: Presentation):
     """Scalars gamma making every length-one pi match its normalized target.
+
+    The rescaled presentation is pres with x_i -> gamma_i x_i, so it
+    inherits the overlap certificate of pres (see orealgebra.check_overlaps).
 
     Returns (gamma, rescaled presentation, its prime sequence); raises
     ValueError when the rescaled presentation fails the target equations,

@@ -207,6 +207,26 @@ FRACTIONAL_WEIGHT[0][0] = 1.9
 INFINITE_WEIGHT = [list(w) for w in GRID22["weights"]]
 INFINITE_WEIGHT[0][0] = float("inf")
 FLOAT_DELTA = {"3,0": [[GRID22["delta"]["3,0"][0][0], {"2": -1.1, "-2": 1.1}]]}
+FLOAT_LAMBDA = [list(row) for row in GRID22["lambda"]]
+FLOAT_LAMBDA[0][1], FLOAT_LAMBDA[1][0] = 1.0, -1.0
+FLOAT_DIAG = GRID22["lambda_diag"][:3] + [-2.0000000001]
+FLOAT_STAR = [2.0] + GRID22["lambda_star"][1:]
+FLOAT_EXPONENT = {"3,0": [[GRID22["delta"]["3,0"][0][0], 0.5]]}
+# x1 x0 = q x0 x1 over six otherwise commuting generators, and
+# delta_4(x1) = x0, which is not a sigma_4-derivation: the overlap (4,1,0)
+# does not resolve, though the 25 seeded 0/1-monomial associativity samples
+# that loading once ran (seed 0) all passed on it
+NOT_CONFLUENT = {
+    "lambda": [
+        ["0", "-1", "0", "0", "0", "0"],
+        ["1", "0", "0", "0", "0", "0"],
+        *(["0"] * 6 for _ in range(4)),
+    ],
+    "weights": [[0]] * 6,
+    "lambda_diag": ["-2"] * 6,
+    "delta": {"4,1": [[[1, 0, 0, 0, 0, 0], {"0": 1}]]},
+    "root": 2,
+}
 SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
 
 
@@ -229,6 +249,13 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "weights": INFINITE_WEIGHT}, ("--cmd", "primes")),
         ({**GRID22, "root": 2.5}, ("--cmd", "bmatrix")),
         ({**GRID22, "delta": FLOAT_DELTA}, ("--cmd", "primes")),
+        ({**GRID22, "lambda": FLOAT_LAMBDA}, ("--cmd", "bmatrix")),
+        ({**GRID22, "lambda_diag": FLOAT_DIAG}, ("--cmd", "bmatrix")),
+        ({**GRID22, "lambda_star": FLOAT_STAR}, ("--cmd", "bmatrix")),
+        ({**GRID22, "delta": FLOAT_EXPONENT}, ("--cmd", "bmatrix")),
+        ({**GRID22, "root": 4.0}, ("--cmd", "bmatrix")),
+        ({**GRID22, "root": 1.27e16}, ("--cmd", "bmatrix")),
+        (NOT_CONFLUENT, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -247,6 +274,13 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "infinite-weight",
         "fractional-root",
         "float-delta-coefficient",
+        "float-lambda",
+        "float-lambda-diag",
+        "float-lambda-star",
+        "float-delta-exponent",
+        "float-root",
+        "huge-float-root",
+        "not-confluent",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -260,6 +294,8 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
     assert "Traceback" not in err
     if data is not None and data.get("delta") is FLOAT_DELTA:
         assert "delta[3,0]" in err
+    if data is NOT_CONFLUENT:
+        assert "overlap (4,1,0)" in err
 
 
 def test_verify_builds_once(capsys, monkeypatch):
@@ -319,6 +355,20 @@ GOLDEN_STDOUT = [
         ("--cmd", "intervals", "--m", "2", "--n", "4"),
         "1dfd083d04bd44844c53ccc0f0176a28f9bf615294be48aba32b2854e1129540",
     ),
+    # recorded before compute_primes certified primes without the full
+    # normality products
+    (
+        ("--cmd", "primes", "--m", "4", "--n", "5"),
+        "fb20d242b2582e0e1c5507e19c24b5e2bfbb2aa072a073d03a51276fc92611b4",
+    ),
+    (
+        ("--cmd", "intervals", "--m", "5", "--n", "4"),
+        "43e8fc0b8eb415463f62dbfddffc97e6da76842f64d5ccfa099b28dcf363ba0b",
+    ),
+    (
+        ("--cmd", "bmatrix", "--m", "4", "--n", "5"),
+        "ac4906f2e93d3132372817a4f9b1525e26c1d0d9c580d446f3475cec2723650d",
+    ),
 ]
 
 
@@ -328,6 +378,7 @@ GOLDEN_STDOUT = [
     ids=[
         "frames-2x3", "schubert-B3", "schubert-G2",
         "primes-3x3", "intervals-3x3", "intervals-2x4",
+        "primes-4x5", "intervals-5x4", "bmatrix-4x5",
     ],
 )
 def test_golden_stdout(capsys, argv, digest):

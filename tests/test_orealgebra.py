@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qcluster.orealgebra import (
     apply_sigma_delta,
+    check_overlaps,
     leading_term,
     pbw_div_right,
     pbw_mul,
@@ -159,4 +160,20 @@ def test_from_dict_rejects_bad_shapes():
     data = serialize(PRES)
     data["lambda"] = [["0", "1"], ["-1", "0"]]
     with pytest.raises(ValueError):
+        presentation_from_dict(data)
+
+
+def test_presets_pass_the_overlap_certificate():
+    # the built-in presets are code, certified here rather than on every load
+    for m in range(1, 6):
+        for n in range(1, 6):
+            check_overlaps(quantum_matrix_preset(m, n))
+
+
+def test_overlap_certificate_names_the_first_failing_triple():
+    data = serialize(PRES)
+    # x1 (t12) no longer q-commutes with x0 (t11): the overlap (3,1,0) of
+    # the derivation delta_3(x0) = -(q - q^-1) x1 x2 no longer resolves
+    data["lambda"][0][1], data["lambda"][1][0] = "0", "0"
+    with pytest.raises(ValueError, match=r"overlap \(3,1,0\) does not resolve"):
         presentation_from_dict(data)

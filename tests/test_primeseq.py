@@ -2,17 +2,28 @@
 
 The independent oracle is the quantum minor written as a permutation sum
 with (-q)^(inversions) coefficients; the recursion in compute_primes
-never sees that formula.
+never sees that formula.  The normality certificate of compute_primes is
+checked against is_normal_in_stage, which forms every product y x_i and
+x_i y.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from qcluster.bicharacter import omega, symmetrization
-from qcluster.orealgebra import leading_term, pbw_mul, quantum_matrix_preset
+from qcluster.bicharacter import ExpMatrix, omega, symmetrization
+from qcluster.orealgebra import (
+    Presentation,
+    apply_sigma_delta,
+    check_overlaps,
+    leading_term,
+    pbw_mul,
+    quantum_matrix_preset,
+)
 from qcluster.primeseq import (
     EtaData,
+    certify_prime,
     compute_primes,
     embed_interval,
     interval_prime,
@@ -23,7 +34,8 @@ from qcluster.primeseq import (
     restrict_presentation,
     u_element,
 )
-from qcluster.scalarfield import Coeff
+from qcluster.qtorus import proportionality_scalar
+from qcluster.scalarfield import Coeff, ScalarExp
 
 P22 = quantum_matrix_preset(2, 2)
 P23 = quantum_matrix_preset(2, 3)
@@ -178,3 +190,128 @@ def test_rescaling_is_trivial_for_quantum_matrices():
     assert rescaled.delta == P23.delta
     seq = compute_primes(P23)
     assert [e.terms for e in seq2.y] == [e.terms for e in seq.y]
+
+
+def is_normal_in_stage(pres, a, k):
+    """Whether a quasi-commutes with every generator x_0..x_k: 2(k+1) full
+    products, the oracle for certify_prime."""
+    for i in range(k + 1):
+        xi = pres.gen(i)
+        try:
+            proportionality_scalar(pbw_mul(a, xi), pbw_mul(xi, a))
+        except ValueError:
+            return False
+    return True
+
+
+def moved_candidates(pres):
+    """(k, j, c, d) for every derivation stage k and every trailing prime y_j
+    of stage k-1 that delta_k moves: d = delta_k(y_j) and c the recursion's
+    d / (alpha (lambda_k - 1))."""
+    seq = compute_primes(pres)
+    ed = seq.eta_data
+    one = Coeff.one(pres.root)
+    out = []
+    for k in range(pres.n):
+        if ed.p[k] is None:
+            continue
+        for j in ed.trailing(k - 1):
+            d = apply_sigma_delta(pres, k, seq.y[j])[1]
+            if d.is_zero:
+                continue
+            alpha = omega(pres.lam, _unit(pres.n, k), ed.ebar[j]).to_coeff(pres.root)
+            s = alpha * (pres.lam_diag[k].to_coeff(pres.root) - one)
+            out.append((k, j, d.scaled(s.inv()), d))
+    return out
+
+
+def _oracle_cases():
+    shapes = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+    cases = [(f"{m}x{n}", quantum_matrix_preset(m, n)) for m, n in shapes]
+    for m, n in ((2, 3), (3, 3)):
+        rescaled = rescale_generators(quantum_matrix_preset(m, n))[1]
+        cases.append((f"rescaled-{m}x{n}", rescaled))
+    p45 = quantum_matrix_preset(4, 5)
+    ed = compute_primes(p45).eta_data
+    for i in range(p45.n):
+        for m in range(1, ed.o_plus[i] + 1):
+            top = ed.succ_power(i, m)
+            cases.append((f"4x5[{i}..{top}]", restrict_presentation(p45, i, top)))
+    return cases
+
+
+def test_certificate_matches_the_product_oracle():
+    """At every derivation stage, for every moved trailing prime, the
+    certificate agrees with the full normality check on c as the recursion
+    computes it (normal) and on c scaled by 2 and by q^(1/2) (not normal)."""
+    for name, pres in _oracle_cases():
+        seq = compute_primes(pres)
+        half = Coeff.q_power(Fraction(1, 2), pres.root)
+        moved = moved_candidates(pres)
+        # a CGL extension moves exactly one trailing prime per derivation stage
+        assert [k for k, *_ in moved] == [
+            k for k in range(pres.n) if seq.eta_data.p[k] is not None
+        ], name
+        for k, j, c, d in moved:
+            assert seq.c[k] == c, (name, k)
+            for scale in (1, 2, half):
+                c2 = c.scaled(scale)
+                y = pbw_mul(seq.y[j], pres.gen(k)) - c2
+                want = scale == 1
+                assert is_normal_in_stage(pres, y, k) is want, (name, k, j, scale)
+                assert certify_prime(pres, k, seq.eta_data.ebar[j], c2, d) is want, (
+                    name, k, j, scale,
+                )
+
+
+def _two_moved_primes():
+    """x2 x0 = q x0 x2 + 1 and x2 x1 = x1 x2 + x1 over commuting x0, x1,
+    with lambda_2 = q^-1.  The candidate x0 x2 - 1/(1 - q) passes the
+    certificate; delta_2 also moves the trailing prime x1, so x1 would not
+    stay normal.  No overlap-certified presentation with two moved trailing
+    primes and one certified candidate was found, so this one is built
+    directly; it fails the overlap certificate at (2,1,0)."""
+    lam = ExpMatrix.from_upper(3, {(0, 2): -1})
+    delta = {(2, 0): (((0, 0, 0), 1),), (2, 1): (((0, 1, 0), 1),)}
+    lam_diag = [None, None, ScalarExp(-1)]
+    return Presentation(lam, delta, [[0]] * 3, lam_diag, root=2)
+
+
+def test_stage_rejects_an_unchosen_moved_prime():
+    pres = _two_moved_primes()
+    one = Coeff.one(pres.root)
+    q = Coeff.q_power(1, pres.root)
+    c = pres.one().scaled((one - q).inv())
+    assert certify_prime(pres, 2, (1, 0, 0), c, pres.one())
+    with pytest.raises(ValueError, match="stage 2: delta_2 moves trailing prime 1,"):
+        compute_primes(pres)
+    with pytest.raises(ValueError, match=r"overlap \(2,1,0\)"):
+        check_overlaps(pres)
+
+
+def test_stage_rejects_an_inhomogeneous_trailing_prime():
+    # the 2x2 preset and a fifth generator with sigma_4(t11) = q t11 that
+    # fixes the rest: sigma_4 does not respect the relation between t22
+    # and t11 (the presentation fails the overlap certificate), and it
+    # scales the two terms of the quantum determinant y_3 differently
+    upper = {(j, k): P22.lam.rows[j][k] for k in range(4) for j in range(k)}
+    upper[(0, 4)] = -1
+    delta = {(3, 0): (((0, 1, 1, 0, 0), P22.delta[(3, 0)][0][1]),)}
+    pres = Presentation(
+        ExpMatrix.from_upper(5, upper), delta, [[0]] * 5, list(P22.lam_diag) + [None],
+        root=P22.root,
+    )
+    with pytest.raises(ValueError, match="stage 4: trailing prime 3 is not sigma_4-homog"):
+        compute_primes(pres)
+    with pytest.raises(ValueError, match=r"overlap \(4,3,0\)"):
+        check_overlaps(pres)
+
+
+def test_restriction_rejects_a_derivation_leaving_the_range():
+    # delta_2(x1) = x0 does not live on the generators x1, x2
+    pres = Presentation(
+        ExpMatrix.zero(3), {(2, 1): (((1, 0, 0), 1),)}, [[0]] * 3, [None] * 3, root=2
+    )
+    with pytest.raises(ValueError, match=r"delta\[2,1\] leaves the generators 1..2"):
+        restrict_presentation(pres, 1, 2)
+    assert restrict_presentation(pres, 0, 2).delta == pres.delta
