@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega, pairing_row
 from .linalg import primitive, rank
@@ -63,9 +63,6 @@ class ExchangeMatrix:
 
     def column(self, k: int):
         return self.cols[k]
-
-    def principal_part(self) -> Dict[Tuple[int, int], int]:
-        return {(j, k): self.cols[k][j] for j in self.ex for k in self.ex}
 
     def full_rank(self) -> bool:
         return rank(list(self.cols.values())) == len(self.ex)

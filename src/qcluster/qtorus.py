@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
 from .linalg import det
-from .scalarfield import Coeff, ScalarExp, as_coeff
+from .scalarfield import Coeff, as_coeff
 
 
 class TorusElement:
@@ -212,12 +212,6 @@ class ToricFrame:
         self.one = one
         self.root = root
         self.n = emat.n
-
-    def frame_value(self, g: Sequence[int]):
-        return frame_value(self, g)
-
-    def omega(self, f, g) -> ScalarExp:
-        return omega(self.emat, f, g)
 
     def __repr__(self) -> str:
         return f"ToricFrame(n={self.n})"

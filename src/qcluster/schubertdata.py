@@ -6,8 +6,8 @@ words, and the two matrices a reduced word carries with it -- the torus
 exponent matrix of the associated frame and the integer exchange matrix
 whose columns sit at the repeated letters.  The verification routine
 checks the compatible-pair pairings and the weight grading of each
-exchange column over the rationals, with no quantized enveloping algebra
-arithmetic anywhere.
+exchange column in integers, with no quantized enveloping algebra arithmetic
+anywhere.
 
 Weights are tuples of integers in fundamental-weight coordinates; roots
 are tuples of integers in simple-root coordinates.  Words use the usual
@@ -17,13 +17,13 @@ other index in this package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .bicharacter import ExpMatrix
-from .linalg import det, inverse, primitive
-from .mutation import ExchangeMatrix
+from .bicharacter import ExpMatrix, pairing_row
+from .linalg import det, inverse
+from .mutation import ExchangeMatrix, skew_symmetrizable
 from .primeseq import EtaData
 from .scalarfield import ScalarExp
 
@@ -38,9 +38,18 @@ def _path_cartan(rank: int) -> List[List[int]]:
     return c
 
 
+# Loading a root system costs `rank` exact leading minors (Sylvester's
+# criterion) and one exact inverse: A150 takes 16 s on a 2-vCPU host.  Every
+# tested and benchmarked shape has rank at most 5 (the A5 and D4 sweeps), and
+# rank 16 loads in about 0.02 s.
+MAX_RANK = 16
+
+
 def cartan_matrix(letter: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     """Cartan matrix of the requested finite type, standard node labels."""
     letter = letter.upper()
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the supported {MAX_RANK}")
     if letter == "A":
         if rank < 1:
             raise ValueError("type A needs rank >= 1")
@@ -74,31 +83,13 @@ def cartan_matrix(letter: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _symmetrizer(cartan) -> Tuple[int, ...]:
-    """Smallest positive integers d with d_i c_ij = d_j c_ji."""
-    rank = len(cartan)
-    d: List[Optional[Fraction]] = [None] * rank
-    for start in range(rank):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        queue = [start]
-        comp = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(rank):
-                if cartan[i][j] == 0 or i == j:
-                    continue
-                want = d[i] * cartan[i][j] / cartan[j][i]
-                if d[j] is None:
-                    d[j] = want
-                    queue.append(j)
-                    comp.append(j)
-                elif d[j] != want:
-                    raise ValueError("Cartan matrix is not symmetrizable")
-        for i, v in zip(comp, primitive([d[i] for i in comp])):
-            d[i] = v
-    return tuple(d)
+# Symmetrizing lengths d by type: 1 on the short simple roots, and 1 on every
+# node of A and D.  CartanData's lopsidedness check certifies them.
+_LENGTHS = {
+    "B": lambda rank: (2,) * (rank - 1) + (1,),
+    "C": lambda rank: (1,) * (rank - 1) + (2,),
+    "G": lambda rank: (1, 3),
+}
 
 
 class CartanData:
@@ -117,7 +108,7 @@ class CartanData:
         self.letter = letter.upper()
         self.rank = int(rank)
         self.cartan = cartan_matrix(letter, rank)
-        self.d = _symmetrizer(self.cartan)
+        self.d = _LENGTHS.get(self.letter, lambda r: (1,) * r)(self.rank)
         sym = [
             [self.d[i] * self.cartan[i][j] for j in range(self.rank)]
             for i in range(self.rank)
@@ -162,21 +153,6 @@ class CartanData:
         return tuple(
             mu[t] - mu[j] * self.cartan[t][j] for t in range(self.rank)
         )
-
-    def apply_word(self, word: Sequence[int], mu: Sequence[int]):
-        """Image of mu under the product of the word's reflections."""
-        mu = tuple(mu)
-        for i in reversed(word):
-            mu = self.reflect_weight(mu, i)
-        return mu
-
-    def weight_pairing(self, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-        acc = Fraction(0)
-        for a, x in enumerate(mu):
-            if x:
-                row = self.gram[a]
-                acc += x * sum(row[b] * y for b, y in enumerate(nu))
-        return acc
 
     def reflect_root(self, a: Sequence[int], i: int) -> Tuple[int, ...]:
         """Simple reflection at node i, simple-root coordinates."""
@@ -277,13 +253,11 @@ class WordData:
         self.roots = roots_for_word(cd, self.word)
         self.eta = EtaData(self.word)
         n = len(self.word)
-        upper = {}
-        for j in range(n):
-            for k in range(j + 1, n):
-                upper[(j, k)] = Fraction(
-                    cd.root_pairing(self.roots[j], self.roots[k])
-                )
-        self.lam = ExpMatrix.from_upper(n, upper)
+        r = self.roots
+        self.lam = ExpMatrix.from_upper(n, {
+            (j, k): cd.root_pairing(r[j], r[k])
+            for j in range(n) for k in range(j + 1, n)
+        })
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self.lam_diag = tuple(ScalarExp(-2 * d) for d in self.lengths)
         self.lam_star = tuple(ScalarExp(2 * d) for d in self.lengths)
@@ -296,14 +270,8 @@ class WordData:
         applied to letter k's, extended skew-symmetrically with zero
         diagonal.
         """
-        cd, word = self.cartan, self.word
-        plus, minus = _plus_minus(word, _prefix_weight_matrices(cd, word))
-        n = len(word)
-        upper = {}
-        for j in range(n):
-            for k in range(j + 1, n):
-                upper[(j, k)] = cd.weight_pairing(plus[j], minus[k]) / 2
-        return ExpMatrix.from_upper(n, upper)
+        prefixes = _prefix_weight_matrices(self.cartan, self.word)
+        return _frame_matrix(self.cartan, *_plus_minus(self.word, prefixes))
 
     def exchange_matrix(self) -> ExchangeMatrix:
         """Closed-form exchange matrix of the word.
@@ -313,7 +281,7 @@ class WordData:
         +-(Cartan entry of the two letters) at positions whose occurrence
         pattern interleaves the column's in the two recognized ways.
         """
-        return _exchange_matrix(self.cartan, self.word, self.eta.p, self.eta.s)
+        return _exchange_matrix(self.cartan, self.word, self.eta.p)
 
     def compatibility(self) -> "CompatReport":
         """Check the two compatibility conditions for the word.
@@ -325,9 +293,7 @@ class WordData:
         failures.
         """
         prefixes = _prefix_weight_matrices(self.cartan, self.word)
-        return _verify_prepared(
-            self.cartan, self.word, prefixes, self.eta.p, self.eta.s
-        )
+        return _verify_prepared(self.cartan, self.word, prefixes, self.eta.p)
 
     def __repr__(self) -> str:
         return f"WordData({self.cartan!r}, word={self.word})"
@@ -362,6 +328,23 @@ def _plus_minus(word, prefixes):
     return plus, minus
 
 
+def _frame_matrix(cd: CartanData, plus, minus) -> ExpMatrix:
+    """The frame exponent matrix from _plus_minus, in integers over
+    2 * gram_scale: entry (j, k), j < k, is half the weight pairing of
+    plus_j and minus_k."""
+    n = len(plus)
+    gram = cd._gram_scaled
+    minus_g = [[sum(map(mul, row, nu)) for row in gram] for nu in minus]
+    num = [[0] * n for _ in range(n)]
+    for j in range(n):
+        pj = plus[j]
+        for k in range(j + 1, n):
+            v = sum(map(mul, pj, minus_g[k]))
+            num[j][k] = v
+            num[k][j] = -v
+    return ExpMatrix._make(tuple(map(tuple, num)), 2 * cd.gram_scale)
+
+
 def _pred_key(p: Optional[int]) -> int:
     return -1 if p is None else p
 
@@ -371,8 +354,12 @@ def exchange_matrix_for_word(cd: CartanData, word: Sequence[int]) -> ExchangeMat
     return WordData(cd, word).exchange_matrix()
 
 
-def _exchange_matrix(cd, word, p, s) -> ExchangeMatrix:
+def _exchange_matrix(cd, word, p) -> ExchangeMatrix:
     n = len(word)
+    s = [None] * n
+    for j, pj in enumerate(p):
+        if pj is not None:
+            s[pj] = j
     cols = {}
     for k in range(n):
         if p[k] is None:
@@ -404,49 +391,30 @@ class CompatReport(NamedTuple):
     symmetrizable: bool
 
 
-def _verify_prepared(cd, word, prefixes, p, s):
-    """Shared verification core; word is 1-based letters, p/s positional."""
-    n = len(word)
-    idx = [i - 1 for i in word]
-    bmat = _exchange_matrix(cd, word, p, s)
+def _verify_prepared(cd, word, prefixes, p):
+    """Shared verification core; word is 1-based letters, p positional."""
+    bmat = _exchange_matrix(cd, word, p)
     if not bmat.ex:
         return CompatReport(True, (), (), (), True)
-    gram = cd._gram_scaled
-    rank = cd.rank
     plus, minus = _plus_minus(word, prefixes)
-    minus_g = [
-        tuple(sum(gram[t][u] * nu[u] for u in range(rank)) for t in range(rank))
-        for nu in minus
-    ]
-    scaled = [[0] * n for _ in range(n)]
-    for j in range(n):
-        pj = plus[j]
-        for k in range(j + 1, n):
-            gk = minus_g[k]
-            v = sum(pj[t] * gk[t] for t in range(rank))
-            scaled[j][k] = v
-            scaled[k][j] = -v
+    frame = _frame_matrix(cd, plus, minus)
+    d = {k: cd.d[word[k] - 1] for k in bmat.ex}
     pairing_failures = []
     grading_failures = []
     for k in bmat.ex:
         col = bmat.cols[k]
-        for l in range(n):
-            want = -2 * cd.gram_scale * cd.d[idx[k]] if l == k else 0
-            got = sum(col[j] * scaled[j][l] for j in range(n) if col[j])
-            if got != want:
+        want = -d[k] * frame.den
+        for l, got in enumerate(pairing_row(frame, col)):
+            if got != (want if l == k else 0):
                 pairing_failures.append((k, l))
-        acc = [0] * rank
-        for j in range(n):
-            if col[j]:
-                for t in range(rank):
-                    acc[t] -= col[j] * minus[j][t]
+        acc = [0] * cd.rank
+        for j, c in enumerate(col):
+            if c:
+                for t in range(cd.rank):
+                    acc[t] -= c * minus[j][t]
         if any(acc):
             grading_failures.append(k)
-    symmetrizable = all(
-        cd.d[idx[k]] * bmat.cols[j][k] == -cd.d[idx[j]] * bmat.cols[k][j]
-        for k in bmat.ex
-        for j in bmat.ex
-    )
+    symmetrizable = skew_symmetrizable(bmat, d)
     ok = not pairing_failures and not grading_failures and symmetrizable
     return CompatReport(
         ok,
@@ -462,21 +430,43 @@ def verify_word_compatibility(cd: CartanData, word: Sequence[int]) -> CompatRepo
     return WordData(cd, word).compatibility()
 
 
-def enumerate_reduced_words(cd: CartanData, max_len: int):
-    """All reduced words of length 1..max_len, in letter-lex DFS order."""
-    out: List[Tuple[int, ...]] = []
+def _walk(cd: CartanData, max_len: int):
+    """Depth-first walk over the reduced words of length 1..max_len.
 
-    def grow(word, cols):
+    Yields (word, prefixes, p) in letter-lex order: prefixes are the
+    word's prefix weight matrices and p[k] is the position where the letter
+    at position k last occurred before k, or None.  A child extends its
+    parent's data by one reflection.
+    """
+
+    def grow(word, cols, prefixes, last_seen, p):
         for i0 in range(cd.rank):
             if min(cols[i0]) < 0:
                 continue
             word2 = word + (i0 + 1,)
-            out.append(word2)
+            prefixes2 = prefixes + [
+                _reflect_weight_columns(cd, prefixes[-1], i0)
+            ]
+            p2 = p + (last_seen[i0],)
+            yield word2, prefixes2, p2
             if len(word2) < max_len:
-                grow(word2, _reflect_alpha_columns(cd, cols, i0))
+                seen2 = list(last_seen)
+                seen2[i0] = len(word)
+                yield from grow(
+                    word2,
+                    _reflect_alpha_columns(cd, cols, i0),
+                    prefixes2,
+                    seen2,
+                    p2,
+                )
 
-    grow((), _alpha_columns(cd))
-    return out
+    start = _alpha_columns(cd)
+    return grow((), start, [start], [None] * cd.rank, ())
+
+
+def enumerate_reduced_words(cd: CartanData, max_len: int):
+    """All reduced words of length 1..max_len, in letter-lex DFS order."""
+    return [word for word, _, _ in _walk(cd, max_len)]
 
 
 def compatibility_sweep(cd: CartanData, max_len: int):
@@ -488,39 +478,12 @@ def compatibility_sweep(cd: CartanData, max_len: int):
     """
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
     checked = 0
-
-    def grow(word, cols, prefixes, last_seen, p):
-        nonlocal checked
-        for i0 in range(cd.rank):
-            if min(cols[i0]) < 0:
-                continue
-            word2 = word + (i0 + 1,)
-            checked += 1
-            p2 = p + (last_seen[i0],)
-            pos = len(word)
-            prefixes2 = prefixes + [
-                _reflect_weight_columns(cd, prefixes[-1], i0)
-            ]
-            if any(x is not None for x in p2):
-                s2 = [None] * len(word2)
-                for j, pre in enumerate(p2):
-                    if pre is not None:
-                        s2[pre] = j
-                report = _verify_prepared(cd, word2, prefixes2, p2, s2)
-                if not report.ok:
-                    failures.append((word2, report))
-            if len(word2) < max_len:
-                seen2 = list(last_seen)
-                seen2[i0] = pos
-                grow(
-                    word2,
-                    _reflect_alpha_columns(cd, cols, i0),
-                    prefixes2,
-                    seen2,
-                    p2,
-                )
-
-    grow((), _alpha_columns(cd), [_alpha_columns(cd)], [None] * cd.rank, ())
+    for word, prefixes, p in _walk(cd, max_len):
+        checked += 1
+        if any(x is not None for x in p):
+            report = _verify_prepared(cd, word, prefixes, p)
+            if not report.ok:
+                failures.append((word, report))
     return checked, failures
 
 

@@ -117,17 +117,14 @@ class TauPresentation:
 
     Attributes use original generator labels where possible: frame images
     and exchange data are indexed by original labels (positions composed
-    with the rank-matching relabeling), while eta_tau, r_hat and the
-    positional level-set data live in tau-position space.
+    with the rank-matching relabeling), while eta_tau lives in tau-position
+    space.
     """
 
     __slots__ = (
         "pres",
         "tau",
-        "lam_tau",
         "eta_tau",
-        "pos_data",
-        "r_hat",
         "bullet",
         "sigma",
         "frame",
@@ -135,14 +132,11 @@ class TauPresentation:
         "ex",
     )
 
-    def __init__(self, pres, tau, lam_tau, eta_tau, pos_data, r_hat, bullet,
-                 sigma, frame, image_weights, ex):
+    def __init__(self, pres, tau, eta_tau, bullet, sigma, frame, image_weights,
+                 ex):
         self.pres = pres
         self.tau = tau
-        self.lam_tau = lam_tau
         self.eta_tau = eta_tau
-        self.pos_data = pos_data
-        self.r_hat = r_hat
         self.bullet = bullet
         self.sigma = sigma
         self.frame = frame
@@ -232,10 +226,7 @@ def frame_for_tau(
     return TauPresentation(
         pres=pres,
         tau=tau,
-        lam_tau=pres.lam.permuted(tau),
         eta_tau=eta_tau,
-        pos_data=pos_data,
-        r_hat=r_hat,
         bullet=bullet,
         sigma=sigma,
         frame=frame,

@@ -256,6 +256,9 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "root": 4.0}, ("--cmd", "bmatrix")),
         ({**GRID22, "root": 1.27e16}, ("--cmd", "bmatrix")),
         (NOT_CONFLUENT, ("--cmd", "primes")),
+        # one above schubertdata.MAX_RANK; A150 once took 16 s to load
+        (None, ("--cmd", "schubert", "--preset", "schubert", "--type", "A",
+                "--rank", "17", "--word", "1")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -281,6 +284,7 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "float-root",
         "huge-float-root",
         "not-confluent",
+        "rank-above-bound",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):

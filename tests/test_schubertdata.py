@@ -5,6 +5,7 @@ quantum-matrix comparison at the end pins the dictionary between grid
 presentations and type-A word presentations.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ import pytest
 from qcluster.bicharacter import omega
 from qcluster.exchangesolver import quantum_matrix_btilde
 from qcluster.orealgebra import quantum_matrix_preset
+from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
+    _prefix_weight_matrices,
+    _walk,
     cartan_matrix,
     compatibility_sweep,
     enumerate_reduced_words,
@@ -61,7 +65,6 @@ def test_gram_matrix_a2():
         (Fraction(2, 3), Fraction(1, 3)),
         (Fraction(1, 3), Fraction(2, 3)),
     )
-    assert A2.weight_pairing(A2.fundamental_weight(1), A2.fundamental_weight(2)) == Fraction(1, 3)
 
 
 def test_root_pairing_norms():
@@ -162,6 +165,40 @@ def test_sweep_small_types():
         checked, failures = compatibility_sweep(cd, 8)
         assert checked == count
         assert failures == []
+
+
+# Every reduced word of these (type, rank, max length) triples, 1464 words.
+# The digest was recorded before the Schubert module was rewritten onto one
+# walk and one integer pairing, so it pins the old outputs word by word.
+PINNED_SWEEPS = (("B", 3, 9), ("C", 3, 9), ("G", 2, 6), ("A", 4, 6), ("D", 4, 6))
+PINNED_DIGEST = "97bdaea8d793bdf1f470e582c48eac6635350024f23f79e99a6688e3e1cbeb06"
+
+
+def test_every_word_is_pinned():
+    h = hashlib.sha256()
+    for letter, rank, max_len in PINNED_SWEEPS:
+        cd = CartanData(letter, rank)
+        words = enumerate_reduced_words(cd, max_len)
+        assert compatibility_sweep(cd, max_len)[0] == len(words)
+        for word in words:
+            data = word_data(cd, word)
+            record = (
+                word,
+                data.frame_matrix().rows,
+                sorted(data.exchange_matrix().cols.items()),
+                data.compatibility(),
+            )
+            h.update(repr(record).encode())
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_walk_carries_each_words_own_data():
+    """The sweep's shared walk yields the data a word computes on its own."""
+    for letter, rank, max_len in PINNED_SWEEPS:
+        cd = CartanData(letter, rank)
+        for word, prefixes, p in _walk(cd, max_len):
+            assert p == EtaData(word).p
+            assert prefixes == _prefix_weight_matrices(cd, word)
 
 
 def test_quantum_matrix_word():
