@@ -18,8 +18,8 @@ other index in this package.
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from operator import add, mul, sub
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .bicharacter import ExpMatrix, pairing_row
 from .linalg import det, inverse
@@ -345,40 +345,41 @@ def _frame_matrix(cd: CartanData, plus, minus) -> ExpMatrix:
     return ExpMatrix._make(tuple(map(tuple, num)), 2 * cd.gram_scale)
 
 
-def _pred_key(p: Optional[int]) -> int:
-    return -1 if p is None else p
-
-
 def exchange_matrix_for_word(cd: CartanData, word: Sequence[int]) -> ExchangeMatrix:
     """Closed-form exchange matrix of a reduced word."""
     return WordData(cd, word).exchange_matrix()
 
 
+def _append_row(cd, word, p, bcols):
+    """Sparse exchange columns {k: {row: entry}} of word from those of
+    word[:-1], sharing every column that gains no nonzero entry.
+
+    With n the last position and m = p[n], column k gets -1 at row n when
+    k = m and -cartan[i_n][i_k] when p[k] < m < k.  A repeated letter adds
+    column n: +1 at row m, cartan[i_j][i_n] at m < j < n if p[j] < m or None.
+    """
+    n = len(word) - 1
+    m = p[n]
+    if m is None:
+        return bcols
+    row, out = cd.cartan[word[n] - 1], {}
+    for k, col in bcols.items():
+        v = -1 if k == m else -row[word[k] - 1] if p[k] < m < k else 0
+        out[k] = {**col, n: v} if v else col
+    out[n] = new = {m: 1}
+    for j in range(m + 1, n):
+        c = cd.cartan[word[j] - 1][word[n] - 1]
+        if c and (p[j] is None or p[j] < m):
+            new[j] = c
+    return out
+
+
 def _exchange_matrix(cd, word, p) -> ExchangeMatrix:
-    n = len(word)
-    s = [None] * n
-    for j, pj in enumerate(p):
-        if pj is not None:
-            s[pj] = j
-    cols = {}
-    for k in range(n):
-        if p[k] is None:
-            continue
-        col = [0] * n
-        pk = p[k]
-        for j in range(n):
-            if j == pk:
-                col[j] = 1
-            elif s[k] is not None and j == s[k]:
-                col[j] = -1
-            elif j < k and _pred_key(p[j]) < pk:
-                if pk < j:
-                    col[j] = cd.cartan[word[j] - 1][word[k] - 1]
-            elif k < j and _pred_key(p[j]) > pk:
-                if _pred_key(p[j]) < k:
-                    col[j] = -cd.cartan[word[j] - 1][word[k] - 1]
-        cols[k] = tuple(col)
-    return ExchangeMatrix(n, cols)
+    bcols, n = {}, len(word)
+    for t in range(1, n + 1):
+        bcols = _append_row(cd, word[:t], p, bcols)
+    return ExchangeMatrix(n, {k: tuple(col.get(j, 0) for j in range(n))
+                              for k, col in bcols.items()})
 
 
 class CompatReport(NamedTuple):
@@ -433,57 +434,96 @@ def verify_word_compatibility(cd: CartanData, word: Sequence[int]) -> CompatRepo
 def _walk(cd: CartanData, max_len: int):
     """Depth-first walk over the reduced words of length 1..max_len.
 
-    Yields (word, prefixes, p) in letter-lex order: prefixes are the
-    word's prefix weight matrices and p[k] is the position where the letter
-    at position k last occurred before k, or None.  A child extends its
-    parent's data by one reflection.
+    Yields (word, p, W, GW, pre, gpre, bcols) in letter-lex order: p[k] is
+    where the letter at position k last occurred before k, or None; W is the
+    word's weight matrix as columns and GW is G.W, G = cd._gram_scaled, both
+    updated by the one right-multiplying column step; pre[l] and gpre[l] are
+    column i_l of W and GW before position l; bcols are _append_row's.  A
+    child adds one reflection, pre/gpre entry and row, and shares the rest.
     """
 
-    def grow(word, cols, prefixes, last_seen, p):
+    def grow(word, cols, W, GW, pre, gpre, last_seen, p, bcols):
         for i0 in range(cd.rank):
             if min(cols[i0]) < 0:
                 continue
             word2 = word + (i0 + 1,)
-            prefixes2 = prefixes + [
-                _reflect_weight_columns(cd, prefixes[-1], i0)
-            ]
             p2 = p + (last_seen[i0],)
-            yield word2, prefixes2, p2
+            pre2, gpre2 = pre + (W[i0],), gpre + (GW[i0],)
+            W2 = _reflect_weight_columns(cd, W, i0)
+            GW2 = _reflect_weight_columns(cd, GW, i0)
+            bcols2 = _append_row(cd, word2, p2, bcols)
+            yield word2, p2, W2, GW2, pre2, gpre2, bcols2
             if len(word2) < max_len:
                 seen2 = list(last_seen)
                 seen2[i0] = len(word)
-                yield from grow(
-                    word2,
-                    _reflect_alpha_columns(cd, cols, i0),
-                    prefixes2,
-                    seen2,
-                    p2,
-                )
+                yield from grow(word2, _reflect_alpha_columns(cd, cols, i0),
+                                W2, GW2, pre2, gpre2, seen2, p2, bcols2)
 
+    if max_len < 1:
+        return iter(())
     start = _alpha_columns(cd)
-    return grow((), start, [start], [None] * cd.rank, ())
+    return grow((), start, start, list(cd._gram_scaled), (), (),
+                [None] * cd.rank, (), {})
 
 
 def enumerate_reduced_words(cd: CartanData, max_len: int):
     """All reduced words of length 1..max_len, in letter-lex DFS order."""
-    return [word for word, _, _ in _walk(cd, max_len)]
+    return [node[0] for node in _walk(cd, max_len)]
+
+
+def _carried_report(cd, word, W, GW, pre, gpre, bcols) -> CompatReport:
+    """_verify_prepared's report, from the walk's data.
+
+    Frame entry (j, l), j < l, is plus_j . G minus_l over 2 * gram_scale,
+    with plus_j = pre[j] + W[i_j] and G minus_l = gpre[l] - GW[i_l].  The
+    pairing test is homogeneous, so it compares unreduced numerators; G is
+    nonsingular, so it tests the grading sum of G minus_j instead.
+    """
+    n = len(word)
+    plus = [tuple(map(add, pre[j], W[i - 1])) for j, i in enumerate(word)]
+    mg = [list(map(sub, gpre[l], GW[i - 1])) for l, i in enumerate(word)]
+    up = [[sum(map(mul, plus[j], m)) for m in mg[j + 1:]] for j in range(n)]
+    # row j: the frame numerators (j, l) for every l, then G minus_j
+    rows = [[-up[l][j - l - 1] for l in range(j)] + [0] + up[j] + mg[j]
+            for j in range(n)]
+    zero, d = [0] * (n + cd.rank), cd.d
+    pairing_failures, grading_failures, symmetrizable = [], [], True
+    for k, col in bcols.items():
+        dk = d[word[k] - 1]
+        got, want = zero, zero.copy()
+        want[k] = -2 * cd.gram_scale * dk
+        for j, c in col.items():
+            got = [a + c * x for a, x in zip(got, rows[j])]
+            if j in bcols and dk * bcols[j].get(k, 0) != -d[word[j] - 1] * c:
+                symmetrizable = False
+        if got != want:
+            pairing_failures += [(k, l) for l in range(n) if got[l] != want[l]]
+            if any(got[n:]):
+                grading_failures.append(k)
+    ok = not pairing_failures and not grading_failures and symmetrizable
+    return CompatReport(ok, tuple(bcols), tuple(pairing_failures),
+                        tuple(grading_failures), symmetrizable)
+
+
+def _sweep_reports(cd: CartanData, max_len: int):
+    """(word, report) for each reduced word of length 1..max_len in walk
+    order; report is None for a word with no repeated letter (no column)."""
+    for word, _, *data, bcols in _walk(cd, max_len):
+        yield word, _carried_report(cd, word, *data, bcols) if bcols else None
 
 
 def compatibility_sweep(cd: CartanData, max_len: int):
     """Verify every reduced word of length <= max_len.
 
     Returns (number of words checked, list of (word, report) failures).
-    The walk shares prefix data across words, so the per-word cost is the
-    verification itself.
+    The reports equal verify_word_compatibility's, but G.W, G.pre and the
+    exchange columns ride the walk, so a word pays only for its checks.
     """
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
     checked = 0
-    for word, prefixes, p in _walk(cd, max_len):
-        checked += 1
-        if any(x is not None for x in p):
-            report = _verify_prepared(cd, word, prefixes, p)
-            if not report.ok:
-                failures.append((word, report))
+    for checked, (word, report) in enumerate(_sweep_reports(cd, max_len), 1):
+        if report is not None and not report.ok:
+            failures.append((word, report))
     return checked, failures
 
 

@@ -10,13 +10,17 @@ from fractions import Fraction
 
 import pytest
 
+from qcluster import schubertdata
 from qcluster.bicharacter import omega
 from qcluster.exchangesolver import quantum_matrix_btilde
+from qcluster.mutation import ExchangeMatrix
 from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
+    _carried_report,
     _prefix_weight_matrices,
+    _sweep_reports,
     _walk,
     cartan_matrix,
     compatibility_sweep,
@@ -33,6 +37,7 @@ from qcluster.xicombinatorics import identity_frame
 
 A2 = CartanData("A", 2)
 B2 = CartanData("B", 2)
+B3 = CartanData("B", 3)
 G2 = CartanData("G", 2)
 
 
@@ -192,13 +197,78 @@ def test_every_word_is_pinned():
     assert h.hexdigest() == PINNED_DIGEST
 
 
+def _gram_image(cd, v):
+    return tuple(sum(g * x for g, x in zip(row, v)) for row in cd._gram_scaled)
+
+
+def _dense(bcols, n):
+    return {c: tuple(col.get(r, 0) for r in range(n)) for c, col in bcols.items()}
+
+
 def test_walk_carries_each_words_own_data():
     """The sweep's shared walk yields the data a word computes on its own."""
     for letter, rank, max_len in PINNED_SWEEPS:
         cd = CartanData(letter, rank)
-        for word, prefixes, p in _walk(cd, max_len):
+        for word, p, W, GW, pre, gpre, bcols in _walk(cd, max_len):
             assert p == EtaData(word).p
-            assert prefixes == _prefix_weight_matrices(cd, word)
+            prefixes = _prefix_weight_matrices(cd, word)
+            assert W == prefixes[-1]
+            assert GW == [_gram_image(cd, col) for col in W]
+            assert pre == tuple(prefixes[l][i - 1] for l, i in enumerate(word))
+            assert gpre == tuple(_gram_image(cd, v) for v in pre)
+            cols = exchange_matrix_for_word(cd, word).cols
+            assert _dense(bcols, len(word)) == cols
+
+
+def _wrong_lengths(letter, rank, d):
+    cd = CartanData(letter, rank)
+    cd.d = d
+    return cd
+
+
+@pytest.mark.parametrize("cd, max_len", [
+    (CartanData("A", 4), 8),
+    (B3, 8),
+    (CartanData("C", 3), 8),
+    (G2, 8),
+    # wrong lengths make reports fail, so the failure lists are compared too
+    (_wrong_lengths("B", 3, (1, 1, 1)), 6),
+    (_wrong_lengths("G", 2, (3, 1)), 6),
+], ids=["A4", "B3", "C3", "G2", "B3-wrong-d", "G2-wrong-d"])
+def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
+    """Every report the sweep computes from carried data equals the one
+    verify_word_compatibility computes from the word alone, and the sweep
+    skips exactly the words with no repeated letter."""
+    for word, report in _sweep_reports(cd, max_len):
+        if report is None:
+            assert len(set(word)) == len(word)
+        else:
+            assert len(set(word)) < len(word)
+            assert report == verify_word_compatibility(cd, word)
+
+
+@pytest.mark.parametrize("entry", [(2, 3), (2, 0), (2, 2)])
+def test_broken_column_reports_the_same_failures(monkeypatch, entry):
+    """One exchange entry of B2 (1, 2, 1, 2) raised by 1 breaks the pairing
+    (on and off the diagonal), the grading or symmetrizability; the
+    sweep's check and the oracle report the same failures for it."""
+    word = (1, 2, 1, 2)
+    node = next(node for node in _walk(B2, 4) if node[0] == word)
+    bcols = {k: dict(col) for k, col in node[6].items()}
+    k, j = entry
+    bcols[k][j] = bcols[k].get(j, 0) + 1
+    broken = ExchangeMatrix(4, _dense(bcols, 4))
+    monkeypatch.setattr(schubertdata, "_exchange_matrix", lambda *_: broken)
+    report = verify_word_compatibility(B2, word)
+    assert report.grading_failures == (k,)
+    assert _carried_report(B2, word, *node[2:6], bcols) == report
+
+
+def test_no_words_below_length_one():
+    a3 = CartanData("A", 3)
+    for max_len in (0, -1):
+        assert enumerate_reduced_words(a3, max_len) == []
+        assert compatibility_sweep(a3, max_len) == (0, [])
 
 
 def test_quantum_matrix_word():
