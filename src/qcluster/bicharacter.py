@@ -13,6 +13,11 @@ and the symmetrization scalar attached to a monomial exponent f is
 
     symmetrization(E, f) = q ** ( - sum_{j<k} E[j][k] f_j f_k ).
 
+:func:`_pairing` is the integer den * f^T E g behind omega; per-term
+products read it and hand it to ``scalarfield._q_power`` directly, so
+:class:`ScalarExp` is built only where the API returns a q-power (omega,
+symmetrization, :meth:`ExpMatrix.entry`).
+
 Vectors are plain tuples/lists of ints indexed 0..N-1.
 """
 
@@ -145,8 +150,8 @@ class ExpMatrix:
         return f"ExpMatrix[{body}]"
 
 
-def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> ScalarExp:
-    """The pairing q ** (f^T E g) as a ScalarExp."""
+def _pairing(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> int:
+    """den * f^T E g: the exponent of omega(E, f, g) in units 1/den."""
     num = emat.num
     gs = [(j, gj) for j, gj in enumerate(g) if gj]
     total = 0
@@ -154,7 +159,12 @@ def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> ScalarExp:
         if fk:
             row = num[k]
             total += fk * sum(row[j] * gj for j, gj in gs)
-    return ScalarExp(Fraction(total, emat.den))
+    return total
+
+
+def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> ScalarExp:
+    """The pairing q ** (f^T E g) as a ScalarExp."""
+    return ScalarExp(Fraction(_pairing(emat, f, g), emat.den))
 
 
 def pairing_row(emat: ExpMatrix, f: Sequence[int]) -> List[int]:

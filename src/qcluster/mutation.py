@@ -300,17 +300,19 @@ def exchange_terms(frame: ToricFrame, bcol: Sequence[int], k: int):
     ]
 
 
+def _exchange_sum(frame: ToricFrame, bcol: Sequence[int], k: int):
+    """The right side of the exchange relation at k: sum of scalar * M(h)."""
+    (s1, h1), (s2, h2) = exchange_terms(frame, bcol, k)
+    return frame_value(frame, h1).scaled(s1) + frame_value(frame, h2).scaled(s2)
+
+
 def exchange_identity_holds(frame: ToricFrame, bcol, k: int, candidate) -> bool:
     """Whether candidate * M(e_k) equals the exchange sum at direction k.
 
     Backing-agnostic: only products and sums of images are used, so this
     works for frames into an ambient algebra as well.
     """
-    rhs = None
-    for scalar, h in exchange_terms(frame, bcol, k):
-        term = frame_value(frame, h).scaled(scalar)
-        rhs = term if rhs is None else rhs + term
-    return candidate * frame.images[k] == rhs
+    return candidate * frame.images[k] == _exchange_sum(frame, bcol, k)
 
 
 def mutated_variable(frame: ToricFrame, bcol: Sequence[int], k: int):
@@ -321,10 +323,7 @@ def mutated_variable(frame: ToricFrame, bcol: Sequence[int], k: int):
     quotient does not exist doubles as a check that the exchange relation
     is solvable over the ambient ring.
     """
-    rhs = None
-    for scalar, h in exchange_terms(frame, bcol, k):
-        term = frame_value(frame, h).scaled(scalar)
-        rhs = term if rhs is None else rhs + term
+    rhs = _exchange_sum(frame, bcol, k)
     old = frame.images[k]
     if isinstance(old, TorusElement):
         return torus_div_right(rhs, old)
@@ -374,17 +373,15 @@ def random_compatible_pair(rng, n: int, max_entry: int = 2):
         for k in range(n)
     }
     bmat = ExchangeMatrix(2 * n, cols)
-    half = Fraction(1, 2)
-    rows = []
+    # numerators over 2: E pairs e_i with e_{n+i} by -d_i/2, and the lower
+    # block holds b[j][i] d_j / 2, skew because d_j b_jk = -d_k b_kj
+    num = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        top = [Fraction(0)] * n
-        bot = [-half * d[j] if j == i else Fraction(0) for j in range(n)]
-        rows.append(top + bot)
-    for i in range(n):
-        top = [half * d[i] if j == i else Fraction(0) for j in range(n)]
-        bot = [half * b[j][i] * d[j] for j in range(n)]
-        rows.append(top + bot)
-    emat = ExpMatrix(rows)
+        num[i][n + i] = -d[i]
+        num[n + i][i] = d[i]
+        for j in range(n):
+            num[n + i][n + j] = b[j][i] * d[j]
+    emat = ExpMatrix._make(tuple(map(tuple, num)), 2)
     return emat, bmat, {k: d[k] for k in range(n)}
 
 

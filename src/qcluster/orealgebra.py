@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bicharacter import ExpMatrix, omega
-from .scalarfield import Coeff, ScalarExp, as_coeff
+from .bicharacter import ExpMatrix, _pairing
+from .scalarfield import Coeff, ScalarExp, TermSum, _add_term, _q_power, as_coeff
 
 
 def reverse_lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
@@ -162,16 +162,9 @@ class Presentation:
     def element(self, terms) -> "PBWElement":
         out: dict = {}
         for f, c in terms:
-            f = tuple(int(x) for x in f)
             c = as_coeff(c, self.root)
-            if c.is_zero:
-                continue
-            if f in out:
-                c = out[f] + c
-                if c.is_zero:
-                    del out[f]
-                    continue
-            out[f] = c
+            if not c.is_zero:
+                _add_term(out, tuple(int(x) for x in f), c)
         return PBWElement(self, out)
 
     def _mono_weight(self, f) -> tuple:
@@ -214,7 +207,9 @@ class Presentation:
         fp = tuple(fp)
         lam_c = self._lam_coeffs.get((L, j))
         if lam_c is None:
-            lam_c = self._lam_coeffs[(L, j)] = self.lam.entry(L, j).to_coeff(self.root)
+            lam = self.lam
+            lam_c = _q_power(lam.num[L][j], lam.den, self.root)
+            self._lam_coeffs[(L, j)] = lam_c
         out: dict = {}
         for g, c in self._mono_times_gen(fp, j).items():
             gg = list(g)
@@ -265,60 +260,28 @@ class Presentation:
         return f"Presentation({self.n} generators, root {self.root})"
 
 
-class PBWElement:
+class PBWElement(TermSum):
     """Finite sum of PBW monomials with exact coefficients."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres",)
 
     def __init__(self, pres: Presentation, terms: dict):
         self.pres = pres
         self.terms = terms
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def root(self) -> int:
+        return self.pres.root
 
     def _check(self, other: "PBWElement"):
         if self.pres is not other.pres:
             raise ValueError("elements from different presentations")
 
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        self._check(other)
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            acc = out.get(f)
-            if acc is None:
-                out[f] = c
-            else:
-                acc = acc + c
-                if acc.is_zero:
-                    del out[f]
-                else:
-                    out[f] = acc
-        return PBWElement(self.pres, out)
+    def _like(self, terms: dict) -> "PBWElement":
+        return PBWElement(self.pres, terms)
 
-    def __neg__(self) -> "PBWElement":
-        return PBWElement(self.pres, {f: -c for f, c in self.terms.items()})
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PBWElement):
-            return pbw_mul(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        # scalars are central, so left and right scaling agree
-        return self.scaled(other)
-
-    def scaled(self, c) -> "PBWElement":
-        c = as_coeff(c, self.pres.root)
-        if c.is_zero:
-            return self.pres.zero()
-        return PBWElement(
-            self.pres, {f: v * c for f, v in self.terms.items()}
-        )
+    def _product(self, other: "PBWElement") -> "PBWElement":
+        return pbw_mul(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PBWElement):
@@ -450,9 +413,10 @@ def apply_sigma_delta(pres: Presentation, k: int, a: PBWElement):
         raise ValueError(f"element not supported below generator {k}")
     ek = [0] * pres.n
     ek[k] = 1
+    lam = pres.lam
     sig_terms = {}
     for f, c in a.terms.items():
-        sig_terms[f] = c * omega(pres.lam, ek, f).to_coeff(pres.root)
+        sig_terms[f] = c * _q_power(_pairing(lam, ek, f), lam.den, pres.root)
     sig = PBWElement(pres, sig_terms)
     xk = pres.gen(k)
     delta = pbw_mul(xk, a) - pbw_mul(sig, xk)

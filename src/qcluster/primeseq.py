@@ -17,10 +17,9 @@ rescaling that normalizes those leading coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bicharacter import omega, pairing_row, symmetrization
+from .bicharacter import _pairing, omega, pairing_row, symmetrization
 from .orealgebra import (
     PBWElement,
     Presentation,
@@ -28,7 +27,7 @@ from .orealgebra import (
     leading_term,
     pbw_mul,
 )
-from .scalarfield import Coeff, ScalarExp
+from .scalarfield import Coeff, ScalarExp, _q_power
 
 
 class EtaData:
@@ -124,20 +123,17 @@ class EtaData:
         raise ValueError(f"{j} is not an iterated successor of {i}")
 
     def same_partition(self, other_eta: Sequence[int]) -> bool:
-        if len(other_eta) != self.n:
-            return False
-        seen: Dict[int, int] = {}
-        for k in range(self.n):
-            v = other_eta[k]
-            if v in seen:
-                if self.eta[k] != self.eta[seen[v]]:
-                    return False
-            else:
-                for w, first in seen.items():
-                    if self.eta[k] == self.eta[first]:
-                        return False
-                seen[v] = k
-        return True
+        """Whether other_eta has the same level sets, whatever its labels.
+
+        Each labeling maps to the first index of every index's level set;
+        two labelings share their partition exactly when these lists agree.
+        """
+
+        def firsts(labels):
+            first: Dict[int, int] = {}
+            return [first.setdefault(v, k) for k, v in enumerate(labels)]
+
+        return firsts(self.eta) == firsts(other_eta)
 
 
 class PrimeSequence:
@@ -160,9 +156,9 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
 def _sigma_homogeneous(pres: Presentation, k: int, y: PBWElement, ebar) -> bool:
     """Whether sigma_k(y) = q**omega(e_k, ebar) y: every monomial of y has
     the sigma_k-scalar of the chain monomial x^ebar."""
-    row = pres.lam.num[k]
-    want = sum(r * x for r, x in zip(row, ebar))
-    return all(sum(r * x for r, x in zip(row, f)) == want for f in y.terms)
+    ek = _unit_vec(pres.n, k)
+    want = _pairing(pres.lam, ek, ebar)
+    return all(_pairing(pres.lam, ek, f) == want for f in y.terms)
 
 
 def certify_prime(
@@ -201,15 +197,15 @@ def certify_prime(
     all, and nothing to check where delta_k(x_i) = 0.
     """
     root = pres.root
+    den = pres.lam.den
     one = Coeff.one(root)
-    a = omega(pres.lam, _unit_vec(pres.n, k), ebar_j).to_coeff(root)
+    a = _q_power(_pairing(pres.lam, _unit_vec(pres.n, k), ebar_j), den, root)
     s = a * (pres.lam_diag[k].to_coeff(root) - one)
     row = pairing_row(pres.lam, ebar_j)  # den * omega(ebar_j, e_t)
-    den = pres.lam.den
     for i in range(k):
         for f, _ in pres.delta.get((k, i), ()):
             e = row[i] - sum(r * x for r, x in zip(row, f))
-            if not (a - Coeff.q_power(Fraction(e, den), root) + s).is_zero:
+            if not (a - _q_power(e, den, root) + s).is_zero:
                 return False
     sig, dc = apply_sigma_delta(pres, k, c)
     return dc.is_zero and sig == c.scaled(a) + d

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
+from .bicharacter import ExpMatrix, _pairing, exp_mat_product, omega, symmetrization
 from .linalg import det
-from .scalarfield import Coeff, as_coeff
+from .scalarfield import Coeff, TermSum, _add_term, _q_power
 
 
-class TorusElement:
+class TorusElement(TermSum):
     """Sum of symmetrized basis monomials with Coeff coefficients."""
 
-    __slots__ = ("base", "root", "terms")
+    __slots__ = ("base", "root")
 
     def __init__(self, base: ExpMatrix, root: int, terms: dict):
         self.base = base
@@ -43,10 +43,6 @@ class TorusElement:
         return cls(base, root, {tuple(int(x) for x in g): Coeff.one(root)})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -56,53 +52,18 @@ class TorusElement:
         if self.root != other.root:
             raise ValueError("mixed coefficient roots")
 
-    def scaled(self, c) -> "TorusElement":
-        c = as_coeff(c, self.root)
-        if c.is_zero:
-            return TorusElement(self.base, self.root, {})
-        return TorusElement(
-            self.base, self.root, {g: v * c for g, v in self.terms.items()}
-        )
+    def _like(self, terms: dict) -> "TorusElement":
+        return TorusElement(self.base, self.root, terms)
+
+    def _product(self, other: "TorusElement") -> "TorusElement":
+        return torus_mul(self, other)
 
     def inverse(self) -> "TorusElement":
         """Inverse of a single monomial c Y^(g), which is c^-1 Y^(-g)."""
         if len(self.terms) != 1:
             raise ValueError("only monomial torus elements are invertible here")
         ((g, c),) = self.terms.items()
-        return TorusElement(
-            self.base, self.root, {tuple(-x for x in g): c.inv()}
-        )
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = out.get(g)
-            if acc is None:
-                out[g] = c
-            else:
-                acc = acc + c
-                if acc.is_zero:
-                    del out[g]
-                else:
-                    out[g] = acc
-        return TorusElement(self.base, self.root, out)
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(
-            self.base, self.root, {g: -c for g, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TorusElement):
-            return torus_mul(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
+        return self._like({tuple(-x for x in g): c.inv()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):
@@ -127,10 +88,11 @@ def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
     """Product of torus elements in the symmetrized basis."""
     a._check(b)
     out: dict = {}
-    base = a.base
+    base, root = a.base, a.root
+    den = base.den
     for f, ca in a.terms.items():
         for g, cb in b.terms.items():
-            c = ca * cb * omega(base, f, g).to_coeff(a.root)
+            c = ca * cb * _q_power(_pairing(base, f, g), den, root)
             h = tuple(x + y for x, y in zip(f, g))
             acc = out.get(h)
             if acc is None:
@@ -141,7 +103,7 @@ def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
                     del out[h]
                     continue
                 out[h] = acc
-    return TorusElement(base, a.root, {g: c for g, c in out.items() if not c.is_zero})
+    return TorusElement(base, root, out)
 
 
 def _grlex_key(g):
@@ -164,8 +126,9 @@ def torus_div_right(a: TorusElement, b: TorusElement) -> TorusElement:
     if b.is_zero:
         raise ZeroDivisionError("division by zero torus element")
     if a.is_zero:
-        return TorusElement(a.base, a.root, {})
+        return a._like({})
     base, root = a.base, a.root
+    den = base.den
     gb = min(b.terms, key=_grlex_key)
     cb = b.terms[gb]
     top_a, top_b = (max(x.terms, key=_grlex_key) for x in (a, b))
@@ -183,21 +146,12 @@ def torus_div_right(a: TorusElement, b: TorusElement) -> TorusElement:
             not lo <= x <= hi for x, (lo, hi) in zip(gq, box)
         ):
             raise ValueError("right division is not exact")
-        c = rem[ga] / (cb * omega(base, gq, gb).to_coeff(root))
+        c = rem[ga] / (cb * _q_power(_pairing(base, gq, gb), den, root))
         quo[gq] = c
         # rem -= (c Y^(gq)) * b
         for g, v in b.terms.items():
             h = tuple(x + y for x, y in zip(gq, g))
-            sub = c * v * omega(base, gq, g).to_coeff(root)
-            acc = rem.get(h)
-            if acc is None:
-                rem[h] = -sub
-            else:
-                acc = acc - sub
-                if acc.is_zero:
-                    del rem[h]
-                else:
-                    rem[h] = acc
+            _add_term(rem, h, -(c * v * _q_power(_pairing(base, gq, g), den, root)))
     return TorusElement(base, root, quo)
 
 

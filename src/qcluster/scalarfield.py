@@ -1,11 +1,11 @@
 """Exact scalar arithmetic for a single deformation parameter q.
 
-Two layers:
+Three layers:
 
 * :class:`ScalarExp` is a power q**e with rational exponent e, stored
-  additively.  Products of commutation scalars, symmetrization factors and
-  eigenvalues all live here; q is generic, so q**e is a root of unity only
-  for e = 0.
+  additively.  q is generic, so q**e is a root of unity only for e = 0.
+  It is the API's value for a q-power (pairings, symmetrization factors,
+  eigenvalues); the arithmetic inside does not build it per term.
 
 * :class:`Coeff` is an element of the rational function field Q(u) where
   u = q**(1/root) and ``root`` is a fixed positive integer chosen per
@@ -17,6 +17,14 @@ Two layers:
   integer coefficients of both together have gcd 1.  A Laurent element
   has the denominator {0: d}, one positive integer, so its arithmetic is
   integer dict arithmetic plus one gcd when d != 1.
+
+* :class:`TermSum` is a finite sum {key: nonzero Coeff}, the common core
+  of PBW and torus elements; a subclass fixes the keys and the product.
+
+Exponents of q arrive as integer numerators over a denominator (the form
+``bicharacter.ExpMatrix`` keeps), and :func:`_q_power` turns one into the
+u-monomial u**(num*root/den) with integer arithmetic only; every
+conversion from a q-exponent to a Coeff goes through it.
 
 Everything is immutable by convention; operations return fresh objects,
 except that a product with the unit is the other factor itself.
@@ -67,14 +75,7 @@ class ScalarExp:
 
     def to_coeff(self, root: int) -> "Coeff":
         """Embed q**e as a monomial in u = q**(1/root)."""
-        k = self.e * root
-        if k.denominator != 1:
-            raise ValueError(
-                f"exponent {self.e} not representable with root {root}"
-            )
-        if not k:
-            return Coeff.one(root)
-        return Coeff._make(root, {int(k): 1}, _UNIT)
+        return _q_power(self.e.numerator, self.e.denominator, root)
 
 
 def scalar_pow(s: ScalarExp, m) -> ScalarExp:
@@ -224,7 +225,8 @@ class Coeff:
     @classmethod
     def q_power(cls, e, root: int) -> "Coeff":
         """The monomial q**e, e rational with denominator dividing root."""
-        return ScalarExp(e).to_coeff(root)
+        e = Fraction(e)
+        return _q_power(e.numerator, e.denominator, root)
 
     # -- predicates ---------------------------------------------------------
 
@@ -383,6 +385,18 @@ def _normalize(num: dict, den: dict):
     return {k: v // c for k, v in num.items()}, _UNIT if den == _UNIT else den
 
 
+def _q_power(num: int, den: int, root: int) -> Coeff:
+    """q**(num/den) as the monomial u**(num*root/den), u = q**(1/root)."""
+    k, r = divmod(num * root, den)
+    if r:
+        raise ValueError(
+            f"exponent {Fraction(num, den)} not representable with root {root}"
+        )
+    if not k:
+        return Coeff.one(root)
+    return Coeff._make(root, {k: 1}, _UNIT)
+
+
 def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     """Exact division a/b in Q(u); raises ZeroDivisionError on b = 0."""
     if a.root != b.root:
@@ -405,6 +419,62 @@ def as_coeff(c, root: int) -> Coeff:
     if isinstance(c, ScalarExp):
         return c.to_coeff(root)
     return Coeff.from_fraction(c, root)
+
+
+def _add_term(terms: dict, key, c: Coeff) -> None:
+    """terms[key] += c, dropping the key when the sum cancels."""
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = c
+    else:
+        acc = acc + c
+        if acc.is_zero:
+            del terms[key]
+        else:
+            terms[key] = acc
+
+
+class TermSum:
+    """A finite sum of basis keys with nonzero Coeff coefficients.
+
+    Subclasses fix the space the keys live in: they provide ``root``,
+    ``_check`` (same space or ValueError), ``_like`` (a sum in the same
+    space with the given terms) and ``_product``.
+    """
+
+    __slots__ = ("terms",)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, c):
+        c = as_coeff(c, self.root)
+        if c.is_zero:
+            return self._like({})
+        return self._like({key: v * c for key, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        return self.scaled(other)
+
+    def __rmul__(self, other):
+        # scalars are central, so left and right scaling agree
+        return self.scaled(other)
 
 
 def _poly_str(p: dict, root: int, d: int) -> str:

@@ -373,6 +373,18 @@ GOLDEN_STDOUT = [
         ("--cmd", "bmatrix", "--m", "4", "--n", "5"),
         "ac4906f2e93d3132372817a4f9b1525e26c1d0d9c580d446f3475cec2723650d",
     ),
+    # mutate feeds pbw_div_right, frame_value and compute_primes scalars
+    # into its variables; recorded before the scalars took the integer route
+    (
+        ("--cmd", "mutate", "--m", "3", "--n", "4",
+         "--mutations", "0", "1", "2", "4", "5", "6", "0", "1", "2", "4", "5", "6"),
+        "e64aadbf87f790f8c3fc105e5939107ebe005bdd61b96813e9684ad0ba43dad4",
+    ),
+    (
+        ("--cmd", "mutate", "--m", "4", "--n", "4",
+         "--mutations", "0", "1", "2", "4", "5", "6"),
+        "bd15a7ac6c63f3df8ab86da365b6ee335cfbcf8e5032aea98565280185b97e2e",
+    ),
 ]
 
 
@@ -383,6 +395,7 @@ GOLDEN_STDOUT = [
         "frames-2x3", "schubert-B3", "schubert-G2",
         "primes-3x3", "intervals-3x3", "intervals-2x4",
         "primes-4x5", "intervals-5x4", "bmatrix-4x5",
+        "mutate-3x4", "mutate-4x4",
     ],
 )
 def test_golden_stdout(capsys, argv, digest):

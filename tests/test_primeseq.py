@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.bicharacter import ExpMatrix, omega, symmetrization
 from qcluster.orealgebra import (
@@ -89,6 +91,29 @@ def test_eta_data_maps():
     with pytest.raises(ValueError):
         # two indices claiming the same nearest predecessor
         EtaData.from_predecessors((None, 0, 0))
+
+
+def _blocks(labels):
+    """The partition of the indices by label, as a set of frozensets."""
+    groups = {}
+    for k, v in enumerate(labels):
+        groups.setdefault(v, set()).add(k)
+    return {frozenset(g) for g in groups.values()}
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=7),
+    st.lists(st.integers(0, 3), min_size=0, max_size=8),
+)
+def test_same_partition_matches_block_sets(eta, other):
+    """same_partition agrees with comparing the sets of level-set blocks,
+    also for a relabeling and for a labeling of another length."""
+    ed = EtaData(eta)
+    relabel = [10 * v + 7 for v in eta]
+    assert ed.same_partition(relabel)
+    want = len(other) == len(eta) and _blocks(other) == _blocks(eta)
+    assert ed.same_partition(other) == want
 
 
 def test_trailing_sets():
