@@ -62,7 +62,6 @@ from .primeseq import (
     compute_primes,
     embed_interval,
     interval_prime,
-    interval_primes,
     normality_scalar,
     pi_f_data,
     rescale_generators,
@@ -149,7 +148,6 @@ __all__ = [
     "compute_primes",
     "embed_interval",
     "interval_prime",
-    "interval_primes",
     "normality_scalar",
     "pi_f_data",
     "rescale_generators",

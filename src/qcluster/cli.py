@@ -595,8 +595,11 @@ def run(config: RunConfig):
 def emit(payload: dict, out: Optional[str]):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {out}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -643,10 +646,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
         )
         code, payload = run(config)
+        emit(payload, config.out)
     except ConfigError as e:
         print(f"qcluster: {e}", file=sys.stderr)
         return 2
-    emit(payload, config.out)
     return code
 
 

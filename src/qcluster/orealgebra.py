@@ -42,6 +42,13 @@ def _default_root(lam: ExpMatrix) -> int:
     return 2 * lam.den
 
 
+# The largest root a loaded presentation may declare or imply.  Read at a root
+# they were not written for, coefficients denote another algebra with dense
+# scalars: on the 2x2 preset's, bmatrix fails after 0.3 s at root 1,000, 7.7 s
+# at 10,000 and over a minute at 100,000 (Python 3.11, 2 vCPU).  Presets use 2.
+MAX_ROOT = 1000
+
+
 def _integer(x, key: str) -> int:
     """x as an int; ValueError when its value is not an integer."""
     v = Fraction(x)
@@ -129,12 +136,9 @@ class Presentation:
         self.symmetric = symmetric
         # the one unit of the rewriting core: _terms_times_gen skips it
         self._one = Coeff.one(self.root)
-        # caches, filled on first use; primeseq.compute_primes and
-        # primeseq.restrict_presentation fill _prime_seq and _restrict_cache
+        # caches, filled on first use
         self._mtg_cache: dict = {}
         self._lam_coeffs: dict = {}
-        self._prime_seq = None
-        self._restrict_cache: dict = {}
         self._nu: Optional[ExpMatrix] = None
 
     # -- small constructors -------------------------------------------------
@@ -219,16 +223,7 @@ class Presentation:
         if dterms:
             for g, dc in dterms:
                 for h, c in self._mono_times_mono(fp, g).items():
-                    prod = c * dc
-                    acc = out.get(h)
-                    if acc is None:
-                        out[h] = prod
-                    else:
-                        acc = acc + prod
-                        if acc.is_zero:
-                            del out[h]
-                        else:
-                            out[h] = acc
+                    _add_term(out, h, c * dc)
         self._mtg_cache[key] = out
         return out
 
@@ -499,10 +494,12 @@ def check_overlaps(pres: Presentation) -> None:
     Presentations built from a certified one inherit the certificate:
     ``rescale_generators`` applies the automorphism x_i -> gamma_i x_i of
     the free algebra, which sends each rule to a nonzero multiple of a rule
-    and so each reduction to a reduction; ``restrict_presentation`` keeps the
-    rules among x_j..x_k, whose right-hand sides stay in that range (it
-    rejects a table where they do not), so the overlaps of the restriction
-    are overlaps of the whole, rewritten by the same steps.
+    and so each reduction to a reduction.  Where the rules among x_j..x_k have
+    right-hand sides in that range, their overlaps are overlaps of the whole,
+    rewritten by the same steps, so they present the subalgebra on x_j..x_k:
+    ``primeseq`` runs interval recursions inside the certified algebra, and
+    ``restrict_presentation``, which rejects a table that leaves the range,
+    is left to first_column_crosscheck and the tests.
 
     The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU),
     a large share of a request on those shapes.  So ``presentation_from_dict``
@@ -573,7 +570,10 @@ def presentation_from_dict(data: dict) -> Presentation:
         ]
 
     delta = {}
-    for key, terms in (data.get("delta") or {}).items():
+    table = data.get("delta") or {}  # absent, null or empty: no derivations
+    if not isinstance(table, dict):
+        raise ValueError("delta is not an object")
+    for key, terms in table.items():
         k, j = (int(x) for x in key.split(","))
         parsed = []
         for mono, coeff in terms:
@@ -601,5 +601,7 @@ def presentation_from_dict(data: dict) -> Presentation:
         names=data.get("names"),
         root=root,
     )
+    if pres.root > MAX_ROOT:
+        raise ValueError(f"root {pres.root} is above the supported {MAX_ROOT}")
     check_overlaps(pres)
     return pres

@@ -17,6 +17,8 @@ rescaling that normalizes those leading coefficients.
 
 from __future__ import annotations
 
+import weakref
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bicharacter import _pairing, omega, pairing_row, symmetrization
@@ -137,15 +139,15 @@ class EtaData:
 
 
 class PrimeSequence:
-    """The y_k, their normalized forms, the c_k, and the level-set data."""
+    """The y_k, ybar_k and c_k, from their term dicts, and the level-set data."""
 
     __slots__ = ("pres", "y", "ybar", "c", "eta_data")
 
     def __init__(self, pres, y, ybar, c, eta_data):
         self.pres = pres
-        self.y = tuple(y)
-        self.ybar = tuple(ybar)
-        self.c = dict(c)
+        self.y = tuple([PBWElement(pres, t) for t in y])
+        self.ybar = tuple([PBWElement(pres, t) for t in ybar])
+        self.c = {k: PBWElement(pres, t) for k, t in c.items()}
         self.eta_data = eta_data
 
 
@@ -153,26 +155,27 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def _sigma_homogeneous(pres: Presentation, k: int, y: PBWElement, ebar) -> bool:
+def _sigma_homogeneous(pres: Presentation, k: int, terms: dict, ebar) -> bool:
     """Whether sigma_k(y) = q**omega(e_k, ebar) y: every monomial of y has
     the sigma_k-scalar of the chain monomial x^ebar."""
     ek = _unit_vec(pres.n, k)
     want = _pairing(pres.lam, ek, ebar)
-    return all(_pairing(pres.lam, ek, f) == want for f in y.terms)
+    return all(_pairing(pres.lam, ek, f) == want for f in terms)
 
 
 def certify_prime(
-    pres: Presentation, k: int, ebar_j: Sequence[int], c: PBWElement, d: PBWElement
+    pres: Presentation, k: int, ebar_j: Sequence[int], c: PBWElement, d: PBWElement,
+    lo: int = 0,
 ) -> bool:
-    """Whether y = y_j x_k - c is normal in R_k, with one PBW product.
+    """Whether y = y_j x_k - c is normal in R_[lo,k], with one PBW product.
 
     Premises, which compute_primes keeps true at every stage: the trailing
     prime y_j, whose leading monomial is x^ebar_j with coefficient 1, is
-    normal in R_{k-1} with y_j x_i = mu_i x_i y_j, mu_i = q**omega(ebar_j, e_i),
+    normal in R_[lo,k-1] with y_j x_i = mu_i x_i y_j, mu_i = q**omega(ebar_j, e_i),
     and sigma_k(y_j) = a y_j, which forces a = alpha = q**omega(e_k, ebar_j).
     Here d = delta_k(y_j) and the recursion takes c = d / s with
-    s = alpha (lambda_k - 1).  R_k is a domain and a free left R_{k-1}-module
-    on 1, x_k, x_k^2, ...; normality means y x_i = nu_i x_i y for scalars nu_i.
+    s = alpha (lambda_k - 1).  R_[lo,k] is a domain and a free left R_[lo,k-1]-
+    module on 1, x_k, x_k^2, ...; normality means y x_i = nu_i x_i y, lo <= i <= k.
 
     i = k.  y x_k = y_j x_k^2 - c x_k and
     x_k y = a y_j x_k^2 + (d - sigma_k(c)) x_k - delta_k(c), so nu_k = 1/a and
@@ -202,13 +205,19 @@ def certify_prime(
     a = _q_power(_pairing(pres.lam, _unit_vec(pres.n, k), ebar_j), den, root)
     s = a * (pres.lam_diag[k].to_coeff(root) - one)
     row = pairing_row(pres.lam, ebar_j)  # den * omega(ebar_j, e_t)
-    for i in range(k):
+    for i in range(lo, k):
         for f, _ in pres.delta.get((k, i), ()):
             e = row[i] - sum(r * x for r, x in zip(row, f))
             if not (a - _q_power(e, den, root) + s).is_zero:
                 return False
     sig, dc = apply_sigma_delta(pres, k, c)
     return dc.is_zero and sig == c.scaled(a) + d
+
+
+# Per presentation, the stages run from each start and the checked _Range of
+# each range, as term dicts: no entry refers back to its presentation or outlives it.
+_MEMO: "weakref.WeakKeyDictionary[Presentation, tuple]" = weakref.WeakKeyDictionary()
+_Range = namedtuple("_Range", "y ybar c eta_data")
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
@@ -226,97 +235,111 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
     the homogeneity holds in every presentation that passes
     orealgebra.check_overlaps, where sigma_k respects every relation.
     """
-    if pres._prime_seq is not None:
-        return pres._prime_seq
-    n = pres.n
-    one = Coeff.one(pres.root)
-    preds: List[Optional[int]] = []
-    ys: List[PBWElement] = []
-    cs: Dict[int, PBWElement] = {}
-    ebar: List[Tuple[int, ...]] = []
-    for k in range(n):
+    return PrimeSequence(pres, *_primes(pres, 0, pres.n - 1))
+
+
+def _primes(pres: Presentation, lo: int, top: int) -> _Range:
+    """compute_primes for R_[lo,top], the subalgebra on x_lo..x_top, inside pres.
+
+    The caller checks the range first (_check_range).  Every index counts from
+    lo, so an error reads as on restrict_presentation(pres, lo, top).  A longer
+    range resumes from the stages run from lo; the level-set and leading-term
+    checks cover lo..top.  The result holds term dicts, as the memo does.
+    """
+    runs, checked = _MEMO.setdefault(pres, ({}, {}))
+    if (lo, top) in checked:
+        return checked[(lo, top)]
+    preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
+    n, one = pres.n, Coeff.one(pres.root)
+    for k in range(lo + len(preds), top + 1):
+        t = k - lo  # the stage, counted as in R_[lo,top]
         xk = pres.gen(k)
-        # trailing primes of stage k-1: indices never used as a predecessor
+        # trailing primes of stage t-1: indices never used as a predecessor
         used = {p for p in preds if p is not None}
-        trailing = [j for j in range(k) if j not in used]
+        trailing = [j for j in range(t) if j not in used]
         for j in trailing:
             if not _sigma_homogeneous(pres, k, ys[j], ebar[j]):
                 raise ValueError(
-                    f"stage {k}: trailing prime {j} is not sigma_{k}-homogeneous"
+                    f"stage {t}: trailing prime {j} is not sigma_{t}-homogeneous"
                 )
-        if not any((k, j) in pres.delta for j in range(k)):
+        if not any((k, i) in pres.delta for i in range(lo, k)):
             preds.append(None)
-            ys.append(xk)
+            ys.append(xk.terms)
             ebar.append(_unit_vec(n, k))
             continue
-        moved = []
-        hits = []
+        moved, hits = [], []
         for j in trailing:
-            d = apply_sigma_delta(pres, k, ys[j])[1]
+            d = apply_sigma_delta(pres, k, PBWElement(pres, ys[j]))[1]
             if d.is_zero:
                 continue
             moved.append(j)
             alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
             lam_k = pres.lam_diag[k]
             if lam_k is None or lam_k.e == 0:
-                raise ValueError(f"stage {k} needs a nontrivial diagonal scalar")
+                raise ValueError(f"stage {t} needs a nontrivial diagonal scalar")
             denom = alpha.to_coeff(pres.root) * (lam_k.to_coeff(pres.root) - one)
             c = d.scaled(denom.inv())
-            if certify_prime(pres, k, ebar[j], c, d):
+            if certify_prime(pres, k, ebar[j], c, d, lo):
                 hits.append((j, c))
         if len(hits) != 1:
             raise ValueError(
-                f"stage {k}: {len(hits)} normal candidates, expected exactly 1"
+                f"stage {t}: {len(hits)} normal candidates, expected exactly 1"
             )
         j, c = hits[0]
         for other in moved:
             if other != j:
                 raise ValueError(
-                    f"stage {k}: delta_{k} moves trailing prime {other}, "
+                    f"stage {t}: delta_{t} moves trailing prime {other}, "
                     "which the stage does not choose"
                 )
         if not all(cf.is_laurent for cf in c.terms.values()):
-            raise ValueError(f"stage {k}: non-Laurent centering coefficient")
+            raise ValueError(f"stage {t}: non-Laurent centering coefficient")
+        ys.append((pbw_mul(PBWElement(pres, ys[j]), xk) - c).terms)
         preds.append(j)
-        ys.append(pbw_mul(ys[j], xk) - c)
-        cs[k] = c
+        cs[t] = c.terms
         ebar.append(tuple(a + b for a, b in zip(ebar[j], _unit_vec(n, k))))
-    eta_data = EtaData.from_predecessors(preds)
-    if pres.eta is not None and not eta_data.same_partition(pres.eta):
+    width = top - lo + 1
+    eta_data = EtaData.from_predecessors(preds[:width])
+    if pres.eta and not eta_data.same_partition(pres.eta[lo : top + 1]):
         raise ValueError("declared level sets disagree with the inferred ones")
-    for k in range(n):
-        f, lead = leading_term(ys[k])
-        if f != eta_data.ebar[k] or not lead.is_one:
-            raise ValueError(f"stage {k}: leading term is not the chain monomial")
-    nu = pres.nu()
-    ybar = [y.scaled(symmetrization(nu, eta_data.ebar[k])) for k, y in enumerate(ys)]
-    seq = PrimeSequence(pres, ys, ybar, cs, eta_data)
-    pres._prime_seq = seq
-    return seq
+    for t in range(width):
+        f, lead = leading_term(PBWElement(pres, ys[t]))
+        if f != ebar[t] or not lead.is_one:
+            raise ValueError(f"stage {t}: leading term is not the chain monomial")
+    ybar = [
+        PBWElement(pres, y).scaled(symmetrization(pres.nu(), e)).terms
+        for y, e in zip(ys[:width], ebar)
+    ]
+    c = {t: c for t, c in cs.items() if t < width}
+    checked[(lo, top)] = out = _Range(ys[:width], ybar, c, eta_data)
+    return out
+
+
+def _check_range(pres: Presentation, j: int, k: int) -> None:
+    """ValueError unless x_j..x_k are generators whose derivations stay among them."""
+    if not 0 <= j <= k < pres.n:
+        raise ValueError("bad generator range")
+    for (b, a), terms in pres.delta.items():
+        if a >= j and b <= k and any(any(f[:j]) for f, _ in terms):
+            raise ValueError(f"delta[{b},{a}] leaves the generators {j}..{k}")
 
 
 def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
-    """The presentation of the subalgebra on generators j..k (inclusive).
+    """The subalgebra on generators j..k (inclusive) as an algebra of its own.
 
     It inherits the overlap certificate of pres (see
     orealgebra.check_overlaps), provided every derivation among x_j..x_k
-    stays in that range; a table where one does not is a ValueError.
+    stays in that range; a table where one does not is a ValueError.  Interval
+    primes run inside pres (_primes); this serves first_column_crosscheck.
     """
-    if not 0 <= j <= k < pres.n:
-        raise ValueError("bad generator range")
-    cache = pres._restrict_cache
-    hit = cache.get((j, k))
-    if hit is not None:
-        return hit
+    _check_range(pres, j, k)
     idx = list(range(j, k + 1))
-    delta = {}
-    for (b, a), terms in pres.delta.items():
-        if a < j or b > k:
-            continue
-        if any(any(f[:j]) for f, _ in terms):
-            raise ValueError(f"delta[{b},{a}] leaves the generators {j}..{k}")
-        delta[(b - j, a - j)] = tuple((f[j : k + 1], c) for f, c in terms)
-    sub = Presentation(
+    delta = {
+        (b - j, a - j): tuple((f[j : k + 1], c) for f, c in terms)
+        for (b, a), terms in pres.delta.items()
+        if a >= j and b <= k
+    }
+    return Presentation(
         pres.lam.restricted(idx),
         delta,
         [pres.weights[i] for i in idx],
@@ -326,41 +349,32 @@ def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
         names=[pres.names[i] for i in idx],
         root=pres.root,
     )
-    cache[(j, k)] = sub
-    return sub
 
 
 def embed_interval(pres: Presentation, j: int, elem: PBWElement) -> PBWElement:
     """Reinterpret an element of the subalgebra on j.. as one of pres."""
-    n = pres.n
-    terms = {}
-    for f, c in elem.terms.items():
-        g = [0] * n
-        for t, x in enumerate(f):
-            g[j + t] = x
-        terms[tuple(g)] = c
+    z = (0,) * pres.n
+    terms = {z[:j] + f + z[j + len(f) :]: c for f, c in elem.terms.items()}
     return PBWElement(pres, terms)
-
-
-def interval_primes(pres: Presentation, j: int, k: int) -> PrimeSequence:
-    """Prime sequence of the subalgebra on generators j..k."""
-    return compute_primes(restrict_presentation(pres, j, k))
 
 
 def interval_prime(pres: Presentation, i: int, m: int) -> PBWElement:
     """The prime y over the chain i, s(i), ..., s^m(i), inside pres.
 
-    This is the last prime of the subalgebra on generators i..s^m(i),
-    reinterpreted as an element of the ambient algebra; its leading term
-    is the chain indicator monomial.
+    This is the last prime of the subalgebra on generators i..s^m(i); its
+    leading term is the chain indicator monomial.
     """
-    seq = compute_primes(pres)
-    top = seq.eta_data.succ_power(i, m)
-    sub = interval_primes(pres, i, top)
-    y = sub.y[top - i]
-    out = embed_interval(pres, i, y)
+    top = _primes(pres, 0, pres.n - 1).eta_data.succ_power(i, m)
+    return _chain_prime(pres, i, top)
+
+
+def _chain_prime(pres: Presentation, i: int, top: int) -> PBWElement:
+    """interval_prime given the chain's end; callers have run compute_primes."""
+    _check_range(pres, i, top)
+    out = PBWElement(pres, _primes(pres, i, top).y[-1])
     f, lead = leading_term(out)
-    if f != seq.eta_data.interval_vector(i, top) or not lead.is_one:
+    ed = _primes(pres, 0, pres.n - 1).eta_data
+    if f != ed.interval_vector(i, top) or not lead.is_one:
         raise ValueError(f"interval prime [{i},{top}] has a wrong leading term")
     return out
 
@@ -377,8 +391,7 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
         raise ValueError("negative chain length")
     if m == 0:
         return pres.one()
-    seq = compute_primes(pres)
-    ed = seq.eta_data
+    ed = _primes(pres, 0, pres.n - 1).eta_data
     top = ed.succ_power(i, m)
     if m == 1:
         u = pbw_mul(pres.gen(i), pres.gen(top)) - interval_prime(pres, i, 1)
@@ -389,9 +402,7 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
         b = interval_prime(pres, s_i, m - 1)
         c = interval_prime(pres, s_i, m - 2)
         d = interval_prime(pres, i, m)
-        scal = omega(
-            pres.lam, _unit_vec(pres.n, i), ed.interval_vector(s_i, mid_lo)
-        )
+        scal = omega(pres.lam, _unit_vec(pres.n, i), ed.interval_vector(s_i, mid_lo))
         u = pbw_mul(a, b) - pbw_mul(c, d).scaled(scal)
     for f in u.terms:
         sup = [t for t, x in enumerate(f) if x]
@@ -443,13 +454,7 @@ def rescale_generators(pres: Presentation):
         )
     delta = {
         (k, j): tuple(
-            (
-                f,
-                c
-                * gamma[k]
-                * gamma[j]
-                * _gamma_power(gamma, f, one).inv(),
-            )
+            (f, c * gamma[k] * gamma[j] * _gamma_power(gamma, f, one).inv())
             for f, c in terms
         )
         for (k, j), terms in pres.delta.items()

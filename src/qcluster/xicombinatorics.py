@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bicharacter import exp_mat_product, symmetrization
 from .orealgebra import PBWElement, Presentation, weight_of
-from .primeseq import EtaData, PrimeSequence, compute_primes, interval_prime
+from .primeseq import EtaData, PrimeSequence, _chain_prime, compute_primes
 from .qtorus import ToricFrame, matrix_from_images
 
 
@@ -149,14 +149,8 @@ class TauPresentation:
 
 def _interval_image(pres, seq, lo: int, hi: int) -> PBWElement:
     """Normalized interval prime over the chain from lo to hi, in pres."""
-    ed = seq.eta_data
-    m = 0
-    k = lo
-    while k != hi:
-        k = ed.s[k]
-        m += 1
-    y = interval_prime(pres, lo, m)
-    return y.scaled(symmetrization(pres.nu(), ed.interval_vector(lo, hi)))
+    y = _chain_prime(pres, lo, hi)
+    return y.scaled(symmetrization(pres.nu(), seq.eta_data.interval_vector(lo, hi)))
 
 
 def frame_for_tau(
@@ -253,7 +247,6 @@ def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:
     if m < 1:
         raise ValueError("window needs at least one chain step")
     top = ed.succ_power(i, m)
-    width = top - i + 1
     vecs: List[Tuple[int, ...]] = []
     images: List[PBWElement] = []
     for k in range(i, top + 1):
@@ -282,8 +275,7 @@ def window_support_vector(
     raises ValueError when f is not in the span (which would violate the
     leading-term structure of the difference elements).
     """
-    seq = compute_primes(pres)
-    ed = seq.eta_data
+    ed = compute_primes(pres).eta_data
     top = ed.succ_power(i, m)
     width = top - i + 1
     rem = list(int(x) for x in f)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qcluster import cli
 from qcluster.cli import main
-from qcluster.orealgebra import quantum_matrix_preset
+from qcluster.orealgebra import Presentation, quantum_matrix_preset
 from qcluster.xicombinatorics import gamma_chain
 
 BAD_CUSTOM = {
@@ -256,6 +256,10 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "root": 4.0}, ("--cmd", "bmatrix")),
         ({**GRID22, "root": 1.27e16}, ("--cmd", "bmatrix")),
         (NOT_CONFLUENT, ("--cmd", "primes")),
+        ({**GRID22, "delta": "x"}, ("--cmd", "primes")),
+        # one above orealgebra.MAX_ROOT; at this root the preset's coefficients
+        # denote another algebra, which without the bound ends in exit 1
+        ({**GRID22, "root": 1001}, ("--cmd", "bmatrix")),
         # one above schubertdata.MAX_RANK; A150 once took 16 s to load
         (None, ("--cmd", "schubert", "--preset", "schubert", "--type", "A",
                 "--rank", "17", "--word", "1")),
@@ -284,6 +288,8 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "float-root",
         "huge-float-root",
         "not-confluent",
+        "delta-not-an-object",
+        "root-above-bound",
         "rank-above-bound",
     ],
 )
@@ -300,6 +306,30 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert "delta[3,0]" in err
     if data is NOT_CONFLUENT:
         assert "overlap (4,1,0)" in err
+
+
+def test_unwritable_out_is_a_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    rc, out, err = run_cli(capsys, "--cmd", "primes", "--out", str(target))
+    assert rc == 2 and out == "" and not target.parent.exists()
+    assert err.startswith(f"qcluster: cannot write {target}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, built", [("intervals", 1), ("bmatrix", 1), ("verify", 6)])
+def test_one_presentation_per_request(capsys, monkeypatch, cmd, built):
+    """Interval primes run inside the loaded algebra.  verify 3x3 adds the
+    rescaled algebra and one window for each of the four first-column
+    checks."""
+    count = []
+    real_init = Presentation.__init__
+
+    def init(self, *args, **kwargs):
+        count.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", init)
+    rc, _, _ = run_cli(capsys, "--cmd", cmd, "--m", "3", "--n", "3")
+    assert rc == 0 and len(count) == built
 
 
 def test_verify_builds_once(capsys, monkeypatch):

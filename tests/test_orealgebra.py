@@ -156,6 +156,14 @@ def test_round_trip_through_dict():
         assert sorted(got.terms.items()) == sorted(want.terms.items())
 
 
+def test_absent_null_or_empty_delta_means_no_derivations():
+    data = serialize(quantum_matrix_preset(1, 3))
+    for delta in (None, {}):
+        assert presentation_from_dict({**data, "delta": delta}).delta == {}
+    del data["delta"]
+    assert presentation_from_dict(data).delta == {}
+
+
 def test_from_dict_rejects_bad_shapes():
     data = serialize(PRES)
     data["lambda"] = [["0", "1"], ["-1", "0"]]

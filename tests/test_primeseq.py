@@ -7,6 +7,8 @@ checked against is_normal_in_stage, which forms every product y x_i and
 x_i y.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
@@ -25,6 +27,7 @@ from qcluster.orealgebra import (
 )
 from qcluster.primeseq import (
     EtaData,
+    _primes,
     certify_prime,
     compute_primes,
     embed_interval,
@@ -340,3 +343,104 @@ def test_restriction_rejects_a_derivation_leaving_the_range():
     with pytest.raises(ValueError, match=r"delta\[2,1\] leaves the generators 1..2"):
         restrict_presentation(pres, 1, 2)
     assert restrict_presentation(pres, 0, 2).delta == pres.delta
+
+
+def test_interval_primes_match_the_restricted_route():
+    """interval_prime runs the recursion inside the algebra; the reference
+    restricts the algebra to the interval's generators and runs it there."""
+    cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 6)]
+    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    for pres in cases:
+        ed = compute_primes(pres).eta_data
+        for i in range(pres.n):
+            for m in range(ed.o_plus[i] + 1):
+                top = ed.succ_power(i, m)
+                sub = compute_primes(restrict_presentation(pres, i, top))
+                want = embed_interval(pres, i, sub.y[-1])
+                assert interval_prime(pres, i, m) == want, (pres, i, m)
+
+
+def _edited(m, n, key, factor=None):
+    """The m x n preset with delta[key] scaled by factor, or dropped; built
+    directly, so the overlap certificate does not reject it."""
+    p = quantum_matrix_preset(m, n)
+    delta = dict(p.delta)
+    if factor is None:
+        del delta[key]
+    else:
+        delta[key] = tuple((f, c * factor) for f, c in delta[key])
+    return Presentation(
+        p.lam, delta, p.weights, p.lam_diag, p.lam_star, eta=p.eta, root=p.root
+    )
+
+
+def _outcome(run, terms=lambda y: y):
+    """The error message of run(), or the terms of its primes in the whole
+    algebra and its level-set data."""
+    try:
+        seq = run()
+    except ValueError as e:
+        return str(e)
+    return [terms(y) for y in seq.y], seq.eta_data.p, sorted(seq.c)
+
+
+@pytest.mark.parametrize(
+    "m, n, key, factor",
+    [(2, 3, (5, 1), None), (3, 3, (5, 1), None), (3, 3, (8, 4), None), (3, 3, (7, 3), 2)],
+)
+def test_ranged_recursion_matches_the_restricted_route(m, n, key, factor):
+    """On every range of a presentation the recursion fails inside, _primes
+    gives the restricted presentation's primes or its error message, with
+    stages counted from the range's start; longer ranges run first on one
+    copy and last on another, so resuming and prefix checks are both met."""
+    for order in (1, -1):
+        pres = _edited(m, n, key, factor)
+        ranges = [(lo, top) for lo in range(pres.n) for top in range(lo, pres.n)]
+        for lo, top in ranges[::order]:
+            want = _outcome(
+                lambda: compute_primes(restrict_presentation(pres, lo, top)),
+                lambda y: embed_interval(pres, lo, y).terms,
+            )
+            assert _outcome(lambda: _primes(pres, lo, top)) == want, (lo, top)
+
+
+def test_ranged_recursion_counts_stages_from_its_start():
+    pres = _edited(3, 3, (8, 4))
+    for lo, stage in ((0, 8), (3, 5)):
+        with pytest.raises(ValueError, match=f"^stage {stage}: 0 normal candidates"):
+            _primes(pres, lo, 8)
+    with pytest.raises(ValueError, match="^declared level sets disagree"):
+        _primes(pres, 4, 8)
+    assert _primes(pres, 5, 8).y[-1] == pres.gen(8).terms
+
+
+def test_interval_prime_rejects_a_derivation_leaving_the_interval():
+    """U_q(n+) of sl3 on E12, E1, E2, an overlap-certified CGL extension:
+    delta_2(x1) = (q^-1 - q) x0, so the chain 1 -> 2 spans a range that does
+    not present a subalgebra, and interval_prime says so as the restriction
+    does."""
+    qdiff = Coeff(2, {-2: 1, 2: -1})
+    pres = Presentation(
+        ExpMatrix.from_upper(3, {(0, 1): -1, (0, 2): 1, (1, 2): -1}),
+        {(2, 1): (((1, 0, 0), qdiff),)},
+        [[1, 1], [1, 0], [0, 1]],
+        [None, None, ScalarExp(-2)],
+        eta=[0, 1, 1],
+        root=2,
+    )
+    check_overlaps(pres)
+    assert compute_primes(pres).eta_data.s[1] == 2
+    msg = r"^delta\[2,1\] leaves the generators 1..2$"
+    with pytest.raises(ValueError, match=msg):
+        restrict_presentation(pres, 1, 2)
+    with pytest.raises(ValueError, match=msg):
+        interval_prime(pres, 1, 1)
+
+
+def test_prime_memo_dies_with_its_presentation():
+    pres = quantum_matrix_preset(2, 3)
+    interval_prime(pres, 0, 1)
+    ref = weakref.ref(pres)
+    del pres
+    gc.collect()
+    assert ref() is None
