@@ -60,12 +60,10 @@ from .primeseq import (
     EtaData,
     PrimeSequence,
     compute_primes,
-    embed_interval,
     interval_prime,
     normality_scalar,
     pi_f_data,
     rescale_generators,
-    restrict_presentation,
     u_element,
 )
 from .xicombinatorics import (
@@ -146,12 +144,10 @@ __all__ = [
     "EtaData",
     "PrimeSequence",
     "compute_primes",
-    "embed_interval",
     "interval_prime",
     "normality_scalar",
     "pi_f_data",
     "rescale_generators",
-    "restrict_presentation",
     "u_element",
     "TauPresentation",
     "enumerate_xi",

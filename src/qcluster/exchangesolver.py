@@ -17,7 +17,9 @@ from typing import Dict, List, Sequence
 
 from .linalg import primitive, solve
 from .mutation import ExchangeMatrix, compatibility_check, skew_symmetrizable
-from .xicombinatorics import TauPresentation
+from .orealgebra import weight_of
+from .primeseq import _check_range, _primes, pi_f_data, u_element
+from .xicombinatorics import TauPresentation, interval_frame
 
 
 class LinearSystem:
@@ -54,20 +56,25 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
     means the input data does not come from a valid normalized
     presentation.
     """
-    pres = tau_pres.pres
-    emat = tau_pres.frame.emat
-    ex = tau_pres.ex
+    return _solve_btilde(
+        tau_pres.frame.emat, tau_pres.image_weights, tau_pres.ex,
+        tau_pres.pres.lam_star,
+    )
+
+
+def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
+    """btilde_for_tau on a frame's exponent matrix and image weights, with
+    its exchangeable labels and the squared scalars lam_star by label."""
     if not ex:
-        return ExchangeMatrix(pres.n, {})
+        return ExchangeMatrix(emat.n, {})
     for l in ex:
-        lam_star = pres.lam_star[l]
-        if lam_star is None or lam_star.e == 0:
+        if lam_star[l] is None or lam_star[l].e == 0:
             raise ValueError(f"index {l} lacks a nontrivial squared scalar")
     # rows of den * R_tau^T give den times the pairings with each
     # direction, then one row per weight coordinate
-    rows = list(zip(*emat.num)) + list(zip(*tau_pres.image_weights))
+    rows = list(zip(*emat.num)) + list(zip(*image_weights))
     rhs = [
-        [pres.lam_star[l].e * emat.den / 2 if j == l else 0 for l in ex]
+        [lam_star[l].e * emat.den / 2 if j == l else 0 for l in ex]
         for j in range(len(rows))
     ]
     sol = LinearSystem(rows, rhs).solve_unique()
@@ -77,26 +84,26 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
         if any(x.denominator != 1 for x in col):
             raise ValueError(f"column at {l} is not integral: {col}")
         cols[l] = tuple(int(x) for x in col)
-    bmat = ExchangeMatrix(pres.n, cols)
+    bmat = ExchangeMatrix(emat.n, cols)
     compatibility_check(emat, bmat)
-    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(pres, ex)):
+    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(lam_star, ex)):
         raise ValueError("principal part is not skew-symmetrizable")
     return bmat
 
 
-def symmetrizers_from_scalars(pres, ex: Sequence[int]) -> Dict[int, int]:
+def symmetrizers_from_scalars(lam_star, ex: Sequence[int]) -> Dict[int, int]:
     """Positive integers proportional to the squared-scalar exponents.
 
-    The exponents must be constant on level sets and of one sign; the
-    common rescaling to smallest positive integers is returned per
+    lam_star holds the squared scalars by label, as Presentation.lam_star
+    does.  The exponents must be constant on level sets and of one sign;
+    the common rescaling to smallest positive integers is returned per
     exchangeable index.
     """
     exps: Dict[int, Fraction] = {}
     for l in ex:
-        lam_star = pres.lam_star[l]
-        if lam_star is None or lam_star.e == 0:
+        if lam_star[l] is None or lam_star[l].e == 0:
             raise ValueError(f"index {l} lacks a squared scalar")
-        exps[l] = lam_star.e
+        exps[l] = lam_star[l].e
     if len({e > 0 for e in exps.values()}) > 1:
         raise ValueError("squared-scalar exponents of mixed sign")
     return dict(zip(exps, primitive([abs(e) for e in exps.values()])))
@@ -133,35 +140,44 @@ def quantum_matrix_btilde(m: int, n: int) -> ExchangeMatrix:
     return ExchangeMatrix(m * n, cols)
 
 
+def _window(pres, i: int):
+    """The window R_[i,top], top = s(i), inside pres, indexed from i.
+
+    Its level-set data come from the ranged prime recursion, its frame is
+    interval_frame(pres, i, 1), and its exchange matrix is solved with its
+    own squared scalars and labels, so an error reads as on the window
+    presented on its own.  The frame is the window's identity frame when
+    the window's level sets are the algebra's, as in a CGL extension; other
+    level sets are a ValueError.  Returns (level-set data, frame, matrix).
+    """
+    ed = _primes(pres, 0, pres.n - 1).eta_data
+    top = ed.succ_power(i, 1)
+    _check_range(pres, i, top)
+    wed = _primes(pres, i, top).eta_data
+    inside = tuple(None if p is None or p < i else p - i for p in ed.p[i : top + 1])
+    if wed.p != inside:
+        raise ValueError(f"window [{i},{top}] has other level sets than the algebra")
+    frame = interval_frame(pres, i, 1)
+    bmat = _solve_btilde(
+        frame.emat, [weight_of(img) for img in frame.images], wed.exchangeable(),
+        pres.lam_star[i : top + 1],
+    )
+    return wed, frame, bmat
+
+
 def first_column_crosscheck(pres, i: int) -> bool:
     """Compare the leading exponent of a one-step difference element with
     the combination of chain vectors prescribed by the exchange column.
 
-    The window from i to s(i) is treated as a standalone algebra; the
-    column at its bottom index determines the leading exponent through
-    the window's trailing interior primes.  Returns True on agreement.
+    The column at the bottom index of the window from i to s(i) (_window)
+    determines the leading exponent through the window's trailing interior
+    primes.  Returns True on agreement.
     """
-    from .primeseq import compute_primes, pi_f_data, restrict_presentation
-    from .xicombinatorics import frame_for_tau
-
-    seq = compute_primes(pres)
-    top = seq.eta_data.succ_power(i, 1)
-    _, f_big = pi_f_data(pres, i, 1)
-    sub = restrict_presentation(pres, i, top)
-    sub_tau = frame_for_tau(sub, range(sub.n))
-    bmat = btilde_for_tau(sub_tau)
-    sub_seq = compute_primes(sub)
-    ed = sub_seq.eta_data
-    col = bmat.cols[0]
-    if col[sub.n - 1] != 1:
+    _, f_big = pi_f_data(u_element(pres, i, 1), i, 1)
+    ed, _, bmat = _window(pres, i)
+    col, w = bmat.cols[0], ed.n
+    interior = range(1, w - 1)
+    if col[w - 1] != 1 or any(col[l] and ed.s[l] is not None for l in interior):
         return False
-    combo = [0] * sub.n
-    for l in range(1, sub.n - 1):
-        if ed.s[l] is None:
-            if col[l]:
-                for t, x in enumerate(ed.ebar[l]):
-                    combo[t] -= col[l] * x
-        elif col[l]:
-            return False
-    f_window = list(f_big[i : top + 1])
-    return combo == f_window
+    combo = [-sum(col[l] * ed.ebar[l][t] for l in interior) for t in range(w)]
+    return combo == list(f_big[i : i + w])

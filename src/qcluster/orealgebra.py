@@ -495,11 +495,11 @@ def check_overlaps(pres: Presentation) -> None:
     ``rescale_generators`` applies the automorphism x_i -> gamma_i x_i of
     the free algebra, which sends each rule to a nonzero multiple of a rule
     and so each reduction to a reduction.  Where the rules among x_j..x_k have
-    right-hand sides in that range, their overlaps are overlaps of the whole,
-    rewritten by the same steps, so they present the subalgebra on x_j..x_k:
-    ``primeseq`` runs interval recursions inside the certified algebra, and
-    ``restrict_presentation``, which rejects a table that leaves the range,
-    is left to first_column_crosscheck and the tests.
+    right-hand sides in that range (``primeseq._check_range``), their
+    overlaps are overlaps of the whole, rewritten by the same steps, so they
+    present the subalgebra on x_j..x_k: interval primes and the first-column
+    windows run inside the certified algebra and need no certificate of
+    their own.
 
     The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU),
     a large share of a request on those shapes.  So ``presentation_from_dict``
@@ -540,8 +540,9 @@ def presentation_from_dict(data: dict) -> Presentation:
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
     ({"k,j": [[monomial, coeff], ...]} with coeff a u-polynomial
-    {"exp": int or "frac"} or an exponent), optional "eta", "names",
-    "root".  A JSON float in an exponent or a coefficient is a ValueError.
+    {"exp": int or "frac"} or an exponent), optional "eta", "names" (a list
+    of strings), "root".  A JSON float in an exponent or a coefficient is a
+    ValueError.
 
     The finished algebra is certified by :func:`check_overlaps`, since a
     malformed derivation table yields an inconsistent rewriting system
@@ -591,6 +592,11 @@ def presentation_from_dict(data: dict) -> Presentation:
             mono = tuple(_exact(x, f"delta[{key}] monomial") for x in mono)
             parsed.append((mono, c))
         delta[(k, j)] = tuple(parsed)
+    names = data.get("names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(x, str) for x in names)
+    ):
+        raise ValueError("names is not a list of strings")
     pres = Presentation(
         lam,
         delta,
@@ -598,7 +604,7 @@ def presentation_from_dict(data: dict) -> Presentation:
         exp_list("lambda_diag"),
         exp_list("lambda_star"),
         eta=data.get("eta"),
-        names=data.get("names"),
+        names=names,
         root=root,
     )
     if pres.root > MAX_ROOT:

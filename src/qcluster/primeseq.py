@@ -104,6 +104,12 @@ class EtaData:
             j for j in range(k + 1) if self.s[j] is None or self.s[j] > k
         )
 
+    def chain_start(self, k: int, lo: int) -> int:
+        """The first index of k's chain i, s(i), ..., k that is at least lo."""
+        while self.p[k] is not None and self.p[k] >= lo:
+            k = self.p[k]
+        return k
+
     def succ_power(self, i: int, m: int) -> int:
         j = i
         for _ in range(m):
@@ -241,10 +247,21 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
 def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     """compute_primes for R_[lo,top], the subalgebra on x_lo..x_top, inside pres.
 
-    The caller checks the range first (_check_range).  Every index counts from
-    lo, so an error reads as on restrict_presentation(pres, lo, top).  A longer
-    range resumes from the stages run from lo; the level-set and leading-term
-    checks cover lo..top.  The result holds term dicts, as the memo does.
+    The caller checks the range first (_check_range).  Stages, level sets and
+    errors count from lo, as if R_[lo,top] were presented on its own.  A
+    longer range resumes from the stages run from lo; the level-set and
+    leading-term checks cover lo..top.  The result holds term dicts, as the
+    memo does.
+
+    No input fails the leading-term check, whatever lo is.  A stage without
+    a derivation adds x_k.  A derivation stage adds y_j x_k - c, where y_j
+    lies on x_lo..x_(k-1) with leading term x^ebar_j and coefficient 1; so
+    each monomial x^f of y_j gives x^f x_k = x^(f + e_k) with no rewriting,
+    and the leading term of y_j x_k is x^(ebar_j + e_k) with coefficient 1.
+    c is a multiple of delta_k(y_j), which has no x_k (apply_sigma_delta
+    rejects one that leaves R_(k-1)), so it lies reverse-lex below.  The
+    check stays as a guard on this argument, on which interval primes and
+    the first-column window rest.
     """
     runs, checked = _MEMO.setdefault(pres, ({}, {}))
     if (lo, top) in checked:
@@ -324,40 +341,6 @@ def _check_range(pres: Presentation, j: int, k: int) -> None:
             raise ValueError(f"delta[{b},{a}] leaves the generators {j}..{k}")
 
 
-def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
-    """The subalgebra on generators j..k (inclusive) as an algebra of its own.
-
-    It inherits the overlap certificate of pres (see
-    orealgebra.check_overlaps), provided every derivation among x_j..x_k
-    stays in that range; a table where one does not is a ValueError.  Interval
-    primes run inside pres (_primes); this serves first_column_crosscheck.
-    """
-    _check_range(pres, j, k)
-    idx = list(range(j, k + 1))
-    delta = {
-        (b - j, a - j): tuple((f[j : k + 1], c) for f, c in terms)
-        for (b, a), terms in pres.delta.items()
-        if a >= j and b <= k
-    }
-    return Presentation(
-        pres.lam.restricted(idx),
-        delta,
-        [pres.weights[i] for i in idx],
-        [pres.lam_diag[i] for i in idx],
-        lam_star=[pres.lam_star[i] for i in idx],
-        eta=[pres.eta[i] for i in idx] if pres.eta is not None else None,
-        names=[pres.names[i] for i in idx],
-        root=pres.root,
-    )
-
-
-def embed_interval(pres: Presentation, j: int, elem: PBWElement) -> PBWElement:
-    """Reinterpret an element of the subalgebra on j.. as one of pres."""
-    z = (0,) * pres.n
-    terms = {z[:j] + f + z[j + len(f) :]: c for f, c in elem.terms.items()}
-    return PBWElement(pres, terms)
-
-
 def interval_prime(pres: Presentation, i: int, m: int) -> PBWElement:
     """The prime y over the chain i, s(i), ..., s^m(i), inside pres.
 
@@ -411,9 +394,8 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
     return u
 
 
-def pi_f_data(pres: Presentation, i: int, m: int):
-    """Leading coefficient and exponent of the difference element."""
-    u = u_element(pres, i, m)
+def pi_f_data(u: PBWElement, i: int, m: int):
+    """Leading coefficient and exponent of the difference element u at (i, m)."""
     if u.is_zero:
         raise ValueError(f"difference element [{i}, m={m}] vanishes")
     f, lead = leading_term(u)
@@ -447,7 +429,7 @@ def rescale_generators(pres: Presentation):
         pi_idx = ed.p[i]
         if pi_idx is None:
             continue
-        pi, f = pi_f_data(pres, pi_idx, 1)
+        pi, f = pi_f_data(u_element(pres, pi_idx, 1), pi_idx, 1)
         target = interval_scalar_target(pres, pi_idx, f).to_coeff(pres.root)
         gamma[i] = (
             gamma[pi_idx].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
@@ -473,7 +455,7 @@ def rescale_generators(pres: Presentation):
     for i in range(n):
         if seq2.eta_data.s[i] is None:
             continue
-        pi2, f2 = pi_f_data(rescaled, i, 1)
+        pi2, f2 = pi_f_data(u_element(rescaled, i, 1), i, 1)
         want = interval_scalar_target(rescaled, i, f2).to_coeff(pres.root)
         if pi2 != want:
             raise ValueError(

@@ -184,9 +184,7 @@ def frame_for_tau(
         x = tau[k]
         lo, hi = min(lo, x), max(hi, x)
         if x >= tau[0]:
-            start = x
-            while ed.p[start] is not None and ed.p[start] >= lo:
-                start = ed.p[start]
+            start = ed.chain_start(x, lo)
             end = x
         else:
             start = x
@@ -255,10 +253,7 @@ def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:
         elif k == top:
             start, end = i, top
         else:
-            start = k
-            while ed.p[start] is not None and ed.p[start] > i:
-                start = ed.p[start]
-            end = k
+            start, end = ed.chain_start(k, i + 1), k
         vecs.append(ed.interval_vector(start, end))
         images.append(_interval_image(pres, seq, start, end))
     emat = exp_mat_product(pres.nu(), list(zip(*vecs)))
@@ -284,14 +279,9 @@ def window_support_vector(
         c = rem[k]
         if c == 0:
             continue
-        start = k
-        while ed.p[start] is not None and ed.p[start] > i:
-            start = ed.p[start]
         g[k - i] = c
-        j: Optional[int] = k
-        while j is not None and j >= start:
-            rem[j] -= c
-            j = ed.p[j]
+        chain = ed.interval_vector(ed.chain_start(k, i + 1), k)
+        rem = [r - c * x for r, x in zip(rem, chain)]
     if any(rem):
         raise ValueError("vector is not a combination of interior chains")
     return tuple(g)

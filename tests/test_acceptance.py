@@ -121,7 +121,7 @@ def test_criterion_02_difference_elements_are_scaled_monomials():
             )
             u = u_element(pres, i, 1)
             assert u.terms == {expected: q}
-            pi, f = pi_f_data(pres, i, 1)
+            pi, f = pi_f_data(u, i, 1)
             assert f == expected
             assert pi == q
             assert pi == interval_scalar_target(pres, i, f).to_coeff(pres.root)
@@ -238,7 +238,8 @@ def test_criterion_08_interval_identities_and_bracketing_scalar():
                 break
             fr = interval_frame(pres, i, m)
             w = top - i + 1
-            pi, f = pi_f_data(pres, i, m)
+            u = u_element(pres, i, m)
+            pi, f = pi_f_data(u, i, m)
             g = window_support_vector(pres, i, m, f)
             v1 = [0] * w
             v1[0] -= 1
@@ -253,7 +254,6 @@ def test_criterion_08_interval_identities_and_bracketing_scalar():
             )
             combos = [(ScalarExp(0), tuple(v1)), (ScalarExp(0), tuple(v2))]
             assert check_frame_identity(fr, target, combos), (i, m)
-            u = u_element(pres, i, m)
             dec = frame_value(fr, g).scaled(
                 symmetrization(nu, f).inv()
             ).scaled(pi)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcluster import cli
+from qcluster import cli, primeseq
 from qcluster.cli import main
 from qcluster.orealgebra import Presentation, quantum_matrix_preset
+from qcluster.primeseq import compute_primes
 from qcluster.xicombinatorics import gamma_chain
 
 BAD_CUSTOM = {
@@ -263,6 +264,10 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         # one above schubertdata.MAX_RANK; A150 once took 16 s to load
         (None, ("--cmd", "schubert", "--preset", "schubert", "--type", "A",
                 "--rank", "17", "--word", "1")),
+        # a name that is not a string once reached the PBW printer of primes
+        ({**GRID22, "names": [{}, {}, {}, {}]}, ("--cmd", "primes")),
+        ({**GRID22, "names": [{}, {}, {}, {}]}, ("--cmd", "verify")),
+        ({**GRID22, "names": "abcd"}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -291,6 +296,9 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "delta-not-an-object",
         "root-above-bound",
         "rank-above-bound",
+        "names-not-strings-primes",
+        "names-not-strings-verify",
+        "names-not-a-list",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -315,11 +323,20 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path):
     assert err.startswith(f"qcluster: cannot write {target}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("cmd, built", [("intervals", 1), ("bmatrix", 1), ("verify", 6)])
-def test_one_presentation_per_request(capsys, monkeypatch, cmd, built):
-    """Interval primes run inside the loaded algebra.  verify 3x3 adds the
-    rescaled algebra and one window for each of the four first-column
-    checks."""
+@pytest.mark.parametrize(
+    "cmd, shape, built",
+    [
+        ("intervals", (3, 3), 1),
+        ("bmatrix", (3, 3), 1),
+        ("verify", (3, 3), 2),
+        ("verify", (4, 4), 2),
+        ("intervals", (4, 5), 1),
+    ],
+    ids=["intervals-1", "bmatrix-1", "verify-2", "verify-4x4-2", "intervals-4x5-1"],
+)
+def test_one_presentation_per_request(capsys, monkeypatch, cmd, shape, built):
+    """Interval primes and the first-column windows run inside the loaded
+    algebra; verify adds only the rescaled algebra."""
     count = []
     real_init = Presentation.__init__
 
@@ -328,8 +345,40 @@ def test_one_presentation_per_request(capsys, monkeypatch, cmd, built):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(Presentation, "__init__", init)
-    rc, _, _ = run_cli(capsys, "--cmd", cmd, "--m", "3", "--n", "3")
+    m, n = shape
+    rc, _, _ = run_cli(capsys, "--cmd", cmd, "--m", str(m), "--n", str(n))
     assert rc == 0 and len(count) == built
+
+
+def _count_u(monkeypatch):
+    """Record each (i, m) that u_element is called with, from cli or primeseq."""
+    calls = []
+    real = primeseq.u_element
+
+    def u_element(pres, i, m):
+        calls.append((i, m))
+        return real(pres, i, m)
+
+    monkeypatch.setattr(cli, "u_element", u_element)
+    monkeypatch.setattr(primeseq, "u_element", u_element)
+    return calls
+
+
+def test_intervals_form_each_u_once(capsys, monkeypatch):
+    calls = _count_u(monkeypatch)
+    rc, out, _ = run_cli(capsys, "--cmd", "intervals", "--m", "3", "--n", "4")
+    assert rc == 0
+    entries = [(e["start"], e["steps"]) for e in json.loads(out)["intervals"]]
+    assert len(entries) == 8 and sorted(calls) == sorted(entries)
+
+
+def test_interval_identity_forms_each_u_once(monkeypatch):
+    pres = quantum_matrix_preset(3, 4)
+    calls = _count_u(monkeypatch)
+    cli._check_interval_identity(cli.Session(None, pres))
+    ed = compute_primes(pres).eta_data
+    windows = [(i, m) for i in range(pres.n) for m in range(1, ed.o_plus[i] + 1)]
+    assert len(windows) == 8 and sorted(calls) == windows
 
 
 def test_verify_builds_once(capsys, monkeypatch):
@@ -415,6 +464,20 @@ GOLDEN_STDOUT = [
          "--mutations", "0", "1", "2", "4", "5", "6"),
         "bd15a7ac6c63f3df8ab86da365b6ee335cfbcf8e5032aea98565280185b97e2e",
     ),
+    # recorded before the first-column windows ran inside the loaded algebra
+    # and each difference element was formed once per interval
+    (
+        ("--cmd", "verify", "--m", "3", "--n", "3"),
+        "be29423943102026c1a3a52ccb40c969e7ebed3f0a1d545ce363c7093bd84567",
+    ),
+    (
+        ("--cmd", "verify", "--m", "3", "--n", "4"),
+        "611c4929271fae03cf8c271665b17697aeed0b503334898573d70c62ab7a89bb",
+    ),
+    (
+        ("--cmd", "intervals", "--m", "4", "--n", "5"),
+        "42ab1923aa21d1b20615d52d98f2aac3792367ffcd355ccca3399e809e377261",
+    ),
 ]
 
 
@@ -426,12 +489,45 @@ GOLDEN_STDOUT = [
         "primes-3x3", "intervals-3x3", "intervals-2x4",
         "primes-4x5", "intervals-5x4", "bmatrix-4x5",
         "mutate-3x4", "mutate-4x4",
+        "verify-3x3", "verify-3x4", "intervals-4x5",
     ],
 )
 def test_golden_stdout(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _without_star(k):
+    """The 2x3 preset, serialized, with lambda_star[k] set to null."""
+    data = serialize(quantum_matrix_preset(2, 3))
+    data["lambda_star"][k] = None
+    return data
+
+
+# custom files whose command exits 1, with the stdout digest recorded before
+# the first-column windows ran inside the loaded algebra.  Without
+# lambda_star[1], first-column fails on the window from 1, where generator 1
+# is the window's index 0, and bmatrix on index 1 of the whole algebra.
+GOLDEN_FAILURES = [
+    (
+        _without_star(1),
+        ("--cmd", "verify"),
+        "50ce1905a2fc497453cfcb8fe42996946858166b3143a60942c0ece5fa380ff0",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, argv, digest", GOLDEN_FAILURES, ids=["verify-2x3-star1"])
+def test_golden_failures(capsys, tmp_path, data, argv, digest):
+    source = tmp_path / "custom.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, *argv, "--preset", "custom", "--file", str(source))
+    assert rc == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    checks = json.loads(out)["checks"]
+    assert checks["first-column"] == "fail: ValueError: index 0 lacks a nontrivial squared scalar"
+    assert checks["bmatrix"] == "fail: ValueError: index 1 lacks a nontrivial squared scalar"
 
 
 FUZZ_ENTRY = st.one_of(
@@ -545,3 +641,56 @@ def test_custom_delta_fuzz(capsys, tmp_path, coeff):
         assert rc in (0, 1) and err == ""
         payload = json.loads(out)
         assert (rc == 1) == ("error" in payload)
+
+
+FUZZ_NAME = st.one_of(
+    st.text(max_size=3),
+    st.integers(-2, 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 1), max_size=1),
+)
+FUZZ_NAMES = st.one_of(
+    st.none(),
+    st.lists(FUZZ_NAME, min_size=4, max_size=4),
+    st.lists(FUZZ_NAME, max_size=5),
+    st.lists(st.text(max_size=3), min_size=4, max_size=4),
+    st.text(max_size=5),
+    st.integers(-2, 2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=4),
+)
+FUZZ_ETA = st.one_of(
+    st.none(),
+    st.lists(FUZZ_ENTRY, max_size=5),
+    # level-set labels of the right length: the preset's partition or another
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.text(max_size=5),
+    st.integers(-2, 2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=4),
+)
+
+
+@given(FUZZ_NAMES, FUZZ_ETA, st.sampled_from(["primes", "verify"]))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_custom_names_and_eta_fuzz(capsys, tmp_path, names, eta, cmd):
+    """The 2x2 preset with its names and declared level sets replaced; eta
+    reaches the ranged recursion of the intervals and the first-column
+    windows through verify."""
+    data = {**GRID22, "names": names, "eta": eta}
+    source = tmp_path / "fuzz.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
+    else:
+        assert rc in (0, 1) and err == ""
+        payload = json.loads(out)
+        # verify reports failed checks under "ok"; a failed body sets "error"
+        assert (rc == 1) == ("error" in payload or payload.get("ok") is False)

@@ -6,15 +6,17 @@ import pytest
 
 from qcluster.exchangesolver import (
     LinearSystem,
+    _window,
     btilde_for_tau,
     first_column_crosscheck,
     quantum_matrix_btilde,
     symmetrizers_from_scalars,
 )
 from qcluster.mutation import compatibility_check
-from qcluster.orealgebra import quantum_matrix_preset
-from qcluster.primeseq import compute_primes
-from qcluster.xicombinatorics import identity_frame
+from qcluster.orealgebra import quantum_matrix_preset, weight_of
+from qcluster.primeseq import compute_primes, rescale_generators
+from qcluster.xicombinatorics import frame_for_tau, identity_frame
+from restriction import embed_interval, restrict_presentation
 
 
 def test_linear_system():
@@ -74,7 +76,7 @@ def test_solved_matrix_is_compatible():
 
 def test_symmetrizers_for_quantum_matrices():
     pres = quantum_matrix_preset(2, 3)
-    d = symmetrizers_from_scalars(pres, (0, 1))
+    d = symmetrizers_from_scalars(pres.lam_star, (0, 1))
     assert d == {0: 1, 1: 1}
 
 
@@ -84,3 +86,32 @@ def test_first_column_crosscheck():
         seq = compute_primes(pres)
         for i in seq.eta_data.exchangeable():
             assert first_column_crosscheck(pres, i)
+
+
+def test_windows_match_the_restricted_route():
+    """Each first-column window runs inside the algebra; the oracle presents
+    the window on its own and solves its identity frame.  The two agree on
+    the level-set data, the frame, the image weights and the exchange
+    matrix, on every window of the presets with at most 20 generators and
+    of two rescaled presets."""
+    shapes = [(m, n) for m in range(1, 6) for n in range(1, 6) if m * n <= 20]
+    cases = [quantum_matrix_preset(m, n) for m, n in shapes]
+    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    windows = 0
+    for pres in cases:
+        ed = compute_primes(pres).eta_data
+        for i in ed.exchangeable():
+            sub = restrict_presentation(pres, i, ed.s[i])
+            sub_ed = compute_primes(sub).eta_data
+            tp = frame_for_tau(sub, range(sub.n))
+            wed, frame, bmat = _window(pres, i)
+            assert (wed.p, wed.ebar) == (sub_ed.p, sub_ed.ebar), (pres, i)
+            assert wed.exchangeable() == tp.ex, (pres, i)
+            assert frame.emat == tp.frame.emat, (pres, i)
+            assert frame.images == [embed_interval(pres, i, y) for y in tp.frame.images]
+            assert [weight_of(y) for y in frame.images] == tp.image_weights, (pres, i)
+            assert bmat == btilde_for_tau(tp), (pres, i)
+            assert first_column_crosscheck(pres, i), (pres, i)
+            windows += 1
+    # (m-1)(n-1) windows per shape, and 2 + 4 on the rescaled presets
+    assert windows == sum((m - 1) * (n - 1) for m, n in shapes) + 6

@@ -30,17 +30,16 @@ from qcluster.primeseq import (
     _primes,
     certify_prime,
     compute_primes,
-    embed_interval,
     interval_prime,
     interval_scalar_target,
     normality_scalar,
     pi_f_data,
     rescale_generators,
-    restrict_presentation,
     u_element,
 )
 from qcluster.qtorus import proportionality_scalar
 from qcluster.scalarfield import Coeff, ScalarExp
+from restriction import embed_interval, restrict_presentation
 
 P22 = quantum_matrix_preset(2, 2)
 P23 = quantum_matrix_preset(2, 3)
@@ -204,7 +203,7 @@ def test_u_elements():
     for i in seq.eta_data.exchangeable():
         u = u_element(P23, i, 1)
         assert u == pbw_mul(P23.gen(i + 1), P23.gen(i + 3)).scaled(q)
-        pi, f = pi_f_data(P23, i, 1)
+        pi, f = pi_f_data(u, i, 1)
         assert pi == q
         assert f == tuple(
             1 if t in (i + 1, i + 3) else 0 for t in range(6)
