@@ -643,6 +643,59 @@ def test_custom_delta_fuzz(capsys, tmp_path, coeff):
         assert (rc == 1) == ("error" in payload)
 
 
+# FUZZ_ENTRY without its huge integers: a diagonal scalar q^e at a derivation
+# stage costs time and memory linear in e (0.06 s at e = 30,000 on the 2x2
+# preset; e = 10**15 exhausts memory)
+FUZZ_EXPONENT = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "1/0", "1e3", "nan", " 1 ", "1/2/3", "0x10"]),
+    st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+FUZZ_EXPONENTS = st.one_of(
+    st.none(),
+    st.lists(FUZZ_EXPONENT, max_size=5),
+    # one exponent per generator, as the preset's lists have
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(-3, 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    st.text(max_size=5),
+    st.integers(-2, 2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=4),
+)
+
+
+@given(FUZZ_EXPONENTS, FUZZ_EXPONENTS, st.sampled_from(["primes", "bmatrix"]))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_custom_diag_and_star_fuzz(capsys, tmp_path, diag, star, cmd):
+    """The 2x2 preset with its lambda_diag and lambda_star replaced: the
+    diagonal scalars reach the prime recursion, the squared ones the
+    exchange-matrix solve."""
+    data = {**GRID22, "lambda_diag": diag, "lambda_star": star}
+    source = tmp_path / "fuzz.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
+    else:
+        assert rc in (0, 1) and err == ""
+        payload = json.loads(out)
+        assert (rc == 1) == ("error" in payload)
+
+
 FUZZ_NAME = st.one_of(
     st.text(max_size=3),
     st.integers(-2, 2),
