@@ -3,7 +3,7 @@ polynomial algebras.
 
 The package is organized bottom-up:
 
-* ``scalarfield``   exact scalars q**e and rational functions in q**(1/D)
+* ``scalarfield``   exact rational functions in q**(1/D); q**e from its exponent
 * ``linalg``        exact fraction-free elimination: solve, rank, det, inverse
 * ``bicharacter``   skew-symmetric exponent matrices and the Omega pairing
 * ``qtorus``        based quantum torus elements and toric frames
@@ -16,7 +16,7 @@ The package is organized bottom-up:
 * ``cli``           JSON-reporting command line front end
 """
 
-from .scalarfield import Coeff, ScalarExp, coeff_div, scalar_pow
+from .scalarfield import Coeff, coeff_div
 from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
 from .qtorus import (
     TorusElement,
@@ -102,9 +102,7 @@ from .schubertdata import (
 
 __all__ = [
     "Coeff",
-    "ScalarExp",
     "coeff_div",
-    "scalar_pow",
     "ExpMatrix",
     "exp_mat_product",
     "omega",

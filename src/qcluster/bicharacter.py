@@ -4,19 +4,18 @@ A multiplicatively skew-symmetric scalar matrix with entries q**E[k][j] is
 stored through its additive exponent matrix E (rational entries, E[k][k] = 0,
 E[j][k] = -E[k][j]).  The entries are kept as integer numerators ``num``
 over one common denominator ``den`` in lowest terms, so every pairing below
-is integer arithmetic and equal matrices have equal (num, den).  The
-induced pairing on integer vectors is
+is integer arithmetic and equal matrices have equal (num, den).
 
-    omega(E, f, g) = q ** (f^T E g),
+A q-power is its exponent, a Fraction.  The induced pairing on integer
+vectors is q ** omega(E, f, g) and the symmetrization scalar of a monomial
+exponent f is q ** symmetrization(E, f), with
 
-and the symmetrization scalar attached to a monomial exponent f is
+    omega(E, f, g) = f^T E g,
+    symmetrization(E, f) = - sum_{j<k} E[j][k] f_j f_k,
 
-    symmetrization(E, f) = q ** ( - sum_{j<k} E[j][k] f_j f_k ).
-
-:func:`_pairing` is the integer den * f^T E g behind omega; per-term
-products read it and hand it to ``scalarfield._q_power`` directly, so
-:class:`ScalarExp` is built only where the API returns a q-power (omega,
-symmetrization, :meth:`ExpMatrix.entry`).
+and :meth:`ExpMatrix.entry` is E[k][j].  :func:`_pairing` is the integer
+den * f^T E g behind omega; per-term products read it and hand it to
+``scalarfield._q_power`` directly.
 
 Vectors are plain tuples/lists of ints indexed 0..N-1.
 """
@@ -27,8 +26,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, List, Sequence
-
-from .scalarfield import ScalarExp
 
 
 class ExpMatrix:
@@ -101,8 +98,8 @@ class ExpMatrix:
             rows[k][j] = -e
         return cls(rows)
 
-    def entry(self, k: int, j: int) -> ScalarExp:
-        return ScalarExp(Fraction(self.num[k][j], self.den))
+    def entry(self, k: int, j: int) -> Fraction:
+        return Fraction(self.num[k][j], self.den)
 
     def scaled(self, c) -> "ExpMatrix":
         c = Fraction(c)
@@ -162,9 +159,9 @@ def _pairing(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> int:
     return total
 
 
-def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> ScalarExp:
-    """The pairing q ** (f^T E g) as a ScalarExp."""
-    return ScalarExp(Fraction(_pairing(emat, f, g), emat.den))
+def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> Fraction:
+    """The exponent f^T E g of the pairing q ** (f^T E g)."""
+    return Fraction(_pairing(emat, f, g), emat.den)
 
 
 def pairing_row(emat: ExpMatrix, f: Sequence[int]) -> List[int]:
@@ -177,15 +174,15 @@ def pairing_row(emat: ExpMatrix, f: Sequence[int]) -> List[int]:
     return row
 
 
-def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> ScalarExp:
-    """Symmetrization scalar of the monomial with exponent vector f."""
+def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> Fraction:
+    """Exponent of the symmetrization scalar of the monomial x^f."""
     num = emat.num
     support = [(j, fj) for j, fj in enumerate(f) if fj]
     total = 0
     for a, (j, fj) in enumerate(support):
         row = num[j]
         total -= fj * sum(row[k] * fk for k, fk in support[a + 1 :])
-    return ScalarExp(Fraction(total, emat.den))
+    return Fraction(total, emat.den)
 
 
 def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:

@@ -53,7 +53,7 @@ from .qtorus import (
     permutation_cols,
     reindex_frame,
 )
-from .scalarfield import Coeff, ScalarExp
+from .scalarfield import Coeff
 from .schubertdata import CartanData, WordData, word_data
 from .xicombinatorics import (
     frame_for_tau,
@@ -458,16 +458,15 @@ def _check_interval_identity(s: Session):
             v2 = list(g)
             v2[0] -= 1
             sub = interval_prime(pres, ed.s[i], m - 1)
-            target = sub.scaled(
-                symmetrization(nu, ed.interval_vector(ed.s[i], top))
-            )
-            combos = [(ScalarExp(0), tuple(v1)), (ScalarExp(0), tuple(v2))]
+            e = symmetrization(nu, ed.interval_vector(ed.s[i], top))
+            target = sub.scaled(Coeff.q_power(e, pres.root))
+            combos = [(0, tuple(v1)), (0, tuple(v2))]
             assert check_frame_identity(fr, target, combos), (
                 f"interval identity fails at ({i},{m})"
             )
             dec = frame_value(fr, g).scaled(
-                symmetrization(nu, f).inv()
-            ).scaled(pi)
+                pi * Coeff.q_power(-symmetrization(nu, f), pres.root)
+            )
             assert u == dec, f"u decomposition fails at ({i},{m})"
 
 

@@ -64,17 +64,18 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
 
 def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
     """btilde_for_tau on a frame's exponent matrix and image weights, with
-    its exchangeable labels and the squared scalars lam_star by label."""
+    its exchangeable labels and the squared-scalar exponents lam_star by
+    label."""
     if not ex:
         return ExchangeMatrix(emat.n, {})
     for l in ex:
-        if lam_star[l] is None or lam_star[l].e == 0:
+        if not lam_star[l]:
             raise ValueError(f"index {l} lacks a nontrivial squared scalar")
     # rows of den * R_tau^T give den times the pairings with each
     # direction, then one row per weight coordinate
     rows = list(zip(*emat.num)) + list(zip(*image_weights))
     rhs = [
-        [lam_star[l].e * emat.den / 2 if j == l else 0 for l in ex]
+        [lam_star[l] * emat.den / 2 if j == l else 0 for l in ex]
         for j in range(len(rows))
     ]
     sol = LinearSystem(rows, rhs).solve_unique()
@@ -94,16 +95,16 @@ def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
 def symmetrizers_from_scalars(lam_star, ex: Sequence[int]) -> Dict[int, int]:
     """Positive integers proportional to the squared-scalar exponents.
 
-    lam_star holds the squared scalars by label, as Presentation.lam_star
-    does.  The exponents must be constant on level sets and of one sign;
-    the common rescaling to smallest positive integers is returned per
-    exchangeable index.
+    lam_star holds the squared-scalar exponents by label, as
+    Presentation.lam_star does.  The exponents must be constant on level
+    sets and of one sign; the common rescaling to smallest positive
+    integers is returned per exchangeable index.
     """
     exps: Dict[int, Fraction] = {}
     for l in ex:
-        if lam_star[l] is None or lam_star[l].e == 0:
+        if not lam_star[l]:
             raise ValueError(f"index {l} lacks a squared scalar")
-        exps[l] = lam_star[l].e
+        exps[l] = lam_star[l]
     if len({e > 0 for e in exps.values()}) > 1:
         raise ValueError("squared-scalar exponents of mixed sign")
     return dict(zip(exps, primitive([abs(e) for e in exps.values()])))

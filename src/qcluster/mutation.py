@@ -27,7 +27,7 @@ from .bicharacter import ExpMatrix, omega, pairing_row
 from .linalg import primitive, rank
 from .orealgebra import pbw_div_right
 from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
-from .scalarfield import ScalarExp
+from .scalarfield import Coeff
 
 
 def gplus(v: Sequence[int]):
@@ -76,7 +76,7 @@ class ExchangeMatrix:
         return f"ExchangeMatrix(n_rows={self.n_rows}, ex={self.ex})"
 
 
-def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, ScalarExp]:
+def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Fraction]:
     """Diagonal pairings of a compatible pair, as exponents of q.
 
     Raises ValueError when an off-diagonal pairing is nonzero or a
@@ -87,13 +87,13 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Scal
     if emat.n != bmat.n_rows:
         raise ValueError("size mismatch between torus matrix and columns")
     den = emat.den
-    diag: Dict[int, ScalarExp] = {}
+    diag: Dict[int, Fraction] = {}
     for k in bmat.ex:
         for j, e in enumerate(pairing_row(emat, bmat.cols[k])):
             if j == k:
                 if e == 0:
                     raise ValueError(f"diagonal pairing at {k} is trivial")
-                diag[k] = ScalarExp(Fraction(e, den))
+                diag[k] = Fraction(e, den)
             elif e != 0:
                 raise ValueError(
                     f"pairing of column {k} with direction {j} is q^{Fraction(e, den)} != 1"
@@ -285,9 +285,9 @@ class Seed:
 def exchange_terms(frame: ToricFrame, bcol: Sequence[int], k: int):
     """The two summands M(h) entering the exchange relation at k.
 
-    Returns [(scalar, h1), (scalar, h2)] with h1 the positive part and
-    h2 minus the negative part of the column, scalars chosen so that
-    new_image * old_image == sum of scalar_i * M(h_i).
+    Returns [(s1, h1), (s2, h2)] with h1 the positive part and h2 minus
+    the negative part of the column, exponents chosen so that
+    new_image * old_image == sum of q**s_i * M(h_i).
     """
     h1 = gplus(bcol)
     h2 = tuple(-x for x in gminus(bcol))
@@ -301,9 +301,13 @@ def exchange_terms(frame: ToricFrame, bcol: Sequence[int], k: int):
 
 
 def _exchange_sum(frame: ToricFrame, bcol: Sequence[int], k: int):
-    """The right side of the exchange relation at k: sum of scalar * M(h)."""
+    """The right side of the exchange relation at k: sum of q**s * M(h)."""
     (s1, h1), (s2, h2) = exchange_terms(frame, bcol, k)
-    return frame_value(frame, h1).scaled(s1) + frame_value(frame, h2).scaled(s2)
+    root = frame.root
+    return (
+        frame_value(frame, h1).scaled(Coeff.q_power(s1, root))
+        + frame_value(frame, h2).scaled(Coeff.q_power(s2, root))
+    )
 
 
 def exchange_identity_holds(frame: ToricFrame, bcol, k: int, candidate) -> bool:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, _pairing
-from .scalarfield import Coeff, ScalarExp, TermSum, _add_term, _q_power, as_coeff
+from .scalarfield import Coeff, TermSum, _add_term, _q_power, as_coeff
 
 
 def reverse_lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
@@ -57,6 +57,11 @@ def _integer(x, key: str) -> int:
     return int(v)
 
 
+def _exponents(vals) -> tuple:
+    """q-exponents as Fractions; None (no scalar) stays."""
+    return tuple(None if v is None else Fraction(v) for v in vals)
+
+
 class Presentation:
     """Generators, commutation exponents, derivation table, torus weights."""
 
@@ -65,8 +70,8 @@ class Presentation:
         lam: ExpMatrix,
         delta: dict,
         weights: Sequence[Sequence[int]],
-        lam_diag: Sequence[Optional[ScalarExp]],
-        lam_star: Optional[Sequence[Optional[ScalarExp]]] = None,
+        lam_diag: Sequence[Optional[Fraction]],
+        lam_star: Optional[Sequence[Optional[Fraction]]] = None,
         eta: Optional[Sequence[int]] = None,
         names: Optional[Sequence[str]] = None,
         root: Optional[int] = None,
@@ -79,8 +84,8 @@ class Presentation:
             tuple(_integer(w, "weights") for w in ws) for ws in weights
         )
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(n))
-        self.lam_diag = tuple(lam_diag)
-        self.lam_star = tuple(lam_star) if lam_star is not None else (None,) * n
+        self.lam_diag = _exponents(lam_diag)
+        self.lam_star = _exponents(lam_star) if lam_star is not None else (None,) * n
         self.eta = None if eta is None else tuple(_integer(e, "eta") for e in eta)
         for key, vals in (
             ("weights", self.weights),
@@ -459,14 +464,12 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
         sep = "" if m <= 9 and n <= 9 else "_"
         names.append(f"t{r + 1}{sep}{c + 1}")
         eta.append(c - r)
-    lam_diag = [ScalarExp(-2)] * N
-    lam_star = [ScalarExp(2)] * N
     return Presentation(
         lam,
         delta,
         weights,
-        lam_diag,
-        lam_star,
+        [-2] * N,
+        [2] * N,
         eta=eta,
         names=names,
         root=root,
@@ -540,9 +543,9 @@ def presentation_from_dict(data: dict) -> Presentation:
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
     ({"k,j": [[monomial, coeff], ...]} with coeff a u-polynomial
-    {"exp": int or "frac"} or an exponent), optional "eta", "names" (a list
-    of strings), "root".  A JSON float in an exponent or a coefficient is a
-    ValueError.
+    {"exp": int or "frac"} or an exponent), optional "eta" (a list of
+    integers), "names" (a list of strings), "root".  A JSON float in an
+    exponent, a coefficient or eta is a ValueError.
 
     The finished algebra is certified by :func:`check_overlaps`, since a
     malformed derivation table yields an inconsistent rewriting system
@@ -561,14 +564,14 @@ def presentation_from_dict(data: dict) -> Presentation:
     if root is None:
         root = _default_root(lam)
 
-    def exp_list(key):
+    def listed(key):
+        """data[key], a list without JSON floats, or None when absent or null."""
         vals = data.get(key)
         if vals is None:
-            return [None] * n
-        return [
-            None if v is None else ScalarExp(Fraction(_exact(v, f"{key}[{i}]")))
-            for i, v in enumerate(vals)
-        ]
+            return None
+        if not isinstance(vals, list):
+            raise ValueError(f"{key} is not a list")
+        return [_exact(v, f"{key}[{i}]") for i, v in enumerate(vals)]
 
     delta = {}
     table = data.get("delta") or {}  # absent, null or empty: no derivations
@@ -597,13 +600,14 @@ def presentation_from_dict(data: dict) -> Presentation:
         isinstance(names, list) and all(isinstance(x, str) for x in names)
     ):
         raise ValueError("names is not a list of strings")
+    lam_diag = listed("lambda_diag")
     pres = Presentation(
         lam,
         delta,
         data["weights"],
-        exp_list("lambda_diag"),
-        exp_list("lambda_star"),
-        eta=data.get("eta"),
+        [None] * n if lam_diag is None else lam_diag,
+        listed("lambda_star"),
+        eta=listed("eta"),
         names=names,
         root=root,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bicharacter import _pairing, omega, pairing_row, symmetrization
@@ -29,7 +30,7 @@ from .orealgebra import (
     leading_term,
     pbw_mul,
 )
-from .scalarfield import Coeff, ScalarExp, _q_power
+from .scalarfield import Coeff, _q_power
 
 
 class EtaData:
@@ -209,7 +210,7 @@ def certify_prime(
     den = pres.lam.den
     one = Coeff.one(root)
     a = _q_power(_pairing(pres.lam, _unit_vec(pres.n, k), ebar_j), den, root)
-    s = a * (pres.lam_diag[k].to_coeff(root) - one)
+    s = a * (Coeff.q_power(pres.lam_diag[k], root) - one)
     row = pairing_row(pres.lam, ebar_j)  # den * omega(ebar_j, e_t)
     for i in range(lo, k):
         for f, _ in pres.delta.get((k, i), ()):
@@ -267,7 +268,7 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     if (lo, top) in checked:
         return checked[(lo, top)]
     preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
-    n, one = pres.n, Coeff.one(pres.root)
+    n = pres.n
     for k in range(lo + len(preds), top + 1):
         t = k - lo  # the stage, counted as in R_[lo,top]
         xk = pres.gen(k)
@@ -290,12 +291,13 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
             if d.is_zero:
                 continue
             moved.append(j)
-            alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
             lam_k = pres.lam_diag[k]
-            if lam_k is None or lam_k.e == 0:
+            if not lam_k:  # no scalar, or q^0
                 raise ValueError(f"stage {t} needs a nontrivial diagonal scalar")
-            denom = alpha.to_coeff(pres.root) * (lam_k.to_coeff(pres.root) - one)
-            c = d.scaled(denom.inv())
+            alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
+            # s = alpha (lambda_k - 1), as in certify_prime
+            s = Coeff.q_power(alpha + lam_k, pres.root) - Coeff.q_power(alpha, pres.root)
+            c = d.scaled(s.inv())
             if certify_prime(pres, k, ebar[j], c, d, lo):
                 hits.append((j, c))
         if len(hits) != 1:
@@ -323,8 +325,9 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
         f, lead = leading_term(PBWElement(pres, ys[t]))
         if f != ebar[t] or not lead.is_one:
             raise ValueError(f"stage {t}: leading term is not the chain monomial")
+    nu = pres.nu()
     ybar = [
-        PBWElement(pres, y).scaled(symmetrization(pres.nu(), e)).terms
+        PBWElement(pres, y).scaled(Coeff.q_power(symmetrization(nu, e), pres.root)).terms
         for y, e in zip(ys[:width], ebar)
     ]
     c = {t: c for t, c in cs.items() if t < width}
@@ -386,7 +389,7 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
         c = interval_prime(pres, s_i, m - 2)
         d = interval_prime(pres, i, m)
         scal = omega(pres.lam, _unit_vec(pres.n, i), ed.interval_vector(s_i, mid_lo))
-        u = pbw_mul(a, b) - pbw_mul(c, d).scaled(scal)
+        u = pbw_mul(a, b) - pbw_mul(c, d).scaled(Coeff.q_power(scal, pres.root))
     for f in u.terms:
         sup = [t for t, x in enumerate(f) if x]
         if sup and (sup[0] <= i or sup[-1] >= top):
@@ -402,8 +405,8 @@ def pi_f_data(u: PBWElement, i: int, m: int):
     return lead, f
 
 
-def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> ScalarExp:
-    """The normalized value S_nu(-e_i + f) the leading pi should match."""
+def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Fraction:
+    """Exponent of S_nu(-e_i + f), the normalized value the leading pi should match."""
     nu = pres.nu()
     g = list(int(x) for x in f)
     g[i] -= 1
@@ -430,7 +433,7 @@ def rescale_generators(pres: Presentation):
         if pi_idx is None:
             continue
         pi, f = pi_f_data(u_element(pres, pi_idx, 1), pi_idx, 1)
-        target = interval_scalar_target(pres, pi_idx, f).to_coeff(pres.root)
+        target = Coeff.q_power(interval_scalar_target(pres, pi_idx, f), pres.root)
         gamma[i] = (
             gamma[pi_idx].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
         )
@@ -456,7 +459,7 @@ def rescale_generators(pres: Presentation):
         if seq2.eta_data.s[i] is None:
             continue
         pi2, f2 = pi_f_data(u_element(rescaled, i, 1), i, 1)
-        want = interval_scalar_target(rescaled, i, f2).to_coeff(pres.root)
+        want = Coeff.q_power(interval_scalar_target(rescaled, i, f2), pres.root)
         if pi2 != want:
             raise ValueError(
                 f"rescaling failed to normalize the leading scalar at {i}"
@@ -472,7 +475,7 @@ def _gamma_power(gamma: Sequence[Coeff], f: Sequence[int], one: Coeff) -> Coeff:
     return out
 
 
-def normality_scalar(pres: Presentation, k: int, i: int) -> ScalarExp:
-    """Exponent scalar in y_k x_i = (scalar) x_i y_k for i <= k."""
+def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
+    """The exponent e in y_k x_i = q**e x_i y_k for i <= k."""
     seq = compute_primes(pres)
     return omega(pres.lam, seq.eta_data.ebar[k], _unit_vec(pres.n, i))

@@ -181,7 +181,7 @@ def frame_value(frame: ToricFrame, g: Sequence[int]):
     g = tuple(int(x) for x in g)
     if len(g) != frame.n:
         raise ValueError("vector length mismatch")
-    out = frame.one.scaled(symmetrization(frame.emat, g))
+    out = frame.one.scaled(Coeff.q_power(symmetrization(frame.emat, g), frame.root))
     for k, e in enumerate(g):
         if e >= 0:
             factor = frame.images[k]
@@ -258,21 +258,22 @@ def matrix_from_images(images: Sequence) -> ExpMatrix:
             c = proportionality_scalar(
                 images[j] * images[k], images[k] * images[j]
             )
-            upper[(j, k)] = c.as_scalar_exp().e / 2
+            upper[(j, k)] = c.q_exponent() / 2
     return ExpMatrix.from_upper(n, upper)
 
 
 def check_frame_identity(frame: ToricFrame, target, combos) -> bool:
-    """Check target == sum_i scalar_i * M(g_i) with g_i possibly negative.
+    """Check target == sum_i q**s_i * M(g_i) for combos [(s_i, g_i)].
 
-    Both sides are left multiplied by M(m), m[j] = max(0, -min_i g_i[j]),
-    which turns every frame value into a product of plain images:
+    The s_i are exponents, and the g_i may be negative.  Both sides are
+    left multiplied by M(m), m[j] = max(0, -min_i g_i[j]), which turns
+    every frame value into a product of plain images:
 
-        M(m) * target == sum_i scalar_i * Omega(m, g_i) * M(m + g_i).
+        M(m) * target == sum_i q**(s_i + omega(m, g_i)) * M(m + g_i).
 
     This keeps the check meaningful for frames whose images live in an
-    ambient algebra without invertible generators.  Scalars are ScalarExp
-    or Coeff factors.
+    ambient algebra without invertible generators.  Each term's scalar is
+    formed once, from the sum of its exponents.
     """
     combos = [(s, tuple(int(x) for x in g)) for s, g in combos]
     m = [0] * frame.n
@@ -286,7 +287,7 @@ def check_frame_identity(frame: ToricFrame, target, combos) -> bool:
     for s, g in combos:
         shifted = tuple(a + b for a, b in zip(m, g))
         term = frame_value(frame, shifted).scaled(
-            omega(frame.emat, m, g)
-        ).scaled(s)
+            Coeff.q_power(s + omega(frame.emat, m, g), frame.root)
+        )
         rhs = term if rhs is None else rhs + term
     return lhs == rhs

@@ -1,11 +1,9 @@
 """Exact scalar arithmetic for a single deformation parameter q.
 
-Three layers:
-
-* :class:`ScalarExp` is a power q**e with rational exponent e, stored
-  additively.  q is generic, so q**e is a root of unity only for e = 0.
-  It is the API's value for a q-power (pairings, symmetrization factors,
-  eigenvalues); the arithmetic inside does not build it per term.
+A power q**e of the generic parameter q is its rational exponent e, a plain
+Fraction (pairings, symmetrization factors, eigenvalues); exponents add
+where the powers multiply, and q**e is a root of unity only for e = 0.
+Two layers hold the scalars themselves:
 
 * :class:`Coeff` is an element of the rational function field Q(u) where
   u = q**(1/root) and ``root`` is a fixed positive integer chosen per
@@ -21,10 +19,12 @@ Three layers:
 * :class:`TermSum` is a finite sum {key: nonzero Coeff}, the common core
   of PBW and torus elements; a subclass fixes the keys and the product.
 
-Exponents of q arrive as integer numerators over a denominator (the form
-``bicharacter.ExpMatrix`` keeps), and :func:`_q_power` turns one into the
-u-monomial u**(num*root/den) with integer arithmetic only; every
-conversion from a q-exponent to a Coeff goes through it.
+:meth:`Coeff.q_power` turns an exponent into the scalar q**e, and a bare
+rational anywhere else is a rational value.  Inside, exponents arrive as
+integer numerators over a denominator (the form ``bicharacter.ExpMatrix``
+keeps), and :func:`_q_power`, the integer core behind ``Coeff.q_power``,
+turns one into the u-monomial u**(num*root/den) with integer arithmetic
+only.
 
 Everything is immutable by convention; operations return fresh objects,
 except that a product with the unit is the other factor itself.
@@ -34,53 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class ScalarExp:
-    """A power of q with a rational exponent, multiplicative group element."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e=0):
-        self.e = Fraction(e)
-
-    def __mul__(self, other: "ScalarExp") -> "ScalarExp":
-        return ScalarExp(self.e + other.e)
-
-    def __truediv__(self, other: "ScalarExp") -> "ScalarExp":
-        return ScalarExp(self.e - other.e)
-
-    def __pow__(self, m) -> "ScalarExp":
-        return ScalarExp(self.e * Fraction(m))
-
-    def inv(self) -> "ScalarExp":
-        return ScalarExp(-self.e)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.e == 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScalarExp) and self.e == other.e
-
-    def __hash__(self) -> int:
-        return hash(("ScalarExp", self.e))
-
-    def __repr__(self) -> str:
-        if self.e == 0:
-            return "1"
-        if self.e == 1:
-            return "q"
-        return f"q^({self.e})"
-
-    def to_coeff(self, root: int) -> "Coeff":
-        """Embed q**e as a monomial in u = q**(1/root)."""
-        return _q_power(self.e.numerator, self.e.denominator, root)
-
-
-def scalar_pow(s: ScalarExp, m) -> ScalarExp:
-    """m-th power of a scalar, m an integer or Fraction."""
-    return s ** m
 
 
 # -- sparse polynomial helpers (dict exponent -> int, no zero values) --
@@ -247,7 +200,7 @@ class Coeff:
     def is_monomial(self) -> bool:
         return len(self.num) == 1 and len(self.den) == 1
 
-    def as_scalar_exp(self) -> ScalarExp:
+    def q_exponent(self) -> Fraction:
         """Return e with self == q**e; requires a monomial with coeff 1."""
         if not self.is_monomial:
             raise ValueError(f"{self} is not a q power")
@@ -255,7 +208,7 @@ class Coeff:
         if v != 1 or self.den[0] != 1:
             v = Fraction(v, self.den[0])
             raise ValueError(f"{self} is not a q power (coefficient {v})")
-        return ScalarExp(Fraction(k, self.root))
+        return Fraction(k, self.root)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -266,8 +219,6 @@ class Coeff:
             return other
         if isinstance(other, (int, Fraction)):
             return Coeff.from_fraction(other, self.root)
-        if isinstance(other, ScalarExp):
-            return other.to_coeff(self.root)
         return NotImplemented
 
     def __add__(self, other):
@@ -336,7 +287,7 @@ class Coeff:
         return coeff_div(Coeff.one(self.root), self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ScalarExp)):
+        if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, Coeff):
             return NotImplemented
@@ -411,13 +362,11 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
 
 
 def as_coeff(c, root: int) -> Coeff:
-    """c, a Coeff with this root, a ScalarExp or a rational, as a Coeff."""
+    """c, a Coeff with this root or a rational value, as a Coeff."""
     if isinstance(c, Coeff):
         if c.root != root:
             raise ValueError("coefficient root mismatch")
         return c
-    if isinstance(c, ScalarExp):
-        return c.to_coeff(root)
     return Coeff.from_fraction(c, root)
 
 

@@ -17,6 +17,7 @@ other index in this package.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 from typing import List, NamedTuple, Sequence, Tuple
@@ -25,7 +26,6 @@ from .bicharacter import ExpMatrix, pairing_row
 from .linalg import det, inverse
 from .mutation import ExchangeMatrix, skew_symmetrizable
 from .primeseq import EtaData
-from .scalarfield import ScalarExp
 
 
 def _path_cartan(rank: int) -> List[List[int]]:
@@ -259,8 +259,8 @@ class WordData:
             for j in range(n) for k in range(j + 1, n)
         })
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
-        self.lam_diag = tuple(ScalarExp(-2 * d) for d in self.lengths)
-        self.lam_star = tuple(ScalarExp(2 * d) for d in self.lengths)
+        self.lam_diag = tuple(Fraction(-2 * d) for d in self.lengths)
+        self.lam_star = tuple(Fraction(2 * d) for d in self.lengths)
 
     def frame_matrix(self) -> ExpMatrix:
         """Torus exponent matrix of the frame the word determines.

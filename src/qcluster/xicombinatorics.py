@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 from .bicharacter import exp_mat_product, symmetrization
 from .orealgebra import PBWElement, Presentation, weight_of
 from .primeseq import EtaData, PrimeSequence, _chain_prime, compute_primes
-from .qtorus import ToricFrame, matrix_from_images
+from .qtorus import ToricFrame
+from .scalarfield import Coeff
 
 
 def has_interval_prefixes(tau: Sequence[int]) -> bool:
@@ -150,23 +151,21 @@ class TauPresentation:
 def _interval_image(pres, seq, lo: int, hi: int) -> PBWElement:
     """Normalized interval prime over the chain from lo to hi, in pres."""
     y = _chain_prime(pres, lo, hi)
-    return y.scaled(symmetrization(pres.nu(), seq.eta_data.interval_vector(lo, hi)))
+    e = symmetrization(pres.nu(), seq.eta_data.interval_vector(lo, hi))
+    return y.scaled(Coeff.q_power(e, pres.root))
 
 
 def frame_for_tau(
     pres: Presentation,
     tau: Sequence[int],
     seq: Optional[PrimeSequence] = None,
-    verify: bool = False,
 ) -> TauPresentation:
     """Build the toric frame attached to an interval-prefix permutation.
 
     Image number k (original labels) is the normalized interval prime over
     the part of k's level-set chain visible in the tau-prefix where it
     appears; the frame exponent matrix is the pairing matrix of the chain
-    indicator vectors, relabeled the same way.  With verify=True the
-    exponent matrix is recomputed from pairwise image products, which is
-    slower but certifies the quasi-commutation exponents.
+    indicator vectors, relabeled the same way.
     """
     tau = tuple(int(x) for x in tau)
     n = pres.n
@@ -213,8 +212,6 @@ def frame_for_tau(
     r_tau = r_hat.permuted(sigma_inv)
     relabeled = [images[sigma_inv[a]] for a in range(n)]
     frame = ToricFrame(r_tau, relabeled, pres.one(), pres.root)
-    if verify and matrix_from_images(relabeled) != r_tau:
-        raise ValueError("image products disagree with the exponent matrix")
     return TauPresentation(
         pres=pres,
         tau=tau,

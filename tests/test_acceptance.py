@@ -47,7 +47,7 @@ from qcluster.qtorus import (
     permutation_cols,
     reindex_frame,
 )
-from qcluster.scalarfield import Coeff, ScalarExp
+from qcluster.scalarfield import Coeff
 from qcluster.bicharacter import symmetrization
 from qcluster.xicombinatorics import (
     frame_for_tau,
@@ -124,7 +124,7 @@ def test_criterion_02_difference_elements_are_scaled_monomials():
             pi, f = pi_f_data(u, i, 1)
             assert f == expected
             assert pi == q
-            assert pi == interval_scalar_target(pres, i, f).to_coeff(pres.root)
+            assert pi == Coeff.q_power(interval_scalar_target(pres, i, f), pres.root)
     print("criterion 02: PASS - length-one differences are q times the "
           "antidiagonal monomial, all rescalings trivial")
 
@@ -249,13 +249,12 @@ def test_criterion_08_interval_identities_and_bracketing_scalar():
             v2 = list(g)
             v2[0] -= 1
             sub = interval_prime(pres, ed.s[i], m - 1)
-            target = sub.scaled(
-                symmetrization(nu, ed.interval_vector(ed.s[i], top))
-            )
-            combos = [(ScalarExp(0), tuple(v1)), (ScalarExp(0), tuple(v2))]
+            e = symmetrization(nu, ed.interval_vector(ed.s[i], top))
+            target = sub.scaled(Coeff.q_power(e, pres.root))
+            combos = [(0, tuple(v1)), (0, tuple(v2))]
             assert check_frame_identity(fr, target, combos), (i, m)
             dec = frame_value(fr, g).scaled(
-                symmetrization(nu, f).inv()
+                Coeff.q_power(-symmetrization(nu, f), pres.root)
             ).scaled(pi)
             assert u == dec, (i, m)
             checked.append((i, m))
@@ -264,8 +263,8 @@ def test_criterion_08_interval_identities_and_bracketing_scalar():
 
     # two ways to build the depth-two difference element share their leading
     # exponent, and the coefficients differ by the inverse diagonal scalar
-    assert pres.lam_star[0].e == 2
-    theta = ScalarExp(-2).to_coeff(pres.root)
+    assert pres.lam_star[0] == 2
+    theta = Coeff.q_power(-2, pres.root)
     f_left, c_left = leading_term(u_element(pres, 0, 2))
     prod = pbw_mul(u_element(pres, 0, 1), u_element(pres, 4, 1))
     f_right, c_right = leading_term(prod)

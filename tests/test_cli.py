@@ -33,8 +33,8 @@ def serialize(pres):
     return {
         "lambda": [[str(x) for x in row] for row in pres.lam.rows],
         "weights": [list(w) for w in pres.weights],
-        "lambda_diag": [None if e is None else str(e.e) for e in pres.lam_diag],
-        "lambda_star": [None if e is None else str(e.e) for e in pres.lam_star],
+        "lambda_diag": [None if e is None else str(e) for e in pres.lam_diag],
+        "lambda_star": [None if e is None else str(e) for e in pres.lam_star],
         "delta": {
             f"{k},{j}": [
                 [list(mono), {str(e): str(v) for e, v in c.num.items()}]
@@ -268,6 +268,12 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "names": [{}, {}, {}, {}]}, ("--cmd", "primes")),
         ({**GRID22, "names": [{}, {}, {}, {}]}, ("--cmd", "verify")),
         ({**GRID22, "names": "abcd"}, ("--cmd", "primes")),
+        # a string is not a list, though it once loaded as its characters
+        ({**GRID22, "eta": "0120"}, ("--cmd", "primes")),
+        ({**GRID22, "lambda_diag": "2222"}, ("--cmd", "primes")),
+        ({**GRID22, "lambda_star": "2222"}, ("--cmd", "primes")),
+        ({**GRID22, "lambda_star": {"2": 0, "3": 1, "4": 2, "5": 3}}, ("--cmd", "bmatrix")),
+        ({**GRID22, "eta": [0, 1.0, 2, 0.0]}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -299,6 +305,11 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "names-not-strings-primes",
         "names-not-strings-verify",
         "names-not-a-list",
+        "eta-a-string",
+        "lambda-diag-a-string",
+        "lambda-star-a-string",
+        "lambda-star-an-object",
+        "float-eta",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):

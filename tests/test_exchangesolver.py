@@ -71,7 +71,7 @@ def test_solved_matrix_is_compatible():
     diag = compatibility_check(tp.frame.emat, bmat)
     for k in bmat.ex:
         # every diagonal pairing is the single power q
-        assert diag[k].e == 1
+        assert diag[k] == 1
 
 
 def test_symmetrizers_for_quantum_matrices():

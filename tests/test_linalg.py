@@ -193,7 +193,7 @@ def frame_system(tp, l):
     """The pairing and grading rows of column l, one right-hand side."""
     emat, n = tp.frame.emat, tp.frame.emat.n
     rows = [[emat.rows[i][j] for i in range(n)] for j in range(n)]
-    rhs = [tp.pres.lam_star[l].e / 2 if j == l else 0 for j in range(n)]
+    rhs = [tp.pres.lam_star[l] / 2 if j == l else 0 for j in range(n)]
     for t in range(len(tp.image_weights[0])):
         rows.append([tp.image_weights[k][t] for k in range(n)])
         rhs.append(0)

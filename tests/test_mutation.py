@@ -38,7 +38,6 @@ from qcluster.qtorus import (
     permutation_cols,
     reindex_frame,
 )
-from qcluster.scalarfield import ScalarExp
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
 
 
@@ -78,7 +77,7 @@ def test_random_pairs_are_compatible():
     for _, emat, bmat, d in pairs(7, 30):
         diag = compatibility_check(emat, bmat)
         for k in bmat.ex:
-            assert diag[k] == ScalarExp(Fraction(d[k], 2))
+            assert diag[k] == Fraction(d[k], 2) and isinstance(diag[k], Fraction)
         assert skew_symmetrizable(bmat, d)
 
 
@@ -158,7 +157,7 @@ def test_exchange_terms_have_unit_pairing():
         terms = exchange_terms(seed.frame, bmat.cols[k], k)
         assert len(terms) == 2
         for scalar, h in terms:
-            assert h[k] == 0
+            assert h[k] == 0 and isinstance(scalar, Fraction)
         # the two scalars are chosen so the product with the old variable
         # reproduces the sum; verified through the identity checker
         var = mutated_variable(seed.frame, bmat.cols[k], k)

@@ -130,8 +130,8 @@ def serialize(pres):
     return {
         "lambda": [[str(x) for x in row] for row in pres.lam.rows],
         "weights": [list(w) for w in pres.weights],
-        "lambda_diag": [None if e is None else str(e.e) for e in pres.lam_diag],
-        "lambda_star": [None if e is None else str(e.e) for e in pres.lam_star],
+        "lambda_diag": [None if e is None else str(e) for e in pres.lam_diag],
+        "lambda_star": [None if e is None else str(e) for e in pres.lam_star],
         "delta": {
             f"{k},{j}": [
                 [list(mono), {str(e): str(v) for e, v in c.num.items()}]

@@ -38,7 +38,7 @@ from qcluster.primeseq import (
     u_element,
 )
 from qcluster.qtorus import proportionality_scalar
-from qcluster.scalarfield import Coeff, ScalarExp
+from qcluster.scalarfield import Coeff
 from restriction import embed_interval, restrict_presentation
 
 P22 = quantum_matrix_preset(2, 2)
@@ -153,7 +153,7 @@ def test_normalized_primes():
     seq = compute_primes(P22)
     nu = P22.nu()
     for k in range(4):
-        scal = symmetrization(nu, seq.eta_data.ebar[k])
+        scal = Coeff.q_power(symmetrization(nu, seq.eta_data.ebar[k]), P22.root)
         assert seq.ybar[k] == seq.y[k].scaled(scal)
 
 
@@ -169,10 +169,10 @@ def test_normality():
     seq = compute_primes(P22)
     for k in range(4):
         for i in range(k + 1):
-            scal = normality_scalar(P22, k, i)
-            assert scal == omega(P22.lam, seq.eta_data.ebar[k], _unit(4, i))
+            e = normality_scalar(P22, k, i)
+            assert e == omega(P22.lam, seq.eta_data.ebar[k], _unit(4, i))
             lhs = pbw_mul(seq.y[k], P22.gen(i))
-            rhs = pbw_mul(P22.gen(i), seq.y[k]).scaled(scal)
+            rhs = pbw_mul(P22.gen(i), seq.y[k]).scaled(Coeff.q_power(e, P22.root))
             assert lhs == rhs
 
 
@@ -208,7 +208,7 @@ def test_u_elements():
         assert f == tuple(
             1 if t in (i + 1, i + 3) else 0 for t in range(6)
         )
-        assert pi == interval_scalar_target(P23, i, f).to_coeff(P23.root)
+        assert pi == Coeff.q_power(interval_scalar_target(P23, i, f), P23.root)
 
 
 def test_rescaling_is_trivial_for_quantum_matrices():
@@ -246,8 +246,8 @@ def moved_candidates(pres):
             d = apply_sigma_delta(pres, k, seq.y[j])[1]
             if d.is_zero:
                 continue
-            alpha = omega(pres.lam, _unit(pres.n, k), ed.ebar[j]).to_coeff(pres.root)
-            s = alpha * (pres.lam_diag[k].to_coeff(pres.root) - one)
+            alpha = Coeff.q_power(omega(pres.lam, _unit(pres.n, k), ed.ebar[j]), pres.root)
+            s = alpha * (Coeff.q_power(pres.lam_diag[k], pres.root) - one)
             out.append((k, j, d.scaled(s.inv()), d))
     return out
 
@@ -300,7 +300,7 @@ def _two_moved_primes():
     directly; it fails the overlap certificate at (2,1,0)."""
     lam = ExpMatrix.from_upper(3, {(0, 2): -1})
     delta = {(2, 0): (((0, 0, 0), 1),), (2, 1): (((0, 1, 0), 1),)}
-    lam_diag = [None, None, ScalarExp(-1)]
+    lam_diag = [None, None, -1]
     return Presentation(lam, delta, [[0]] * 3, lam_diag, root=2)
 
 
@@ -423,7 +423,7 @@ def test_interval_prime_rejects_a_derivation_leaving_the_interval():
         ExpMatrix.from_upper(3, {(0, 1): -1, (0, 2): 1, (1, 2): -1}),
         {(2, 1): (((1, 0, 0), qdiff),)},
         [[1, 1], [1, 0], [0, 1]],
-        [None, None, ScalarExp(-2)],
+        [None, None, -2],
         eta=[0, 1, 1],
         root=2,
     )

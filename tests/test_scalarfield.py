@@ -1,4 +1,4 @@
-"""Field arithmetic for exact q-power scalars and rational coefficients."""
+"""Field arithmetic for q-powers and rational coefficients."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.scalarfield import Coeff, ScalarExp, coeff_div, scalar_pow
+from qcluster.scalarfield import Coeff, coeff_div
 
 ROOT = 2
 
@@ -30,30 +30,12 @@ coeffs = st.builds(
 nonzero_coeffs = coeffs.filter(lambda c: not c.is_zero)
 
 
-def test_scalar_exp_basics():
-    a = ScalarExp(Fraction(3, 2))
-    b = ScalarExp(-1)
-    assert (a * b).e == Fraction(1, 2)
-    assert (a / b).e == Fraction(5, 2)
-    assert a.inv() * a == ScalarExp(0)
-    assert ScalarExp(0).is_identity
-    assert not a.is_identity
-    assert scalar_pow(a, 4) == ScalarExp(6)
-    assert a ** -2 == ScalarExp(-3)
-
-
-def test_scalar_exp_repr():
-    assert repr(ScalarExp(0)) == "1"
-    assert repr(ScalarExp(1)) == "q"
-    assert repr(ScalarExp(Fraction(1, 2))) == "q^(1/2)"
-
-
 @given(exponents, exponents)
 def test_q_power_is_a_homomorphism(a, b):
     qa = Coeff.q_power(a, ROOT)
     qb = Coeff.q_power(b, ROOT)
     assert qa * qb == Coeff.q_power(a + b, ROOT)
-    assert qa.as_scalar_exp() == ScalarExp(a)
+    assert qa.q_exponent() == a and isinstance(qa.q_exponent(), Fraction)
 
 
 def test_q_power_rejects_bad_denominator():
@@ -124,7 +106,7 @@ def test_monomial_predicates():
     assert q.is_monomial
     assert not (q + 1).is_monomial
     with pytest.raises(ValueError):
-        (q + 1).as_scalar_exp()
+        (q + 1).q_exponent()
 
 
 def test_mixed_roots_rejected():

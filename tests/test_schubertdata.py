@@ -104,11 +104,12 @@ def test_word_data_a2():
     data = word_data(A2, (1, 2, 1))
     assert data.lengths == (1, 1, 1)
     # commutation exponents are minus the root pairings
-    assert data.lam.entry(1, 0).e == -1
-    assert data.lam.entry(2, 0).e == 1
-    assert data.lam.entry(2, 1).e == -1
-    assert [x.e for x in data.lam_diag] == [-2, -2, -2]
-    assert [x.e for x in data.lam_star] == [2, 2, 2]
+    assert data.lam.entry(1, 0) == -1
+    assert data.lam.entry(2, 0) == 1
+    assert data.lam.entry(2, 1) == -1
+    assert data.lam_diag == (-2, -2, -2)
+    assert data.lam_star == (2, 2, 2)
+    assert all(type(x) is Fraction for x in data.lam_diag + data.lam_star)
     assert data.eta.p == (None, None, 0)
 
 
@@ -129,7 +130,7 @@ def test_column_pairing_a2():
     r = frame_exponent_matrix(A2, (1, 2, 1))
     col = exchange_matrix_for_word(A2, (1, 2, 1)).cols[2]
     for l in range(3):
-        e = omega(r, col, tuple(1 if t == l else 0 for t in range(3))).e
+        e = omega(r, col, tuple(1 if t == l else 0 for t in range(3)))
         assert e == (-1 if l == 2 else 0)
 
 
