@@ -758,3 +758,122 @@ def test_custom_names_and_eta_fuzz(capsys, tmp_path, names, eta, cmd):
         payload = json.loads(out)
         # verify reports failed checks under "ok"; a failed body sets "error"
         assert (rc == 1) == ("error" in payload or payload.get("ok") is False)
+
+
+
+# one weight coordinate or monomial exponent: small integers, and what a
+# JSON file may hold instead
+FUZZ_SMALL = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from(["1", "1/2", "x", "", "1e3"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e17, -1e17, 1.0, 0.0]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+# weights under which the preset's derivation stays homogeneous: integer
+# functionals of the preset's weights, one per coordinate
+PLAUSIBLE_WEIGHTS = st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3),
+    st.sampled_from([1, 10**17]),
+).map(
+    lambda ms: [
+        [ms[1] * sum(a * b for a, b in zip(w, col)) for col in ms[0]]
+        for w in GRID22["weights"]
+    ]
+)
+# a key "k,j" with j < k and a monomial on x_0..x_(k-1)
+PLAUSIBLE_ENTRY = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.integers(0, k - 1).map(lambda j: f"{k},{j}"),
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
+            lambda f: f + [0] * (4 - len(f))
+        ),
+    )
+)
+
+
+@st.composite
+def fuzzed_weights(draw):
+    """The 2x2 preset's weights with one to three edits, or another value."""
+    if draw(st.booleans()):
+        return draw(st.one_of(
+            st.none(),
+            st.text(max_size=5),
+            st.integers(-2, 2),
+            st.lists(st.lists(FUZZ_SMALL, max_size=5), max_size=5),
+            st.lists(st.text(max_size=4), min_size=4, max_size=4),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=4),
+            # float forms of plausible weights, which once loaded as integers
+            PLAUSIBLE_WEIGHTS.map(lambda ws: [[float(x) for x in w] for w in ws]),
+        ))
+    weights = [list(w) for w in GRID22["weights"]]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+        if not isinstance(weights[i], list):
+            continue
+        if j < len(weights[i]):
+            weights[i][j] = draw(FUZZ_SMALL)
+        elif draw(st.booleans()):
+            weights[i] = draw(st.one_of(st.text(max_size=4), FUZZ_SMALL))
+        else:
+            del weights[i][:j]
+    return weights
+
+
+FUZZ_DELTA_ENTRY = st.tuples(
+    st.one_of(
+        st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda kj: "%d,%d" % kj),
+        st.sampled_from(["3,0,1", "3", " 3,0", "3.0,0", "a,b", "", ",", "1_0,0", "03,00"]),
+    ),
+    st.one_of(
+        # the preset's monomial 0110 with one entry changed
+        st.tuples(st.integers(0, 3), FUZZ_SMALL).map(
+            lambda e: [e[1] if t == e[0] else x for t, x in enumerate((0, 1, 1, 0))]
+        ),
+        st.lists(st.integers(0, 2), max_size=5),
+        st.sampled_from(["0110", "0,1,1,0", "", [], {"1": 1}, [[0, 1], [1, 0]], None, 3]),
+    ),
+)
+
+
+@given(
+    st.one_of(
+        # files that load more often than not: they reach the recursion
+        st.tuples(PLAUSIBLE_WEIGHTS, st.just([])),
+        # under zero weights every monomial is homogeneous
+        st.tuples(
+            st.sampled_from([[[0, 0]] * 4, [[]] * 4]),
+            st.lists(PLAUSIBLE_ENTRY, min_size=1, max_size=2),
+        ),
+        st.tuples(
+            st.one_of(PLAUSIBLE_WEIGHTS, fuzzed_weights()),
+            st.lists(st.one_of(PLAUSIBLE_ENTRY, FUZZ_DELTA_ENTRY), max_size=2),
+        ),
+    ),
+    st.sampled_from(["bmatrix", "chain"]),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_custom_weights_and_delta_fuzz(capsys, tmp_path, file, cmd):
+    """The 2x2 preset with its weights replaced and derivation entries added
+    or replaced under fuzzed keys and monomials, each with the preset's
+    coefficient."""
+    weights, entries = file
+    coeff = GRID22["delta"]["3,0"][0][1]
+    delta = {**GRID22["delta"], **{key: [[mono, coeff]] for key, mono in entries}}
+    data = {**GRID22, "weights": weights, "delta": delta}
+    source = tmp_path / "fuzz.json"
+    source.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
+    else:
+        assert rc in (0, 1) and err == ""
+        payload = json.loads(out)
+        assert (rc == 1) == ("error" in payload)
