@@ -536,16 +536,26 @@ def _exact(v, where: str):
     return v
 
 
+def _json_list(v, where: str) -> list:
+    """v unchanged; ValueError unless it is a JSON list, since a string or
+    an object would be read as its characters or its keys."""
+    if not isinstance(v, list):
+        raise ValueError(f"{where} is not a list")
+    return v
+
+
 def presentation_from_dict(data: dict) -> Presentation:
     """Build a presentation from plain JSON-style data.
 
     Expected keys: "lambda" (N x N exponent matrix, entries int/"a/b"),
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
-    ({"k,j": [[monomial, coeff], ...]} with coeff a u-polynomial
-    {"exp": int or "frac"} or an exponent), optional "eta" (a list of
-    integers), "names" (a list of strings), "root".  A JSON float in an
-    exponent, a coefficient or eta is a ValueError.
+    ({"k,j": [[monomial, coeff], ...]} with monomial a list of N integers
+    and coeff a u-polynomial {"exp": int or "frac"} or an exponent),
+    optional "eta" (a list of integers), "names" (a list of strings),
+    "root".  Every list named here must be a JSON list, and a JSON float
+    in an exponent, a coefficient, a monomial, a weight or eta is a
+    ValueError.
 
     The finished algebra is certified by :func:`check_overlaps`, since a
     malformed derivation table yields an inconsistent rewriting system
@@ -569,9 +579,7 @@ def presentation_from_dict(data: dict) -> Presentation:
         vals = data.get(key)
         if vals is None:
             return None
-        if not isinstance(vals, list):
-            raise ValueError(f"{key} is not a list")
-        return [_exact(v, f"{key}[{i}]") for i, v in enumerate(vals)]
+        return [_exact(v, f"{key}[{i}]") for i, v in enumerate(_json_list(vals, key))]
 
     delta = {}
     table = data.get("delta") or {}  # absent, null or empty: no derivations
@@ -592,7 +600,8 @@ def presentation_from_dict(data: dict) -> Presentation:
             else:
                 e = _exact(coeff, f"delta[{key}] exponent")
                 c = Coeff.q_power(Fraction(e), root)
-            mono = tuple(_exact(x, f"delta[{key}] monomial") for x in mono)
+            where = f"delta[{key}] monomial"
+            mono = tuple(_exact(x, where) for x in _json_list(mono, where))
             parsed.append((mono, c))
         delta[(k, j)] = tuple(parsed)
     names = data.get("names")
@@ -604,7 +613,10 @@ def presentation_from_dict(data: dict) -> Presentation:
     pres = Presentation(
         lam,
         delta,
-        data["weights"],
+        [
+            [_exact(x, f"weights[{i}]") for x in _json_list(w, f"weights[{i}]")]
+            for i, w in enumerate(_json_list(data["weights"], "weights"))
+        ],
         [None] * n if lam_diag is None else lam_diag,
         listed("lambda_star"),
         eta=listed("eta"),

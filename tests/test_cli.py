@@ -208,6 +208,11 @@ FRACTIONAL_WEIGHT[0][0] = 1.9
 INFINITE_WEIGHT = [list(w) for w in GRID22["weights"]]
 INFINITE_WEIGHT[0][0] = float("inf")
 FLOAT_DELTA = {"3,0": [[GRID22["delta"]["3,0"][0][0], {"2": -1.1, "-2": 1.1}]]}
+STRING_MONOMIAL = {"3,0": [["0110", GRID22["delta"]["3,0"][0][1]]]}
+# the preset's weights as floats, unscaled and scaled by 10**17: both once
+# loaded as the integers they round to
+FLOAT_WEIGHTS = [[float(x) for x in w] for w in GRID22["weights"]]
+HUGE_FLOAT_WEIGHTS = [[x * 1e17 for x in w] for w in GRID22["weights"]]
 FLOAT_LAMBDA = [list(row) for row in GRID22["lambda"]]
 FLOAT_LAMBDA[0][1], FLOAT_LAMBDA[1][0] = 1.0, -1.0
 FLOAT_DIAG = GRID22["lambda_diag"][:3] + [-2.0000000001]
@@ -274,6 +279,11 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "lambda_star": "2222"}, ("--cmd", "primes")),
         ({**GRID22, "lambda_star": {"2": 0, "3": 1, "4": 2, "5": 3}}, ("--cmd", "bmatrix")),
         ({**GRID22, "eta": [0, 1.0, 2, 0.0]}, ("--cmd", "primes")),
+        ({**GRID22, "delta": STRING_MONOMIAL}, ("--cmd", "primes")),
+        ({**GRID22, "weights": FLOAT_WEIGHTS}, ("--cmd", "primes")),
+        ({**GRID22, "weights": HUGE_FLOAT_WEIGHTS}, ("--cmd", "primes")),
+        ({**GRID22, "weights": ["1010", "1001", "0110", "0101"]}, ("--cmd", "primes")),
+        ({**GRID22, "weights": "0000"}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -310,6 +320,11 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "lambda-star-a-string",
         "lambda-star-an-object",
         "float-eta",
+        "delta-monomial-a-string",
+        "float-weights",
+        "huge-float-weights",
+        "weight-vectors-strings",
+        "weights-a-string",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -325,6 +340,10 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert "delta[3,0]" in err
     if data is NOT_CONFLUENT:
         assert "overlap (4,1,0)" in err
+    if data is not None and data.get("delta") is STRING_MONOMIAL:
+        assert "delta[3,0] monomial is not a list" in err
+    if data is not None and data.get("weights") is HUGE_FLOAT_WEIGHTS:
+        assert "weights[0] has a float value" in err
 
 
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):
