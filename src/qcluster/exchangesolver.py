@@ -17,9 +17,8 @@ from typing import Dict, List, Sequence
 
 from .linalg import primitive, solve
 from .mutation import ExchangeMatrix, compatibility_check, skew_symmetrizable
-from .orealgebra import weight_of
 from .primeseq import _check_range, _primes, pi_f_data, u_element
-from .xicombinatorics import TauPresentation, interval_frame
+from .xicombinatorics import TauPresentation, _span_frame, _window_spans
 
 
 class LinearSystem:
@@ -144,10 +143,10 @@ def quantum_matrix_btilde(m: int, n: int) -> ExchangeMatrix:
 def _window(pres, i: int):
     """The window R_[i,top], top = s(i), inside pres, indexed from i.
 
-    Its level-set data come from the ranged prime recursion, its frame is
-    interval_frame(pres, i, 1), and its exchange matrix is solved with its
-    own squared scalars and labels, so an error reads as on the window
-    presented on its own.  The frame is the window's identity frame when
+    Its level-set data come from the ranged prime recursion, its frame and
+    image weights from the chain spans of interval_frame(pres, i, 1), and
+    its exchange matrix is solved with its own squared scalars and labels,
+    so an error reads as on the window presented on its own.  The frame is the window's identity frame when
     the window's level sets are the algebra's, as in a CGL extension; other
     level sets are a ValueError.  Returns (level-set data, frame, matrix).
     """
@@ -158,11 +157,9 @@ def _window(pres, i: int):
     inside = tuple(None if p is None or p < i else p - i for p in ed.p[i : top + 1])
     if wed.p != inside:
         raise ValueError(f"window [{i},{top}] has other level sets than the algebra")
-    frame = interval_frame(pres, i, 1)
-    bmat = _solve_btilde(
-        frame.emat, [weight_of(img) for img in frame.images], wed.exchangeable(),
-        pres.lam_star[i : top + 1],
-    )
+    frame, weights = _span_frame(pres, _window_spans(pres, i, 1))
+    star = pres.lam_star[i : top + 1]
+    bmat = _solve_btilde(frame.emat, weights, wed.exchangeable(), star)
     return wed, frame, bmat
 
 

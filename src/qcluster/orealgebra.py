@@ -537,8 +537,8 @@ def _exact(v, where: str):
 
 
 def _json_list(v, where: str) -> list:
-    """v unchanged; ValueError unless it is a JSON list, since a string or
-    an object would be read as its characters or its keys."""
+    """v unchanged; ValueError unless it is a JSON list, not a string or an
+    object that would be read as its characters or keys."""
     if not isinstance(v, list):
         raise ValueError(f"{where} is not a list")
     return v

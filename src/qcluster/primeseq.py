@@ -9,7 +9,9 @@ from the one for R_{k-1} by the recursion
 
 where p is the predecessor map of a level-set function eta on indices.
 This module infers eta/p/s, builds the y_k together with the c_k, the
-normalized variants, interval versions over subranges of generators, the
+normalized variants, interval versions over subranges of generators (a
+weak memo per presentation builds and checks each chain span once: its
+prime, the normalized image that toric frames share, and its weight), the
 two-by-two difference elements u built from neighbouring interval primes,
 their leading coefficients and exponents (pi, f), and the generator
 rescaling that normalizes those leading coefficients.
@@ -29,6 +31,7 @@ from .orealgebra import (
     apply_sigma_delta,
     leading_term,
     pbw_mul,
+    weight_of,
 )
 from .scalarfield import Coeff, _q_power
 
@@ -221,10 +224,12 @@ def certify_prime(
     return dc.is_zero and sig == c.scaled(a) + d
 
 
-# Per presentation, the stages run from each start and the checked _Range of
-# each range, as term dicts: no entry refers back to its presentation or outlives it.
+# Per presentation, the stages run from each start, the checked _Range of each
+# range and the checked _Span of each chain span, as term dicts and tuples: no
+# entry refers back to its presentation or outlives it.
 _MEMO: "weakref.WeakKeyDictionary[Presentation, tuple]" = weakref.WeakKeyDictionary()
 _Range = namedtuple("_Range", "y ybar c eta_data")
+_Span = namedtuple("_Span", "y image vec weight")
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
@@ -264,7 +269,7 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     check stays as a guard on this argument, on which interval primes and
     the first-column window rest.
     """
-    runs, checked = _MEMO.setdefault(pres, ({}, {}))
+    runs, checked, _ = _MEMO.setdefault(pres, ({}, {}, {}))
     if (lo, top) in checked:
         return checked[(lo, top)]
     preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
@@ -351,17 +356,26 @@ def interval_prime(pres: Presentation, i: int, m: int) -> PBWElement:
     leading term is the chain indicator monomial.
     """
     top = _primes(pres, 0, pres.n - 1).eta_data.succ_power(i, m)
-    return _chain_prime(pres, i, top)
+    return PBWElement(pres, _span(pres, i, top).y)
 
 
-def _chain_prime(pres: Presentation, i: int, top: int) -> PBWElement:
-    """interval_prime given the chain's end; callers have run compute_primes."""
+def _span(pres: Presentation, i: int, top: int) -> _Span:
+    """The prime y over the chain vec from i to top, its image S_nu(vec) y
+    and the image's weight, checked on first use; callers have run
+    compute_primes.  A failing span is not kept, so it fails alike each time."""
+    spans = _MEMO.setdefault(pres, ({}, {}, {}))[2]
+    if (i, top) in spans:
+        return spans[(i, top)]
     _check_range(pres, i, top)
-    out = PBWElement(pres, _primes(pres, i, top).y[-1])
-    f, lead = leading_term(out)
-    ed = _primes(pres, 0, pres.n - 1).eta_data
-    if f != ed.interval_vector(i, top) or not lead.is_one:
+    y = PBWElement(pres, _primes(pres, i, top).y[-1])
+    f, lead = leading_term(y)
+    vec = _primes(pres, 0, pres.n - 1).eta_data.interval_vector(i, top)
+    if f != vec or not lead.is_one:
         raise ValueError(f"interval prime [{i},{top}] has a wrong leading term")
+    image = y.scaled(Coeff.q_power(symmetrization(pres.nu(), vec), pres.root))
+    # weight_of cannot fail: the presentation checks at load that every delta
+    # monomial has the weight of its key, so every prime is weight-homogeneous
+    spans[(i, top)] = out = _Span(y.terms, image.terms, vec, weight_of(image))
     return out
 
 

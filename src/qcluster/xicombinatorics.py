@@ -7,7 +7,9 @@ of the original algebra.  This module enumerates those permutations,
 builds the canonical maximal chain from the identity to the full reversal
 (consecutive entries differing by one adjacent transposition), and
 assembles for each tau the toric frame whose images are the normalized
-interval primes, relabeled back to the original indices.
+interval primes, relabeled back to the original indices.  A frame is its
+list of chain spans, one per label; primeseq builds each span once per
+presentation, so adjacent chain frames share all images but one.
 
 Frames built here carry PBW images of the ambient algebra; identities
 about them are checked after clearing denominators rather than inside a
@@ -16,13 +18,13 @@ fraction field.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from .bicharacter import exp_mat_product, symmetrization
-from .orealgebra import PBWElement, Presentation, weight_of
-from .primeseq import EtaData, PrimeSequence, _chain_prime, compute_primes
+from .bicharacter import exp_mat_product
+from .orealgebra import PBWElement, Presentation
+from .primeseq import EtaData, _primes, _span, compute_primes
 from .qtorus import ToricFrame
-from .scalarfield import Coeff
 
 
 def has_interval_prefixes(tau: Sequence[int]) -> bool:
@@ -113,6 +115,7 @@ def tau_bullet(eta: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
     return tuple(bullet)
 
 
+@dataclass(eq=False, repr=False)
 class TauPresentation:
     """Reordered presentation data and the toric frame it induces.
 
@@ -122,110 +125,83 @@ class TauPresentation:
     space.
     """
 
-    __slots__ = (
-        "pres",
-        "tau",
-        "eta_tau",
-        "bullet",
-        "sigma",
-        "frame",
-        "image_weights",
-        "ex",
-    )
-
-    def __init__(self, pres, tau, eta_tau, bullet, sigma, frame, image_weights,
-                 ex):
-        self.pres = pres
-        self.tau = tau
-        self.eta_tau = eta_tau
-        self.bullet = bullet
-        self.sigma = sigma
-        self.frame = frame
-        self.image_weights = image_weights
-        self.ex = ex
+    pres: Presentation
+    tau: Tuple[int, ...]
+    eta_tau: Tuple[int, ...]
+    bullet: Tuple[int, ...]
+    sigma: Tuple[int, ...]
+    frame: ToricFrame
+    image_weights: list
+    ex: Tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"TauPresentation(tau={list(self.tau)})"
 
 
-def _interval_image(pres, seq, lo: int, hi: int) -> PBWElement:
-    """Normalized interval prime over the chain from lo to hi, in pres."""
-    y = _chain_prime(pres, lo, hi)
-    e = symmetrization(pres.nu(), seq.eta_data.interval_vector(lo, hi))
-    return y.scaled(Coeff.q_power(e, pres.root))
+def _span_frame(pres: Presentation, spans: Sequence[Tuple[int, int]]):
+    """The frame whose image number a is the normalized interval prime over
+    the chain span spans[a] = (start, end), and the weights of its images.
+
+    The exponent matrix is the pairing matrix V^T nu V of the spans' chain
+    indicator vectors, the columns of V.
+    """
+    entries = [_span(pres, i, top) for i, top in spans]
+    emat = exp_mat_product(pres.nu(), list(zip(*(e.vec for e in entries))))
+    images = [PBWElement(pres, e.image) for e in entries]
+    return ToricFrame(emat, images, pres.one(), pres.root), [e.weight for e in entries]
 
 
-def frame_for_tau(
-    pres: Presentation,
-    tau: Sequence[int],
-    seq: Optional[PrimeSequence] = None,
-) -> TauPresentation:
+def frame_for_tau(pres: Presentation, tau: Sequence[int]) -> TauPresentation:
     """Build the toric frame attached to an interval-prefix permutation.
 
-    Image number k (original labels) is the normalized interval prime over
-    the part of k's level-set chain visible in the tau-prefix where it
-    appears; the frame exponent matrix is the pairing matrix of the chain
-    indicator vectors, relabeled the same way.
+    The generator at position k of tau carries label sigma[k], the rank
+    matching of tau_bullet; image number sigma[k] is the normalized
+    interval prime over the part of that generator's level-set chain
+    visible in the tau-prefix where it appears.
     """
     tau = tuple(int(x) for x in tau)
     n = pres.n
     if not has_interval_prefixes(tau):
         raise ValueError("permutation does not have interval prefixes")
-    if seq is None:
-        seq = compute_primes(pres)
-    ed = seq.eta_data
+    ed = _primes(pres, 0, n - 1).eta_data
     eta_tau = tuple(ed.eta[tau[k]] for k in range(n))
     pos_data = EtaData(eta_tau)
-    lo = hi = tau[0]
-    vecs: List[Tuple[int, ...]] = []
-    images: List[PBWElement] = []
-    for k in range(n):
-        x = tau[k]
-        lo, hi = min(lo, x), max(hi, x)
-        if x >= tau[0]:
-            start = ed.chain_start(x, lo)
-            end = x
-        else:
-            start = x
-            end = x
-            while ed.s[end] is not None and ed.s[end] <= hi:
-                end = ed.s[end]
-        vecs.append(ed.interval_vector(start, end))
-        images.append(_interval_image(pres, seq, start, end))
-        # positional chains must describe the same intervals
-        pos_vec = [0] * n
-        j: Optional[int] = k
-        while j is not None:
-            pos_vec[tau[j]] = 1
-            j = pos_data.p[j]
-        if tuple(pos_vec) != vecs[-1]:
-            raise ValueError(
-                f"position {k}: prefix chain disagrees with interval chain"
-            )
-    # pairings of the chain vectors: V^T nu V with V = [vecs as columns]
-    r_hat = exp_mat_product(pres.nu(), list(zip(*vecs)))
     bullet = tau_bullet(ed.eta, tau)
     sigma = tuple(bullet[tau[k]] for k in range(n))
-    sigma_inv = [0] * n
-    for k in range(n):
-        sigma_inv[sigma[k]] = k
-    r_tau = r_hat.permuted(sigma_inv)
-    relabeled = [images[sigma_inv[a]] for a in range(n)]
-    frame = ToricFrame(r_tau, relabeled, pres.one(), pres.root)
+    spans: list = [None] * n
+    lo = hi = tau[0]
+    for k, x in enumerate(tau):
+        lo, hi = min(lo, x), max(hi, x)
+        start = end = x
+        if x >= tau[0]:
+            start = ed.chain_start(x, lo)
+        else:
+            while ed.s[end] is not None and ed.s[end] <= hi:
+                end = ed.s[end]
+        spans[sigma[k]] = (start, end)
+        # positional chains must describe the same intervals: the chain of
+        # position k, read through tau, is the span's chain vector
+        if tuple(_span(pres, start, end).vec[t] for t in tau) != pos_data.ebar[k]:
+            raise ValueError(f"position {k}: prefix chain disagrees with interval chain")
+    frame, weights = _span_frame(pres, spans)
     return TauPresentation(
-        pres=pres,
-        tau=tau,
-        eta_tau=eta_tau,
-        bullet=bullet,
-        sigma=sigma,
-        frame=frame,
-        image_weights=[weight_of(img) for img in relabeled],
-        ex=ed.exchangeable(),
+        pres, tau, eta_tau, bullet, sigma, frame, weights, ed.exchangeable()
     )
 
 
 def identity_frame(pres: Presentation) -> TauPresentation:
     return frame_for_tau(pres, range(pres.n))
+
+
+def _window_spans(pres: Presentation, i: int, m: int) -> List[Tuple[int, int]]:
+    """The chain spans of interval_frame(pres, i, m), window-indexed."""
+    ed = _primes(pres, 0, pres.n - 1).eta_data
+    if m < 1:
+        raise ValueError("window needs at least one chain step")
+    top = ed.succ_power(i, m)
+    spans = [(i, ed.succ_power(i, m - 1))]
+    spans += [(ed.chain_start(k, i + 1), k) for k in range(i + 1, top)]
+    return spans + [(i, top)]
 
 
 def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:
@@ -237,24 +213,7 @@ def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:
     frame in which the one-step mutation identity for interval primes is
     checked.
     """
-    seq = compute_primes(pres)
-    ed = seq.eta_data
-    if m < 1:
-        raise ValueError("window needs at least one chain step")
-    top = ed.succ_power(i, m)
-    vecs: List[Tuple[int, ...]] = []
-    images: List[PBWElement] = []
-    for k in range(i, top + 1):
-        if k == i:
-            start, end = i, ed.succ_power(i, m - 1)
-        elif k == top:
-            start, end = i, top
-        else:
-            start, end = ed.chain_start(k, i + 1), k
-        vecs.append(ed.interval_vector(start, end))
-        images.append(_interval_image(pres, seq, start, end))
-    emat = exp_mat_product(pres.nu(), list(zip(*vecs)))
-    return ToricFrame(emat, images, pres.one(), pres.root)
+    return _span_frame(pres, _window_spans(pres, i, m))[0]
 
 
 def window_support_vector(

@@ -208,10 +208,9 @@ def test_criterion_06_chain_law_on_2x3():
 
 def test_criterion_07_every_generator_appears_in_a_chain_frame():
     pres = quantum_matrix_preset(3, 3)
-    seq = compute_primes(pres)
     remaining = set(range(pres.n))
     for tau in gamma_chain(pres.n):
-        tp = frame_for_tau(pres, tau, seq)
+        tp = frame_for_tau(pres, tau)
         for img in tp.frame.images:
             for k in list(remaining):
                 if img == pres.gen(k):

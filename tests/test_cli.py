@@ -411,6 +411,24 @@ def test_interval_identity_forms_each_u_once(monkeypatch):
     assert len(windows) == 8 and sorted(calls) == windows
 
 
+@pytest.mark.parametrize("shape, spans", [((3, 3), 14), ((2, 4), 11)], ids=["3x3", "2x4"])
+def test_chain_checks_each_span_once(capsys, monkeypatch, shape, spans):
+    """Adjacent chain frames share all interval primes but one: each chain
+    span is built, and its generator range checked, once per request."""
+    checked = []
+    real = primeseq._check_range
+
+    def check_range(pres, j, k):
+        checked.append((j, k))
+        real(pres, j, k)
+
+    monkeypatch.setattr(primeseq, "_check_range", check_range)
+    m, n = shape
+    rc, _, _ = run_cli(capsys, "--cmd", "chain", "--m", str(m), "--n", str(n))
+    assert rc == 0
+    assert len(checked) == len(set(checked)) == spans
+
+
 def test_verify_builds_once(capsys, monkeypatch):
     built, solved = [], []
 
@@ -429,9 +447,9 @@ def test_verify_builds_once(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["ok"] is True
     assert built == [(2, 3)]
     taus = [tuple(tau) for tau in gamma_chain(6)]
-    # the chain solves each frame once; bmatrix and exchange share one
-    # solve of the identity frame
-    assert sorted(solved) == sorted(taus + [tuple(range(6))])
+    # each chain frame is solved once; the identity frame is the chain's
+    # first, which bmatrix, exchange and the chain share
+    assert sorted(solved) == sorted(taus)
     solved.clear()
     cli.chain_walk(quantum_matrix_preset(2, 3))
     assert solved == taus
