@@ -115,7 +115,7 @@ def tau_bullet(eta: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
     return tuple(bullet)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False)
 class TauPresentation:
     """Reordered presentation data and the toric frame it induces.
 
@@ -179,9 +179,10 @@ def frame_for_tau(pres: Presentation, tau: Sequence[int]) -> TauPresentation:
             while ed.s[end] is not None and ed.s[end] <= hi:
                 end = ed.s[end]
         spans[sigma[k]] = (start, end)
+        vec = _span(pres, start, end).vec
         # positional chains must describe the same intervals: the chain of
         # position k, read through tau, is the span's chain vector
-        if tuple(_span(pres, start, end).vec[t] for t in tau) != pos_data.ebar[k]:
+        if tuple(vec[t] for t in tau) != pos_data.ebar[k]:
             raise ValueError(f"position {k}: prefix chain disagrees with interval chain")
     frame, weights = _span_frame(pres, spans)
     return TauPresentation(

@@ -39,6 +39,7 @@ from qcluster.primeseq import (
 )
 from qcluster.qtorus import proportionality_scalar
 from qcluster.scalarfield import Coeff
+from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
 from restriction import embed_interval, restrict_presentation
 
 P22 = quantum_matrix_preset(2, 2)
@@ -432,13 +433,21 @@ def test_interval_prime_rejects_a_derivation_leaving_the_interval():
     msg = r"^delta\[2,1\] leaves the generators 1..2$"
     with pytest.raises(ValueError, match=msg):
         restrict_presentation(pres, 1, 2)
+    # a failing span is not kept: it fails alike on every use, in a frame too
+    for _ in range(2):
+        with pytest.raises(ValueError, match=msg):
+            interval_prime(pres, 1, 1)
     with pytest.raises(ValueError, match=msg):
-        interval_prime(pres, 1, 1)
+        identity_frame(pres)
 
 
 def test_prime_memo_dies_with_its_presentation():
+    """The memo holds term dicts and tuples, never an element that refers
+    back to its presentation, so it keeps none alive."""
     pres = quantum_matrix_preset(2, 3)
     interval_prime(pres, 0, 1)
+    for tau in gamma_chain(pres.n):
+        frame_for_tau(pres, tau)
     ref = weakref.ref(pres)
     del pres
     gc.collect()
