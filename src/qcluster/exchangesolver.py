@@ -146,9 +146,10 @@ def _window(pres, i: int):
     Its level-set data come from the ranged prime recursion, its frame and
     image weights from the chain spans of interval_frame(pres, i, 1), and
     its exchange matrix is solved with its own squared scalars and labels,
-    so an error reads as on the window presented on its own.  The frame is the window's identity frame when
-    the window's level sets are the algebra's, as in a CGL extension; other
-    level sets are a ValueError.  Returns (level-set data, frame, matrix).
+    so an error reads as on the window presented on its own.  The frame is
+    the window's identity frame when the window's level sets are the
+    algebra's, as in a CGL extension; other level sets are a ValueError.
+    Returns (level-set data, frame, matrix).
     """
     ed = _primes(pres, 0, pres.n - 1).eta_data
     top = ed.succ_power(i, 1)

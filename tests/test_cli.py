@@ -797,7 +797,6 @@ def test_custom_names_and_eta_fuzz(capsys, tmp_path, names, eta, cmd):
         assert (rc == 1) == ("error" in payload or payload.get("ok") is False)
 
 
-
 # one weight coordinate or monomial exponent: small integers, and what a
 # JSON file may hold instead
 FUZZ_SMALL = st.one_of(
