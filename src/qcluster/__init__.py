@@ -80,6 +80,7 @@ from .xicombinatorics import (
 )
 from .exchangesolver import (
     btilde_for_tau,
+    certify_btilde,
     first_column_crosscheck,
     quantum_matrix_btilde,
     symmetrizers_from_scalars,
@@ -158,6 +159,7 @@ __all__ = [
     "tau_bullet",
     "window_support_vector",
     "btilde_for_tau",
+    "certify_btilde",
     "first_column_crosscheck",
     "quantum_matrix_btilde",
     "symmetrizers_from_scalars",

@@ -12,13 +12,13 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .bicharacter import symmetrization
 from .exchangesolver import (
     btilde_for_tau,
+    certify_btilde,
     first_column_crosscheck,
     quantum_matrix_btilde,
 )
@@ -26,6 +26,7 @@ from .mutation import (
     Seed,
     compatibility_check,
     exchange_identity_holds,
+    gplus,
     mutate_emat,
     mutate_matrix,
     mutate_seed,
@@ -72,23 +73,39 @@ class ConfigError(Exception):
     """Raised for problems with the requested configuration."""
 
 
-@dataclass
 class RunConfig:
     """Everything a run needs; mirrors the command line flags."""
 
-    command: str
-    preset: str = "quantum-matrices"
-    m: int = 2
-    n: int = 2
-    type: str = "A"
-    rank: int = 2
-    word: Optional[Tuple[int, ...]] = None
-    file: Optional[str] = None
-    mutations: Tuple[int, ...] = ()
-    out: Optional[str] = None
-    seed: int = 0
+    __slots__ = (
+        "command", "preset", "m", "n", "type", "rank", "word", "file",
+        "mutations", "out", "seed",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        command: str,
+        preset: str = "quantum-matrices",
+        m: int = 2,
+        n: int = 2,
+        type: str = "A",
+        rank: int = 2,
+        word: Optional[Tuple[int, ...]] = None,
+        file: Optional[str] = None,
+        mutations: Tuple[int, ...] = (),
+        out: Optional[str] = None,
+        seed: int = 0,
+    ):
+        self.command = command
+        self.preset = preset
+        self.m = m
+        self.n = n
+        self.type = type
+        self.rank = rank
+        self.word = word
+        self.file = file
+        self.mutations = mutations
+        self.out = out
+        self.seed = seed
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.preset not in PRESETS:
@@ -148,7 +165,6 @@ class Session:
         if pres is not None:
             self.pres = pres
         self._frames: dict = {}
-        self._bts: dict = {}
 
     @cached_property
     def pres(self) -> Presentation:
@@ -158,10 +174,13 @@ class Session:
     def word(self) -> WordData:
         return load_word(self.config)
 
-    @property
+    @cached_property
     def identity(self):
-        """The identity frame, the first of the chain, and its exchange matrix."""
-        return self.frame(0), self.btilde(0)
+        """The identity frame, the first of the chain, and its exchange
+        matrix: the one B-tilde solved by elimination; the chain walk
+        carries it to the other frames by certified mutation."""
+        tp = self.frame(0)
+        return tp, btilde_for_tau(tp)
 
     @cached_property
     def taus(self) -> list:
@@ -178,12 +197,6 @@ class Session:
         if t not in self._frames:
             self._frames[t] = frame_for_tau(self.pres, self.taus[t])
         return self._frames[t]
-
-    def btilde(self, t: int):
-        """Exchange matrix of chain frame t, solved on first use."""
-        if t not in self._bts:
-            self._bts[t] = btilde_for_tau(self.frame(t))
-        return self._bts[t]
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -316,17 +329,26 @@ def chain_walk(pres: Presentation):
 
 
 def _walk(session: Session):
-    """chain_walk on the frames and exchange matrices of a session."""
+    """chain_walk on the frames of a session, carrying the identity frame's
+    exchange matrix along the chain.
+
+    A step that swaps positions of two different level sets leaves the
+    frame as it is, so the matrix stays.  A mutation step at kb checks
+    that the frame and the weights mutate, then certifies mutate_matrix of
+    the carried matrix on the next frame (exchangesolver.certify_btilde, whose docstring proves
+    it equal to btilde_for_tau there): the chain law "B-tilde mutates to
+    the next frame" holds by that certificate, with no elimination.
+    """
     pres = session.pres
     frames = session.frames
+    _, bt = session.identity
     steps = []
     for t, pos in enumerate(gamma_chain_swaps(pres.n)):
         tp, tq = frames[t], frames[t + 1]
-        bt = session.btilde(t)
         if tp.eta_tau[pos] != tp.eta_tau[pos + 1]:
             assert tp.frame.images == tq.frame.images, f"step {t}: images moved"
             assert tp.frame.emat == tq.frame.emat, f"step {t}: exponents moved"
-            assert bt == session.btilde(t + 1), f"step {t}: matrix moved"
+            assert tp.ex == tq.ex, f"step {t}: matrix moved"
             steps.append({"step": t, "mutated_at": None})
             continue
         kb = tp.sigma[pos]
@@ -338,13 +360,27 @@ def _walk(session: Session):
         assert exchange_identity_holds(
             tp.frame, bt.cols[kb], kb, tq.frame.images[kb]
         ), f"step {t}: exchange relation fails at {kb}"
-        # btilde ran compatibility_check on this frame and matrix
+        # bt is certified (or solved) on frame t, so the pair is compatible
         assert mutate_emat(tp.frame.emat, bt, kb, check=False) == tq.frame.emat, (
             f"step {t}: exponent matrix does not mutate to the next frame"
         )
-        assert mutate_matrix(bt, kb)[0] == session.btilde(t + 1), (
-            f"step {t}: exchange matrix does not mutate to the next frame"
+        # the weight of the new image is W_t (-e_kb + [b_kb]_+)
+        v = list(gplus(bt.cols[kb]))
+        v[kb] -= 1
+        weights = tp.image_weights
+        moved = tuple(
+            sum(x * w[c] for x, w in zip(v, weights)) for c in range(len(weights[kb]))
         )
+        assert tq.image_weights[kb] == moved, (
+            f"step {t}: weight of image {kb} does not mutate to the next frame"
+        )
+        bt = mutate_matrix(bt, kb)[0]
+        try:
+            certify_btilde(tq, bt)
+        except ValueError:
+            raise AssertionError(
+                f"step {t}: exchange matrix does not mutate to the next frame"
+            ) from None
         steps.append({"step": t, "mutated_at": kb})
     return steps
 

@@ -6,6 +6,7 @@ frame exponent matrix vanishes, the pairing against its own direction has
 the prescribed square, and the weight of the frame value M(b) is zero.
 This module solves that linear system for all columns of a frame with one
 exact elimination (:mod:`linalg`), asserts integrality and uniqueness,
+certifies a candidate matrix against the system without eliminating,
 assembles full exchange matrices, and carries the independent closed-form
 pattern for quantum matrices used to cross-check the solver.
 """
@@ -13,6 +14,7 @@ pattern for quantum matrices used to cross-check the solver.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence
 
 from .linalg import primitive, solve
@@ -61,22 +63,32 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
     )
 
 
+def _btilde_system(emat, image_weights, ex, lam_star):
+    """The system that the exchange matrix of a frame solves, as (rows, rhs).
+
+    The rows of den * R^T give den times the pairings with each direction,
+    then come one row per weight coordinate; the right-hand side holds one
+    column per exchangeable label l, lam*_l * den / 2 at row l and 0
+    elsewhere.
+    """
+    for l in ex:
+        if not lam_star[l]:
+            raise ValueError(f"index {l} lacks a nontrivial squared scalar")
+    rows = list(zip(*emat.num)) + list(zip(*image_weights))
+    rhs = [
+        [lam_star[l] * emat.den / 2 if j == l else 0 for l in ex]
+        for j in range(len(rows))
+    ]
+    return rows, rhs
+
+
 def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
     """btilde_for_tau on a frame's exponent matrix and image weights, with
     its exchangeable labels and the squared-scalar exponents lam_star by
     label."""
     if not ex:
         return ExchangeMatrix(emat.n, {})
-    for l in ex:
-        if not lam_star[l]:
-            raise ValueError(f"index {l} lacks a nontrivial squared scalar")
-    # rows of den * R_tau^T give den times the pairings with each
-    # direction, then one row per weight coordinate
-    rows = list(zip(*emat.num)) + list(zip(*image_weights))
-    rhs = [
-        [lam_star[l] * emat.den / 2 if j == l else 0 for l in ex]
-        for j in range(len(rows))
-    ]
+    rows, rhs = _btilde_system(emat, image_weights, ex, lam_star)
     sol = LinearSystem(rows, rhs).solve_unique()
     cols = {}
     for c, l in enumerate(ex):
@@ -86,6 +98,48 @@ def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
         cols[l] = tuple(int(x) for x in col)
     bmat = ExchangeMatrix(emat.n, cols)
     compatibility_check(emat, bmat)
+    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(lam_star, ex)):
+        raise ValueError("principal part is not skew-symmetrizable")
+    return bmat
+
+
+def certify_btilde(tau_pres: TauPresentation, bmat: ExchangeMatrix) -> ExchangeMatrix:
+    """Confirm that bmat is the exchange matrix of a chain frame, without
+    an elimination; returns bmat, raises ValueError otherwise.
+
+    bmat must solve btilde_for_tau's system exactly, checked in integers
+    row by row, and be skew-symmetrizable with the symmetrizers read off
+    the squared scalars.  The pairing rows already make the pair
+    compatible: the pairings of the columns with the exchangeable
+    directions form a diagonal matrix with the nonzero entries lam*_l / 2,
+    so the columns are independent and bmat has full column rank.  They
+    also imply the symmetry (B^T R B = diag(lam*/2) B_ex is skew because R
+    is), so that check stays only as a guard.
+
+    Uniqueness is what lets a solution stand for the solution.  Along the
+    chain, frame t+1 is frame t mutated at some k: R_{t+1} = E^T R_t E and
+    W_{t+1} = W_t E for the weight matrix W (image weights as columns),
+    where E is the identity but for column k, which is -e_k + [b_k]_+ with
+    b_k the frame-t column at k.  E is unimodular (det E = -1).  For a
+    compatible pair mutate_emat gives the same R_{t+1} with [-b_k]_+ in
+    place of [b_k]_+, and W_t b_k = 0 gives the same W_{t+1}.  So the
+    system matrices satisfy A_{t+1} = diag(c E^T, I) A_t E, with c > 0 the
+    ratio of the denominators of R_{t+1} and R_t, and have the same rank.
+    At the identity frame, btilde_for_tau's solve proves full column rank,
+    so every chain frame's system has at most one solution: a certified
+    bmat is exactly what btilde_for_tau would return on that frame.  The
+    caller must have checked the mutation of R and W (cli's chain walk
+    does); on its own the certificate proves existence, not uniqueness.
+    """
+    emat, ex = tau_pres.frame.emat, tau_pres.ex
+    lam_star = tau_pres.pres.lam_star
+    if bmat.n_rows != emat.n or bmat.ex != ex:
+        raise ValueError("matrix has other columns than the frame's exchangeable labels")
+    rows, rhs = _btilde_system(emat, tau_pres.image_weights, ex, lam_star)
+    for j, (row, want) in enumerate(zip(rows, rhs)):
+        for c, l in enumerate(ex):
+            if sum(map(mul, row, bmat.cols[l])) != want[c]:
+                raise ValueError(f"column at {l} fails row {j} of the system")
     if not skew_symmetrizable(bmat, symmetrizers_from_scalars(lam_star, ex)):
         raise ValueError("principal part is not skew-symmetrizable")
     return bmat

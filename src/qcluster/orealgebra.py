@@ -527,10 +527,12 @@ def check_overlaps(pres: Presentation) -> None:
 
 def _exact(v, where: str):
     """v unchanged; ValueError when it is a JSON float, which would be read
-    as its binary expansion rather than as the number it spells."""
-    if isinstance(v, float):
+    as its binary expansion rather than as the number it spells, or a JSON
+    boolean, which would be read as 1 or 0."""
+    if isinstance(v, (float, bool)):
+        kind = "float" if isinstance(v, float) else "boolean"
         raise ValueError(
-            f"{where} has a float value {v!r}; "
+            f"{where} has a {kind} value {v!r}; "
             "write it as an integer or a fraction string"
         )
     return v
@@ -554,8 +556,8 @@ def presentation_from_dict(data: dict) -> Presentation:
     and coeff a u-polynomial {"exp": int or "frac"} or an exponent),
     optional "eta" (a list of integers), "names" (a list of strings),
     "root".  Every list named here must be a JSON list, and a JSON float
-    in an exponent, a coefficient, a monomial, a weight or eta is a
-    ValueError.
+    or boolean in an exponent, a coefficient, a monomial, a weight or eta
+    is a ValueError.
 
     The finished algebra is certified by :func:`check_overlaps`, since a
     malformed derivation table yields an inconsistent rewriting system
@@ -582,8 +584,10 @@ def presentation_from_dict(data: dict) -> Presentation:
         return [_exact(v, f"{key}[{i}]") for i, v in enumerate(_json_list(vals, key))]
 
     delta = {}
-    table = data.get("delta") or {}  # absent, null or empty: no derivations
-    if not isinstance(table, dict):
+    table = data.get("delta")
+    if table is None:  # absent or null: no derivations
+        table = {}
+    if not isinstance(table, dict):  # false, [] and "" included
         raise ValueError("delta is not an object")
     for key, terms in table.items():
         k, j = (int(x) for x in key.split(","))

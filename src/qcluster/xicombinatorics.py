@@ -18,7 +18,6 @@ fraction field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bicharacter import exp_mat_product
@@ -115,24 +114,38 @@ def tau_bullet(eta: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
     return tuple(bullet)
 
 
-@dataclass(eq=False)
 class TauPresentation:
     """Reordered presentation data and the toric frame it induces.
 
     Attributes use original generator labels where possible: frame images
     and exchange data are indexed by original labels (positions composed
     with the rank-matching relabeling), while eta_tau lives in tau-position
-    space.
+    space.  Instances compare by identity.
     """
 
-    pres: Presentation
-    tau: Tuple[int, ...]
-    eta_tau: Tuple[int, ...]
-    bullet: Tuple[int, ...]
-    sigma: Tuple[int, ...]
-    frame: ToricFrame
-    image_weights: list
-    ex: Tuple[int, ...]
+    __slots__ = (
+        "pres", "tau", "eta_tau", "bullet", "sigma", "frame", "image_weights", "ex"
+    )
+
+    def __init__(
+        self,
+        pres: Presentation,
+        tau: Tuple[int, ...],
+        eta_tau: Tuple[int, ...],
+        bullet: Tuple[int, ...],
+        sigma: Tuple[int, ...],
+        frame: ToricFrame,
+        image_weights: list,
+        ex: Tuple[int, ...],
+    ):
+        self.pres = pres
+        self.tau = tau
+        self.eta_tau = eta_tau
+        self.bullet = bullet
+        self.sigma = sigma
+        self.frame = frame
+        self.image_weights = image_weights
+        self.ex = ex
 
     def __repr__(self) -> str:
         return f"TauPresentation(tau={list(self.tau)})"

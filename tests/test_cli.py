@@ -1,11 +1,16 @@
 """End to end checks for the command line driver.
 
-Everything runs in process through main(argv); stdout is captured with
-capsys so the byte-stability assertions really compare emitted text.
+Everything but the import check runs in process through main(argv);
+stdout is captured with capsys so the byte-stability assertions really
+compare emitted text.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -193,6 +198,24 @@ def test_custom_bad_eta_exits_one(capsys, tmp_path):
     assert "level sets" in payload["error"]
 
 
+def test_cli_import_stays_light():
+    """Every request pays for importing the CLI, and dataclasses alone
+    pulls in inspect, ast, dis and tokenize."""
+    code = (
+        "import sys; before = set(sys.modules); import qcluster.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    added = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "qcluster.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cmd", "nope"])
@@ -218,6 +241,15 @@ FLOAT_LAMBDA[0][1], FLOAT_LAMBDA[1][0] = 1.0, -1.0
 FLOAT_DIAG = GRID22["lambda_diag"][:3] + [-2.0000000001]
 FLOAT_STAR = [2.0] + GRID22["lambda_star"][1:]
 FLOAT_EXPONENT = {"3,0": [[GRID22["delta"]["3,0"][0][0], 0.5]]}
+# JSON true/false in integer and exponent fields, once read as 1/0
+BOOL_WEIGHTS = [[True if x == 1 else x for x in w] for w in GRID22["weights"]]
+BOOL_ETA = [False] + GRID22["eta"][1:]
+BOOL_LAMBDA = [list(row) for row in GRID22["lambda"]]
+BOOL_LAMBDA[0][0] = False
+BOOL_DIAG = GRID22["lambda_diag"][:3] + [True]
+BOOL_MONOMIAL = {"3,0": [[[False, True, True, False], GRID22["delta"]["3,0"][0][1]]]}
+BOOL_COEFF = {"3,0": [[GRID22["delta"]["3,0"][0][0], {"0": True}]]}
+NO_ETA = {k: v for k, v in GRID22.items() if k != "eta"}
 # x1 x0 = q x0 x1 over six otherwise commuting generators, and
 # delta_4(x1) = x0, which is not a sigma_4-derivation: the overlap (4,1,0)
 # does not resolve, though the 25 seeded 0/1-monomial associativity samples
@@ -284,6 +316,16 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "weights": HUGE_FLOAT_WEIGHTS}, ("--cmd", "primes")),
         ({**GRID22, "weights": ["1010", "1001", "0110", "0101"]}, ("--cmd", "primes")),
         ({**GRID22, "weights": "0000"}, ("--cmd", "primes")),
+        ({**GRID22, "root": True}, ("--cmd", "primes")),
+        ({**GRID22, "weights": BOOL_WEIGHTS}, ("--cmd", "primes")),
+        ({**GRID22, "eta": BOOL_ETA}, ("--cmd", "primes")),
+        ({**GRID22, "lambda": BOOL_LAMBDA}, ("--cmd", "primes")),
+        ({**GRID22, "lambda_diag": BOOL_DIAG}, ("--cmd", "primes")),
+        ({**GRID22, "delta": BOOL_MONOMIAL}, ("--cmd", "primes")),
+        ({**GRID22, "delta": BOOL_COEFF}, ("--cmd", "primes")),
+        # a false or empty non-object once loaded as no derivations
+        ({**NO_ETA, "delta": False}, ("--cmd", "primes")),
+        ({**NO_ETA, "delta": []}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -325,6 +367,15 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "huge-float-weights",
         "weight-vectors-strings",
         "weights-a-string",
+        "bool-root",
+        "bool-weights",
+        "bool-eta",
+        "bool-lambda",
+        "bool-lambda-diag",
+        "bool-delta-monomial",
+        "bool-delta-coefficient",
+        "delta-false",
+        "delta-empty-list",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -344,6 +395,8 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert "delta[3,0] monomial is not a list" in err
     if data is not None and data.get("weights") is HUGE_FLOAT_WEIGHTS:
         assert "weights[0] has a float value" in err
+    if data is not None and data.get("weights") is BOOL_WEIGHTS:
+        assert "weights[0] has a boolean value True" in err
 
 
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):
@@ -446,13 +499,14 @@ def test_verify_builds_once(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "2", "--n", "3")
     assert rc == 0 and json.loads(out)["ok"] is True
     assert built == [(2, 3)]
-    taus = [tuple(tau) for tau in gamma_chain(6)]
-    # each chain frame is solved once; the identity frame is the chain's
-    # first, which bmatrix, exchange and the chain share
-    assert sorted(solved) == sorted(taus)
+    # only the identity frame is solved, once: bmatrix, exchange and the
+    # chain share it, and the chain carries it to the other frames by
+    # certified mutation
+    identity = tuple(gamma_chain(6)[0])
+    assert solved == [identity]
     solved.clear()
     cli.chain_walk(quantum_matrix_preset(2, 3))
-    assert solved == taus
+    assert solved == [identity]
 
 
 # stdout digests of commands that print ExpMatrix rows (frames carries
@@ -578,10 +632,22 @@ def test_golden_failures(capsys, tmp_path, data, argv, digest):
     assert checks["bmatrix"] == "fail: ValueError: index 1 lacks a nontrivial squared scalar"
 
 
+# JSON true and false go in every integer and exponent field: a file that
+# holds one anywhere is a configuration error (exit 2)
+def holds_bool(v) -> bool:
+    """Whether a JSON value holds true or false anywhere."""
+    if isinstance(v, bool):
+        return True
+    if isinstance(v, dict):
+        v = list(v.values())
+    return isinstance(v, (list, tuple)) and any(map(holds_bool, v))
+
+
 FUZZ_ENTRY = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
     st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
     st.integers(10**15, 10**40).map(lambda x: x * (-1) ** (x % 2)),
     st.sampled_from(["", "x", "1/0", "1e3", "nan", " 1 ", "1/2/3", "0x10"]),
     st.none(),
@@ -635,6 +701,7 @@ def test_custom_lambda_and_root_fuzz(capsys, tmp_path, lam, root):
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", "bmatrix", "--preset", "custom", "--file", str(source))
     assert "Traceback" not in err
+    assert rc == 2 or not holds_bool(data)
     if rc == 2:
         assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
     else:
@@ -645,6 +712,7 @@ def test_custom_lambda_and_root_fuzz(capsys, tmp_path, lam, root):
 
 FUZZ_COEFF_VALUE = st.one_of(
     st.integers(-3, 3),
+    st.booleans(),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(10**15, 10**40).map(lambda x: x * (-1) ** (x % 2)),
@@ -683,6 +751,7 @@ def test_custom_delta_fuzz(capsys, tmp_path, coeff):
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", "bmatrix", "--preset", "custom", "--file", str(source))
     assert "Traceback" not in err
+    assert rc == 2 or not holds_bool(data)
     if rc == 2:
         assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
     else:
@@ -696,6 +765,7 @@ def test_custom_delta_fuzz(capsys, tmp_path, coeff):
 # preset; e = 10**15 exhausts memory)
 FUZZ_EXPONENT = st.one_of(
     st.integers(-3, 3),
+    st.booleans(),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "x", "1/0", "1e3", "nan", " 1 ", "1/2/3", "0x10"]),
@@ -711,6 +781,7 @@ FUZZ_EXPONENTS = st.one_of(
             st.none(),
             st.integers(-3, 3),
             st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+            st.booleans(),
         ),
         min_size=4,
         max_size=4,
@@ -736,6 +807,7 @@ def test_custom_diag_and_star_fuzz(capsys, tmp_path, diag, star, cmd):
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
     assert "Traceback" not in err
+    assert rc == 2 or not holds_bool(data)
     if rc == 2:
         assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
     else:
@@ -767,6 +839,7 @@ FUZZ_ETA = st.one_of(
     st.lists(FUZZ_ENTRY, max_size=5),
     # level-set labels of the right length: the preset's partition or another
     st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans()), min_size=4, max_size=4),
     st.text(max_size=5),
     st.integers(-2, 2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=4),
@@ -788,6 +861,7 @@ def test_custom_names_and_eta_fuzz(capsys, tmp_path, names, eta, cmd):
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
     assert "Traceback" not in err
+    assert rc == 2 or not holds_bool(data)
     if rc == 2:
         assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
     else:
@@ -907,6 +981,7 @@ def test_custom_weights_and_delta_fuzz(capsys, tmp_path, file, cmd):
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
     assert "Traceback" not in err
+    assert rc == 2 or not holds_bool(data)
     if rc == 2:
         assert out == "" and err.startswith("qcluster:") and err.count("\n") == 1
     else:

@@ -4,18 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from qcluster import cli
 from qcluster.exchangesolver import (
     LinearSystem,
     _window,
     btilde_for_tau,
+    certify_btilde,
     first_column_crosscheck,
     quantum_matrix_btilde,
     symmetrizers_from_scalars,
 )
-from qcluster.mutation import compatibility_check
+from qcluster.mutation import ExchangeMatrix, compatibility_check, mutate_matrix
 from qcluster.orealgebra import quantum_matrix_preset, weight_of
 from qcluster.primeseq import compute_primes, rescale_generators
-from qcluster.xicombinatorics import frame_for_tau, identity_frame
+from qcluster.xicombinatorics import (
+    frame_for_tau,
+    gamma_chain,
+    gamma_chain_swaps,
+    identity_frame,
+)
 from restriction import embed_interval, restrict_presentation
 
 
@@ -115,3 +122,102 @@ def test_windows_match_the_restricted_route():
             windows += 1
     # (m-1)(n-1) windows per shape, and 2 + 4 on the rescaled presets
     assert windows == sum((m - 1) * (n - 1) for m, n in shapes) + 6
+
+
+def _carried(pres, monkeypatch):
+    """The chain walk's frames, and the exchange matrix it holds on each:
+    the identity frame's solve, then each certified mutation, kept across
+    the steps that do not mutate."""
+    certified = []
+
+    def certify(tp, bmat):
+        certified.append((tp, real(tp, bmat)))
+        return bmat
+
+    real = cli.certify_btilde
+    monkeypatch.setattr(cli, "certify_btilde", certify)
+    session = cli.Session(None, pres)
+    steps = cli._walk(session)
+    frames = session.frames
+    bt = session.identity[1]
+    carried, mutations = [bt], iter(certified)
+    for step in steps:
+        if step["mutated_at"] is not None:
+            tp, bt = next(mutations)
+            assert tp is frames[step["step"] + 1]
+        carried.append(bt)
+    assert next(mutations, None) is None
+    return frames, carried
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 3), (4, 4)],
+)
+def test_certified_chain_matches_the_solver(monkeypatch, shape):
+    """On every chain frame, the matrix carried by certified mutation is the
+    one btilde_for_tau solves by elimination."""
+    frames, carried = _carried(quantum_matrix_preset(*shape), monkeypatch)
+    assert len(carried) == len(frames) == len(gamma_chain(shape[0] * shape[1]))
+    assert carried == [btilde_for_tau(tp) for tp in frames]
+
+
+def test_certificate_rejects_a_changed_entry():
+    """Every single-entry change of a frame's matrix fails the certificate:
+    the system has full column rank, so no two solutions differ."""
+    pres = quantum_matrix_preset(3, 3)
+    for tau in gamma_chain(9)[:3]:
+        tp = frame_for_tau(pres, tau)
+        bmat = btilde_for_tau(tp)
+        assert certify_btilde(tp, bmat) is bmat
+        for l in bmat.ex:
+            for i in range(bmat.n_rows):
+                for delta in (-1, 1):
+                    col = list(bmat.cols[l])
+                    col[i] += delta
+                    changed = ExchangeMatrix(bmat.n_rows, {**bmat.cols, l: col})
+                    with pytest.raises(ValueError):
+                        certify_btilde(tp, changed)
+
+
+def test_certificate_rejects_the_wrong_direction(monkeypatch):
+    """At each mutation step of the 3x3 chain, the carried matrix mutated in
+    any other exchangeable direction, or not mutated, fails on the next
+    frame; the walk then fails with its chain-law message."""
+    pres = quantum_matrix_preset(3, 3)
+    frames, carried = _carried(pres, monkeypatch)
+    monkeypatch.undo()
+    mutated = 0
+    for t, pos in enumerate(gamma_chain_swaps(pres.n)):
+        tp, tq = frames[t], frames[t + 1]
+        if tp.eta_tau[pos] != tp.eta_tau[pos + 1]:
+            continue
+        kb = tp.sigma[pos]
+        assert certify_btilde(tq, mutate_matrix(carried[t], kb)[0])
+        with pytest.raises(ValueError):
+            certify_btilde(tq, carried[t])
+        for k in carried[t].ex:
+            if k != kb:
+                with pytest.raises(ValueError):
+                    certify_btilde(tq, mutate_matrix(carried[t], k)[0])
+        mutated += 1
+    assert mutated == 5
+
+    def wrong(bmat, k):
+        return real(bmat, next(j for j in bmat.ex if j != k))
+
+    real = cli.mutate_matrix
+    monkeypatch.setattr(cli, "mutate_matrix", wrong)
+    with pytest.raises(AssertionError, match="exchange matrix does not mutate"):
+        cli.chain_walk(pres)
+
+
+def test_walk_checks_the_mutated_weight():
+    """The uniqueness argument needs W_{t+1} = W_t E: a next frame whose new
+    image has another weight stops the walk before the certificate."""
+    session = cli.Session(None, quantum_matrix_preset(3, 3))
+    # the 3x3 chain first mutates at step 3, in direction 0
+    tq = session.frames[4]
+    tq.image_weights[0] = tuple(x + 1 for x in tq.image_weights[0])
+    with pytest.raises(AssertionError, match="step 3: weight of image 0 does not mutate"):
+        cli._walk(session)
