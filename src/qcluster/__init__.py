@@ -39,7 +39,6 @@ from .mutation import (
     find_symmetrizer,
     mutate_emat,
     mutate_matrix,
-    mutate_matrix_direct,
     mutate_seed,
     mutated_variable,
     random_compatible_pair,
@@ -126,7 +125,6 @@ __all__ = [
     "find_symmetrizer",
     "mutate_emat",
     "mutate_matrix",
-    "mutate_matrix_direct",
     "mutate_seed",
     "mutated_variable",
     "random_compatible_pair",

@@ -6,15 +6,17 @@ Compatibility against a torus exponent matrix E means the pairing
 column^T E e_j vanishes for every j other than the column index and is a
 nonzero exponent there.
 
-Mutation acts on three layers that are kept in sync:
+Mutation acts on three layers that are kept in sync, one rule each:
 
-* mutate_matrix: conjugation by the one-sided factor matrices, which
-  equals the usual Fomin-Zelevinsky entrywise rule (mutate_matrix_direct)
-  for both choices of sign;
-* mutate_emat: conjugation of the torus exponent matrix, again
-  independent of the sign choice;
+* mutate_matrix: the Fomin-Zelevinsky entrywise sign-split rule;
+* mutate_emat: the rank-one conjugation of the torus exponent matrix of a
+  compatible pair;
 * mutate_seed: frame images change only in direction k, via the exchange
   relation, realized by exact right division in the reference torus.
+
+Matrix mutation does not depend on the sign that the factor route
+E_eps B F_eps chooses, and compatible pairs mutate to compatible pairs
+(Berenstein-Zelevinsky), so no layer takes a sign.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd
 from typing import Dict, Mapping, Optional, Sequence
 
 from .bicharacter import ExpMatrix, omega, pairing_row
-from .linalg import primitive, rank
+from .linalg import primitive
 from .orealgebra import pbw_div_right
 from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
 from .scalarfield import Coeff
@@ -64,9 +66,6 @@ class ExchangeMatrix:
     def column(self, k: int):
         return self.cols[k]
 
-    def full_rank(self) -> bool:
-        return rank(list(self.cols.values())) == len(self.ex)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):
             return NotImplemented
@@ -81,8 +80,11 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Frac
 
     Raises ValueError when an off-diagonal pairing is nonzero or a
     diagonal one vanishes; otherwise returns {k: pairing of column k with
-    its own direction}.  Compatibility forces the matrix to have full
-    rank, which is asserted as a sanity check.
+    its own direction}.  A compatible matrix has full column rank with no
+    elimination: the pairings of its columns with the exchangeable
+    directions form a diagonal matrix with a nonzero diagonal, so a
+    vanishing combination of columns pairs to zero in every direction and
+    has all coefficients zero.
     """
     if emat.n != bmat.n_rows:
         raise ValueError("size mismatch between torus matrix and columns")
@@ -98,8 +100,6 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Frac
                 raise ValueError(
                     f"pairing of column {k} with direction {j} is q^{Fraction(e, den)} != 1"
                 )
-    if not bmat.full_rank():
-        raise AssertionError("compatible pair with rank-deficient matrix")
     return diag
 
 
@@ -160,101 +160,33 @@ def find_symmetrizer(bmat: ExchangeMatrix) -> Optional[Dict[int, int]]:
     return d
 
 
-def e_matrix(bmat: ExchangeMatrix, k: int, eps: int):
-    """Row-side mutation factor, an N x N integer matrix (list of rows)."""
-    n = bmat.n_rows
-    bk = bmat.cols[k]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j != k:
-                row.append(1 if i == j else 0)
-            elif i == k:
-                row.append(-1)
-            else:
-                row.append(max(0, -eps * bk[i]))
-        rows.append(row)
-    return rows
-
-
-def f_matrix(bmat: ExchangeMatrix, k: int, eps: int):
-    """Column-side mutation factor over the exchangeable set, {(j, l): entry}."""
-    out = {}
-    for j in bmat.ex:
-        for l in bmat.ex:
-            if j != k:
-                out[(j, l)] = 1 if j == l else 0
-            elif l == k:
-                out[(j, l)] = -1
-            else:
-                out[(j, l)] = max(0, eps * bmat.cols[l][k])
-    return out
-
-
-def mutate_matrix(bmat: ExchangeMatrix, k: int, eps: int = 1):
-    """Matrix mutation in direction k via the one-sided factors.
-
-    Returns (mutated matrix, row factor, column factor); the mutated
-    matrix is the three-fold product and does not depend on eps.
-    """
+def mutate_matrix(bmat: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Matrix mutation in direction k by the entrywise sign-split rule:
+    b'_ij = -b_ij when k is i or j, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
     if k not in bmat.cols:
         raise ValueError(f"direction {k} is not exchangeable")
-    if eps not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    e = e_matrix(bmat, k, eps)
-    f = f_matrix(bmat, k, eps)
-    n = bmat.n_rows
-    eb = {
-        j: [sum(e[i][l] * bmat.cols[j][l] for l in range(n)) for i in range(n)]
-        for j in bmat.ex
-    }
+    bk = bmat.cols[k]
     cols = {
         j: tuple(
-            sum(eb[l][i] * f[(l, j)] for l in bmat.ex) for i in range(n)
+            -x if k in (i, j) else x + (abs(b) * col[k] + b * abs(col[k])) // 2
+            for i, (x, b) in enumerate(zip(col, bk))
         )
-        for j in bmat.ex
+        for j, col in bmat.cols.items()
     }
-    return ExchangeMatrix(n, cols), e, f
+    return ExchangeMatrix(bmat.n_rows, cols)
 
 
-def mutate_matrix_direct(bmat: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation by the entrywise sign-split rule (no factors)."""
-    if k not in bmat.cols:
-        raise ValueError(f"direction {k} is not exchangeable")
-    bk = bmat.cols[k]
-    new_cols = {}
-    for j, col in bmat.cols.items():
-        if j == k:
-            new_cols[j] = tuple(-x for x in col)
-            continue
-        bkj = col[k]
-        new = []
-        for i in range(bmat.n_rows):
-            if i == k:
-                new.append(-col[i])
-            else:
-                bik = bk[i]
-                new.append(col[i] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        new_cols[j] = tuple(new)
-    return ExchangeMatrix(bmat.n_rows, new_cols)
-
-
-def mutate_emat(
-    emat: ExpMatrix, bmat: ExchangeMatrix, k: int, eps: int = 1, check: bool = True
-) -> ExpMatrix:
+def mutate_emat(emat: ExpMatrix, bmat: ExchangeMatrix, k: int) -> ExpMatrix:
     """Mutated torus exponent matrix: conjugation by the row factor.
 
-    The row factor is I + u e_k^T with u = E_eps e_k - e_k, so for skew E
-    the conjugate is the rank-one update E + v e_k^T - e_k v^T, v = E u.
-    The result does not depend on eps for compatible pairs, which is what
-    the check enforces before conjugating.
+    The precondition is a compatible pair (compatibility_check), which is
+    not checked here.  The row factor is I + u e_k^T with
+    u = [-b_k]_+ - 2 e_k, so for skew E the conjugate is the rank-one
+    update E + v e_k^T - e_k v^T, v = E u.
     """
     if k not in bmat.cols:
         raise ValueError(f"direction {k} is not exchangeable")
-    if check:
-        compatibility_check(emat, bmat)
-    u = [(i, -eps * b) for i, b in enumerate(bmat.cols[k]) if i != k and eps * b < 0]
+    u = [(i, -b) for i, b in enumerate(bmat.cols[k]) if i != k and b < 0]
     u.append((k, -2))
     num = emat.num
     v = [sum(row[i] * c for i, c in u) for row in num]
@@ -266,15 +198,15 @@ def mutate_emat(
 
 
 class Seed:
-    """A toric frame together with a compatible exchange matrix."""
+    """A toric frame together with a compatible exchange matrix; pairings
+    holds the diagonal pairings that compatibility_check certified."""
 
-    def __init__(self, frame: ToricFrame, bmat: ExchangeMatrix, check: bool = True):
+    def __init__(self, frame: ToricFrame, bmat: ExchangeMatrix):
         if frame.n != bmat.n_rows:
             raise ValueError("frame size and matrix row count differ")
-        if check:
-            compatibility_check(frame.emat, bmat)
-            if find_symmetrizer(bmat) is None:
-                raise ValueError("principal part is not skew-symmetrizable")
+        self.pairings = compatibility_check(frame.emat, bmat)
+        if find_symmetrizer(bmat) is None:
+            raise ValueError("principal part is not skew-symmetrizable")
         self.frame = frame
         self.bmat = bmat
 
@@ -334,12 +266,13 @@ def mutated_variable(frame: ToricFrame, bcol: Sequence[int], k: int):
     return pbw_div_right(rhs, old)
 
 
-def mutate_seed(seed: Seed, k: int, check: bool = False) -> Seed:
+def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k.
 
     The new image in direction k is the sum of the two frame values with
     the k-th image removed once, obtained here by exact right division of
-    the exchange sum by the old image; all other images are kept.
+    the exchange sum by the old image; all other images are kept.  The
+    mutated seed is certified like any other Seed.
     """
     frame, bmat = seed.frame, seed.bmat
     if k not in bmat.cols:
@@ -347,9 +280,9 @@ def mutate_seed(seed: Seed, k: int, check: bool = False) -> Seed:
     images = list(frame.images)
     images[k] = mutated_variable(frame, bmat.cols[k], k)
     new_frame = ToricFrame(
-        mutate_emat(frame.emat, bmat, k, check=False), images, frame.one, frame.root
+        mutate_emat(frame.emat, bmat, k), images, frame.one, frame.root
     )
-    return Seed(new_frame, mutate_matrix(bmat, k)[0], check=check)
+    return Seed(new_frame, mutate_matrix(bmat, k))
 
 
 def random_compatible_pair(rng, n: int, max_entry: int = 2):

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import permutations
 
-from qcluster.bicharacter import omega
+from qcluster.bicharacter import exp_mat_product, omega
 from qcluster.cli import chain_walk
 from qcluster.exchangesolver import (
     btilde_for_tau,
@@ -22,7 +22,6 @@ from qcluster.mutation import (
     exchange_identity_holds,
     mutate_emat,
     mutate_matrix,
-    mutate_matrix_direct,
     mutate_seed,
     mutated_variable,
     random_compatible_pair,
@@ -61,6 +60,7 @@ from qcluster.schubertdata import (
     compatibility_sweep,
     exchange_matrix_for_word,
 )
+from factors import e_matrix, factor_mutate
 
 
 def inversions(sigma):
@@ -166,19 +166,20 @@ def test_criterion_05_randomized_mutation_invariants():
         diag = compatibility_check(emat, bmat)
         k = rng.choice(bmat.ex)
 
-        plus, _, _ = mutate_matrix(bmat, k, 1)
-        assert mutate_matrix(bmat, k, -1)[0] == plus
-        assert mutate_matrix_direct(bmat, k) == plus
-        assert mutate_matrix(plus, k)[0] == bmat
+        plus = factor_mutate(bmat, k, 1)
+        assert factor_mutate(bmat, k, -1) == plus
+        assert mutate_matrix(bmat, k) == plus
+        assert mutate_matrix(plus, k) == bmat
 
-        r1 = mutate_emat(emat, bmat, k, 1)
-        assert mutate_emat(emat, bmat, k, -1) == r1
+        r1 = exp_mat_product(emat, e_matrix(bmat, k, 1))
+        assert exp_mat_product(emat, e_matrix(bmat, k, -1)) == r1
+        assert mutate_emat(emat, bmat, k) == r1
         assert mutate_emat(r1, plus, k) == emat
         assert compatibility_check(r1, plus) == diag
 
         seed = seed_from_pair(emat, bmat)
-        s1 = mutate_seed(seed, k, check=True)
-        s2 = mutate_seed(s1, k, check=True)
+        s1 = mutate_seed(seed, k)
+        s2 = mutate_seed(s1, k)
         assert s2.bmat == seed.bmat
         assert s2.frame.emat == seed.frame.emat
         assert all(a == b for a, b in zip(s2.frame.images, seed.frame.images))

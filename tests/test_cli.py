@@ -1,8 +1,8 @@
 """End to end checks for the command line driver.
 
-Everything but the import check runs in process through main(argv);
-stdout is captured with capsys so the byte-stability assertions really
-compare emitted text.
+Everything but the import and python -O checks runs in process through
+main(argv); stdout is captured with capsys so the byte-stability
+assertions really compare emitted text.
 """
 
 import hashlib
@@ -214,6 +214,48 @@ def test_cli_import_stays_light():
     ).stdout.split()
     assert "qcluster.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+FAILING_CHECKS = """
+from qcluster import cli
+from qcluster.mutation import ExchangeMatrix
+from qcluster.orealgebra import quantum_matrix_preset
+
+real = cli.quantum_matrix_btilde
+
+def flipped(m, n):
+    b = real(m, n)
+    return ExchangeMatrix(b.n_rows, {**b.cols, 0: [-x for x in b.cols[0]]})
+
+cli.quantum_matrix_btilde = flipped
+code, payload = cli.run(cli.RunConfig("verify", m=3, n=3))
+print(code, payload["ok"], payload["checks"]["bmatrix"])
+session = cli.Session(None, quantum_matrix_preset(3, 3))
+session.frames[4].image_weights[0] = (9,) * len(session.frames[4].image_weights[0])
+try:
+    cli._walk(session)
+except AssertionError as e:
+    print("chain:", e)
+"""
+
+
+def test_checks_fail_alike_under_python_O():
+    """The checks raise AssertionError themselves, so python -O, which
+    strips assert statements, keeps every failure and its message."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", FAILING_CHECKS],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outs[0] == outs[1] == (
+        "1 False fail: solved matrix differs from the closed form\n"
+        "chain: step 3: weight of image 0 does not mutate to the next frame\n"
+    )
 
 
 def test_argparse_rejects_unknown_command(capsys):

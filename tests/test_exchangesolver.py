@@ -193,13 +193,13 @@ def test_certificate_rejects_the_wrong_direction(monkeypatch):
         if tp.eta_tau[pos] != tp.eta_tau[pos + 1]:
             continue
         kb = tp.sigma[pos]
-        assert certify_btilde(tq, mutate_matrix(carried[t], kb)[0])
+        assert certify_btilde(tq, mutate_matrix(carried[t], kb))
         with pytest.raises(ValueError):
             certify_btilde(tq, carried[t])
         for k in carried[t].ex:
             if k != kb:
                 with pytest.raises(ValueError):
-                    certify_btilde(tq, mutate_matrix(carried[t], k)[0])
+                    certify_btilde(tq, mutate_matrix(carried[t], k))
         mutated += 1
     assert mutated == 5
 

@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 
 from qcluster.bicharacter import ExpMatrix, exp_mat_product
 from qcluster.exchangesolver import btilde_for_tau
+from qcluster.linalg import rank
 from qcluster.mutation import (
     ExchangeMatrix,
     Seed,
     compatibility_check,
-    e_matrix,
     exchange_identity_holds,
     exchange_terms,
     find_symmetrizer,
     mutate_emat,
     mutate_matrix,
-    mutate_matrix_direct,
     mutate_seed,
     mutated_variable,
     random_compatible_pair,
@@ -39,6 +38,7 @@ from qcluster.qtorus import (
     reindex_frame,
 )
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
+from factors import e_matrix, factor_mutate
 
 
 def pairs(seed, count, n_range=(1, 4)):
@@ -81,27 +81,58 @@ def test_random_pairs_are_compatible():
         assert skew_symmetrizable(bmat, d)
 
 
+@given(st.integers(0, 2**32), st.integers(1, 4), st.data())
+@settings(max_examples=100)
+def test_compatible_matrices_have_full_rank(seed, n, data):
+    """The rank argument in compatibility_check's docstring, against the
+    elimination: a pair that passes has full column rank, and a matrix with
+    a repeated column fails."""
+    emat, bmat, _ = random_compatible_pair(random.Random(seed), n)
+    compatibility_check(emat, bmat)
+    assert rank(list(bmat.cols.values())) == len(bmat.ex)
+    if n > 1:
+        j, k = data.draw(st.permutations(bmat.ex))[:2]
+        twin = ExchangeMatrix(bmat.n_rows, {**bmat.cols, j: bmat.cols[k]})
+        assert rank(list(twin.cols.values())) < len(twin.ex)
+        with pytest.raises(ValueError):
+            compatibility_check(emat, twin)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)],
+    ids=["2x2", "2x3", "2x4", "3x2", "3x3", "3x4"],
+)
+def test_chain_frames_have_full_rank(shape):
+    pres = quantum_matrix_preset(*shape)
+    for tau in gamma_chain(pres.n):
+        tp = frame_for_tau(pres, tau)
+        bmat = btilde_for_tau(tp)
+        compatibility_check(tp.frame.emat, bmat)
+        assert rank(list(bmat.cols.values())) == len(bmat.ex)
+
+
 def test_matrix_mutation_direct_vs_factored():
     for rng, _, bmat, _ in pairs(11, 40):
         k = rng.choice(bmat.ex)
-        plus, _, _ = mutate_matrix(bmat, k, 1)
-        minus, _, _ = mutate_matrix(bmat, k, -1)
-        assert plus == minus == mutate_matrix_direct(bmat, k)
+        plus = factor_mutate(bmat, k, 1)
+        minus = factor_mutate(bmat, k, -1)
+        assert plus == minus == mutate_matrix(bmat, k)
 
 
 def test_matrix_mutation_is_involutive():
     for rng, _, bmat, _ in pairs(13, 40):
         k = rng.choice(bmat.ex)
-        assert mutate_matrix_direct(mutate_matrix_direct(bmat, k), k) == bmat
+        assert mutate_matrix(mutate_matrix(bmat, k), k) == bmat
 
 
 def test_emat_mutation_sign_independent_and_involutive():
     for rng, emat, bmat, _ in pairs(17, 30):
         k = rng.choice(bmat.ex)
-        plus = mutate_emat(emat, bmat, k, 1)
-        minus = mutate_emat(emat, bmat, k, -1)
-        assert plus == minus
-        bmat2 = mutate_matrix_direct(bmat, k)
+        plus = dense_mutate_emat(emat, bmat, k, 1)
+        minus = dense_mutate_emat(emat, bmat, k, -1)
+        assert plus == minus == mutate_emat(emat, bmat, k)
+        bmat2 = mutate_matrix(bmat, k)
         assert mutate_emat(plus, bmat2, k) == emat
 
 
@@ -116,7 +147,7 @@ def test_rank_one_mutate_emat_equals_dense_product(seed, n, data):
     emat, bmat, _ = random_compatible_pair(random.Random(seed), n)
     k = data.draw(st.sampled_from(bmat.ex))
     for eps in (1, -1):
-        assert mutate_emat(emat, bmat, k, eps) == dense_mutate_emat(emat, bmat, k, eps)
+        assert mutate_emat(emat, bmat, k) == dense_mutate_emat(emat, bmat, k, eps)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
@@ -127,7 +158,7 @@ def test_rank_one_mutate_emat_on_chain_frames(shape):
         emat, bmat = tp.frame.emat, btilde_for_tau(tp)
         for k in bmat.ex:
             for eps in (1, -1):
-                assert mutate_emat(emat, bmat, k, eps) == dense_mutate_emat(
+                assert mutate_emat(emat, bmat, k) == dense_mutate_emat(
                     emat, bmat, k, eps
                 )
 
@@ -137,8 +168,6 @@ def test_mutate_emat_rejects_frozen_direction():
     for k in (2, 3):
         with pytest.raises(ValueError, match=f"direction {k} is not exchangeable"):
             mutate_emat(emat, bmat, k)
-        with pytest.raises(ValueError, match="not exchangeable"):
-            mutate_emat(emat, bmat, k, check=False)
 
 
 def test_mutation_preserves_compatibility():
@@ -146,7 +175,7 @@ def test_mutation_preserves_compatibility():
         diag = compatibility_check(emat, bmat)
         k = rng.choice(bmat.ex)
         emat2 = mutate_emat(emat, bmat, k)
-        bmat2 = mutate_matrix_direct(bmat, k)
+        bmat2 = mutate_matrix(bmat, k)
         assert compatibility_check(emat2, bmat2) == diag
 
 
@@ -168,9 +197,10 @@ def test_seed_mutation_round_trip():
     for rng, emat, bmat, _ in pairs(29, 30):
         seed = seed_from_pair(emat, bmat)
         k = rng.choice(bmat.ex)
-        s1 = mutate_seed(seed, k, check=True)
+        s1 = mutate_seed(seed, k)
         assert s1.frame.images[k] != seed.frame.images[k]
-        s2 = mutate_seed(s1, k, check=True)
+        assert s1.pairings == seed.pairings == compatibility_check(emat, bmat)
+        s2 = mutate_seed(s1, k)
         assert s2.bmat == seed.bmat
         assert s2.frame.emat == seed.frame.emat
         assert list(s2.frame.images) == list(seed.frame.images)
