@@ -13,15 +13,19 @@ highest index where they differ, f has the smaller exponent.  Each
 delta_k(x_j) is required to be strictly smaller than e_j + e_k and to have
 the same weight; that guard is what makes the rewriting below terminate
 (see :func:`check_overlaps`, which also certifies that the normal forms
-are well defined).
+are well defined).  :func:`check_cgl` adds the torus, lambda_k and local
+nilpotence conditions of a CGL extension, on which the prime recursion
+relies; every presentation passes it once, at load or on first use.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bicharacter import ExpMatrix, _pairing
+from .linalg import _eliminate
 from .scalarfield import Coeff, TermSum, _add_term, _q_power, as_coeff
 
 
@@ -464,16 +468,11 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
         sep = "" if m <= 9 and n <= 9 else "_"
         names.append(f"t{r + 1}{sep}{c + 1}")
         eta.append(c - r)
-    return Presentation(
-        lam,
-        delta,
-        weights,
-        [-2] * N,
-        [2] * N,
-        eta=eta,
-        names=names,
-        root=root,
+    pres = Presentation(
+        lam, delta, weights, [-2] * N, [2] * N, eta=eta, names=names, root=root
     )
+    _CERTIFIED.add(pres)  # code, not input: certified by a test up to 5x5
+    return pres
 
 
 def check_overlaps(pres: Presentation) -> None:
@@ -505,10 +504,10 @@ def check_overlaps(pres: Presentation) -> None:
     their own.
 
     The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU),
-    a large share of a request on those shapes.  So ``presentation_from_dict``
-    runs it on every load, and the built-in ``quantum_matrix_preset``, which
-    is code rather than input, is certified by a test over every shape up to
-    5x5 instead.
+    a large share of a request on those shapes.  So it runs within
+    :func:`check_cgl` on every load, and the built-in
+    ``quantum_matrix_preset``, which is code rather than input, is certified
+    by a test over every shape up to 5x5 instead.
     """
     gens = [pres.gen(i) for i in range(pres.n)]
     for k in range(pres.n):
@@ -523,6 +522,84 @@ def check_overlaps(pres: Presentation) -> None:
                         "normal forms, so the derivation table is inconsistent "
                         "with the commutation exponents"
                     )
+
+
+# Presentations proved CGL extensions: by check_cgl, or by construction
+# (quantum_matrix_preset, primeseq.rescale_generators)
+_CERTIFIED: "weakref.WeakSet[Presentation]" = weakref.WeakSet()
+
+
+def check_cgl(pres: Presentation) -> None:
+    """Certify pres a CGL extension, then record it in _CERTIFIED.
+
+    A CGL extension (Goodearl-Yakimov, arXiv:1208.6267) is an iterated Ore
+    extension, R_k = R_(k-1)[x_k; sigma_k, delta_k], with a torus H acting by
+    automorphisms, every x_i an H-eigenvector, such that each sigma_k is the
+    action of some h_k in H with h_k x_k = lambda_k x_k, lambda_k not a root
+    of unity, and each delta_k is locally nilpotent.  check_overlaps proves
+    the Ore extension; the rest forms no product.  Raises ValueError naming
+    the stage and the condition.
+
+    Torus.  x_i -> q**h_i x_i respects the relations iff h.f = h_b + h_a for
+    each monomial f of each delta[b, a].  These h form a subspace V of Q^N,
+    whose torus acts on R.  Stage k needs some h in V with h_j = lam[k][j]
+    for j < k, and h_k = lambda_diag[k] where declared.  One fraction-free
+    elimination of the rows f - e_a - e_b, highest index first, decides every
+    stage: each reduced row gives its highest index in terms of lower free
+    ones, so a prefix extends into V iff it satisfies the rows ending in it.
+
+    lambda_k.  q is transcendental, so q**e is a root of unity only for
+    e = 0, which is rejected where delta_k acts.  Where delta_k = 0,
+    R_k = R_(k-1)[x_k; sigma_k] and the theorem's step needs no lambda_k.
+
+    Local nilpotence.  h_k applied to x_k a = sigma_k(a) x_k + delta_k(a)
+    gives sigma_k delta_k = lambda_k delta_k sigma_k, so by the q-Leibniz
+    rule delta^n(ab) is a sum of multiples of sigma^i delta^(n-i)(a)
+    delta^i(b).  Hence the elements that some power of delta = delta_k
+    kills form a subalgebra.  Where the graph i -> l, x_l in delta_k(x_i),
+    is acyclic, each x_i lies in it, by induction from the sinks: delta_k(x_i)
+    is a polynomial in generators already shown to lie in it.
+
+    Intervals.  Where the derivations among x_lo..x_top stay among them
+    (primeseq._check_range), R_[lo,top] is certified with pres: its overlaps
+    are overlaps of pres (see check_overlaps), each h in V restricts to a
+    solution of its constraints (a subset of those of pres), lambda_k is
+    unchanged and its graphs are subgraphs.
+    """
+    check_overlaps(pres)
+    n, lam, delta = pres.n, pres.lam, pres.delta
+    # the rows f - e_a - e_b, highest index first, and after elimination each
+    # nonzero row in index order with the highest index it involves
+    mat = [list(r) for r in {
+        tuple(f[i] - (i == a) - (i == b) for i in reversed(range(n)))
+        for (b, a), terms in delta.items() for f, _ in terms
+    }]
+    ends = [(n - 1 - c, mat[r][::-1]) for r, c in enumerate(_eliminate(mat, n)[0])]
+    for k in range(n):
+        lam_k = pres.lam_diag[k]
+        acts = [i for i in range(k) if (k, i) in delta]
+        if acts and not lam_k:
+            raise ValueError(
+                f"stage {k}: lambda_diag[{k}] is {lam_k} where delta_{k} acts; "
+                "it must be a nonzero exponent"
+            )
+        g = [lam.entry(k, j) for j in range(k)] + ([] if lam_k is None else [lam_k])
+        if any(e < len(g) and sum(x * y for x, y in zip(g, row)) for e, row in ends):
+            raise ValueError(
+                f"stage {k}: torus condition fails: no automorphism x_i -> q^h_i x_i "
+                f"acts as sigma_{k}" + ("" if lam_k is None else f" with h_{k} = {lam_k}")
+            )
+        left = {i: {l for f, _ in delta[(k, i)] for l, x in enumerate(f) if x} for i in acts}
+        while left:
+            sinks = [i for i, out in left.items() if not out & left.keys()]
+            if not sinks:
+                raise ValueError(
+                    f"stage {k}: local nilpotence unproved: the graph i -> l, x_l in "
+                    f"delta_{k}(x_i), has a cycle among {sorted(left)}"
+                )
+            for i in sinks:
+                del left[i]
+    _CERTIFIED.add(pres)
 
 
 def _exact(v, where: str):
@@ -559,9 +636,9 @@ def presentation_from_dict(data: dict) -> Presentation:
     or boolean in an exponent, a coefficient, a monomial, a weight or eta
     is a ValueError.
 
-    The finished algebra is certified by :func:`check_overlaps`, since a
-    malformed derivation table yields an inconsistent rewriting system
-    rather than an error.
+    The finished algebra is certified by :func:`check_cgl`, since a
+    malformed derivation table yields an inconsistent rewriting system, or
+    an algebra outside the CGL class, rather than an error.
     """
     lam = ExpMatrix(
         [
@@ -629,5 +706,5 @@ def presentation_from_dict(data: dict) -> Presentation:
     )
     if pres.root > MAX_ROOT:
         raise ValueError(f"root {pres.root} is above the supported {MAX_ROOT}")
-    check_overlaps(pres)
+    check_cgl(pres)
     return pres

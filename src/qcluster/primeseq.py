@@ -1,13 +1,14 @@
 """Sequences of homogeneous prime elements and their leading data.
 
-Every valid presentation determines a chain of subalgebras R_0 < R_1 < ...
-(generated by the first k generators) and each R_k has, up to scalars, a
-finite list of homogeneous prime elements.  The list for R_k is obtained
-from the one for R_{k-1} by the recursion
+Every CGL extension (certified by orealgebra.check_cgl) determines a chain
+of subalgebras R_0 < R_1 < ... (generated by the first k generators) and
+each R_k has, up to scalars, a finite list of homogeneous prime elements.
+The list for R_k is obtained from the one for R_{k-1} by the recursion
 
     y_k = y_{p(k)} x_k - c_k   (or just x_k when the derivation vanishes),
 
-where p is the predecessor map of a level-set function eta on indices.
+where p is the predecessor map of a level-set function eta on indices; by
+the Goodearl-Yakimov theorem each stage forms one delta_k product.
 This module infers eta/p/s, builds the y_k together with the c_k, the
 normalized variants, interval versions over subranges of generators (a
 weak memo per presentation builds and checks each chain span once: its
@@ -24,16 +25,18 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bicharacter import _pairing, omega, pairing_row, symmetrization
+from .bicharacter import omega, symmetrization
 from .orealgebra import (
+    _CERTIFIED,
     PBWElement,
     Presentation,
     apply_sigma_delta,
+    check_cgl,
     leading_term,
     pbw_mul,
     weight_of,
 )
-from .scalarfield import Coeff, _q_power
+from .scalarfield import Coeff
 
 
 class EtaData:
@@ -165,65 +168,6 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def _sigma_homogeneous(pres: Presentation, k: int, terms: dict, ebar) -> bool:
-    """Whether sigma_k(y) = q**omega(e_k, ebar) y: every monomial of y has
-    the sigma_k-scalar of the chain monomial x^ebar."""
-    ek = _unit_vec(pres.n, k)
-    want = _pairing(pres.lam, ek, ebar)
-    return all(_pairing(pres.lam, ek, f) == want for f in terms)
-
-
-def certify_prime(
-    pres: Presentation, k: int, ebar_j: Sequence[int], c: PBWElement, d: PBWElement,
-    lo: int = 0,
-) -> bool:
-    """Whether y = y_j x_k - c is normal in R_[lo,k], with one PBW product.
-
-    Premises, which compute_primes keeps true at every stage: the trailing
-    prime y_j, whose leading monomial is x^ebar_j with coefficient 1, is
-    normal in R_[lo,k-1] with y_j x_i = mu_i x_i y_j, mu_i = q**omega(ebar_j, e_i),
-    and sigma_k(y_j) = a y_j, which forces a = alpha = q**omega(e_k, ebar_j).
-    Here d = delta_k(y_j) and the recursion takes c = d / s with
-    s = alpha (lambda_k - 1).  R_[lo,k] is a domain and a free left R_[lo,k-1]-
-    module on 1, x_k, x_k^2, ...; normality means y x_i = nu_i x_i y, lo <= i <= k.
-
-    i = k.  y x_k = y_j x_k^2 - c x_k and
-    x_k y = a y_j x_k^2 + (d - sigma_k(c)) x_k - delta_k(c), so nu_k = 1/a and
-    the condition is sigma_k(c) = a c + d and delta_k(c) = 0: one
-    apply_sigma_delta of c.  This part is exact for any c.
-
-    i < k.  x_k x_i = lam_ki x_i x_k + delta_k(x_i) with lam_ki = q**lam[k][i],
-    so the x_k-coefficients force nu_i = lam_ki mu_i and the condition is
-
-        y_j delta_k(x_i) = c x_i - nu_i x_i c.                        (1)
-
-    Applying the sigma_k-derivation delta_k to y_j x_i = mu_i x_i y_j gives
-    a y_j delta_k(x_i) + d x_i = nu_i x_i d + mu_i delta_k(x_i) y_j, so with
-    d = s c the right side of (1) is (mu_i delta_k(x_i) y_j - a y_j delta_k(x_i)) / s.
-    By normality of y_j, x^f y_j = q**(-omega(ebar_j, f)) y_j x^f, and (1)
-    for delta_k(x_i) = sum_f c_f x^f becomes
-
-        y_j sum_f c_f (a - mu_i q**(-omega(ebar_j, f)) + s) x^f = 0.
-
-    R is a domain and the x^f are distinct PBW monomials, so (1) holds iff
-    each scalar a - mu_i q**(-omega(ebar_j, f)) + s is zero: no product at
-    all, and nothing to check where delta_k(x_i) = 0.
-    """
-    root = pres.root
-    den = pres.lam.den
-    one = Coeff.one(root)
-    a = _q_power(_pairing(pres.lam, _unit_vec(pres.n, k), ebar_j), den, root)
-    s = a * (Coeff.q_power(pres.lam_diag[k], root) - one)
-    row = pairing_row(pres.lam, ebar_j)  # den * omega(ebar_j, e_t)
-    for i in range(lo, k):
-        for f, _ in pres.delta.get((k, i), ()):
-            e = row[i] - sum(r * x for r, x in zip(row, f))
-            if not (a - _q_power(e, den, root) + s).is_zero:
-                return False
-    sig, dc = apply_sigma_delta(pres, k, c)
-    return dc.is_zero and sig == c.scaled(a) + d
-
-
 # Per presentation, the stages run from each start, the checked _Range of each
 # range and the checked _Span of each chain span, as term dicts and tuples: no
 # entry refers back to its presentation or outlives it.
@@ -233,20 +177,7 @@ _Span = namedtuple("_Span", "y image vec weight")
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
-    """Run the prime-element recursion over all generator stages.
-
-    At each stage either the derivation vanishes identically below the new
-    generator (new level set) or exactly one earlier trailing prime y_j
-    satisfies the recursion with a normal result (see certify_prime);
-    anything else means the presentation is not of the supported kind and
-    raises ValueError.  certify_prime assumes every trailing prime normal
-    in R_{k-1}.  To keep that true at the next stage, each stage requires
-    every trailing prime to be sigma_k-homogeneous, and rejects a delta_k
-    that moves a trailing prime the stage does not choose; a stage without
-    a derivation moves none.  A CGL extension never breaks these rules, and
-    the homogeneity holds in every presentation that passes
-    orealgebra.check_overlaps, where sigma_k respects every relation.
-    """
+    """Run the prime-element recursion over all generator stages (see _primes)."""
     return PrimeSequence(pres, *_primes(pres, 0, pres.n - 1))
 
 
@@ -257,7 +188,34 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     errors count from lo, as if R_[lo,top] were presented on its own.  A
     longer range resumes from the stages run from lo; the level-set and
     leading-term checks cover lo..top.  The result holds term dicts, as the
-    memo does.
+    memo does.  pres is certified first (check_cgl), unless it is recorded
+    in _CERTIFIED; R_[lo,top] inherits the certificate.
+
+    The theorem.  In a CGL extension the homogeneous prime elements of R_k
+    are the y_j with s(j) > k; p(k) exists iff delta_k != 0, and then
+    y_k = y_p(k) x_k - c with c in R_(k-1) (Goodearl-Yakimov, arXiv:1208.6267;
+    restated in the source paper, arXiv:1309.7869).  Write delta = delta_k,
+    sigma = sigma_k, lambda = lambda_k and nu(a) for the largest n with
+    delta^n(a) != 0.  As sigma delta = lambda delta sigma (check_cgl), the
+    q-Leibniz rule gives delta^(m+n)(ab) = [m+n choose n]_lambda
+    delta^m sigma^n(a) delta^n(b) for m = nu(a), n = nu(b); lambda is no
+    root of unity and R is a domain, so nu(ab) = nu(a) + nu(b).  The y are
+    H-eigenvectors: h_k scales y_j by alpha = q**omega(e_k, ebar_j) and
+    y_k by alpha lambda, so sigma(c) = alpha lambda c.
+
+    The formula for c.  y = y_k is normal, so with j = p(k), d = delta(y_j),
+    x_k y = y (r1 x_k + r0), and the x_k-coefficients give r1 = alpha,
+    d - sigma(c) = y_j sigma(r0) - alpha c and c r0 - delta(c) = y_j delta(r0).
+    Were r0 != 0, the second would give nu(c) = nu(y_j) + nu(r0), and the
+    third would have nu(y_j) + 2 nu(r0) on its left, more than on its right.
+    So r0 = 0 and d = alpha (lambda - 1) c, with c != 0 as y is prime.
+
+    Only y_p(k) moves.  A trailing y_j, j != p(k), is prime in R_k, so in
+    the same way x_k y_j = alpha y_j x_k + delta(y_j) = y_j (alpha x_k + r0),
+    and r0 != 0 would give nu(delta(y_j)) = nu(y_j) + nu(r0), not
+    nu(y_j) - 1.  So the first trailing prime that delta moves is p(k), and
+    the declared p(k), tried first, costs one apply_sigma_delta
+    (tests/scan.py keeps the scan of every trailing prime).
 
     No input fails the leading-term check, whatever lo is.  A stage without
     a derivation adds x_k.  A derivation stage adds y_j x_k - c, where y_j
@@ -269,53 +227,35 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     check stays as a guard on this argument, on which interval primes and
     the first-column window rest.
     """
+    if pres not in _CERTIFIED:
+        check_cgl(pres)
     runs, checked, _ = _MEMO.setdefault(pres, ({}, {}, {}))
     if (lo, top) in checked:
         return checked[(lo, top)]
     preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
-    n = pres.n
+    n, eta, root = pres.n, pres.eta, pres.root
     for k in range(lo + len(preds), top + 1):
         t = k - lo  # the stage, counted as in R_[lo,top]
         xk = pres.gen(k)
-        # trailing primes of stage t-1: indices never used as a predecessor
-        used = {p for p in preds if p is not None}
-        trailing = [j for j in range(t) if j not in used]
-        for j in trailing:
-            if not _sigma_homogeneous(pres, k, ys[j], ebar[j]):
-                raise ValueError(
-                    f"stage {t}: trailing prime {j} is not sigma_{t}-homogeneous"
-                )
         if not any((k, i) in pres.delta for i in range(lo, k)):
             preds.append(None)
             ys.append(xk.terms)
             ebar.append(_unit_vec(n, k))
             continue
-        moved, hits = [], []
-        for j in trailing:
+        # trailing primes of stage t-1 (indices never used as a predecessor),
+        # the declared predecessor first
+        used = {p for p in preds if p is not None}
+        declared = [j for j in range(t) if eta and eta[lo + j] == eta[k]][-1:]
+        for j in sorted((j for j in range(t) if j not in used), key=lambda j: j not in declared):
             d = apply_sigma_delta(pres, k, PBWElement(pres, ys[j]))[1]
-            if d.is_zero:
-                continue
-            moved.append(j)
-            lam_k = pres.lam_diag[k]
-            if not lam_k:  # no scalar, or q^0
-                raise ValueError(f"stage {t} needs a nontrivial diagonal scalar")
-            alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
-            # s = alpha (lambda_k - 1), as in certify_prime
-            s = Coeff.q_power(alpha + lam_k, pres.root) - Coeff.q_power(alpha, pres.root)
-            c = d.scaled(s.inv())
-            if certify_prime(pres, k, ebar[j], c, d, lo):
-                hits.append((j, c))
-        if len(hits) != 1:
-            raise ValueError(
-                f"stage {t}: {len(hits)} normal candidates, expected exactly 1"
-            )
-        j, c = hits[0]
-        for other in moved:
-            if other != j:
-                raise ValueError(
-                    f"stage {t}: delta_{t} moves trailing prime {other}, "
-                    "which the stage does not choose"
-                )
+            if not d.is_zero:
+                break
+        else:  # excluded by the theorem on a certified presentation
+            raise ValueError(f"stage {t}: delta_{t} moves no trailing prime")
+        alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
+        # s = alpha (lambda_k - 1), invertible: check_cgl proved lambda_k != 0
+        s = Coeff.q_power(alpha + pres.lam_diag[k], root) - Coeff.q_power(alpha, root)
+        c = d.scaled(s.inv())
         if not all(cf.is_laurent for cf in c.terms.values()):
             raise ValueError(f"stage {t}: non-Laurent centering coefficient")
         ys.append((pbw_mul(PBWElement(pres, ys[j]), xk) - c).terms)
@@ -431,7 +371,9 @@ def rescale_generators(pres: Presentation):
     """Scalars gamma making every length-one pi match its normalized target.
 
     The rescaled presentation is pres with x_i -> gamma_i x_i, so it
-    inherits the overlap certificate of pres (see orealgebra.check_overlaps).
+    inherits the certificate of pres: its overlaps by the argument in
+    orealgebra.check_overlaps, and the rest of check_cgl, which reads only
+    lam, lambda_diag and the delta monomials, all unchanged.
 
     Returns (gamma, rescaled presentation, its prime sequence); raises
     ValueError when the rescaled presentation fails the target equations,
@@ -468,6 +410,7 @@ def rescale_generators(pres: Presentation):
         names=pres.names,
         root=pres.root,
     )
+    _CERTIFIED.add(rescaled)
     seq2 = compute_primes(rescaled)
     for i in range(n):
         if seq2.eta_data.s[i] is None:

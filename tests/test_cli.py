@@ -307,6 +307,19 @@ NOT_CONFLUENT = {
     "delta": {"4,1": [[[1, 0, 0, 0, 0, 0], {"0": 1}]]},
     "root": 2,
 }
+# files that pass the overlap check but not the rest of the CGL certificate:
+# lambda_diag[3] other than the -2 the torus forces at the 2x2 preset's
+# derivation stage, or 0 there; and y x = q x y + x^2, where delta_1(x) = x^2
+# gives delta_1^n(x) a nonzero multiple of x^(n+1) for every n
+TORUS_DIAG = GRID22["lambda_diag"][:3] + ["300000"]
+ZERO_DIAG = GRID22["lambda_diag"][:3] + ["0"]
+NOT_NILPOTENT = {
+    "lambda": [["0", "-1"], ["1", "0"]],
+    "weights": [[1], [1]],
+    "lambda_diag": [None, "1"],
+    "delta": {"1,0": [[[2, 0], {"0": 1}]]},
+    "root": 2,
+}
 SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
 
 
@@ -336,6 +349,9 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         ({**GRID22, "root": 4.0}, ("--cmd", "bmatrix")),
         ({**GRID22, "root": 1.27e16}, ("--cmd", "bmatrix")),
         (NOT_CONFLUENT, ("--cmd", "primes")),
+        ({**GRID22, "lambda_diag": TORUS_DIAG}, ("--cmd", "primes")),
+        ({**GRID22, "lambda_diag": ZERO_DIAG}, ("--cmd", "primes")),
+        (NOT_NILPOTENT, ("--cmd", "primes")),
         ({**GRID22, "delta": "x"}, ("--cmd", "primes")),
         # one above orealgebra.MAX_ROOT; at this root the preset's coefficients
         # denote another algebra, which without the bound ends in exit 1
@@ -393,6 +409,9 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "float-root",
         "huge-float-root",
         "not-confluent",
+        "torus-condition",
+        "zero-lambda-diag",
+        "not-locally-nilpotent",
         "delta-not-an-object",
         "root-above-bound",
         "rank-above-bound",
@@ -433,6 +452,12 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert "delta[3,0]" in err
     if data is NOT_CONFLUENT:
         assert "overlap (4,1,0)" in err
+    if data is not None and data.get("lambda_diag") is TORUS_DIAG:
+        assert "bad presentation data: stage 3: torus condition fails:" in err
+    if data is not None and data.get("lambda_diag") is ZERO_DIAG:
+        assert "bad presentation data: stage 3: lambda_diag[3] is 0 where delta_3 acts" in err
+    if data is NOT_NILPOTENT:
+        assert "bad presentation data: stage 1: local nilpotence unproved" in err
     if data is not None and data.get("delta") is STRING_MONOMIAL:
         assert "delta[3,0] monomial is not a list" in err
     if data is not None and data.get("weights") is HUGE_FLOAT_WEIGHTS:
@@ -802,9 +827,10 @@ def test_custom_delta_fuzz(capsys, tmp_path, coeff):
         assert (rc == 1) == ("error" in payload)
 
 
-# FUZZ_ENTRY without its huge integers: a diagonal scalar q^e at a derivation
-# stage costs time and memory linear in e (0.06 s at e = 30,000 on the 2x2
-# preset; e = 10**15 exhausts memory)
+# FUZZ_ENTRY without its huge integers.  At a derivation stage the torus
+# condition now rejects any lambda_diag but the one it forces (10**15 is
+# tested in test_orealgebra); a consistent huge exponent would still cost
+# time and memory linear in it in the prime recursion
 FUZZ_EXPONENT = st.one_of(
     st.integers(-3, 3),
     st.booleans(),

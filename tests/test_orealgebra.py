@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import primeseq
 from qcluster.orealgebra import (
+    _CERTIFIED,
     apply_sigma_delta,
-    check_overlaps,
+    check_cgl,
     leading_term,
     pbw_div_right,
     pbw_mul,
@@ -21,6 +23,7 @@ from qcluster.orealgebra import (
     quantum_matrix_preset,
     weight_of,
 )
+from qcluster.primeseq import rescale_generators
 from qcluster.scalarfield import Coeff
 
 PRES = quantum_matrix_preset(2, 2)
@@ -171,11 +174,31 @@ def test_from_dict_rejects_bad_shapes():
         presentation_from_dict(data)
 
 
-def test_presets_pass_the_overlap_certificate():
-    # the built-in presets are code, certified here rather than on every load
-    for m in range(1, 6):
-        for n in range(1, 6):
-            check_overlaps(quantum_matrix_preset(m, n))
+def test_presets_pass_the_overlap_certificate(monkeypatch):
+    """The built-in presets and their rescalings are code, recorded as
+    certified by construction, so no request certifies them; this runs the
+    whole CGL certificate, the overlap check included, on every shape up to
+    5x5 instead of every load."""
+    def unexpected(pres):
+        raise AssertionError(f"{pres} certified on use")
+
+    monkeypatch.setattr(primeseq, "check_cgl", unexpected)
+    presets = [quantum_matrix_preset(m, n) for m in range(1, 6) for n in range(1, 6)]
+    rescaled = [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    for pres in presets + rescaled:
+        assert pres in _CERTIFIED
+        check_cgl(pres)
+
+
+@pytest.mark.parametrize("e", ["300000", str(10**15), "-1"])
+def test_torus_condition_pins_the_diagonal_scalar(e):
+    """At the derivation stage 3 of the 2x2 preset the torus element is
+    forced, h_3 = h_1 + h_2 - h_0 = -2, so any other lambda_diag[3] is
+    rejected at load, before a recursion could invert q^e - 1."""
+    data = serialize(PRES)
+    data["lambda_diag"][3] = e
+    with pytest.raises(ValueError, match=f"^stage 3: torus condition fails: .* h_3 = {e}$"):
+        presentation_from_dict(data)
 
 
 def test_overlap_certificate_names_the_first_failing_triple():

@@ -2,9 +2,10 @@
 
 The independent oracle is the quantum minor written as a permutation sum
 with (-q)^(inversions) coefficients; the recursion in compute_primes
-never sees that formula.  The normality certificate of compute_primes is
-checked against is_normal_in_stage, which forms every product y x_i and
-x_i y.
+never sees that formula.  The recursion, which trusts the Goodearl-Yakimov
+theorem on a certified presentation, is checked against the scan of every
+trailing prime (tests/scan.py), and the scan's normality certificate
+against is_normal_in_stage, which forms every product y x_i and x_i y.
 """
 
 import gc
@@ -17,18 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.bicharacter import ExpMatrix, omega, symmetrization
+from qcluster import primeseq
 from qcluster.orealgebra import (
+    _CERTIFIED,
     Presentation,
     apply_sigma_delta,
-    check_overlaps,
     leading_term,
     pbw_mul,
     quantum_matrix_preset,
 )
 from qcluster.primeseq import (
     EtaData,
+    PrimeSequence,
     _primes,
-    certify_prime,
     compute_primes,
     interval_prime,
     interval_scalar_target,
@@ -41,6 +43,7 @@ from qcluster.qtorus import proportionality_scalar
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
 from restriction import embed_interval, restrict_presentation
+from scan import certify_prime, scan_primes
 
 P22 = quantum_matrix_preset(2, 2)
 P23 = quantum_matrix_preset(2, 3)
@@ -292,13 +295,40 @@ def test_certificate_matches_the_product_oracle():
                 )
 
 
+def test_recursion_matches_the_scan_on_every_range(monkeypatch):
+    """On the presets 2x2-5x5 and the rescaled 2x3 and 3x3, certified by
+    construction, compute_primes and _primes on every range agree with the
+    scan of every trailing prime at every stage, and the recursion forms one
+    delta_k product per derivation stage of each start."""
+    calls = []
+    real = primeseq.apply_sigma_delta
+    monkeypatch.setattr(
+        primeseq, "apply_sigma_delta", lambda pres, *a: calls.append(pres) or real(pres, *a)
+    )
+    cases = [quantum_matrix_preset(m, n) for m in range(2, 6) for n in range(2, 6)]
+    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    for pres in cases:
+        n = pres.n
+        scanned = PrimeSequence(pres, *scan_primes(pres, 0, n - 1))
+        assert compute_primes(pres).y == scanned.y and compute_primes(pres).c == scanned.c
+        for lo in range(n):
+            for top in reversed(range(lo, n)):
+                got, want = _primes(pres, lo, top), scan_primes(pres, lo, top)
+                assert got[:3] == want[:3], (pres, lo, top)
+                assert got.eta_data.p == want.eta_data.p, (pres, lo, top)
+        stages = [k for lo in range(n) for k in range(lo, n)
+                  if any((k, i) in pres.delta for i in range(lo, k))]
+        assert sum(p is pres for p in calls) == len(stages), pres
+
+
 def _two_moved_primes():
     """x2 x0 = q x0 x2 + 1 and x2 x1 = x1 x2 + x1 over commuting x0, x1,
     with lambda_2 = q^-1.  The candidate x0 x2 - 1/(1 - q) passes the
     certificate; delta_2 also moves the trailing prime x1, so x1 would not
     stay normal.  No overlap-certified presentation with two moved trailing
     primes and one certified candidate was found, so this one is built
-    directly; it fails the overlap certificate at (2,1,0)."""
+    directly; it fails the overlap certificate at (2,1,0), so the recursion
+    rejects it before any stage and only the scan reaches the stage."""
     lam = ExpMatrix.from_upper(3, {(0, 2): -1})
     delta = {(2, 0): (((0, 0, 0), 1),), (2, 1): (((0, 1, 0), 1),)}
     lam_diag = [None, None, -1]
@@ -312,9 +342,9 @@ def test_stage_rejects_an_unchosen_moved_prime():
     c = pres.one().scaled((one - q).inv())
     assert certify_prime(pres, 2, (1, 0, 0), c, pres.one())
     with pytest.raises(ValueError, match="stage 2: delta_2 moves trailing prime 1,"):
+        scan_primes(pres, 0, 2)
+    with pytest.raises(ValueError, match=r"^overlap \(2,1,0\)"):
         compute_primes(pres)
-    with pytest.raises(ValueError, match=r"overlap \(2,1,0\)"):
-        check_overlaps(pres)
 
 
 def test_stage_rejects_an_inhomogeneous_trailing_prime():
@@ -330,9 +360,9 @@ def test_stage_rejects_an_inhomogeneous_trailing_prime():
         root=P22.root,
     )
     with pytest.raises(ValueError, match="stage 4: trailing prime 3 is not sigma_4-homog"):
+        scan_primes(pres, 0, 4)
+    with pytest.raises(ValueError, match=r"^overlap \(4,3,0\)"):
         compute_primes(pres)
-    with pytest.raises(ValueError, match=r"overlap \(4,3,0\)"):
-        check_overlaps(pres)
 
 
 def test_restriction_rejects_a_derivation_leaving_the_range():
@@ -362,7 +392,8 @@ def test_interval_primes_match_the_restricted_route():
 
 def _edited(m, n, key, factor=None):
     """The m x n preset with delta[key] scaled by factor, or dropped; built
-    directly, so the overlap certificate does not reject it."""
+    directly, so only the recursion's certificate rejects it, at the overlap
+    (key, 0)."""
     p = quantum_matrix_preset(m, n)
     delta = dict(p.delta)
     if factor is None:
@@ -389,33 +420,39 @@ def _outcome(run, terms=lambda y: y):
     [(2, 3, (5, 1), None), (3, 3, (5, 1), None), (3, 3, (8, 4), None), (3, 3, (7, 3), 2)],
 )
 def test_ranged_recursion_matches_the_restricted_route(m, n, key, factor):
-    """On every range of a presentation the recursion fails inside, _primes
-    gives the restricted presentation's primes or its error message, with
-    stages counted from the range's start; longer ranges run first on one
-    copy and last on another, so resuming and prefix checks are both met."""
+    """On every range of a presentation the scan fails inside, it gives the
+    restricted presentation's primes or its error message, with stages
+    counted from the range's start; longer ranges run first on one copy and
+    last on another, so resuming and prefix checks are both met.  The
+    recursion rejects every range at the overlap the table breaks."""
     for order in (1, -1):
         pres = _edited(m, n, key, factor)
         ranges = [(lo, top) for lo in range(pres.n) for top in range(lo, pres.n)]
         for lo, top in ranges[::order]:
+            sub = restrict_presentation(pres, lo, top)
             want = _outcome(
-                lambda: compute_primes(restrict_presentation(pres, lo, top)),
+                lambda: PrimeSequence(sub, *scan_primes(sub, 0, sub.n - 1)),
                 lambda y: embed_interval(pres, lo, y).terms,
             )
-            assert _outcome(lambda: _primes(pres, lo, top)) == want, (lo, top)
+            assert _outcome(lambda: scan_primes(pres, lo, top)) == want, (lo, top)
+            with pytest.raises(ValueError, match=rf"^overlap \({key[0]},{key[1]},0\)"):
+                _primes(pres, lo, top)
 
 
 def test_ranged_recursion_counts_stages_from_its_start():
     pres = _edited(3, 3, (8, 4))
     for lo, stage in ((0, 8), (3, 5)):
         with pytest.raises(ValueError, match=f"^stage {stage}: 0 normal candidates"):
-            _primes(pres, lo, 8)
+            scan_primes(pres, lo, 8)
     with pytest.raises(ValueError, match="^declared level sets disagree"):
-        _primes(pres, 4, 8)
-    assert _primes(pres, 5, 8).y[-1] == pres.gen(8).terms
+        scan_primes(pres, 4, 8)
+    assert scan_primes(pres, 5, 8).y[-1] == pres.gen(8).terms
+    with pytest.raises(ValueError, match=r"^overlap \(8,4,0\)"):
+        _primes(pres, 5, 8)
 
 
 def test_interval_prime_rejects_a_derivation_leaving_the_interval():
-    """U_q(n+) of sl3 on E12, E1, E2, an overlap-certified CGL extension:
+    """U_q(n+) of sl3 on E12, E1, E2, a CGL extension, certified on first use:
     delta_2(x1) = (q^-1 - q) x0, so the chain 1 -> 2 spans a range that does
     not present a subalgebra, and interval_prime says so as the restriction
     does."""
@@ -428,8 +465,9 @@ def test_interval_prime_rejects_a_derivation_leaving_the_interval():
         eta=[0, 1, 1],
         root=2,
     )
-    check_overlaps(pres)
+    assert pres not in _CERTIFIED
     assert compute_primes(pres).eta_data.s[1] == 2
+    assert pres in _CERTIFIED  # certified on first use
     msg = r"^delta\[2,1\] leaves the generators 1..2$"
     with pytest.raises(ValueError, match=msg):
         restrict_presentation(pres, 1, 2)
