@@ -90,11 +90,6 @@ from .schubertdata import (
     WordData,
     cartan_matrix,
     compatibility_sweep,
-    enumerate_reduced_words,
-    exchange_matrix_for_word,
-    frame_exponent_matrix,
-    is_reduced,
-    quantum_matrix_word,
     roots_for_word,
     verify_word_compatibility,
     word_data,
@@ -166,11 +161,6 @@ __all__ = [
     "WordData",
     "cartan_matrix",
     "compatibility_sweep",
-    "enumerate_reduced_words",
-    "exchange_matrix_for_word",
-    "frame_exponent_matrix",
-    "is_reduced",
-    "quantum_matrix_word",
     "roots_for_word",
     "verify_word_compatibility",
     "word_data",

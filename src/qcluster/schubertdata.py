@@ -227,14 +227,6 @@ def roots_for_word(cd: CartanData, word: Sequence[int]):
     return tuple(roots)
 
 
-def is_reduced(cd: CartanData, word: Sequence[int]) -> bool:
-    try:
-        roots_for_word(cd, word)
-    except ValueError:
-        return False
-    return True
-
-
 class WordData:
     """Bundle of the commutation data a reduced word determines.
 
@@ -313,11 +305,6 @@ def _prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
     return out
 
 
-def frame_exponent_matrix(cd: CartanData, word: Sequence[int]) -> ExpMatrix:
-    """Torus exponent matrix of the frame a reduced word determines."""
-    return WordData(cd, word).frame_matrix()
-
-
 def _plus_minus(word, prefixes):
     """Per position k, the images of letter k's fundamental weight under
     prefix_k plus and minus its image under the whole word."""
@@ -343,11 +330,6 @@ def _frame_matrix(cd: CartanData, plus, minus) -> ExpMatrix:
             num[j][k] = v
             num[k][j] = -v
     return ExpMatrix._make(tuple(map(tuple, num)), 2 * cd.gram_scale)
-
-
-def exchange_matrix_for_word(cd: CartanData, word: Sequence[int]) -> ExchangeMatrix:
-    """Closed-form exchange matrix of a reduced word."""
-    return WordData(cd, word).exchange_matrix()
 
 
 def _append_row(cd, word, p, bcols):
@@ -434,58 +416,80 @@ def verify_word_compatibility(cd: CartanData, word: Sequence[int]) -> CompatRepo
 def _walk(cd: CartanData, max_len: int):
     """Depth-first walk over the reduced words of length 1..max_len.
 
-    Yields (word, p, W, GW, pre, gpre, bcols) in letter-lex order: p[k] is
-    where the letter at position k last occurred before k, or None; W is the
-    word's weight matrix as columns and GW is G.W, G = cd._gram_scaled, both
-    updated by the one right-multiplying column step; pre[l] and gpre[l] are
-    column i_l of W and GW before position l; bcols are _append_row's.  A
-    child adds one reflection, pre/gpre entry and row, and shares the rest.
-    """
+    Yields (word, p, W, GW, pre, gpre, plus, gminus, rows, bcols) in
+    letter-lex order: p[k] is where the letter at position k last occurred
+    before k, or None; W is the word's weight matrix as columns and GW is
+    G.W, G = cd._gram_scaled; pre[l] and gpre[l] are column i_l of W and GW
+    before position l; plus[j] = pre[j] + W[i_j] and gminus[j] = gpre[j] -
+    GW[i_j], which is G minus_j; rows[j] is the frame numerators F[j][l] over
+    2 * gram_scale for every l, F[j][l] = plus[j] . gminus[l] for j < l and
+    skew, followed by gminus[j]; bcols are _append_row's.
 
-    def grow(word, cols, W, GW, pre, gpre, last_seen, p, bcols):
-        for i0 in range(cd.rank):
+    Appending letter i0 at position n right-multiplies W by one reflection,
+    which moves only column i0 of W and G.W.  So plus and gminus change only
+    at the positions J holding i0 and at n, and F only in the rows and
+    columns of J and n: a child copies every other entry from its parent
+    and forms (|J| + 1) n products, not the n(n + 1)/2 of a fresh word.
+    """
+    rank = cd.rank
+
+    def grow(word, cols, W, GW, pre, gpre, plus, gminus, rows, at, p, bcols):
+        n = len(word)
+        for i0 in range(rank):
             if min(cols[i0]) < 0:
                 continue
             word2 = word + (i0 + 1,)
-            p2 = p + (last_seen[i0],)
+            p2 = p + (at[i0][-1] if at[i0] else None,)
             pre2, gpre2 = pre + (W[i0],), gpre + (GW[i0],)
             W2 = _reflect_weight_columns(cd, W, i0)
             GW2 = _reflect_weight_columns(cd, GW, i0)
+            moved = at[i0] + (n,)
+            plus2, gminus2 = [*plus, None], [*gminus, None]
+            for s in moved:
+                plus2[s] = tuple(map(add, pre2[s], W2[i0]))
+                gminus2[s] = tuple(map(sub, gpre2[s], GW2[i0]))
+            rows2 = [row.copy() for row in rows]
+            for row in rows2:
+                row.insert(n, 0)
+            rows2.append(None)
+            for s in moved:
+                ps, gs = plus2[s], gminus2[s]
+                up = [sum(map(mul, pj, gs)) for pj in plus2[:s]]
+                down = [sum(map(mul, ps, gj)) for gj in gminus2[s + 1:]]
+                for j, v in enumerate(up):
+                    rows2[j][s] = v
+                # row n is written whole when s = n, the last moved position
+                for j, v in zip(range(s + 1, n), down):
+                    rows2[j][s] = -v
+                rows2[s] = [-v for v in up] + [0] + down + list(gs)
             bcols2 = _append_row(cd, word2, p2, bcols)
-            yield word2, p2, W2, GW2, pre2, gpre2, bcols2
-            if len(word2) < max_len:
-                seen2 = list(last_seen)
-                seen2[i0] = len(word)
+            yield (word2, p2, W2, GW2, pre2, gpre2, plus2, gminus2, rows2,
+                   bcols2)
+            if n + 1 < max_len:
+                at2 = list(at)
+                at2[i0] = moved
                 yield from grow(word2, _reflect_alpha_columns(cd, cols, i0),
-                                W2, GW2, pre2, gpre2, seen2, p2, bcols2)
+                                W2, GW2, pre2, gpre2, plus2, gminus2, rows2,
+                                at2, p2, bcols2)
 
     if max_len < 1:
         return iter(())
     start = _alpha_columns(cd)
-    return grow((), start, start, list(cd._gram_scaled), (), (),
-                [None] * cd.rank, (), {})
+    return grow((), start, start, list(cd._gram_scaled), (), (), [], [], [],
+                [()] * rank, (), {})
 
 
-def enumerate_reduced_words(cd: CartanData, max_len: int):
-    """All reduced words of length 1..max_len, in letter-lex DFS order."""
-    return [node[0] for node in _walk(cd, max_len)]
+def _carried_report(cd, word, rows, bcols) -> CompatReport:
+    """_verify_prepared's report, from the walk's rows and bcols.
 
-
-def _carried_report(cd, word, W, GW, pre, gpre, bcols) -> CompatReport:
-    """_verify_prepared's report, from the walk's data.
-
-    Frame entry (j, l), j < l, is plus_j . G minus_l over 2 * gram_scale,
-    with plus_j = pre[j] + W[i_j] and G minus_l = gpre[l] - GW[i_l].  The
-    pairing test is homogeneous, so it compares unreduced numerators; G is
-    nonsingular, so it tests the grading sum of G minus_j instead.
+    rows[j] holds the frame numerators (j, l) over 2 * gram_scale, then
+    G minus_j.  The pairing test is homogeneous, so it compares unreduced
+    numerators; G is nonsingular, so it tests the grading sum of G minus_j
+    instead.  The walk updated the rows in place of forming them: only the
+    new letter's column of W moved, so only its positions and the new one
+    changed.
     """
     n = len(word)
-    plus = [tuple(map(add, pre[j], W[i - 1])) for j, i in enumerate(word)]
-    mg = [list(map(sub, gpre[l], GW[i - 1])) for l, i in enumerate(word)]
-    up = [[sum(map(mul, plus[j], m)) for m in mg[j + 1:]] for j in range(n)]
-    # row j: the frame numerators (j, l) for every l, then G minus_j
-    rows = [[-up[l][j - l - 1] for l in range(j)] + [0] + up[j] + mg[j]
-            for j in range(n)]
     zero, d = [0] * (n + cd.rank), cd.d
     pairing_failures, grading_failures, symmetrizable = [], [], True
     for k, col in bcols.items():
@@ -493,7 +497,13 @@ def _carried_report(cd, word, W, GW, pre, gpre, bcols) -> CompatReport:
         got, want = zero, zero.copy()
         want[k] = -2 * cd.gram_scale * dk
         for j, c in col.items():
-            got = [a + c * x for a, x in zip(got, rows[j])]
+            row = rows[j]
+            if c == 1:
+                got = row if got is zero else list(map(add, got, row))
+            elif c == -1:
+                got = list(map(sub, got, row))
+            else:
+                got = [a + c * x for a, x in zip(got, row)]
             if j in bcols and dk * bcols[j].get(k, 0) != -d[word[j] - 1] * c:
                 symmetrizable = False
         if got != want:
@@ -508,16 +518,19 @@ def _carried_report(cd, word, W, GW, pre, gpre, bcols) -> CompatReport:
 def _sweep_reports(cd: CartanData, max_len: int):
     """(word, report) for each reduced word of length 1..max_len in walk
     order; report is None for a word with no repeated letter (no column)."""
-    for word, _, *data, bcols in _walk(cd, max_len):
-        yield word, _carried_report(cd, word, *data, bcols) if bcols else None
+    for word, *_, rows, bcols in _walk(cd, max_len):
+        yield word, _carried_report(cd, word, rows, bcols) if bcols else None
 
 
 def compatibility_sweep(cd: CartanData, max_len: int):
     """Verify every reduced word of length <= max_len.
 
     Returns (number of words checked, list of (word, report) failures).
-    The reports equal verify_word_compatibility's, but G.W, G.pre and the
-    exchange columns ride the walk, so a word pays only for its checks.
+    The reports equal verify_word_compatibility's, but the weight matrices,
+    the exchange columns and the frame rows ride the walk.  A new letter i0
+    moves only column i0 of W and G.W, so a word updates its parent's rows
+    only at the positions holding i0 and at the new one, then pays for its
+    checks.
     """
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
     checked = 0
@@ -525,18 +538,3 @@ def compatibility_sweep(cd: CartanData, max_len: int):
         if report is not None and not report.ok:
             failures.append((word, report))
     return checked, failures
-
-
-def quantum_matrix_word(m: int, n: int):
-    """Reduced word matching the m x n quantum-matrix presentation.
-
-    Type A rank m+n-1; the letter at matrix cell (r, c), 1-based row-major
-    position (r-1)*n + c, is n + r - c.  Composing with the position
-    reversal k -> N+1-k identifies the word's exchange matrix with the
-    quantum-matrix one.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("matrix shape must be positive")
-    return tuple(
-        n + r - c for r in range(1, m + 1) for c in range(1, n + 1)
-    )

@@ -55,12 +55,9 @@ from qcluster.xicombinatorics import (
     interval_frame,
     window_support_vector,
 )
-from qcluster.schubertdata import (
-    CartanData,
-    compatibility_sweep,
-    exchange_matrix_for_word,
-)
+from qcluster.schubertdata import CartanData, compatibility_sweep
 from factors import e_matrix, factor_mutate
+from words import exchange_matrix_for_word
 
 
 def inversions(sigma):

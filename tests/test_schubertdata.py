@@ -19,21 +19,25 @@ from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
     _carried_report,
+    _frame_matrix,
+    _plus_minus,
     _prefix_weight_matrices,
     _sweep_reports,
     _walk,
     cartan_matrix,
     compatibility_sweep,
-    enumerate_reduced_words,
-    exchange_matrix_for_word,
-    frame_exponent_matrix,
-    is_reduced,
-    quantum_matrix_word,
     roots_for_word,
     verify_word_compatibility,
     word_data,
 )
 from qcluster.xicombinatorics import identity_frame
+from words import (
+    enumerate_reduced_words,
+    exchange_matrix_for_word,
+    frame_exponent_matrix,
+    is_reduced,
+    quantum_matrix_word,
+)
 
 A2 = CartanData("A", 2)
 B2 = CartanData("B", 2)
@@ -207,16 +211,27 @@ def _dense(bcols, n):
 
 
 def test_walk_carries_each_words_own_data():
-    """The sweep's shared walk yields the data a word computes on its own."""
+    """The sweep's shared walk yields the data a word computes on its own:
+    the weight matrices, the plus and G minus vectors, the frame rows
+    (numerators over 2 * gram_scale, then G minus) and the exchange columns."""
     for letter, rank, max_len in PINNED_SWEEPS:
         cd = CartanData(letter, rank)
-        for word, p, W, GW, pre, gpre, bcols in _walk(cd, max_len):
+        for node in _walk(cd, max_len):
+            word, p, W, GW, pre, gpre, plus, gminus, rows, bcols = node
             assert p == EtaData(word).p
             prefixes = _prefix_weight_matrices(cd, word)
             assert W == prefixes[-1]
             assert GW == [_gram_image(cd, col) for col in W]
             assert pre == tuple(prefixes[l][i - 1] for l, i in enumerate(word))
             assert gpre == tuple(_gram_image(cd, v) for v in pre)
+            want_plus, want_minus = _plus_minus(word, prefixes)
+            assert list(plus) == want_plus
+            assert list(gminus) == [_gram_image(cd, v) for v in want_minus]
+            frame, n = _frame_matrix(cd, want_plus, want_minus), len(word)
+            assert [row[n:] for row in rows] == [list(g) for g in gminus]
+            scale = 2 * cd.gram_scale
+            assert all(rows[j][l] * frame.den == frame.num[j][l] * scale
+                       for j in range(n) for l in range(n))
             cols = exchange_matrix_for_word(cd, word).cols
             assert _dense(bcols, len(word)) == cols
 
@@ -232,10 +247,13 @@ def _wrong_lengths(letter, rank, d):
     (B3, 8),
     (CartanData("C", 3), 8),
     (G2, 8),
+    (CartanData("D", 4), 7),
     # wrong lengths make reports fail, so the failure lists are compared too
     (_wrong_lengths("B", 3, (1, 1, 1)), 6),
     (_wrong_lengths("G", 2, (3, 1)), 6),
-], ids=["A4", "B3", "C3", "G2", "B3-wrong-d", "G2-wrong-d"])
+    (_wrong_lengths("D", 4, (1, 2, 1, 1)), 6),
+], ids=["A4", "B3", "C3", "G2", "D4",
+        "B3-wrong-d", "G2-wrong-d", "D4-wrong-d"])
 def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
     """Every report the sweep computes from carried data equals the one
     verify_word_compatibility computes from the word alone, and the sweep
@@ -255,14 +273,14 @@ def test_broken_column_reports_the_same_failures(monkeypatch, entry):
     sweep's check and the oracle report the same failures for it."""
     word = (1, 2, 1, 2)
     node = next(node for node in _walk(B2, 4) if node[0] == word)
-    bcols = {k: dict(col) for k, col in node[6].items()}
+    bcols = {k: dict(col) for k, col in node[-1].items()}
     k, j = entry
     bcols[k][j] = bcols[k].get(j, 0) + 1
     broken = ExchangeMatrix(4, _dense(bcols, 4))
     monkeypatch.setattr(schubertdata, "_exchange_matrix", lambda *_: broken)
     report = verify_word_compatibility(B2, word)
     assert report.grading_failures == (k,)
-    assert _carried_report(B2, word, *node[2:6], bcols) == report
+    assert _carried_report(B2, word, node[8], bcols) == report
 
 
 def test_no_words_below_length_one():
