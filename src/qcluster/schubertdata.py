@@ -497,6 +497,7 @@ def _carried_report(cd, word, rows, bcols) -> CompatReport:
         got, want = zero, zero.copy()
         want[k] = -2 * cd.gram_scale * dk
         for j, c in col.items():
+            # most entries are +-1, and each column starts with +1
             row = rows[j]
             if c == 1:
                 got = row if got is zero else list(map(add, got, row))
