@@ -36,14 +36,12 @@ from .mutation import (
     compatibility_check,
     exchange_identity_holds,
     exchange_terms,
-    find_symmetrizer,
     mutate_emat,
     mutate_matrix,
     mutate_seed,
     mutated_variable,
     random_compatible_pair,
     seed_from_pair,
-    skew_symmetrizable,
 )
 from .orealgebra import (
     PBWElement,
@@ -82,7 +80,6 @@ from .exchangesolver import (
     certify_btilde,
     first_column_crosscheck,
     quantum_matrix_btilde,
-    symmetrizers_from_scalars,
 )
 from .schubertdata import (
     CartanData,
@@ -91,8 +88,6 @@ from .schubertdata import (
     cartan_matrix,
     compatibility_sweep,
     roots_for_word,
-    verify_word_compatibility,
-    word_data,
 )
 
 __all__ = [
@@ -117,14 +112,12 @@ __all__ = [
     "compatibility_check",
     "exchange_identity_holds",
     "exchange_terms",
-    "find_symmetrizer",
     "mutate_emat",
     "mutate_matrix",
     "mutate_seed",
     "mutated_variable",
     "random_compatible_pair",
     "seed_from_pair",
-    "skew_symmetrizable",
     "PBWElement",
     "Presentation",
     "leading_term",
@@ -155,13 +148,10 @@ __all__ = [
     "certify_btilde",
     "first_column_crosscheck",
     "quantum_matrix_btilde",
-    "symmetrizers_from_scalars",
     "CartanData",
     "CompatReport",
     "WordData",
     "cartan_matrix",
     "compatibility_sweep",
     "roots_for_word",
-    "verify_word_compatibility",
-    "word_data",
 ]

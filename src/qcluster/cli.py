@@ -54,7 +54,7 @@ from .qtorus import (
     reindex_frame,
 )
 from .scalarfield import Coeff
-from .schubertdata import CartanData, WordData, word_data
+from .schubertdata import CartanData, WordData
 from .xicombinatorics import (
     frame_for_tau,
     gamma_chain,
@@ -145,7 +145,7 @@ def load_presentation(config: RunConfig) -> Presentation:
 def load_word(config: RunConfig) -> WordData:
     """The root system and reduced word of the schubert preset, validated."""
     try:
-        return word_data(CartanData(config.type, config.rank), config.word)
+        return WordData(CartanData(config.type, config.rank), config.word)
     except ValueError as e:
         raise ConfigError(str(e))
 

@@ -13,12 +13,11 @@ pattern for quantum matrices used to cross-check the solver.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from .linalg import primitive, solve
-from .mutation import ExchangeMatrix, compatibility_check, skew_symmetrizable
+from .linalg import solve
+from .mutation import ExchangeMatrix
 from .primeseq import _check_range, _primes, pi_f_data, u_element
 from .xicombinatorics import TauPresentation, _span_frame, _window_spans
 
@@ -51,11 +50,12 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
     direction j under the frame exponent matrix as q^(lam*_l / 2) when
     j == l and trivially otherwise, and M(b) has total weight zero.  The
     columns share these coefficients, so one elimination solves them all;
-    each must be unique and integral.  Then the compatible-pair conditions
-    and skew-symmetrizability, with symmetrizers read off the squared
-    scalars, are checked.  Raises ValueError on any failure: each one
-    means the input data does not come from a valid normalized
-    presentation.
+    each must be unique and integral, and the squared scalars of the
+    exchangeable labels must share one sign.  The solved pairing rows make
+    the pair compatible and the one sign makes it skew-symmetrizable
+    (certify_btilde's docstring), so neither is checked again.  Raises
+    ValueError on any failure: each one means the input data does not come
+    from a valid normalized presentation.
     """
     return _solve_btilde(
         tau_pres.frame.emat, tau_pres.image_weights, tau_pres.ex,
@@ -96,11 +96,8 @@ def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
         if any(x.denominator != 1 for x in col):
             raise ValueError(f"column at {l} is not integral: {col}")
         cols[l] = tuple(int(x) for x in col)
-    bmat = ExchangeMatrix(emat.n, cols)
-    compatibility_check(emat, bmat)
-    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(lam_star, ex)):
-        raise ValueError("principal part is not skew-symmetrizable")
-    return bmat
+    _require_one_sign(lam_star, ex)
+    return ExchangeMatrix(emat.n, cols)
 
 
 def certify_btilde(tau_pres: TauPresentation, bmat: ExchangeMatrix) -> ExchangeMatrix:
@@ -108,13 +105,15 @@ def certify_btilde(tau_pres: TauPresentation, bmat: ExchangeMatrix) -> ExchangeM
     an elimination; returns bmat, raises ValueError otherwise.
 
     bmat must solve btilde_for_tau's system exactly, checked in integers
-    row by row, and be skew-symmetrizable with the symmetrizers read off
-    the squared scalars.  The pairing rows already make the pair
-    compatible: the pairings of the columns with the exchangeable
-    directions form a diagonal matrix with the nonzero entries lam*_l / 2,
-    so the columns are independent and bmat has full column rank.  They
-    also imply the symmetry (B^T R B = diag(lam*/2) B_ex is skew because R
-    is), so that check stays only as a guard.
+    row by row, and the squared scalars of the exchangeable labels must
+    share one sign.  The pairing rows already make the pair compatible:
+    the pairings of the columns with the exchangeable directions form a
+    diagonal matrix with the nonzero entries lam*_l / 2, so the columns
+    are independent and bmat has full column rank.  With the one sign they
+    also make bmat skew-symmetrizable, so that is not checked: the rows
+    say (B^T R B)_kj = (lam*_k / 2) b_kj for exchangeable k, j, and
+    B^T R B is skew because R is, so lam*_k b_kj = -lam*_j b_jk, and the
+    |lam*_l| are positive symmetrizers.
 
     Uniqueness is what lets a solution stand for the solution.  Along the
     chain, frame t+1 is frame t mutated at some k: R_{t+1} = E^T R_t E and
@@ -140,27 +139,16 @@ def certify_btilde(tau_pres: TauPresentation, bmat: ExchangeMatrix) -> ExchangeM
         for c, l in enumerate(ex):
             if sum(map(mul, row, bmat.cols[l])) != want[c]:
                 raise ValueError(f"column at {l} fails row {j} of the system")
-    if not skew_symmetrizable(bmat, symmetrizers_from_scalars(lam_star, ex)):
-        raise ValueError("principal part is not skew-symmetrizable")
+    _require_one_sign(lam_star, ex)
     return bmat
 
 
-def symmetrizers_from_scalars(lam_star, ex: Sequence[int]) -> Dict[int, int]:
-    """Positive integers proportional to the squared-scalar exponents.
-
-    lam_star holds the squared-scalar exponents by label, as
-    Presentation.lam_star does.  The exponents must be constant on level
-    sets and of one sign; the common rescaling to smallest positive
-    integers is returned per exchangeable index.
-    """
-    exps: Dict[int, Fraction] = {}
-    for l in ex:
-        if not lam_star[l]:
-            raise ValueError(f"index {l} lacks a squared scalar")
-        exps[l] = lam_star[l]
-    if len({e > 0 for e in exps.values()}) > 1:
+def _require_one_sign(lam_star, ex: Sequence[int]):
+    """Raise ValueError unless the squared-scalar exponents lam*_l of the
+    exchangeable labels l share one sign; certify_btilde's docstring shows
+    that this makes a solution of the system skew-symmetrizable."""
+    if len({lam_star[l] > 0 for l in ex}) > 1:
         raise ValueError("squared-scalar exponents of mixed sign")
-    return dict(zip(exps, primitive([abs(e) for e in exps.values()])))
 
 
 def quantum_matrix_btilde(m: int, n: int) -> ExchangeMatrix:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from .bicharacter import ExpMatrix, omega, pairing_row
-from .linalg import primitive
 from .orealgebra import pbw_div_right
 from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
 from .scalarfield import Coeff
@@ -103,63 +102,6 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Frac
     return diag
 
 
-def skew_symmetrizable(bmat: ExchangeMatrix, d: Mapping[int, int]) -> bool:
-    """Whether d_k b_kj = -d_j b_jk holds on the principal part.
-
-    The d are positive integers indexed by the exchangeable set.
-    """
-    for k in bmat.ex:
-        if d[k] <= 0:
-            raise ValueError("symmetrizers must be positive")
-    return all(
-        d[k] * bmat.cols[j][k] == -d[j] * bmat.cols[k][j]
-        for k in bmat.ex
-        for j in bmat.ex
-    )
-
-
-def find_symmetrizer(bmat: ExchangeMatrix) -> Optional[Dict[int, int]]:
-    """Positive integer symmetrizers for the principal part, or None.
-
-    Within each connected component of the exchange graph the values are
-    normalized to smallest positive integers.
-    """
-    ex = bmat.ex
-    for k in ex:
-        if bmat.cols[k][k] != 0:
-            return None
-    d: Dict[int, Fraction] = {}
-    for start in ex:
-        if start in d:
-            continue
-        comp = [start]
-        d[start] = Fraction(1)
-        queue = [start]
-        while queue:
-            k = queue.pop()
-            for j in ex:
-                if j == k:
-                    continue
-                bkj = bmat.cols[j][k]
-                bjk = bmat.cols[k][j]
-                if bkj == 0 and bjk == 0:
-                    continue
-                if bkj == 0 or bjk == 0:
-                    return None
-                want = -d[k] * bkj / bjk
-                if want <= 0:
-                    return None
-                if j in d:
-                    if d[j] != want:
-                        return None
-                else:
-                    d[j] = want
-                    comp.append(j)
-                    queue.append(j)
-        d.update(zip(comp, primitive([d[k] for k in comp])))
-    return d
-
-
 def mutate_matrix(bmat: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k by the entrywise sign-split rule:
     b'_ij = -b_ij when k is i or j, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
@@ -199,13 +141,25 @@ def mutate_emat(emat: ExpMatrix, bmat: ExchangeMatrix, k: int) -> ExpMatrix:
 
 class Seed:
     """A toric frame together with a compatible exchange matrix; pairings
-    holds the diagonal pairings that compatibility_check certified."""
+    holds the diagonal pairings d that compatibility_check certified.
+
+    The pairings decide skew-symmetrizability with no search.  With L the
+    frame's exponent matrix, (B^T L B)_kj = d_k b_kj for exchangeable k, j,
+    since column k pairs trivially with every direction but its own; and
+    B^T L B is skew because L is, so d_k b_kj = -d_j b_jk.  The d are
+    nonzero, so b_kj and b_jk vanish together, b_kk = 0, and on a linked
+    pair (b_kj != 0) every symmetrizer has the ratio d_k / d_j.  Hence the
+    principal part has positive symmetrizers exactly when no linked pair
+    has pairings of opposite sign: then each connected component of the
+    exchange graph has pairings of one sign, and |d| symmetrizes it.
+    """
 
     def __init__(self, frame: ToricFrame, bmat: ExchangeMatrix):
         if frame.n != bmat.n_rows:
             raise ValueError("frame size and matrix row count differ")
         self.pairings = compatibility_check(frame.emat, bmat)
-        if find_symmetrizer(bmat) is None:
+        up = {k: d > 0 for k, d in self.pairings.items()}
+        if any(up[k] != up[j] for j in bmat.ex for k in bmat.ex if bmat.cols[j][k]):
             raise ValueError("principal part is not skew-symmetrizable")
         self.frame = frame
         self.bmat = bmat

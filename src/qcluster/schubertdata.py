@@ -22,9 +22,9 @@ from math import lcm
 from operator import add, mul, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .bicharacter import ExpMatrix, pairing_row
+from .bicharacter import ExpMatrix
 from .linalg import det, inverse
-from .mutation import ExchangeMatrix, skew_symmetrizable
+from .mutation import ExchangeMatrix
 from .primeseq import EtaData
 
 
@@ -147,21 +147,6 @@ class CartanData:
         j = self._letter(i)
         return tuple(int(t == j) for t in range(self.rank))
 
-    def reflect_weight(self, mu: Sequence[int], i: int) -> Tuple[int, ...]:
-        """Simple reflection at node i, fundamental-weight coordinates."""
-        j = self._letter(i)
-        return tuple(
-            mu[t] - mu[j] * self.cartan[t][j] for t in range(self.rank)
-        )
-
-    def reflect_root(self, a: Sequence[int], i: int) -> Tuple[int, ...]:
-        """Simple reflection at node i, simple-root coordinates."""
-        j = self._letter(i)
-        drop = sum(self.cartan[j][t] * a[t] for t in range(self.rank))
-        return tuple(
-            a[t] - drop * int(t == j) for t in range(self.rank)
-        )
-
     def root_pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
         acc = 0
         for i, x in enumerate(a):
@@ -237,7 +222,7 @@ class WordData:
     """
 
     __slots__ = ("cartan", "word", "roots", "eta", "lam", "lam_diag",
-                 "lam_star", "lengths")
+                 "lam_star", "lengths", "_rows", "_bcols")
 
     def __init__(self, cd: CartanData, word: Sequence[int]):
         self.cartan = cd
@@ -253,6 +238,13 @@ class WordData:
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self.lam_diag = tuple(Fraction(-2 * d) for d in self.lengths)
         self.lam_star = tuple(Fraction(2 * d) for d in self.lengths)
+        # restricted to the word's own letters, _walk yields the word's
+        # prefixes, the word last; its node's frame rows and exchange
+        # columns are the word's
+        rows, bcols = [], {}
+        for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word]):
+            pass
+        self._rows, self._bcols = rows, bcols
 
     def frame_matrix(self) -> ExpMatrix:
         """Torus exponent matrix of the frame the word determines.
@@ -262,8 +254,9 @@ class WordData:
         applied to letter k's, extended skew-symmetrically with zero
         diagonal.
         """
-        prefixes = _prefix_weight_matrices(self.cartan, self.word)
-        return _frame_matrix(self.cartan, *_plus_minus(self.word, prefixes))
+        n = len(self.word)
+        return ExpMatrix._make(tuple(tuple(row[:n]) for row in self._rows),
+                               2 * self.cartan.gram_scale)
 
     def exchange_matrix(self) -> ExchangeMatrix:
         """Closed-form exchange matrix of the word.
@@ -271,9 +264,12 @@ class WordData:
         Columns sit at the positions whose letter already occurred; rows
         carry +1 at the previous occurrence, -1 at the next one, and
         +-(Cartan entry of the two letters) at positions whose occurrence
-        pattern interleaves the column's in the two recognized ways.
+        pattern interleaves the column's in the two recognized ways
+        (_append_row).
         """
-        return _exchange_matrix(self.cartan, self.word, self.eta.p)
+        n = len(self.word)
+        return ExchangeMatrix(n, {k: tuple(col.get(j, 0) for j in range(n))
+                                  for k, col in self._bcols.items()})
 
     def compatibility(self) -> "CompatReport":
         """Check the two compatibility conditions for the word.
@@ -282,54 +278,12 @@ class WordData:
         except its own, where the exponent is minus the letter's length.
         Grading: each column's signed sum of (full minus prefix) weight
         images vanishes.  Both checks are exact; the report lists any
-        failures.
+        failures (_carried_report).
         """
-        prefixes = _prefix_weight_matrices(self.cartan, self.word)
-        return _verify_prepared(self.cartan, self.word, prefixes, self.eta.p)
+        return _carried_report(self.cartan, self.word, self._rows, self._bcols)
 
     def __repr__(self) -> str:
         return f"WordData({self.cartan!r}, word={self.word})"
-
-
-def word_data(cd: CartanData, word: Sequence[int]) -> WordData:
-    return WordData(cd, word)
-
-
-def _prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
-    """Images of all fundamental weights under each prefix of the word."""
-    cols = _alpha_columns(cd)
-    out = [cols]
-    for i in word:
-        cols = _reflect_weight_columns(cd, cols, cd._letter(i))
-        out.append(cols)
-    return out
-
-
-def _plus_minus(word, prefixes):
-    """Per position k, the images of letter k's fundamental weight under
-    prefix_k plus and minus its image under the whole word."""
-    full = prefixes[len(word)]
-    pairs = [(prefixes[k][i - 1], full[i - 1]) for k, i in enumerate(word)]
-    plus = [tuple(a + b for a, b in zip(pre, fin)) for pre, fin in pairs]
-    minus = [tuple(a - b for a, b in zip(pre, fin)) for pre, fin in pairs]
-    return plus, minus
-
-
-def _frame_matrix(cd: CartanData, plus, minus) -> ExpMatrix:
-    """The frame exponent matrix from _plus_minus, in integers over
-    2 * gram_scale: entry (j, k), j < k, is half the weight pairing of
-    plus_j and minus_k."""
-    n = len(plus)
-    gram = cd._gram_scaled
-    minus_g = [[sum(map(mul, row, nu)) for row in gram] for nu in minus]
-    num = [[0] * n for _ in range(n)]
-    for j in range(n):
-        pj = plus[j]
-        for k in range(j + 1, n):
-            v = sum(map(mul, pj, minus_g[k]))
-            num[j][k] = v
-            num[k][j] = -v
-    return ExpMatrix._make(tuple(map(tuple, num)), 2 * cd.gram_scale)
 
 
 def _append_row(cd, word, p, bcols):
@@ -356,14 +310,6 @@ def _append_row(cd, word, p, bcols):
     return out
 
 
-def _exchange_matrix(cd, word, p) -> ExchangeMatrix:
-    bcols, n = {}, len(word)
-    for t in range(1, n + 1):
-        bcols = _append_row(cd, word[:t], p, bcols)
-    return ExchangeMatrix(n, {k: tuple(col.get(j, 0) for j in range(n))
-                              for k, col in bcols.items()})
-
-
 class CompatReport(NamedTuple):
     """Outcome of the compatible-pair verification for one word."""
 
@@ -374,47 +320,11 @@ class CompatReport(NamedTuple):
     symmetrizable: bool
 
 
-def _verify_prepared(cd, word, prefixes, p):
-    """Shared verification core; word is 1-based letters, p positional."""
-    bmat = _exchange_matrix(cd, word, p)
-    if not bmat.ex:
-        return CompatReport(True, (), (), (), True)
-    plus, minus = _plus_minus(word, prefixes)
-    frame = _frame_matrix(cd, plus, minus)
-    d = {k: cd.d[word[k] - 1] for k in bmat.ex}
-    pairing_failures = []
-    grading_failures = []
-    for k in bmat.ex:
-        col = bmat.cols[k]
-        want = -d[k] * frame.den
-        for l, got in enumerate(pairing_row(frame, col)):
-            if got != (want if l == k else 0):
-                pairing_failures.append((k, l))
-        acc = [0] * cd.rank
-        for j, c in enumerate(col):
-            if c:
-                for t in range(cd.rank):
-                    acc[t] -= c * minus[j][t]
-        if any(acc):
-            grading_failures.append(k)
-    symmetrizable = skew_symmetrizable(bmat, d)
-    ok = not pairing_failures and not grading_failures and symmetrizable
-    return CompatReport(
-        ok,
-        bmat.ex,
-        tuple(pairing_failures),
-        tuple(grading_failures),
-        symmetrizable,
-    )
-
-
-def verify_word_compatibility(cd: CartanData, word: Sequence[int]) -> CompatReport:
-    """Check the two compatibility conditions for one reduced word."""
-    return WordData(cd, word).compatibility()
-
-
-def _walk(cd: CartanData, max_len: int):
-    """Depth-first walk over the reduced words of length 1..max_len.
+def _walk(cd: CartanData, letters: Sequence[Sequence[int]]):
+    """Depth-first walk over the reduced words of length 1..len(letters)
+    whose letter at position n is i0 + 1 for some i0 in letters[n]: every
+    reduced word when each letters[n] is range(cd.rank), one word and its
+    prefixes when each holds one letter.
 
     Yields (word, p, W, GW, pre, gpre, plus, gminus, rows, bcols) in
     letter-lex order: p[k] is where the letter at position k last occurred
@@ -431,11 +341,11 @@ def _walk(cd: CartanData, max_len: int):
     columns of J and n: a child copies every other entry from its parent
     and forms (|J| + 1) n products, not the n(n + 1)/2 of a fresh word.
     """
-    rank = cd.rank
+    max_len = len(letters)
 
     def grow(word, cols, W, GW, pre, gpre, plus, gminus, rows, at, p, bcols):
         n = len(word)
-        for i0 in range(rank):
+        for i0 in letters[n]:
             if min(cols[i0]) < 0:
                 continue
             word2 = word + (i0 + 1,)
@@ -476,11 +386,11 @@ def _walk(cd: CartanData, max_len: int):
         return iter(())
     start = _alpha_columns(cd)
     return grow((), start, start, list(cd._gram_scaled), (), (), [], [], [],
-                [()] * rank, (), {})
+                [()] * cd.rank, (), {})
 
 
 def _carried_report(cd, word, rows, bcols) -> CompatReport:
-    """_verify_prepared's report, from the walk's rows and bcols.
+    """The compatibility report of a word, from its node's rows and bcols.
 
     rows[j] holds the frame numerators (j, l) over 2 * gram_scale, then
     G minus_j.  The pairing test is homogeneous, so it compares unreduced
@@ -519,7 +429,7 @@ def _carried_report(cd, word, rows, bcols) -> CompatReport:
 def _sweep_reports(cd: CartanData, max_len: int):
     """(word, report) for each reduced word of length 1..max_len in walk
     order; report is None for a word with no repeated letter (no column)."""
-    for word, *_, rows, bcols in _walk(cd, max_len):
+    for word, *_, rows, bcols in _walk(cd, [range(cd.rank)] * max_len):
         yield word, _carried_report(cd, word, rows, bcols) if bcols else None
 
 
@@ -527,8 +437,9 @@ def compatibility_sweep(cd: CartanData, max_len: int):
     """Verify every reduced word of length <= max_len.
 
     Returns (number of words checked, list of (word, report) failures).
-    The reports equal verify_word_compatibility's, but the weight matrices,
-    the exchange columns and the frame rows ride the walk.  A new letter i0
+    The reports are WordData.compatibility's, from one walk over all the
+    words, so the weight matrices, the exchange columns and the frame rows
+    ride it from word to word.  A new letter i0
     moves only column i0 of W and G.W, so a word updates its parent's rows
     only at the positions holding i0 and at the new one, then pays for its
     checks.

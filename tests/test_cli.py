@@ -699,6 +699,46 @@ def test_golden_failures(capsys, tmp_path, data, argv, digest):
     assert checks["bmatrix"] == "fail: ValueError: index 1 lacks a nontrivial squared scalar"
 
 
+MIXED_SIGN = "ValueError: squared-scalar exponents of mixed sign"
+
+
+def _negated_star(k):
+    """The 2x3 preset, serialized, with lambda_star[k] negated."""
+    data = serialize(quantum_matrix_preset(2, 3))
+    data["lambda_star"][k] = "-" + data["lambda_star"][k]
+    return data
+
+
+# With lambda_star[1] negated the squared scalars of the exchangeable labels
+# 0 and 1 differ in sign, which every exchange-matrix solve rejects; the
+# digests were recorded while a symmetrizer search still ran after the
+# solve.  first-column solves each window with the window's own squared
+# scalars; the window from 1 has one exchangeable label, so no mixed sign,
+# and its column comes out negated, which fails the crosscheck instead.
+@pytest.mark.parametrize("cmd, digest", [
+    ("bmatrix", "53364657bab6f34621a11582cc51311d4dc7c09757050bfc5e3fea100816cf1f"),
+    ("chain", "79434c36aaab8fad8d9d4c441fb0a833f158f06235206b489bf93b4d14162451"),
+    ("mutate", "7095dc658b005cf243fb0347045a36064afd1247e443038e7e9dc0fa7c3eab37"),
+    ("verify", "905f7997d033946d007ed9dada49fd2a4d6229968aedc0a57645ebbdf87c1ec6"),
+], ids=["bmatrix", "chain", "mutate", "verify"])
+def test_mixed_sign_squared_scalars(capsys, tmp_path, cmd, digest):
+    source = tmp_path / "custom.json"
+    source.write_text(json.dumps(_negated_star(1)))
+    rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
+    assert rc == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    payload = json.loads(out)
+    if cmd != "verify":
+        assert payload["error"] == MIXED_SIGN
+        return
+    checks = payload["checks"]
+    for name in ("bmatrix", "chain", "exchange"):
+        assert checks[name] == "fail: " + MIXED_SIGN
+    assert checks["first-column"] == "fail: first-column check fails at 1"
+    failing = {name for name, result in checks.items() if result != "pass"}
+    assert failing == {"bmatrix", "chain", "exchange", "first-column"}
+
+
 # JSON true and false go in every integer and exponent field: a file that
 # holds one anywhere is a configuration error (exit 2)
 def holds_bool(v) -> bool:

@@ -12,7 +12,6 @@ from qcluster.exchangesolver import (
     certify_btilde,
     first_column_crosscheck,
     quantum_matrix_btilde,
-    symmetrizers_from_scalars,
 )
 from qcluster.mutation import ExchangeMatrix, compatibility_check, mutate_matrix
 from qcluster.orealgebra import quantum_matrix_preset, weight_of
@@ -24,6 +23,7 @@ from qcluster.xicombinatorics import (
     identity_frame,
 )
 from restriction import embed_interval, restrict_presentation
+from symmetrizers import skew_symmetrizable, symmetrizers_from_scalars
 
 
 def test_linear_system():
@@ -85,6 +85,20 @@ def test_symmetrizers_for_quantum_matrices():
     pres = quantum_matrix_preset(2, 3)
     d = symmetrizers_from_scalars(pres.lam_star, (0, 1))
     assert d == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 4)], ids=["2x3", "3x3", "3x4"])
+def test_solved_matrices_are_symmetrized_by_the_squared_scalars(shape):
+    """The guard the solver no longer runs holds on every chain frame: the
+    solved pairings are lam*_l / 2, and the squared scalars, rescaled,
+    symmetrize the principal part (certify_btilde's docstring)."""
+    pres = quantum_matrix_preset(*shape)
+    for tau in gamma_chain(pres.n):
+        tp = frame_for_tau(pres, tau)
+        bmat = btilde_for_tau(tp)
+        pairings = compatibility_check(tp.frame.emat, bmat)
+        assert pairings == {l: pres.lam_star[l] / 2 for l in tp.ex}
+        assert skew_symmetrizable(bmat, symmetrizers_from_scalars(pres.lam_star, tp.ex))
 
 
 def test_first_column_crosscheck():

@@ -20,14 +20,12 @@ from qcluster.mutation import (
     compatibility_check,
     exchange_identity_holds,
     exchange_terms,
-    find_symmetrizer,
     mutate_emat,
     mutate_matrix,
     mutate_seed,
     mutated_variable,
     random_compatible_pair,
     seed_from_pair,
-    skew_symmetrizable,
 )
 from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.qtorus import (
@@ -39,6 +37,7 @@ from qcluster.qtorus import (
 )
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
 from factors import e_matrix, factor_mutate
+from symmetrizers import find_symmetrizer, skew_symmetrizable
 
 
 def pairs(seed, count, n_range=(1, 4)):
@@ -230,6 +229,50 @@ def test_seed_rejects_incompatible():
     )
     with pytest.raises(ValueError):
         Seed(frame, bmat)
+
+
+def signed_pairs(seed, count):
+    """Compatible pairs whose pairings take either sign: the columns of
+    random_compatible_pair's matrix, each negated at random, so column k
+    pairs with its own direction as +-d_k / 2, d_k in 1..3."""
+    for rng, emat, bmat, d in pairs(seed, count):
+        signs = {k: rng.choice((1, -1)) for k in bmat.ex}
+        cols = {k: tuple(s * x for x in bmat.cols[k]) for k, s in signs.items()}
+        yield emat, ExchangeMatrix(bmat.n_rows, cols), {k: signs[k] * d[k] for k in d}
+
+
+def test_seed_reads_symmetrizability_off_the_pairings():
+    """Seed accepts a compatible pair with signed pairings exactly when the
+    search finds positive symmetrizers for its principal part."""
+    found = {True: 0, False: 0}
+    for emat, bmat, d in signed_pairs(41, 300):
+        assert compatibility_check(emat, bmat) == {k: Fraction(v, 2) for k, v in d.items()}
+        sym = find_symmetrizer(bmat)
+        found[sym is not None] += 1
+        if sym is None:
+            with pytest.raises(ValueError, match="principal part is not skew-symmetrizable"):
+                seed_from_pair(emat, bmat)
+        else:
+            assert skew_symmetrizable(bmat, sym)
+            assert seed_from_pair(emat, bmat).pairings == {
+                k: Fraction(v, 2) for k, v in d.items()
+            }
+    assert min(found.values()) > 50
+
+
+def test_seed_rejects_a_mixed_sign_linked_pair():
+    """Columns 0 and 1 are linked (b_01 = b_10 = -1) and pair with their own
+    directions as q^(1/2) and q^(-1/2): compatible, not skew-symmetrizable."""
+    h = Fraction(1, 2)
+    emat = ExpMatrix([[0, 0, -h, 0], [0, 0, 0, -h], [h, 0, 0, -h], [0, h, h, 0]])
+    bmat = ExchangeMatrix(4, {0: (0, -1, 1, 0), 1: (-1, 0, 0, -1)})
+    assert compatibility_check(emat, bmat) == {0: h, 1: -h}
+    assert find_symmetrizer(bmat) is None
+    with pytest.raises(ValueError, match="principal part is not skew-symmetrizable"):
+        seed_from_pair(emat, bmat)
+    # negating column 1 makes the pairings agree and the pair a seed
+    same = ExchangeMatrix(4, {0: bmat.cols[0], 1: (1, 0, 0, 1)})
+    assert seed_from_pair(emat, same).pairings == {0: h, 1: h}
 
 
 def test_frame_reindex_respects_mutation():

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from qcluster import schubertdata
 from qcluster.bicharacter import omega
 from qcluster.exchangesolver import quantum_matrix_btilde
 from qcluster.mutation import ExchangeMatrix
@@ -18,25 +17,29 @@ from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
+    WordData,
+    _alpha_columns,
     _carried_report,
-    _frame_matrix,
-    _plus_minus,
-    _prefix_weight_matrices,
+    _reflect_alpha_columns,
+    _reflect_weight_columns,
     _sweep_reports,
     _walk,
     cartan_matrix,
     compatibility_sweep,
     roots_for_word,
-    verify_word_compatibility,
-    word_data,
 )
 from qcluster.xicombinatorics import identity_frame
 from words import (
     enumerate_reduced_words,
     exchange_matrix_for_word,
     frame_exponent_matrix,
+    frame_matrix,
     is_reduced,
+    plus_minus,
+    prefix_weight_matrices,
     quantum_matrix_word,
+    verify_prepared,
+    word_report,
 )
 
 A2 = CartanData("A", 2)
@@ -85,12 +88,13 @@ def test_root_pairing_norms():
 
 
 def test_reflections():
+    # the walk's column reflections, applied to the identity action:
     # s_1 alpha_1 = -alpha_1; s_1 alpha_2 = alpha_1 + alpha_2 in A_2
-    assert A2.reflect_root((1, 0), 1) == (-1, 0)
-    assert A2.reflect_root((0, 1), 1) == (1, 1)
-    # s_i fixes the other fundamental weight
+    identity = _alpha_columns(A2)
+    assert _reflect_alpha_columns(A2, identity, 0) == [(-1, 0), (1, 1)]
+    # s_1 fixes the other fundamental weight
     mu = A2.fundamental_weight(2)
-    assert A2.reflect_weight(mu, 1) == mu
+    assert _reflect_weight_columns(A2, identity, 0)[1] == mu
 
 
 def test_roots_for_word_a2():
@@ -105,7 +109,7 @@ def test_roots_for_word_a2():
 
 
 def test_word_data_a2():
-    data = word_data(A2, (1, 2, 1))
+    data = WordData(A2, (1, 2, 1))
     assert data.lengths == (1, 1, 1)
     # commutation exponents are minus the root pairings
     assert data.lam.entry(1, 0) == -1
@@ -118,28 +122,28 @@ def test_word_data_a2():
 
 
 def test_frame_matrix_a2():
-    r = frame_exponent_matrix(A2, (1, 2, 1))
+    r = WordData(A2, (1, 2, 1)).frame_matrix()
     h = Fraction(1, 2)
     assert r.rows == ((0, 0, -h), (0, 0, h), (h, -h, 0))
 
 
 def test_exchange_matrix_a2():
-    bmat = exchange_matrix_for_word(A2, (1, 2, 1))
+    bmat = WordData(A2, (1, 2, 1)).exchange_matrix()
     assert bmat.ex == (2,)
     assert bmat.cols[2] == (1, -1, 0)
 
 
 def test_column_pairing_a2():
     """Each column pairs trivially with every direction except its own."""
-    r = frame_exponent_matrix(A2, (1, 2, 1))
-    col = exchange_matrix_for_word(A2, (1, 2, 1)).cols[2]
+    data = WordData(A2, (1, 2, 1))
+    r, col = data.frame_matrix(), data.exchange_matrix().cols[2]
     for l in range(3):
         e = omega(r, col, tuple(1 if t == l else 0 for t in range(3)))
         assert e == (-1 if l == 2 else 0)
 
 
 def test_word_report_a2():
-    report = verify_word_compatibility(A2, (1, 2, 1))
+    report = WordData(A2, (1, 2, 1)).compatibility()
     assert report.ok
     assert report.columns == (2,)
     assert report.symmetrizable
@@ -147,17 +151,18 @@ def test_word_report_a2():
 
 
 def test_word_report_g2_longest():
-    report = verify_word_compatibility(G2, (1, 2, 1, 2, 1, 2))
+    report = WordData(G2, (1, 2, 1, 2, 1, 2)).compatibility()
     assert report.ok
     assert report.columns == (2, 3, 4, 5)
 
 
 def test_exchange_entries_use_cartan():
     # B_2 word (1,2,1,2): the off-chain entries carry Cartan integers
-    bmat = exchange_matrix_for_word(B2, (1, 2, 1, 2))
+    data = WordData(B2, (1, 2, 1, 2))
+    bmat = data.exchange_matrix()
     assert bmat.cols[2][0] == 1          # predecessor
     assert bmat.cols[2][1] == cartan_matrix("B", 2)[1][0]
-    report = verify_word_compatibility(B2, (1, 2, 1, 2))
+    report = data.compatibility()
     assert report.ok
 
 
@@ -191,7 +196,7 @@ def test_every_word_is_pinned():
         words = enumerate_reduced_words(cd, max_len)
         assert compatibility_sweep(cd, max_len)[0] == len(words)
         for word in words:
-            data = word_data(cd, word)
+            data = WordData(cd, word)
             record = (
                 word,
                 data.frame_matrix().rows,
@@ -216,18 +221,18 @@ def test_walk_carries_each_words_own_data():
     (numerators over 2 * gram_scale, then G minus) and the exchange columns."""
     for letter, rank, max_len in PINNED_SWEEPS:
         cd = CartanData(letter, rank)
-        for node in _walk(cd, max_len):
+        for node in _walk(cd, [range(rank)] * max_len):
             word, p, W, GW, pre, gpre, plus, gminus, rows, bcols = node
             assert p == EtaData(word).p
-            prefixes = _prefix_weight_matrices(cd, word)
+            prefixes = prefix_weight_matrices(cd, word)
             assert W == prefixes[-1]
             assert GW == [_gram_image(cd, col) for col in W]
             assert pre == tuple(prefixes[l][i - 1] for l, i in enumerate(word))
             assert gpre == tuple(_gram_image(cd, v) for v in pre)
-            want_plus, want_minus = _plus_minus(word, prefixes)
+            want_plus, want_minus = plus_minus(word, prefixes)
             assert list(plus) == want_plus
             assert list(gminus) == [_gram_image(cd, v) for v in want_minus]
-            frame, n = _frame_matrix(cd, want_plus, want_minus), len(word)
+            frame, n = frame_matrix(cd, want_plus, want_minus), len(word)
             assert [row[n:] for row in rows] == [list(g) for g in gminus]
             scale = 2 * cd.gram_scale
             assert all(rows[j][l] * frame.den == frame.num[j][l] * scale
@@ -256,29 +261,36 @@ def _wrong_lengths(letter, rank, d):
         "B3-wrong-d", "G2-wrong-d", "D4-wrong-d"])
 def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
     """Every report the sweep computes from carried data equals the one
-    verify_word_compatibility computes from the word alone, and the sweep
-    skips exactly the words with no repeated letter."""
+    the oracle computes from the word alone, and the sweep skips exactly
+    the words with no repeated letter.  WordData, which follows the walk
+    along its own word, gives the oracle's report, frame matrix and
+    exchange matrix on every word."""
     for word, report in _sweep_reports(cd, max_len):
+        want = word_report(cd, word)
         if report is None:
             assert len(set(word)) == len(word)
+            assert want == (True, (), (), (), True)
         else:
             assert len(set(word)) < len(word)
-            assert report == verify_word_compatibility(cd, word)
+            assert report == want
+        data = WordData(cd, word)
+        assert data.compatibility() == want
+        assert data.frame_matrix() == frame_exponent_matrix(cd, word)
+        assert data.exchange_matrix() == exchange_matrix_for_word(cd, word)
 
 
 @pytest.mark.parametrize("entry", [(2, 3), (2, 0), (2, 2)])
-def test_broken_column_reports_the_same_failures(monkeypatch, entry):
+def test_broken_column_reports_the_same_failures(entry):
     """One exchange entry of B2 (1, 2, 1, 2) raised by 1 breaks the pairing
     (on and off the diagonal), the grading or symmetrizability; the
     sweep's check and the oracle report the same failures for it."""
     word = (1, 2, 1, 2)
-    node = next(node for node in _walk(B2, 4) if node[0] == word)
+    node = next(node for node in _walk(B2, [range(2)] * 4) if node[0] == word)
     bcols = {k: dict(col) for k, col in node[-1].items()}
     k, j = entry
     bcols[k][j] = bcols[k].get(j, 0) + 1
     broken = ExchangeMatrix(4, _dense(bcols, 4))
-    monkeypatch.setattr(schubertdata, "_exchange_matrix", lambda *_: broken)
-    report = verify_word_compatibility(B2, word)
+    report = verify_prepared(B2, word, prefix_weight_matrices(B2, word), broken)
     assert report.grading_failures == (k,)
     assert _carried_report(B2, word, node[8], bcols) == report
 
@@ -303,10 +315,10 @@ def test_dictionary_with_grid_presentation(shape):
     cd = CartanData("A", m + n - 1)
     word = quantum_matrix_word(m, n)
     rho = [N - 1 - k for k in range(N)]
-    data = word_data(cd, word)
+    data = WordData(cd, word)
     pres = quantum_matrix_preset(m, n)
 
-    bmat = exchange_matrix_for_word(cd, word)
+    bmat = data.exchange_matrix()
     reversed_cols = {
         N - 1 - k: tuple(col[rho[t]] for t in range(N))
         for k, col in bmat.cols.items()
@@ -315,5 +327,5 @@ def test_dictionary_with_grid_presentation(shape):
 
     assert ExchangeMatrix(N, reversed_cols) == quantum_matrix_btilde(m, n)
     assert data.lam.permuted(rho) == pres.lam.scaled(-1)
-    r = frame_exponent_matrix(cd, word)
+    r = data.frame_matrix()
     assert r.permuted(rho) == identity_frame(pres).frame.emat.scaled(-1)

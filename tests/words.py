@@ -1,17 +1,30 @@
-"""Test helpers: reduced words and the per-word matrices, one word at a time.
+"""Test helpers: reduced words and the per-word oracle, one word at a time.
 
-The package verifies reduced words through schubertdata.compatibility_sweep,
-whose walk carries every word's data from its parent.  These helpers build
-the same things from the word alone: the reduced words by extending each
-word with every letter that keeps it reduced, and the frame and exchange
-matrices through WordData.
+The package verifies reduced words on one walk (schubertdata._walk), which
+carries every word's weight matrices, frame rows and exchange columns from
+its parent; WordData follows that walk along its own word.  These helpers
+build the same things from the word alone: the reduced words by extending
+each word with every letter that keeps it reduced, the weight images of
+every prefix, the frame and exchange matrices from those, and the
+compatibility report, whose symmetrizability test takes the lengths as
+symmetrizers (symmetrizers.skew_symmetrizable).
 """
 
+from operator import mul
 from typing import Sequence
 
-from qcluster.bicharacter import ExpMatrix
+from qcluster.bicharacter import ExpMatrix, pairing_row
 from qcluster.mutation import ExchangeMatrix
-from qcluster.schubertdata import CartanData, WordData, roots_for_word
+from qcluster.primeseq import EtaData
+from qcluster.schubertdata import (
+    CartanData,
+    CompatReport,
+    _alpha_columns,
+    _append_row,
+    _reflect_weight_columns,
+    roots_for_word,
+)
+from symmetrizers import skew_symmetrizable
 
 
 def is_reduced(cd: CartanData, word: Sequence[int]) -> bool:
@@ -39,14 +52,100 @@ def enumerate_reduced_words(cd: CartanData, max_len: int):
     return out
 
 
+def prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
+    """Images of all fundamental weights under each prefix of the word."""
+    cols = _alpha_columns(cd)
+    out = [cols]
+    for i in word:
+        cols = _reflect_weight_columns(cd, cols, cd._letter(i))
+        out.append(cols)
+    return out
+
+
+def plus_minus(word, prefixes):
+    """Per position k, the images of letter k's fundamental weight under
+    prefix_k plus and minus its image under the whole word."""
+    full = prefixes[len(word)]
+    pairs = [(prefixes[k][i - 1], full[i - 1]) for k, i in enumerate(word)]
+    plus = [tuple(a + b for a, b in zip(pre, fin)) for pre, fin in pairs]
+    minus = [tuple(a - b for a, b in zip(pre, fin)) for pre, fin in pairs]
+    return plus, minus
+
+
+def frame_matrix(cd: CartanData, plus, minus) -> ExpMatrix:
+    """The frame exponent matrix from plus_minus, in integers over
+    2 * gram_scale: entry (j, k), j < k, is half the weight pairing of
+    plus_j and minus_k."""
+    n = len(plus)
+    gram = cd._gram_scaled
+    minus_g = [[sum(map(mul, row, nu)) for row in gram] for nu in minus]
+    num = [[0] * n for _ in range(n)]
+    for j in range(n):
+        pj = plus[j]
+        for k in range(j + 1, n):
+            v = sum(map(mul, pj, minus_g[k]))
+            num[j][k] = v
+            num[k][j] = -v
+    return ExpMatrix._make(tuple(map(tuple, num)), 2 * cd.gram_scale)
+
+
+def verify_prepared(cd: CartanData, word, prefixes, bmat) -> CompatReport:
+    """The compatibility report of word and an exchange matrix bmat, from
+    the word's prefix weight matrices: the pairing of each column with
+    every direction under the frame matrix, the grading sum of each
+    column, and skew-symmetrizability with the letters' lengths as
+    symmetrizers."""
+    if not bmat.ex:
+        return CompatReport(True, (), (), (), True)
+    plus, minus = plus_minus(word, prefixes)
+    frame = frame_matrix(cd, plus, minus)
+    d = {k: cd.d[word[k] - 1] for k in bmat.ex}
+    pairing_failures = []
+    grading_failures = []
+    for k in bmat.ex:
+        col = bmat.cols[k]
+        want = -d[k] * frame.den
+        for l, got in enumerate(pairing_row(frame, col)):
+            if got != (want if l == k else 0):
+                pairing_failures.append((k, l))
+        acc = [0] * cd.rank
+        for j, c in enumerate(col):
+            if c:
+                for t in range(cd.rank):
+                    acc[t] -= c * minus[j][t]
+        if any(acc):
+            grading_failures.append(k)
+    symmetrizable = skew_symmetrizable(bmat, d)
+    ok = not pairing_failures and not grading_failures and symmetrizable
+    return CompatReport(
+        ok,
+        bmat.ex,
+        tuple(pairing_failures),
+        tuple(grading_failures),
+        symmetrizable,
+    )
+
+
 def frame_exponent_matrix(cd: CartanData, word: Sequence[int]) -> ExpMatrix:
-    """Torus exponent matrix of the frame a reduced word determines."""
-    return WordData(cd, word).frame_matrix()
+    """Torus exponent matrix of the frame of a reduced word, from the word."""
+    prefixes = prefix_weight_matrices(cd, word)
+    return frame_matrix(cd, *plus_minus(word, prefixes))
 
 
 def exchange_matrix_for_word(cd: CartanData, word: Sequence[int]) -> ExchangeMatrix:
-    """Closed-form exchange matrix of a reduced word."""
-    return WordData(cd, word).exchange_matrix()
+    """Closed-form exchange matrix of a reduced word, from the word: its
+    columns grown one prefix at a time."""
+    bcols, n, p = {}, len(word), EtaData(word).p
+    for t in range(1, n + 1):
+        bcols = _append_row(cd, word[:t], p, bcols)
+    return ExchangeMatrix(n, {k: tuple(col.get(j, 0) for j in range(n))
+                              for k, col in bcols.items()})
+
+
+def word_report(cd: CartanData, word: Sequence[int]) -> CompatReport:
+    """The compatibility report of a reduced word, from the word."""
+    return verify_prepared(cd, word, prefix_weight_matrices(cd, word),
+                           exchange_matrix_for_word(cd, word))
 
 
 def quantum_matrix_word(m: int, n: int):
