@@ -12,7 +12,7 @@ integer-preserving Gaussian elimination, Math. Comp. 22 (1968).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Sequence, Tuple
 
 Matrix = Sequence[Sequence]  # rows of ints or Fractions
@@ -105,14 +105,3 @@ def inverse(a: Matrix) -> List[List[Fraction]]:
     except ValueError:
         raise ValueError("matrix is singular") from None
 
-
-def primitive(values: Sequence) -> List[int]:
-    """The integer multiple of a rational vector whose gcd is 1.
-
-    Signs are kept, so positive rationals become the smallest positive
-    integers with the same ratios.  The values must not all be zero.
-    """
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    g = gcd(*ints)
-    return [x // g for x in ints]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, neg, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bicharacter import ExpMatrix
@@ -177,20 +177,6 @@ def _reflect_alpha_columns(cd: CartanData, cols, i0: int):
     return out
 
 
-def _reflect_weight_columns(cd: CartanData, cols, i0: int):
-    """Right-multiply the weight action matrix by reflection i0+1."""
-    new_col = list(cols[i0])
-    for l in range(cd.rank):
-        c = cd.cartan[l][i0]
-        if c:
-            col = cols[l]
-            for t in range(cd.rank):
-                new_col[t] -= c * col[t]
-    out = list(cols)
-    out[i0] = tuple(new_col)
-    return out
-
-
 def roots_for_word(cd: CartanData, word: Sequence[int]):
     """The reflection-ordered positive roots of a reduced word.
 
@@ -218,7 +204,10 @@ class WordData:
     lam holds the q-exponents of the generator commutations, lam_diag and
     lam_star the diagonal eigenvalue exponents -2 d and +2 d of each
     letter; eta is the level-set structure of repeated letters with its
-    predecessor and successor maps.
+    predecessor and successor maps.  Restricted to the word's letters,
+    _walk yields its prefixes, the word last: the frame matrix, exchange
+    matrix and report are read off that node's frame rows (from the weight
+    pairings A and P) and exchange columns.
     """
 
     __slots__ = ("cartan", "word", "roots", "eta", "lam", "lam_diag",
@@ -238,9 +227,6 @@ class WordData:
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self.lam_diag = tuple(Fraction(-2 * d) for d in self.lengths)
         self.lam_star = tuple(Fraction(2 * d) for d in self.lengths)
-        # restricted to the word's own letters, _walk yields the word's
-        # prefixes, the word last; its node's frame rows and exchange
-        # columns are the word's
         rows, bcols = [], {}
         for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word]):
             pass
@@ -326,78 +312,101 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]]):
     reduced word when each letters[n] is range(cd.rank), one word and its
     prefixes when each holds one letter.
 
-    Yields (word, p, W, GW, pre, gpre, plus, gminus, rows, bcols) in
-    letter-lex order: p[k] is where the letter at position k last occurred
-    before k, or None; W is the word's weight matrix as columns and GW is
-    G.W, G = cd._gram_scaled; pre[l] and gpre[l] are column i_l of W and GW
-    before position l; plus[j] = pre[j] + W[i_j] and gminus[j] = gpre[j] -
-    GW[i_j], which is G minus_j; rows[j] is the frame numerators F[j][l] over
-    2 * gram_scale for every l, F[j][l] = plus[j] . gminus[l] for j < l and
-    skew, followed by gminus[j]; bcols are _append_row's.
+    Yields (word, p, A, P, rows, bcols) in letter-lex order: p[k] is where
+    the letter at position k last occurred before k, or None; bcols are
+    _append_row's.  With W the word's weight matrix (column i the image of
+    fundamental weight i), pre_l column i_l of W before position l and
+    G = cd._gram_scaled, A[i][j] = pre_j^T G W_i and P[l][j] = pre_j^T G
+    pre_l for j < l.  rows[j] is the frame numerators F[j][l] = plus_j^T G
+    minus_l (j < l, and skew) over 2 * gram_scale, where plus_j and minus_j
+    are pre_j +- W_{i_j}, then the grading tail W^T G minus_j.
 
-    Appending letter i0 at position n right-multiplies W by one reflection,
-    which moves only column i0 of W and G.W.  So plus and gminus change only
-    at the positions J holding i0 and at n, and F only in the rows and
-    columns of J and n: a child copies every other entry from its parent
-    and forms (|J| + 1) n products, not the n(n + 1)/2 of a fresh word.
+    Each simple reflection S keeps the weight form, S^T G S = G, so
+    W^T G W = G and every entry costs O(1):
+
+        F[j][l] = P[l][j] - A[i_l][j] + A[i_j][l] - G[i_j][i_l]  (j < l),
+        (W^T G minus_j)[i] = A[i][j] - G[i][i_j].
+
+    Appending letter i0 at position n replaces W_i0 by W_i0 - sum_l c[l][i0]
+    W_l (c = cd.cartan) and fixes the other columns.  So pre_n is the old
+    W_i0 and P's new row the old A[i0]; the new A[i0] is -A[i0] - sum
+    c[l][i0] A[l] over the neighbours l of i0; each other A[i] gains
+    G[i0][i], and A[i0] gains G[i0][i0] + t0, t0 = -sum_l c[l][i0] G[i0][l].
+    The new tail is t0 at i0, 0 elsewhere, and u_j = F[j][n] is the old
+    minus the new A[i0][j], plus t0 if i_j = i0.  Only A[i0] moves, so each
+    tail moves only at i0, and F only in the rows and columns of the
+    positions J holding i0, where minus_s gains minus_n = old W_i0 - new
+    W_i0 and plus_s loses it.  For j outside J, F[j][s] gains plus_j^T G
+    minus_n = u_j if j < s, and minus_j^T G minus_n = u_j - 2 (W^T G
+    minus_n)[i_j] = u_j if j > s.  So a child adds u_j at J in its parent's
+    row j, subtracts u from each row of J, and forms by the formula only the
+    entries between two positions of J: the walk takes no dot product.
     """
     max_len = len(letters)
+    rank, gram, c = cd.rank, cd._gram_scaled, cd.cartan
+    around = [[(l, -c[l][i]) for l in range(rank) if l != i and c[l][i]]
+              for i in range(rank)]
+    shift = [-sum(c[l][i] * gram[i][l] for l in range(rank))
+             for i in range(rank)]
 
-    def grow(word, cols, W, GW, pre, gpre, plus, gminus, rows, at, p, bcols):
+    def grow(word, cols, A, P, rows, at, p, bcols):
         n = len(word)
         for i0 in letters[n]:
             if min(cols[i0]) < 0:
                 continue
-            word2 = word + (i0 + 1,)
-            p2 = p + (at[i0][-1] if at[i0] else None,)
-            pre2, gpre2 = pre + (W[i0],), gpre + (GW[i0],)
-            W2 = _reflect_weight_columns(cd, W, i0)
-            GW2 = _reflect_weight_columns(cd, GW, i0)
-            moved = at[i0] + (n,)
-            plus2, gminus2 = [*plus, None], [*gminus, None]
-            for s in moved:
-                plus2[s] = tuple(map(add, pre2[s], W2[i0]))
-                gminus2[s] = tuple(map(sub, gpre2[s], GW2[i0]))
+            g0, old, t0, J = gram[i0], A[i0], shift[i0], at[i0]
+            word2, p2 = word + (i0 + 1,), p + (J[-1] if J else None,)
+            new = list(map(neg, old))
+            for l, m in around[i0]:
+                new = list(map(add, new, A[l] if m == 1 else
+                               [m * x for x in A[l]]))
+            new.append(g0[i0] + t0)
+            A2 = [a + [g] for a, g in zip(A, g0)]
+            A2[i0] = new
+            P2 = P + (old,)
+            u = list(map(sub, old, new))
+            for s in J:
+                u[s] += t0
             rows2 = [row.copy() for row in rows]
-            for row in rows2:
-                row.insert(n, 0)
-            rows2.append(None)
-            for s in moved:
-                ps, gs = plus2[s], gminus2[s]
-                up = [sum(map(mul, pj, gs)) for pj in plus2[:s]]
-                down = [sum(map(mul, ps, gj)) for gj in gminus2[s + 1:]]
-                for j, v in enumerate(up):
-                    rows2[j][s] = v
-                # row n is written whole when s = n, the last moved position
-                for j, v in zip(range(s + 1, n), down):
-                    rows2[j][s] = -v
-                rows2[s] = [-v for v in up] + [0] + down + list(gs)
+            for row, v, x, i in zip(rows2, u, new, word):
+                for s in J:
+                    row[s] += v
+                row.insert(n, v)
+                row[n + 1 + i0] = x - g0[i - 1]
+            for s in J:
+                row = list(map(sub, rows[s], u))
+                row[s] = 0
+                for t in J:
+                    if t < s:
+                        row[t] = new[t] - new[s] + g0[i0] - P2[s][t]
+                    elif t > s:
+                        row[t] = new[t] - new[s] - g0[i0] + P2[t][s]
+                rows2[s] = row + [u[s]] + rows2[s][n + 1:]
+            rows2.append([-v for v in u] + [0] * (rank + 1))
+            rows2[n][n + 1 + i0] = t0
             bcols2 = _append_row(cd, word2, p2, bcols)
-            yield (word2, p2, W2, GW2, pre2, gpre2, plus2, gminus2, rows2,
-                   bcols2)
+            yield word2, p2, A2, P2, rows2, bcols2
             if n + 1 < max_len:
                 at2 = list(at)
-                at2[i0] = moved
+                at2[i0] = J + (n,)
                 yield from grow(word2, _reflect_alpha_columns(cd, cols, i0),
-                                W2, GW2, pre2, gpre2, plus2, gminus2, rows2,
-                                at2, p2, bcols2)
+                                A2, P2, rows2, at2, p2, bcols2)
 
     if max_len < 1:
         return iter(())
-    start = _alpha_columns(cd)
-    return grow((), start, start, list(cd._gram_scaled), (), (), [], [], [],
-                [()] * cd.rank, (), {})
+    return grow((), _alpha_columns(cd), [[] for _ in range(rank)], (), [],
+                [()] * rank, (), {})
 
 
 def _carried_report(cd, word, rows, bcols) -> CompatReport:
     """The compatibility report of a word, from its node's rows and bcols.
 
-    rows[j] holds the frame numerators (j, l) over 2 * gram_scale, then
-    G minus_j.  The pairing test is homogeneous, so it compares unreduced
-    numerators; G is nonsingular, so it tests the grading sum of G minus_j
-    instead.  The walk updated the rows in place of forming them: only the
-    new letter's column of W moved, so only its positions and the new one
-    changed.
+    rows[j] holds the frame numerators (j, l) over 2 * gram_scale, then the
+    grading tail W^T G minus_j.  The pairing test is homogeneous, so it
+    compares unreduced numerators.  W is unimodular (a product of integer
+    involutions) and G is nonsingular, so a signed sum of the tails
+    vanishes exactly when that of the minus_j does.  The walk updated the
+    rows in place of forming them (_walk).
     """
     n = len(word)
     zero, d = [0] * (n + cd.rank), cd.d
@@ -438,11 +447,10 @@ def compatibility_sweep(cd: CartanData, max_len: int):
 
     Returns (number of words checked, list of (word, report) failures).
     The reports are WordData.compatibility's, from one walk over all the
-    words, so the weight matrices, the exchange columns and the frame rows
-    ride it from word to word.  A new letter i0
-    moves only column i0 of W and G.W, so a word updates its parent's rows
-    only at the positions holding i0 and at the new one, then pays for its
-    checks.
+    words: the weight pairings A and P, the exchange columns and the frame
+    rows ride it from word to word.  A new letter i0 moves only A[i0], so a
+    word shifts its parent's rows at the positions holding i0 and appends
+    the new one at O(1) an entry (_walk), then pays for its checks.
     """
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
     checked = 0

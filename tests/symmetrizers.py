@@ -5,14 +5,28 @@ pair: mutation.Seed rejects a linked pair whose pairings differ in sign, and
 exchangesolver requires squared scalars of one sign.  This module keeps the
 routes that find the symmetrizers themselves, so tests can compare the
 two: a search over the exchange graph for a seed's matrix, the squared
-scalars rescaled for a solved one, and the defining identity.
+scalars rescaled for a solved one, and the defining identity.  Both
+routes rescale to smallest integers with primitive, which no package
+module needs.
 """
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from qcluster.linalg import primitive
 from qcluster.mutation import ExchangeMatrix
+
+
+def primitive(values: Sequence) -> List[int]:
+    """The integer multiple of a rational vector whose gcd is 1.
+
+    Signs are kept, so positive rationals become the smallest positive
+    integers with the same ratios.  The values must not all be zero.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def skew_symmetrizable(bmat: ExchangeMatrix, d: Mapping[int, int]) -> bool:

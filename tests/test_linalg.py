@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.exchangesolver import btilde_for_tau
-from qcluster.linalg import det, inverse, primitive, rank, solve
+from qcluster.linalg import det, inverse, rank, solve
 from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
+from symmetrizers import primitive
 
 
 def reference_rref(rows, ncols):

@@ -21,7 +21,6 @@ from qcluster.schubertdata import (
     _alpha_columns,
     _carried_report,
     _reflect_alpha_columns,
-    _reflect_weight_columns,
     _sweep_reports,
     _walk,
     cartan_matrix,
@@ -38,6 +37,7 @@ from words import (
     plus_minus,
     prefix_weight_matrices,
     quantum_matrix_word,
+    reflect_weight_columns,
     verify_prepared,
     word_report,
 )
@@ -94,7 +94,37 @@ def test_reflections():
     assert _reflect_alpha_columns(A2, identity, 0) == [(-1, 0), (1, 1)]
     # s_1 fixes the other fundamental weight
     mu = A2.fundamental_weight(2)
-    assert _reflect_weight_columns(A2, identity, 0)[1] == mu
+    assert reflect_weight_columns(A2, identity, 0)[1] == mu
+
+
+def _supported_types():
+    for rank in range(1, 17):
+        yield "A", rank
+        if rank >= 2:
+            yield "B", rank
+            yield "C", rank
+        if rank >= 3:
+            yield "D", rank
+    yield "G", 2
+
+
+def _weight_form(cd, x, y):
+    """x^T G y in the scaled Gram matrix G of the fundamental weights."""
+    return sum(a * g * b for a, row in zip(x, cd._gram_scaled)
+               for g, b in zip(row, y))
+
+
+@pytest.mark.parametrize("letter, rank", list(_supported_types()))
+def test_simple_reflections_preserve_the_weight_form(letter, rank):
+    """S_i^T G S_i = G exactly for every simple reflection S_i, on the
+    scaled Gram matrix the walk reads: the sweep's weight pairings rest
+    on this identity."""
+    cd = CartanData(letter, rank)
+    identity = _alpha_columns(cd)
+    for i in range(rank):
+        s = reflect_weight_columns(cd, identity, i)
+        assert [[_weight_form(cd, x, y) for y in s] for x in s] == [
+            list(row) for row in cd._gram_scaled]
 
 
 def test_roots_for_word_a2():
@@ -207,38 +237,39 @@ def test_every_word_is_pinned():
     assert h.hexdigest() == PINNED_DIGEST
 
 
-def _gram_image(cd, v):
-    return tuple(sum(g * x for g, x in zip(row, v)) for row in cd._gram_scaled)
-
-
 def _dense(bcols, n):
     return {c: tuple(col.get(r, 0) for r in range(n)) for c, col in bcols.items()}
 
 
 def test_walk_carries_each_words_own_data():
-    """The sweep's shared walk yields the data a word computes on its own:
-    the weight matrices, the plus and G minus vectors, the frame rows
-    (numerators over 2 * gram_scale, then G minus) and the exchange columns."""
+    """The sweep's shared walk yields the data a word computes on its own
+    from its prefix weight matrices: the weight pairings A and P, the frame
+    rows (numerators over 2 * gram_scale, then the tails W^T G minus) and
+    the exchange columns; and W^T G W = G at every node."""
     for letter, rank, max_len in PINNED_SWEEPS:
         cd = CartanData(letter, rank)
+        gram = [list(row) for row in cd._gram_scaled]
         for node in _walk(cd, [range(rank)] * max_len):
-            word, p, W, GW, pre, gpre, plus, gminus, rows, bcols = node
+            word, p, A, P, rows, bcols = node
+            n = len(word)
             assert p == EtaData(word).p
             prefixes = prefix_weight_matrices(cd, word)
-            assert W == prefixes[-1]
-            assert GW == [_gram_image(cd, col) for col in W]
-            assert pre == tuple(prefixes[l][i - 1] for l, i in enumerate(word))
-            assert gpre == tuple(_gram_image(cd, v) for v in pre)
-            want_plus, want_minus = plus_minus(word, prefixes)
-            assert list(plus) == want_plus
-            assert list(gminus) == [_gram_image(cd, v) for v in want_minus]
-            frame, n = frame_matrix(cd, want_plus, want_minus), len(word)
-            assert [row[n:] for row in rows] == [list(g) for g in gminus]
+            W = prefixes[-1]
+            assert [[_weight_form(cd, x, y) for y in W] for x in W] == gram
+            pre = [prefixes[l][i - 1] for l, i in enumerate(word)]
+            assert A == [[_weight_form(cd, pre[j], w) for j in range(n)]
+                         for w in W]
+            assert list(P) == [[_weight_form(cd, pre[j], pre[l])
+                                for j in range(l)] for l in range(n)]
+            plus, minus = plus_minus(word, prefixes)
+            assert [row[n:] for row in rows] == [
+                [_weight_form(cd, w, m) for w in W] for m in minus]
+            frame = frame_matrix(cd, plus, minus)
             scale = 2 * cd.gram_scale
             assert all(rows[j][l] * frame.den == frame.num[j][l] * scale
                        for j in range(n) for l in range(n))
             cols = exchange_matrix_for_word(cd, word).cols
-            assert _dense(bcols, len(word)) == cols
+            assert _dense(bcols, n) == cols
 
 
 def _wrong_lengths(letter, rank, d):
@@ -283,16 +314,19 @@ def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
 def test_broken_column_reports_the_same_failures(entry):
     """One exchange entry of B2 (1, 2, 1, 2) raised by 1 breaks the pairing
     (on and off the diagonal), the grading or symmetrizability; the
-    sweep's check and the oracle report the same failures for it."""
+    sweep's check, whose grading test reads the node's tails W^T G minus,
+    and the oracle, whose test reads the minus vectors, report the same
+    failures for it."""
     word = (1, 2, 1, 2)
-    node = next(node for node in _walk(B2, [range(2)] * 4) if node[0] == word)
-    bcols = {k: dict(col) for k, col in node[-1].items()}
+    *_, rows, bcols = next(
+        node for node in _walk(B2, [range(2)] * 4) if node[0] == word)
+    bcols = {k: dict(col) for k, col in bcols.items()}
     k, j = entry
     bcols[k][j] = bcols[k].get(j, 0) + 1
     broken = ExchangeMatrix(4, _dense(bcols, 4))
     report = verify_prepared(B2, word, prefix_weight_matrices(B2, word), broken)
     assert report.grading_failures == (k,)
-    assert _carried_report(B2, word, node[8], bcols) == report
+    assert _carried_report(B2, word, rows, bcols) == report
 
 
 def test_no_words_below_length_one():

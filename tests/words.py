@@ -1,13 +1,15 @@
 """Test helpers: reduced words and the per-word oracle, one word at a time.
 
 The package verifies reduced words on one walk (schubertdata._walk), which
-carries every word's weight matrices, frame rows and exchange columns from
-its parent; WordData follows that walk along its own word.  These helpers
-build the same things from the word alone: the reduced words by extending
-each word with every letter that keeps it reduced, the weight images of
-every prefix, the frame and exchange matrices from those, and the
-compatibility report, whose symmetrizability test takes the lengths as
-symmetrizers (symmetrizers.skew_symmetrizable).
+carries every word's weight pairings, frame rows and exchange columns from
+its parent without forming a weight vector; WordData follows that walk
+along its own word.  These helpers build the same things from the word
+alone: the reduced words by extending each word with every letter that
+keeps it reduced, the weight images of every prefix (one reflection of the
+weight matrix per letter, reflect_weight_columns), the frame and exchange
+matrices from those, and the compatibility report, whose
+symmetrizability test takes the lengths as symmetrizers
+(symmetrizers.skew_symmetrizable).
 """
 
 from operator import mul
@@ -21,7 +23,6 @@ from qcluster.schubertdata import (
     CompatReport,
     _alpha_columns,
     _append_row,
-    _reflect_weight_columns,
     roots_for_word,
 )
 from symmetrizers import skew_symmetrizable
@@ -52,12 +53,26 @@ def enumerate_reduced_words(cd: CartanData, max_len: int):
     return out
 
 
+def reflect_weight_columns(cd: CartanData, cols, i0: int):
+    """Right-multiply the weight action matrix by reflection i0+1."""
+    new_col = list(cols[i0])
+    for l in range(cd.rank):
+        c = cd.cartan[l][i0]
+        if c:
+            col = cols[l]
+            for t in range(cd.rank):
+                new_col[t] -= c * col[t]
+    out = list(cols)
+    out[i0] = tuple(new_col)
+    return out
+
+
 def prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
     """Images of all fundamental weights under each prefix of the word."""
     cols = _alpha_columns(cd)
     out = [cols]
     for i in word:
-        cols = _reflect_weight_columns(cd, cols, cd._letter(i))
+        cols = reflect_weight_columns(cd, cols, cd._letter(i))
         out.append(cols)
     return out
 
