@@ -23,9 +23,7 @@ from .qtorus import (
     ToricFrame,
     check_frame_identity,
     frame_value,
-    matrix_from_images,
     permutation_cols,
-    proportionality_scalar,
     reindex_frame,
     torus_div_right,
     torus_mul,
@@ -58,14 +56,12 @@ from .primeseq import (
     PrimeSequence,
     compute_primes,
     interval_prime,
-    normality_scalar,
     pi_f_data,
     rescale_generators,
     u_element,
 )
 from .xicombinatorics import (
     TauPresentation,
-    enumerate_xi,
     frame_for_tau,
     gamma_chain,
     gamma_chain_swaps,
@@ -101,9 +97,7 @@ __all__ = [
     "ToricFrame",
     "check_frame_identity",
     "frame_value",
-    "matrix_from_images",
     "permutation_cols",
-    "proportionality_scalar",
     "reindex_frame",
     "torus_div_right",
     "torus_mul",
@@ -130,12 +124,10 @@ __all__ = [
     "PrimeSequence",
     "compute_primes",
     "interval_prime",
-    "normality_scalar",
     "pi_f_data",
     "rescale_generators",
     "u_element",
     "TauPresentation",
-    "enumerate_xi",
     "frame_for_tau",
     "gamma_chain",
     "gamma_chain_swaps",

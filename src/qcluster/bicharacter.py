@@ -109,27 +109,6 @@ class ExpMatrix:
             self.den * c.denominator,
         )
 
-    def permuted(self, perm: Sequence[int]) -> "ExpMatrix":
-        """Conjugate by the permutation matrix sending e_k to e_{perm[k]}.
-
-        The result satisfies result[k][j] = self[perm[k]][perm[j]], i.e. it
-        is the exponent matrix seen by the reordered generator list
-        x_{perm[0]}, ..., x_{perm[n-1]}.
-        """
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation")
-        num = self.num
-        return ExpMatrix._make(
-            tuple(tuple(num[a][b] for b in perm) for a in perm), self.den
-        )
-
-    def restricted(self, indices: Sequence[int]) -> "ExpMatrix":
-        """Submatrix on the given (distinct) indices, in the given order."""
-        num = self.num
-        return ExpMatrix._make(
-            tuple(tuple(num[a][b] for b in indices) for a in indices), self.den
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExpMatrix)

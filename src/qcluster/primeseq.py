@@ -430,9 +430,3 @@ def _gamma_power(gamma: Sequence[Coeff], f: Sequence[int], one: Coeff) -> Coeff:
         if x:
             out = out * gamma[t] ** x
     return out
-
-
-def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
-    """The exponent e in y_k x_i = q**e x_i y_k for i <= k."""
-    seq = compute_primes(pres)
-    return omega(pres.lam, seq.eta_data.ebar[k], _unit_vec(pres.n, i))

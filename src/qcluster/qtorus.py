@@ -227,41 +227,6 @@ def permutation_cols(perm: Sequence[int]):
     return [tuple(1 if i == perm[k] else 0 for i in range(n)) for k in range(n)]
 
 
-def proportionality_scalar(a, b) -> Coeff:
-    """The exact Coeff c with a == c * b, determined via matching terms.
-
-    Raises ValueError when the elements are not proportional.  Works for
-    any element type exposing .terms and .scaled().
-    """
-    if not b.terms:
-        raise ValueError("proportionality against zero")
-    f0 = max(b.terms)
-    ca = a.terms.get(f0)
-    if ca is None:
-        raise ValueError("elements are not proportional")
-    c = ca / b.terms[f0]
-    if a.terms != b.scaled(c).terms:
-        raise ValueError("elements are not proportional")
-    return c
-
-
-def matrix_from_images(images: Sequence) -> ExpMatrix:
-    """Recover the frame exponent matrix from pairwise image products.
-
-    Uses M(e_j) M(e_k) = q**(2 E[j][k]) M(e_k) M(e_j); each ratio must be
-    an exact q power or the images do not define a frame.
-    """
-    n = len(images)
-    upper: dict = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            c = proportionality_scalar(
-                images[j] * images[k], images[k] * images[j]
-            )
-            upper[(j, k)] = c.q_exponent() / 2
-    return ExpMatrix.from_upper(n, upper)
-
-
 def check_frame_identity(frame: ToricFrame, target, combos) -> bool:
     """Check target == sum_i q**s_i * M(g_i) for combos [(s_i, g_i)].
 

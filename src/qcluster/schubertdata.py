@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, neg, sub
+from operator import add, lshift, neg, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bicharacter import ExpMatrix
@@ -97,12 +97,13 @@ class CartanData:
 
     Carries the symmetrizing lengths d (1 for short simple roots) and the
     Gram matrix of the fundamental weights, which is all that weight
-    pairings need.  Construction validates finite type by checking the
-    symmetrized matrix is positive definite.
+    pairings need, with M = _gram_max its largest scaled diagonal entry.
+    Construction validates finite type by checking the symmetrized matrix
+    is positive definite.
     """
 
     __slots__ = ("letter", "rank", "cartan", "d", "gram", "gram_scale",
-                 "_gram_scaled")
+                 "_gram_scaled", "_gram_max")
 
     def __init__(self, letter: str, rank: int):
         self.letter = letter.upper()
@@ -137,6 +138,7 @@ class CartanData:
         self._gram_scaled = tuple(
             tuple(int(x * scale) for x in row) for row in self.gram
         )
+        self._gram_max = max(row[i] for i, row in enumerate(self._gram_scaled))
 
     def _letter(self, i: int) -> int:
         if not 1 <= i <= self.rank:
@@ -160,20 +162,43 @@ class CartanData:
         return f"CartanData({self.letter}{self.rank})"
 
 
-def _alpha_columns(cd: CartanData):
-    return [cd.fundamental_weight(i + 1) for i in range(cd.rank)]
+def _field_width(cd: CartanData, max_len: int) -> int:
+    """The field width w in bits of the packed rows and roots of words of
+    length <= max_len: a balanced field holds -2^(w-1) <= x < 2^(w-1), and
+    2^(w-1) exceeds 4M times the largest column weight sum |b_jk| that
+    _append_row can give (max_len entries, each at most the largest
+    off-diagonal Cartan entry) plus the largest target 2 gram_scale d_k
+    (_carried_report has the proof and the guard).  The budget is at least
+    2, so 2^(w-1) >= 4 also holds the simple-root coordinates of any root,
+    at most 3 in absolute value (the highest root's, in types A-D and G).
+    """
+    cmax = max((-x for row in cd.cartan for x in row if x < 0), default=1)
+    budget = 4 * cd._gram_max * cmax * max_len + 2 * cd.gram_scale * max(cd.d)
+    return budget.bit_length() + 1
+
+
+def _unpack(x: int, count: int, w: int) -> List[int]:
+    """The lowest count balanced w-bit fields of x, lowest first."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(count):
+        f = ((x + half) & mask) - half
+        out.append(f)
+        x = (x - f) >> w
+    return out
+
+
+def _alpha_columns(cd: CartanData, w: int):
+    """The simple roots, packed: coordinate t in field t of width w."""
+    return [1 << (w * i) for i in range(cd.rank)]
 
 
 def _reflect_alpha_columns(cd: CartanData, cols, i0: int):
-    """Right-multiply the simple-root action matrix by reflection i0+1."""
-    base = cols[i0]
-    out = []
-    for j in range(cd.rank):
-        c = cd.cartan[i0][j]
-        if c == 0 and j != i0:
-            out.append(cols[j])
-        else:
-            out.append(tuple(x - c * y for x, y in zip(cols[j], base)))
+    """Right-multiply the packed simple-root action matrix by reflection
+    i0+1: one int operation per Cartan neighbour of i0, and i0 itself."""
+    base, out = cols[i0], list(cols)
+    for j, c in enumerate(cd.cartan[i0]):
+        if c:
+            out[j] -= c * base
     return out
 
 
@@ -182,20 +207,23 @@ def roots_for_word(cd: CartanData, word: Sequence[int]):
 
     Entry k is the image of the k-th letter's simple root under the
     preceding prefix, in simple-root coordinates.  Raises ValueError when
-    the word is not reduced (some entry fails to be a positive root).
+    the word is not reduced (some entry fails to be a positive root): the
+    coordinates of a root share one sign, so a packed root has the sign of
+    the root.
     """
-    cols = _alpha_columns(cd)
+    w = _field_width(cd, len(word))
+    cols = _alpha_columns(cd, w)
     roots = []
     for pos, i in enumerate(word):
         i0 = cd._letter(i)
         beta = cols[i0]
-        if min(beta) < 0:
+        if beta < 0:
             raise ValueError(f"word is not reduced at position {pos}")
         roots.append(beta)
         cols = _reflect_alpha_columns(cd, cols, i0)
     if len(set(roots)) != len(roots):
         raise AssertionError("repeated root in a positivity-checked word")
-    return tuple(roots)
+    return tuple(tuple(_unpack(beta, cd.rank, w)) for beta in roots)
 
 
 class WordData:
@@ -206,12 +234,12 @@ class WordData:
     letter; eta is the level-set structure of repeated letters with its
     predecessor and successor maps.  Restricted to the word's letters,
     _walk yields its prefixes, the word last: the frame matrix, exchange
-    matrix and report are read off that node's frame rows (from the weight
-    pairings A and P) and exchange columns.
+    matrix and report are read off that node's packed frame rows and
+    exchange columns.
     """
 
     __slots__ = ("cartan", "word", "roots", "eta", "lam", "lam_diag",
-                 "lam_star", "lengths", "_rows", "_bcols")
+                 "lam_star", "lengths", "_w", "_rows", "_bcols")
 
     def __init__(self, cd: CartanData, word: Sequence[int]):
         self.cartan = cd
@@ -227,8 +255,9 @@ class WordData:
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self.lam_diag = tuple(Fraction(-2 * d) for d in self.lengths)
         self.lam_star = tuple(Fraction(2 * d) for d in self.lengths)
+        self._w = w = _field_width(cd, n)
         rows, bcols = [], {}
-        for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word]):
+        for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word], w):
             pass
         self._rows, self._bcols = rows, bcols
 
@@ -240,9 +269,11 @@ class WordData:
         applied to letter k's, extended skew-symmetrically with zero
         diagonal.
         """
-        n = len(self.word)
-        return ExpMatrix._make(tuple(tuple(row[:n]) for row in self._rows),
-                               2 * self.cartan.gram_scale)
+        rank, n = self.cartan.rank, len(self.word)
+        return ExpMatrix._make(
+            tuple(tuple(_unpack(row, rank + n, self._w)[rank:])
+                  for row in self._rows),
+            2 * self.cartan.gram_scale)
 
     def exchange_matrix(self) -> ExchangeMatrix:
         """Closed-form exchange matrix of the word.
@@ -266,7 +297,8 @@ class WordData:
         images vanishes.  Both checks are exact; the report lists any
         failures (_carried_report).
         """
-        return _carried_report(self.cartan, self.word, self._rows, self._bcols)
+        return _carried_report(self.cartan, self.word, self._rows,
+                               self._bcols, self._w)
 
     def __repr__(self) -> str:
         return f"WordData({self.cartan!r}, word={self.word})"
@@ -306,41 +338,57 @@ class CompatReport(NamedTuple):
     symmetrizable: bool
 
 
-def _walk(cd: CartanData, letters: Sequence[Sequence[int]]):
+def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
     """Depth-first walk over the reduced words of length 1..len(letters)
     whose letter at position n is i0 + 1 for some i0 in letters[n]: every
     reduced word when each letters[n] is range(cd.rank), one word and its
     prefixes when each holds one letter.
 
-    Yields (word, p, A, P, rows, bcols) in letter-lex order: p[k] is where
-    the letter at position k last occurred before k, or None; bcols are
+    Yields (word, p, A, rows, bcols) in letter-lex order: p[k] is where the
+    letter at position k last occurred before k, or None; bcols are
     _append_row's.  With W the word's weight matrix (column i the image of
-    fundamental weight i), pre_l column i_l of W before position l and
-    G = cd._gram_scaled, A[i][j] = pre_j^T G W_i and P[l][j] = pre_j^T G
-    pre_l for j < l.  rows[j] is the frame numerators F[j][l] = plus_j^T G
-    minus_l (j < l, and skew) over 2 * gram_scale, where plus_j and minus_j
-    are pre_j +- W_{i_j}, then the grading tail W^T G minus_j.
+    fundamental weight i), pre_j column i_j of W before position j and
+    G = cd._gram_scaled, A[i][j] = pre_j^T G W_i.  The frame numerators
+    F[j][l] = plus_j^T G minus_l (j < l, and skew) over 2 * gram_scale,
+    where plus_j and minus_j are pre_j +- W_{i_j}, and the grading tail
+    W^T G minus_j are packed into one int per row, in balanced fields of
+    w bits (_field_width, _unpack) with base B = 2^w:
 
-    Each simple reflection S keeps the weight form, S^T G S = G, so
-    W^T G W = G and every entry costs O(1):
+        rows[j] = sum_i (W^T G minus_j)[i] B^i + sum_l F[j][l] B^(rank+l).
 
-        F[j][l] = P[l][j] - A[i_l][j] + A[i_j][l] - G[i_j][i_l]  (j < l),
-        (W^T G minus_j)[i] = A[i][j] - G[i][i_j].
+    The walk reflects packed simple-root images the same way; a root's
+    coordinates share one sign, so the sign of its int decides whether the
+    next letter keeps the word reduced.
 
-    Appending letter i0 at position n replaces W_i0 by W_i0 - sum_l c[l][i0]
-    W_l (c = cd.cartan) and fixes the other columns.  So pre_n is the old
-    W_i0 and P's new row the old A[i0]; the new A[i0] is -A[i0] - sum
-    c[l][i0] A[l] over the neighbours l of i0; each other A[i] gains
-    G[i0][i], and A[i0] gains G[i0][i0] + t0, t0 = -sum_l c[l][i0] G[i0][l].
-    The new tail is t0 at i0, 0 elsewhere, and u_j = F[j][n] is the old
-    minus the new A[i0][j], plus t0 if i_j = i0.  Only A[i0] moves, so each
-    tail moves only at i0, and F only in the rows and columns of the
-    positions J holding i0, where minus_s gains minus_n = old W_i0 - new
-    W_i0 and plus_s loses it.  For j outside J, F[j][s] gains plus_j^T G
-    minus_n = u_j if j < s, and minus_j^T G minus_n = u_j - 2 (W^T G
-    minus_n)[i_j] = u_j if j > s.  So a child adds u_j at J in its parent's
-    row j, subtracts u from each row of J, and forms by the formula only the
-    entries between two positions of J: the walk takes no dot product.
+    Each simple reflection S keeps the weight form, S^T G S = G, so W^T G W
+    = G and (W^T G minus_j)[i] = A[i][j] - G[i][i_j].  Appending letter i0
+    at position n replaces W_i0 by W_i0 - sum_l c[l][i0] W_l (c =
+    cd.cartan) and fixes the other columns: the new A[i0] is -A[i0] - sum
+    c[l][i0] A[l] over the neighbours l of i0, each other A[i] gains
+    G[i0][i], and A[i0] gains G[i0][i0] + t0, t0 = -sum_l c[l][i0] G[i0][l]
+    (taken from G, not from cd.d).  Let m = old W_i0 - new W_i0 = minus_n
+    and u_j the child's F[j][n]; this is the old minus the new A[i0][j],
+    plus t0 if j is in J, the earlier positions holding i0.  Only W_i0
+    moves, so each tail moves only at i0, by -u_j (plus t0 on J), and F
+    only in the rows and columns of J, where minus_s gains m and plus_s
+    loses it.  Below, plus and minus are the parent's, so u_j = plus_j^T G
+    m off J and u_s = plus_s^T G m - m^T G m on J.  For j outside J,
+    F[j][s] gains plus_j^T G m = u_j if j < s, and minus_j^T G m = u_j - 2
+    (W^T G m)[i_j] = u_j if j > s.  For s < t both in J, F[s][t] becomes
+    (plus_s - m)^T G (minus_t + m) = F[s][t] + plus_s^T G m - m^T G plus_t
+    + 2 m^T G W_i0 - m^T G m, using minus_t = plus_t - 2 W_i0 (old W_i0).
+    Since |old W_i0|_G = |new W_i0|_G, m^T G m = 2 m^T G (old W_i0), so
+    F[s][t] gains exactly u_s - u_t, and F[t][s] by skewness u_t - u_s: the
+    entries between two positions of J follow the same rule, with U
+    subtracted below.  With K = sum_{s in J} B^(rank+s) + B^(rank+n) - B^i0
+    and U = sum_l u_l B^(rank+l) - t0 B^i0, the step is one rank-one
+    update:
+
+        rows2[j] = rows[j] + u_j K,  minus U on the rows of J,
+        rows2[n] = -U.
+
+    Only the final fields must lie in the balanced range for _unpack to
+    read them back; _carried_report proves that they do.
     """
     max_len = len(letters)
     rank, gram, c = cd.rank, cd._gram_scaled, cd.cartan
@@ -348,87 +396,100 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]]):
               for i in range(rank)]
     shift = [-sum(c[l][i] * gram[i][l] for l in range(rank))
              for i in range(rank)]
+    power = [1 << (w * f) for f in range(rank + max_len)]
+    offsets = [w * (rank + l) for l in range(max_len)]
 
-    def grow(word, cols, A, P, rows, at, p, bcols):
+    def grow(word, cols, A, rows, at, p, bcols):
         n = len(word)
         for i0 in letters[n]:
-            if min(cols[i0]) < 0:
+            if cols[i0] < 0:
                 continue
-            g0, old, t0, J = gram[i0], A[i0], shift[i0], at[i0]
+            g0, old, t0, (J, KJ) = gram[i0], A[i0], shift[i0], at[i0]
             word2, p2 = word + (i0 + 1,), p + (J[-1] if J else None,)
             new = list(map(neg, old))
             for l, m in around[i0]:
                 new = list(map(add, new, A[l] if m == 1 else
                                [m * x for x in A[l]]))
-            new.append(g0[i0] + t0)
-            A2 = [a + [g] for a, g in zip(A, g0)]
-            A2[i0] = new
-            P2 = P + (old,)
             u = list(map(sub, old, new))
             for s in J:
                 u[s] += t0
-            rows2 = [row.copy() for row in rows]
-            for row, v, x, i in zip(rows2, u, new, word):
-                for s in J:
-                    row[s] += v
-                row.insert(n, v)
-                row[n + 1 + i0] = x - g0[i - 1]
+            new.append(g0[i0] + t0)
+            A2 = [a + [g] for a, g in zip(A, g0)]
+            A2[i0] = new
+            KJ2 = KJ + power[rank + n]
+            K = KJ2 - power[i0]
+            U = sum(map(lshift, u, offsets)) - t0 * power[i0]
+            rows2 = [row + v * K for row, v in zip(rows, u)]
             for s in J:
-                row = list(map(sub, rows[s], u))
-                row[s] = 0
-                for t in J:
-                    if t < s:
-                        row[t] = new[t] - new[s] + g0[i0] - P2[s][t]
-                    elif t > s:
-                        row[t] = new[t] - new[s] - g0[i0] + P2[t][s]
-                rows2[s] = row + [u[s]] + rows2[s][n + 1:]
-            rows2.append([-v for v in u] + [0] * (rank + 1))
-            rows2[n][n + 1 + i0] = t0
+                rows2[s] -= U
+            rows2.append(-U)
             bcols2 = _append_row(cd, word2, p2, bcols)
-            yield word2, p2, A2, P2, rows2, bcols2
+            yield word2, p2, A2, rows2, bcols2
             if n + 1 < max_len:
                 at2 = list(at)
-                at2[i0] = J + (n,)
+                at2[i0] = J + (n,), KJ2
                 yield from grow(word2, _reflect_alpha_columns(cd, cols, i0),
-                                A2, P2, rows2, at2, p2, bcols2)
+                                A2, rows2, at2, p2, bcols2)
 
     if max_len < 1:
         return iter(())
-    return grow((), _alpha_columns(cd), [[] for _ in range(rank)], (), [],
-                [()] * rank, (), {})
+    return grow((), _alpha_columns(cd, w), [[] for _ in range(rank)], [],
+                [((), 0)] * rank, (), {})
 
 
-def _carried_report(cd, word, rows, bcols) -> CompatReport:
-    """The compatibility report of a word, from its node's rows and bcols.
+def _carried_report(cd, word, rows, bcols, w: int) -> CompatReport:
+    """The compatibility report of a word, from its node's packed rows and
+    bcols.
 
-    rows[j] holds the frame numerators (j, l) over 2 * gram_scale, then the
-    grading tail W^T G minus_j.  The pairing test is homogeneous, so it
-    compares unreduced numerators.  W is unimodular (a product of integer
-    involutions) and G is nonsingular, so a signed sum of the tails
-    vanishes exactly when that of the minus_j does.  The walk updated the
-    rows in place of forming them (_walk).
+    rows[j] packs the grading tail W^T G minus_j and the frame numerators
+    (j, l) over 2 * gram_scale in balanced w-bit fields (_walk).  A column
+    k passes the pairing and grading tests exactly when got = sum_j b_jk
+    rows[j] equals want = -2 gram_scale d_k B^(rank+k): the pairing test is
+    homogeneous, so it compares unreduced numerators, and since W is
+    unimodular (a product of integer involutions) and G nonsingular, a
+    signed sum of the tails vanishes exactly when that of the minus_j
+    does.  So each column costs one int operation per entry and one
+    compare; only a failing column is unpacked, to list its failures.
+
+    Width.  G is Weyl-invariant and positive definite, and every column
+    of W and every pre_j lies in the Weyl orbit of a fundamental weight,
+    so |x|_G^2 <= M = max G_ii for each of them.  By Cauchy-Schwarz,
+    |F[j][l]| = |plus_j^T G minus_l| <= (2 sqrt M)^2 = 4M and each tail
+    entry |W_i^T G minus_j| <= 2M.  So every field of got is at most
+    4M sum_j |b_jk| in absolute value.  An int has one expansion in base
+    B with digits in [-2^(w-1), 2^(w-1)), so the packed compare and
+    _unpack are exact while 4M sum_j |b_jk| + |want_k| < 2^(w-1), whatever
+    the fields were in between; _field_width makes that hold for
+    every column _append_row gives, and a column beyond it is a
+    ValueError.
     """
-    n = len(word)
-    zero, d = [0] * (n + cd.rank), cd.d
+    n, rank, d = len(word), cd.rank, cd.d
+    half, m4 = 1 << (w - 1), 4 * cd._gram_max
     pairing_failures, grading_failures, symmetrizable = [], [], True
     for k, col in bcols.items():
         dk = d[word[k] - 1]
-        got, want = zero, zero.copy()
-        want[k] = -2 * cd.gram_scale * dk
+        want = -2 * cd.gram_scale * dk
+        got, weight = 0, len(col)
         for j, c in col.items():
-            # most entries are +-1, and each column starts with +1
-            row = rows[j]
+            # most entries are +-1
             if c == 1:
-                got = row if got is zero else list(map(add, got, row))
+                got += rows[j]
             elif c == -1:
-                got = list(map(sub, got, row))
+                got -= rows[j]
             else:
-                got = [a + c * x for a, x in zip(got, row)]
+                got += c * rows[j]
+                weight += abs(c) - 1
             if j in bcols and dk * bcols[j].get(k, 0) != -d[word[j] - 1] * c:
                 symmetrizable = False
-        if got != want:
-            pairing_failures += [(k, l) for l in range(n) if got[l] != want[l]]
-            if any(got[n:]):
+        if m4 * weight + abs(want) >= half:
+            raise ValueError(f"exchange column {k} is beyond the {w}-bit "
+                             f"fields of the packed frame rows")
+        if got != want << (w * (rank + k)):
+            fields = _unpack(got, rank + n, w)
+            pairing_failures += [
+                (k, l) for l in range(n)
+                if fields[rank + l] != (want if l == k else 0)]
+            if any(fields[:rank]):
                 grading_failures.append(k)
     ok = not pairing_failures and not grading_failures and symmetrizable
     return CompatReport(ok, tuple(bcols), tuple(pairing_failures),
@@ -438,8 +499,9 @@ def _carried_report(cd, word, rows, bcols) -> CompatReport:
 def _sweep_reports(cd: CartanData, max_len: int):
     """(word, report) for each reduced word of length 1..max_len in walk
     order; report is None for a word with no repeated letter (no column)."""
-    for word, *_, rows, bcols in _walk(cd, [range(cd.rank)] * max_len):
-        yield word, _carried_report(cd, word, rows, bcols) if bcols else None
+    w = _field_width(cd, max_len)
+    for word, *_, rows, bcols in _walk(cd, [range(cd.rank)] * max_len, w):
+        yield word, _carried_report(cd, word, rows, bcols, w) if bcols else None
 
 
 def compatibility_sweep(cd: CartanData, max_len: int):
@@ -447,10 +509,17 @@ def compatibility_sweep(cd: CartanData, max_len: int):
 
     Returns (number of words checked, list of (word, report) failures).
     The reports are WordData.compatibility's, from one walk over all the
-    words: the weight pairings A and P, the exchange columns and the frame
-    rows ride it from word to word.  A new letter i0 moves only A[i0], so a
-    word shifts its parent's rows at the positions holding i0 and appends
-    the new one at O(1) an entry (_walk), then pays for its checks.
+    words: the weight pairings A, the exchange columns and the frame rows
+    ride it from word to word, each row one int of balanced w-bit fields.
+    A new letter i0 moves only column i0 of the weight matrix, so a child
+    takes one rank-one step per row, rows[j] + u_j K, minus U on the
+    earlier positions J of i0, and appends -U; the entries between two
+    positions of J need no formula of their own, because the reflection
+    keeps the length of W_i0 (_walk).  A column then costs one int
+    operation per entry and one compare, exact because every frame entry
+    is at most 4M and every tail entry 2M in absolute value, M the largest
+    diagonal entry of the scaled weight Gram matrix (Cauchy-Schwarz on the
+    Weyl orbits of the fundamental weights, _carried_report).
     """
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
     checked = 0

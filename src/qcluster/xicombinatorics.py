@@ -42,30 +42,6 @@ def has_interval_prefixes(tau: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_xi(n: int) -> List[Tuple[int, ...]]:
-    """All permutations with the interval-prefix property, 2^(n-1) of them.
-
-    Each is determined by choosing, at every step, whether the next index
-    extends the current interval below or above.
-    """
-    if n < 1:
-        raise ValueError("need at least one index")
-    out: List[Tuple[int, ...]] = []
-
-    def grow(prefix, lo, hi):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        if lo > 0:
-            grow(prefix + [lo - 1], lo - 1, hi)
-        if hi < n - 1:
-            grow(prefix + [hi + 1], lo, hi + 1)
-
-    for start in range(n):
-        grow([start], start, start)
-    return sorted(out)
-
-
 def gamma_chain(n: int) -> List[Tuple[int, ...]]:
     """The canonical chain of interval-prefix permutations, id first.
 

@@ -1,0 +1,105 @@
+"""Test oracles that the package itself no longer calls.
+
+Each function here checks code it used to sit beside: enumerate_xi the
+chain of interval-prefix permutations (xicombinatorics), matrix_from_images
+with proportionality_scalar the frame matrices against their images'
+commutation (qtorus), permuted and restricted the reindexed and interval
+exponent matrices (bicharacter, tests/restriction.py), and
+normality_scalar the commutation of each prime with the generators
+(primeseq).  Like tests/restriction.py and tests/factors.py, they keep a
+route the package replaced or never needed, so the tests can compare.
+"""
+
+from fractions import Fraction
+from typing import List, Sequence, Tuple
+
+from qcluster.bicharacter import ExpMatrix, omega
+from qcluster.orealgebra import Presentation
+from qcluster.primeseq import compute_primes
+from qcluster.scalarfield import Coeff
+
+
+def enumerate_xi(n: int) -> List[Tuple[int, ...]]:
+    """All permutations with the interval-prefix property, 2^(n-1) of them.
+
+    Each is determined by choosing, at every step, whether the next index
+    extends the current interval below or above.
+    """
+    if n < 1:
+        raise ValueError("need at least one index")
+    out: List[Tuple[int, ...]] = []
+
+    def grow(prefix, lo, hi):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        if lo > 0:
+            grow(prefix + [lo - 1], lo - 1, hi)
+        if hi < n - 1:
+            grow(prefix + [hi + 1], lo, hi + 1)
+
+    for start in range(n):
+        grow([start], start, start)
+    return sorted(out)
+
+
+def proportionality_scalar(a, b) -> Coeff:
+    """The exact Coeff c with a == c * b, determined via matching terms.
+
+    Raises ValueError when the elements are not proportional.  Works for
+    any element type exposing .terms and .scaled().
+    """
+    if not b.terms:
+        raise ValueError("proportionality against zero")
+    f0 = max(b.terms)
+    ca = a.terms.get(f0)
+    if ca is None:
+        raise ValueError("elements are not proportional")
+    c = ca / b.terms[f0]
+    if a.terms != b.scaled(c).terms:
+        raise ValueError("elements are not proportional")
+    return c
+
+
+def matrix_from_images(images: Sequence) -> ExpMatrix:
+    """Recover the frame exponent matrix from pairwise image products.
+
+    Uses M(e_j) M(e_k) = q**(2 E[j][k]) M(e_k) M(e_j); each ratio must be
+    an exact q power or the images do not define a frame.
+    """
+    n = len(images)
+    upper: dict = {}
+    for j in range(n):
+        for k in range(j + 1, n):
+            c = proportionality_scalar(
+                images[j] * images[k], images[k] * images[j]
+            )
+            upper[(j, k)] = c.q_exponent() / 2
+    return ExpMatrix.from_upper(n, upper)
+
+
+def permuted(e: ExpMatrix, perm: Sequence[int]) -> ExpMatrix:
+    """Conjugate by the permutation matrix sending e_k to e_{perm[k]}.
+
+    The result satisfies result[k][j] = e[perm[k]][perm[j]], i.e. it is the
+    exponent matrix seen by the reordered generator list
+    x_{perm[0]}, ..., x_{perm[n-1]}.
+    """
+    if sorted(perm) != list(range(e.n)):
+        raise ValueError("not a permutation")
+    return restricted(e, perm)
+
+
+def restricted(e: ExpMatrix, indices: Sequence[int]) -> ExpMatrix:
+    """Submatrix on the given (distinct) indices, in the given order."""
+    num = e.num
+    return ExpMatrix._make(
+        tuple(tuple(num[a][b] for b in indices) for a in indices), e.den
+    )
+
+
+def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
+    """The exponent e in y_k x_i = q**e x_i y_k for i <= k."""
+    seq = compute_primes(pres)
+    unit = tuple(int(t == i) for t in range(pres.n))
+    return omega(pres.lam, seq.eta_data.ebar[k], unit)

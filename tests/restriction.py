@@ -7,6 +7,7 @@ the generators j..k into a new Presentation, so tests can compare the two.
 
 from qcluster.orealgebra import PBWElement, Presentation
 from qcluster.primeseq import _check_range
+from oracles import restricted
 
 
 def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
@@ -24,7 +25,7 @@ def restrict_presentation(pres: Presentation, j: int, k: int) -> Presentation:
         if a >= j and b <= k
     }
     return Presentation(
-        pres.lam.restricted(idx),
+        restricted(pres.lam, idx),
         delta,
         [pres.weights[i] for i in idx],
         [pres.lam_diag[i] for i in idx],

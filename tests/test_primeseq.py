@@ -34,14 +34,13 @@ from qcluster.primeseq import (
     compute_primes,
     interval_prime,
     interval_scalar_target,
-    normality_scalar,
     pi_f_data,
     rescale_generators,
     u_element,
 )
-from qcluster.qtorus import proportionality_scalar
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
+from oracles import normality_scalar, proportionality_scalar
 from restriction import embed_interval, restrict_presentation
 from scan import certify_prime, scan_primes
 

@@ -20,19 +20,23 @@ from qcluster.schubertdata import (
     WordData,
     _alpha_columns,
     _carried_report,
+    _field_width,
     _reflect_alpha_columns,
     _sweep_reports,
+    _unpack,
     _walk,
     cartan_matrix,
     compatibility_sweep,
     roots_for_word,
 )
 from qcluster.xicombinatorics import identity_frame
+from oracles import permuted
 from words import (
     enumerate_reduced_words,
     exchange_matrix_for_word,
     frame_exponent_matrix,
     frame_matrix,
+    identity_columns,
     is_reduced,
     plus_minus,
     prefix_weight_matrices,
@@ -88,13 +92,15 @@ def test_root_pairing_norms():
 
 
 def test_reflections():
-    # the walk's column reflections, applied to the identity action:
+    # the walk's packed column reflections, applied to the identity action:
     # s_1 alpha_1 = -alpha_1; s_1 alpha_2 = alpha_1 + alpha_2 in A_2
-    identity = _alpha_columns(A2)
-    assert _reflect_alpha_columns(A2, identity, 0) == [(-1, 0), (1, 1)]
+    width = _field_width(A2, 3)
+    s1 = _reflect_alpha_columns(A2, _alpha_columns(A2, width), 0)
+    assert [_unpack(x, 2, width) for x in s1] == [[-1, 0], [1, 1]]
+    assert s1 == [-1, 1 + (1 << width)]
     # s_1 fixes the other fundamental weight
     mu = A2.fundamental_weight(2)
-    assert reflect_weight_columns(A2, identity, 0)[1] == mu
+    assert reflect_weight_columns(A2, identity_columns(A2), 0)[1] == mu
 
 
 def _supported_types():
@@ -120,7 +126,7 @@ def test_simple_reflections_preserve_the_weight_form(letter, rank):
     scaled Gram matrix the walk reads: the sweep's weight pairings rest
     on this identity."""
     cd = CartanData(letter, rank)
-    identity = _alpha_columns(cd)
+    identity = identity_columns(cd)
     for i in range(rank):
         s = reflect_weight_columns(cd, identity, i)
         assert [[_weight_form(cd, x, y) for y in s] for x in s] == [
@@ -241,17 +247,28 @@ def _dense(bcols, n):
     return {c: tuple(col.get(r, 0) for r in range(n)) for c, col in bcols.items()}
 
 
+def _fields(row, rank, n, width):
+    """The rank + n fields of a packed row, checking that they are all of
+    it."""
+    fields = _unpack(row, rank + n, width)
+    assert row == sum(x << (width * f) for f, x in enumerate(fields))
+    return fields
+
+
 def test_walk_carries_each_words_own_data():
     """The sweep's shared walk yields the data a word computes on its own
-    from its prefix weight matrices: the weight pairings A and P, the frame
-    rows (numerators over 2 * gram_scale, then the tails W^T G minus) and
-    the exchange columns; and W^T G W = G at every node."""
+    from its prefix weight matrices: the weight pairings A, the packed
+    frame rows (the tails W^T G minus, then the numerators over
+    2 * gram_scale) and the exchange columns; and W^T G W = G at every
+    node."""
     for letter, rank, max_len in PINNED_SWEEPS:
         cd = CartanData(letter, rank)
         gram = [list(row) for row in cd._gram_scaled]
-        for node in _walk(cd, [range(rank)] * max_len):
-            word, p, A, P, rows, bcols = node
+        width = _field_width(cd, max_len)
+        for node in _walk(cd, [range(rank)] * max_len, width):
+            word, p, A, rows, bcols = node
             n = len(word)
+            rows = [_fields(row, rank, n, width) for row in rows]
             assert p == EtaData(word).p
             prefixes = prefix_weight_matrices(cd, word)
             W = prefixes[-1]
@@ -259,14 +276,13 @@ def test_walk_carries_each_words_own_data():
             pre = [prefixes[l][i - 1] for l, i in enumerate(word)]
             assert A == [[_weight_form(cd, pre[j], w) for j in range(n)]
                          for w in W]
-            assert list(P) == [[_weight_form(cd, pre[j], pre[l])
-                                for j in range(l)] for l in range(n)]
             plus, minus = plus_minus(word, prefixes)
-            assert [row[n:] for row in rows] == [
+            assert [row[:rank] for row in rows] == [
                 [_weight_form(cd, w, m) for w in W] for m in minus]
             frame = frame_matrix(cd, plus, minus)
             scale = 2 * cd.gram_scale
-            assert all(rows[j][l] * frame.den == frame.num[j][l] * scale
+            assert all(rows[j][rank + l] * frame.den
+                       == frame.num[j][l] * scale
                        for j in range(n) for l in range(n))
             cols = exchange_matrix_for_word(cd, word).cols
             assert _dense(bcols, n) == cols
@@ -316,17 +332,84 @@ def test_broken_column_reports_the_same_failures(entry):
     (on and off the diagonal), the grading or symmetrizability; the
     sweep's check, whose grading test reads the node's tails W^T G minus,
     and the oracle, whose test reads the minus vectors, report the same
-    failures for it."""
+    failures for it: the sweep unpacks a failing column's sum to list
+    them."""
     word = (1, 2, 1, 2)
-    *_, rows, bcols = next(
-        node for node in _walk(B2, [range(2)] * 4) if node[0] == word)
+    width = _field_width(B2, 4)
+    *_, rows, bcols = next(node for node in _walk(B2, [range(2)] * 4, width)
+                           if node[0] == word)
     bcols = {k: dict(col) for k, col in bcols.items()}
     k, j = entry
     bcols[k][j] = bcols[k].get(j, 0) + 1
     broken = ExchangeMatrix(4, _dense(bcols, 4))
     report = verify_prepared(B2, word, prefix_weight_matrices(B2, word), broken)
     assert report.grading_failures == (k,)
-    assert _carried_report(B2, word, rows, bcols) == report
+    assert _carried_report(B2, word, rows, bcols, width) == report
+
+
+def test_packed_fields_stay_inside_the_width_proof():
+    """The premises of the field width's proof, on every node of
+    PINNED_SWEEPS: each frame numerator is at most 4M and each tail entry
+    at most 2M in absolute value, M the largest diagonal entry of the
+    scaled weight Gram matrix; and each packed simple-root image has the
+    common sign of its coordinates, so the walk's sign test is the
+    positivity test."""
+    for letter, rank, max_len in PINNED_SWEEPS:
+        cd = CartanData(letter, rank)
+        M = max(cd._gram_scaled[i][i] for i in range(rank))
+        assert cd._gram_max == M
+        width = _field_width(cd, max_len)
+        cols = {(): _alpha_columns(cd, width)}
+        for word, p, A, rows, bcols in _walk(cd, [range(rank)] * max_len,
+                                             width):
+            n = len(word)
+            for row in rows:
+                fields = _fields(row, rank, n, width)
+                assert all(abs(x) <= 2 * M for x in fields[:rank])
+                assert all(abs(x) <= 4 * M for x in fields[rank:])
+            parent = cols[word[:-1]]
+            assert parent[word[-1] - 1] > 0
+            cols[word] = _reflect_alpha_columns(cd, parent, word[-1] - 1)
+            for packed in cols[word]:
+                coords = _fields(packed, rank, 0, width)
+                sign = (packed > 0) - (packed < 0)
+                assert sign and all(x * sign >= 0 for x in coords)
+                assert cd.root_pairing(coords, coords) in (
+                    2 * d for d in cd.d)
+
+
+@pytest.mark.parametrize("cd, word, k, j", [
+    # row 2 pairs with direction 3 (and has nonzero tails), so raising
+    # entry (2, 3) moves both the pairing and the grading sums
+    (B2, (1, 2, 1, 2), 3, 2),
+    # a column on the one-letter word: 4M sum |b| + |want| reaches 2^(w-1)
+    # exactly one unit beyond the budget
+    (CartanData("A", 1), (1,), 0, 0),
+], ids=["B2", "A1"])
+def test_a_column_beyond_the_field_width_is_a_value_error(cd, word, k, j):
+    """The packed compare is exact while 4M sum_j |b_jk| + |want_k| stays
+    below 2^(w-1).  A column at that budget is still reported as the oracle
+    reports it; one unit beyond it is a ValueError, which python -O keeps,
+    not a report that could be wrong."""
+    n = len(word)
+    width = _field_width(cd, n)
+    *_, rows, bcols = next(node for node in _walk(cd, [range(cd.rank)] * n,
+                                                  width) if node[0] == word)
+    want = 2 * cd.gram_scale * cd.d[word[k] - 1]
+    room = ((1 << (width - 1)) - 1 - want) // (4 * cd._gram_max) - sum(
+        abs(c) for l, c in bcols.get(k, {}).items() if l != j)
+    assert room > 1
+    for extra in (room, -room, room + 1, -room - 1):
+        broken = {c: dict(col) for c, col in bcols.items()}
+        broken.setdefault(k, {})[j] = extra
+        if abs(extra) == room:
+            report = verify_prepared(cd, word, prefix_weight_matrices(cd, word),
+                                     ExchangeMatrix(n, _dense(broken, n)))
+            assert report.pairing_failures and report.grading_failures
+            assert _carried_report(cd, word, rows, broken, width) == report
+        else:
+            with pytest.raises(ValueError, match="beyond"):
+                _carried_report(cd, word, rows, broken, width)
 
 
 def test_no_words_below_length_one():
@@ -360,6 +443,6 @@ def test_dictionary_with_grid_presentation(shape):
     from qcluster.mutation import ExchangeMatrix
 
     assert ExchangeMatrix(N, reversed_cols) == quantum_matrix_btilde(m, n)
-    assert data.lam.permuted(rho) == pres.lam.scaled(-1)
+    assert permuted(data.lam, rho) == pres.lam.scaled(-1)
     r = data.frame_matrix()
-    assert r.permuted(rho) == identity_frame(pres).frame.emat.scaled(-1)
+    assert permuted(r, rho) == identity_frame(pres).frame.emat.scaled(-1)

@@ -5,10 +5,9 @@ import pytest
 from qcluster.bicharacter import omega, symmetrization
 from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.primeseq import compute_primes
-from qcluster.qtorus import frame_value, matrix_from_images
+from qcluster.qtorus import frame_value
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import (
-    enumerate_xi,
     frame_for_tau,
     gamma_chain,
     gamma_chain_swaps,
@@ -18,6 +17,7 @@ from qcluster.xicombinatorics import (
     tau_bullet,
     window_support_vector,
 )
+from oracles import enumerate_xi, matrix_from_images
 
 P22 = quantum_matrix_preset(2, 2)
 

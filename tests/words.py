@@ -1,14 +1,14 @@
 """Test helpers: reduced words and the per-word oracle, one word at a time.
 
 The package verifies reduced words on one walk (schubertdata._walk), which
-carries every word's weight pairings, frame rows and exchange columns from
-its parent without forming a weight vector; WordData follows that walk
-along its own word.  These helpers build the same things from the word
-alone: the reduced words by extending each word with every letter that
-keeps it reduced, the weight images of every prefix (one reflection of the
-weight matrix per letter, reflect_weight_columns), the frame and exchange
-matrices from those, and the compatibility report, whose
-symmetrizability test takes the lengths as symmetrizers
+carries every word's weight pairings, packed frame rows and exchange
+columns from its parent without forming a weight vector; WordData follows
+that walk along its own word.  These helpers build the same things from
+the word alone: the reduced words by extending each word with every
+letter that keeps it reduced, the weight images of every prefix (one
+reflection of the weight matrix per letter, reflect_weight_columns), the
+frame and exchange matrices from those, and the compatibility report,
+whose symmetrizability test takes the lengths as symmetrizers
 (symmetrizers.skew_symmetrizable).
 """
 
@@ -21,7 +21,6 @@ from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
     CompatReport,
-    _alpha_columns,
     _append_row,
     roots_for_word,
 )
@@ -67,9 +66,15 @@ def reflect_weight_columns(cd: CartanData, cols, i0: int):
     return out
 
 
+def identity_columns(cd: CartanData):
+    """The unit vectors: the fundamental weights in their own coordinates,
+    or the simple roots in theirs."""
+    return [cd.fundamental_weight(i + 1) for i in range(cd.rank)]
+
+
 def prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
     """Images of all fundamental weights under each prefix of the word."""
-    cols = _alpha_columns(cd)
+    cols = identity_columns(cd)
     out = [cols]
     for i in word:
         cols = reflect_weight_columns(cd, cols, cd._letter(i))
