@@ -12,8 +12,9 @@ import argparse
 import json
 import random
 import sys
+from argparse import Namespace
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .bicharacter import symmetrization
 from .exchangesolver import (
@@ -72,77 +73,42 @@ class ConfigError(Exception):
     """Raised for problems with the requested configuration."""
 
 
-class RunConfig:
-    """Everything a run needs; mirrors the command line flags."""
-
-    __slots__ = (
-        "command", "preset", "m", "n", "type", "rank", "word", "file",
-        "mutations", "out", "seed",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        preset: str = "quantum-matrices",
-        m: int = 2,
-        n: int = 2,
-        type: str = "A",
-        rank: int = 2,
-        word: Optional[Tuple[int, ...]] = None,
-        file: Optional[str] = None,
-        mutations: Tuple[int, ...] = (),
-        out: Optional[str] = None,
-        seed: int = 0,
+def check_config(config: Namespace) -> None:
+    """The rules between flags that argparse's choices cannot state, in
+    the order they are checked: a request that breaks two is told of the
+    first."""
+    if config.preset == "schubert" and config.command not in (
+        "bmatrix", "schubert", "verify",
     ):
-        self.command = command
-        self.preset = preset
-        self.m = m
-        self.n = n
-        self.type = type
-        self.rank = rank
-        self.word = word
-        self.file = file
-        self.mutations = mutations
-        self.out = out
-        self.seed = seed
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.preset == "schubert" and self.command != "bmatrix":
-            if self.command not in ("schubert", "verify"):
-                raise ConfigError(
-                    f"command {self.command!r} needs an algebra preset"
-                )
-        if self.preset == "schubert" and not self.word:
-            raise ConfigError("schubert preset needs --word")
-        if self.preset == "custom" and not self.file:
-            raise ConfigError("custom preset needs --file")
-        if self.command == "schubert" and self.preset != "schubert":
-            raise ConfigError("the schubert command needs --preset schubert")
+        raise ConfigError(f"command {config.command!r} needs an algebra preset")
+    if config.preset == "schubert" and not config.word:
+        raise ConfigError("schubert preset needs --word")
+    if config.preset == "custom" and not config.file:
+        raise ConfigError("custom preset needs --file")
+    if config.command == "schubert" and config.preset != "schubert":
+        raise ConfigError("the schubert command needs --preset schubert")
 
 
-def load_presentation(config: RunConfig) -> Presentation:
+def load_presentation(config: Namespace) -> Presentation:
+    """The algebra of a quantum-matrices or custom request."""
     if config.preset == "quantum-matrices":
         if config.m < 1 or config.n < 1:
             raise ConfigError("--m and --n must be positive")
         return quantum_matrix_preset(config.m, config.n)
-    if config.preset == "custom":
-        try:
-            with open(config.file) as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read {config.file}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{config.file} is not valid JSON: {e}")
-        try:
-            return presentation_from_dict(data)
-        except (KeyError, ValueError, TypeError, ArithmeticError) as e:
-            raise ConfigError(f"bad presentation data: {e}")
-    raise ConfigError(f"command {config.command!r} needs an algebra preset")
+    try:
+        with open(config.file) as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {config.file}: {e}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{config.file} is not valid JSON: {e}")
+    try:
+        return presentation_from_dict(data)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as e:
+        raise ConfigError(f"bad presentation data: {e}")
 
 
-def load_word(config: RunConfig) -> WordData:
+def load_word(config: Namespace) -> WordData:
     """The root system and reduced word of the schubert preset, validated."""
     try:
         return WordData(CartanData(config.type, config.rank), config.word)
@@ -158,7 +124,7 @@ class Session:
     """
 
     def __init__(
-        self, config: Optional[RunConfig], pres: Optional[Presentation] = None
+        self, config: Optional[Namespace], pres: Optional[Presentation] = None
     ):
         self.config = config
         if pres is not None:
@@ -221,7 +187,7 @@ def bmat_dict(bmat) -> dict:
 # -- command bodies ----------------------------------------------------------
 
 
-def cmd_primes(config: RunConfig) -> dict:
+def cmd_primes(config: Namespace) -> dict:
     pres = load_presentation(config)
     seq = compute_primes(pres)
     ed = seq.eta_data
@@ -245,7 +211,7 @@ def cmd_primes(config: RunConfig) -> dict:
     }
 
 
-def cmd_intervals(config: RunConfig) -> dict:
+def cmd_intervals(config: Namespace) -> dict:
     pres = load_presentation(config)
     seq = compute_primes(pres)
     ed = seq.eta_data
@@ -269,7 +235,7 @@ def cmd_intervals(config: RunConfig) -> dict:
     return {"intervals": entries}
 
 
-def cmd_bmatrix(config: RunConfig) -> dict:
+def cmd_bmatrix(config: Namespace) -> dict:
     if config.preset == "schubert":
         data = load_word(config)
         return {
@@ -283,7 +249,7 @@ def cmd_bmatrix(config: RunConfig) -> dict:
     return {"bmatrix": bmat_dict(bmat), "crosscheck": crosscheck}
 
 
-def cmd_frames(config: RunConfig) -> dict:
+def cmd_frames(config: Namespace) -> dict:
     out = []
     for tp in Session(config).frames:
         out.append(
@@ -298,7 +264,7 @@ def cmd_frames(config: RunConfig) -> dict:
     return {"frames": out}
 
 
-def cmd_mutate(config: RunConfig) -> dict:
+def cmd_mutate(config: Namespace) -> dict:
     tp, bmat = Session(config).identity
     seed = Seed(tp.frame, bmat)
     trace = []
@@ -389,7 +355,7 @@ def _walk(session: Session):
     return steps
 
 
-def cmd_chain(config: RunConfig) -> dict:
+def cmd_chain(config: Namespace) -> dict:
     steps = chain_walk(load_presentation(config))
     return {
         "steps": steps,
@@ -397,7 +363,7 @@ def cmd_chain(config: RunConfig) -> dict:
     }
 
 
-def cmd_schubert(config: RunConfig) -> dict:
+def cmd_schubert(config: Namespace) -> dict:
     data = load_word(config)
     cd = data.cartan
     report = data.compatibility()
@@ -593,7 +559,7 @@ def _run_check(session: Session, name: str) -> str:
     return "pass"
 
 
-def cmd_verify(config: RunConfig) -> dict:
+def cmd_verify(config: Namespace) -> dict:
     session = Session(config)
     checks = {name: _run_check(session, name) for name in verify_names(session)}
     return {"checks": checks, "ok": all(v == "pass" for v in checks.values())}
@@ -615,8 +581,10 @@ _BODIES = {
 COMMANDS = tuple(_BODIES)
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit status, payload dict)."""
+def run(config: Namespace):
+    """Execute one command of a build_parser() namespace, checked first by
+    check_config; returns (exit status, payload dict)."""
+    check_config(config)
     body = _BODIES[config.command]
     payload = {"schema": SCHEMA, "command": config.command, "preset": config.preset}
     if config.preset == "quantum-matrices":
@@ -659,7 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
             "polynomial algebras."
         ),
     )
-    p.add_argument("--cmd", required=True, choices=COMMANDS, help="what to run")
+    p.add_argument(
+        "--cmd", dest="command", required=True, choices=COMMANDS,
+        help="what to run",
+    )
     p.add_argument("--preset", default="quantum-matrices", choices=PRESETS)
     p.add_argument("--m", type=int, default=2, help="matrix rows")
     p.add_argument("--n", type=int, default=2, help="matrix columns")
@@ -677,21 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    config = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.cmd,
-            preset=args.preset,
-            m=args.m,
-            n=args.n,
-            type=args.type,
-            rank=args.rank,
-            word=tuple(args.word) if args.word else None,
-            file=args.file,
-            mutations=tuple(args.mutations),
-            out=args.out,
-            seed=args.seed,
-        )
         code, payload = run(config)
         emit(payload, config.out)
     except ConfigError as e:

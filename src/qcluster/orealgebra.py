@@ -642,8 +642,11 @@ def presentation_from_dict(data: dict) -> Presentation:
     """
     lam = ExpMatrix(
         [
-            [Fraction(_exact(x, f"lambda[{r}][{t}]")) for t, x in enumerate(row)]
-            for r, row in enumerate(data["lambda"])
+            [
+                Fraction(_exact(x, f"lambda[{r}][{t}]"))
+                for t, x in enumerate(_json_list(row, f"lambda[{r}]"))
+            ]
+            for r, row in enumerate(_json_list(data["lambda"], "lambda"))
         ]
     )
     n = lam.n

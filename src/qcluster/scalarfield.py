@@ -298,6 +298,9 @@ class Coeff:
         )
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction value (__eq__), so it hashes as one
+        if len(self.den) == 1 and self.num.keys() <= {0}:
+            return hash(Fraction(self.num.get(0, 0), self.den[0]))
         return hash(
             (self.root, frozenset(self.num.items()), frozenset(self.den.items()))
         )

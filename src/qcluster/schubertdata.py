@@ -17,7 +17,6 @@ other index in this package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import add, lshift, neg, sub
 from typing import List, NamedTuple, Sequence, Tuple
@@ -25,7 +24,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .bicharacter import ExpMatrix
 from .linalg import det, inverse
 from .mutation import ExchangeMatrix
-from .primeseq import EtaData
 
 
 def _path_cartan(rank: int) -> List[List[int]]:
@@ -145,19 +143,6 @@ class CartanData:
             raise ValueError(f"node label {i} out of range")
         return i - 1
 
-    def fundamental_weight(self, i: int) -> Tuple[int, ...]:
-        j = self._letter(i)
-        return tuple(int(t == j) for t in range(self.rank))
-
-    def root_pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
-        acc = 0
-        for i, x in enumerate(a):
-            if x:
-                di = self.d[i]
-                row = self.cartan[i]
-                acc += x * di * sum(row[j] * y for j, y in enumerate(b))
-        return acc
-
     def __repr__(self) -> str:
         return f"CartanData({self.letter}{self.rank})"
 
@@ -227,35 +212,22 @@ def roots_for_word(cd: CartanData, word: Sequence[int]):
 
 
 class WordData:
-    """Bundle of the commutation data a reduced word determines.
-
-    lam holds the q-exponents of the generator commutations, lam_diag and
-    lam_star the diagonal eigenvalue exponents -2 d and +2 d of each
-    letter; eta is the level-set structure of repeated letters with its
-    predecessor and successor maps.  Restricted to the word's letters,
-    _walk yields its prefixes, the word last: the frame matrix, exchange
-    matrix and report are read off that node's packed frame rows and
-    exchange columns.
+    """The seed data a reduced word determines: its reflection-ordered
+    roots, the lengths d of its letters, and its frame matrix, exchange
+    matrix and compatibility report.  Restricted to the word's letters,
+    _walk yields its prefixes, the word last: the three matrices and the
+    report are read off that node's packed frame rows and exchange
+    columns.
     """
 
-    __slots__ = ("cartan", "word", "roots", "eta", "lam", "lam_diag",
-                 "lam_star", "lengths", "_w", "_rows", "_bcols")
+    __slots__ = ("cartan", "word", "roots", "lengths", "_w", "_rows", "_bcols")
 
     def __init__(self, cd: CartanData, word: Sequence[int]):
         self.cartan = cd
         self.word = tuple(int(i) for i in word)
         self.roots = roots_for_word(cd, self.word)
-        self.eta = EtaData(self.word)
-        n = len(self.word)
-        r = self.roots
-        self.lam = ExpMatrix.from_upper(n, {
-            (j, k): cd.root_pairing(r[j], r[k])
-            for j in range(n) for k in range(j + 1, n)
-        })
         self.lengths = tuple(cd.d[i - 1] for i in self.word)
-        self.lam_diag = tuple(Fraction(-2 * d) for d in self.lengths)
-        self.lam_star = tuple(Fraction(2 * d) for d in self.lengths)
-        self._w = w = _field_width(cd, n)
+        self._w = w = _field_width(cd, len(self.word))
         rows, bcols = [], {}
         for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word], w):
             pass

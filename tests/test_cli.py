@@ -228,7 +228,8 @@ def flipped(m, n):
     return ExchangeMatrix(b.n_rows, {**b.cols, 0: [-x for x in b.cols[0]]})
 
 cli.quantum_matrix_btilde = flipped
-code, payload = cli.run(cli.RunConfig("verify", m=3, n=3))
+args = cli.build_parser().parse_args(["--cmd", "verify", "--m", "3", "--n", "3"])
+code, payload = cli.run(args)
 print(code, payload["ok"], payload["checks"]["bmatrix"])
 session = cli.Session(None, quantum_matrix_preset(3, 3))
 session.frames[4].image_weights[0] = (9,) * len(session.frames[4].image_weights[0])
@@ -321,6 +322,11 @@ NOT_NILPOTENT = {
     "root": 2,
 }
 SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
+# a lambda that is a string, or whose rows are, once loaded as its
+# characters: the 1x1 and the 2x2 zero matrix
+STRING_LAMBDA = {"lambda": "0", "weights": [[0]], "lambda_diag": [None]}
+STRING_LAMBDA_ROWS = {"lambda": ["00", "00"], "weights": [[0], [0]],
+                      "lambda_diag": [None, None]}
 
 
 @pytest.mark.parametrize(
@@ -384,6 +390,8 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         # a false or empty non-object once loaded as no derivations
         ({**NO_ETA, "delta": False}, ("--cmd", "primes")),
         ({**NO_ETA, "delta": []}, ("--cmd", "primes")),
+        (STRING_LAMBDA_ROWS, ("--cmd", "primes")),
+        (STRING_LAMBDA, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -437,6 +445,8 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
         "bool-delta-coefficient",
         "delta-false",
         "delta-empty-list",
+        "lambda-rows-strings",
+        "lambda-a-string",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -464,6 +474,44 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert "weights[0] has a float value" in err
     if data is not None and data.get("weights") is BOOL_WEIGHTS:
         assert "weights[0] has a boolean value True" in err
+    if data is STRING_LAMBDA:
+        assert err == "qcluster: bad presentation data: lambda is not a list\n"
+    if data is STRING_LAMBDA_ROWS:
+        assert err == "qcluster: bad presentation data: lambda[0] is not a list\n"
+
+
+# The rules between flags, each with its message; a request that breaks
+# two is told of the first rule it breaks, in this order.
+FLAG_RULES = [
+    (("--cmd", "primes", "--preset", "schubert", "--word", "1"),
+     "command 'primes' needs an algebra preset"),
+    (("--cmd", "mutate", "--preset", "schubert"),
+     "command 'mutate' needs an algebra preset"),
+    (("--cmd", "schubert", "--preset", "schubert"),
+     "schubert preset needs --word"),
+    (("--cmd", "bmatrix", "--preset", "schubert"),
+     "schubert preset needs --word"),
+    (("--cmd", "verify", "--preset", "schubert"),
+     "schubert preset needs --word"),
+    (("--cmd", "primes", "--preset", "custom"),
+     "custom preset needs --file"),
+    (("--cmd", "schubert", "--preset", "custom"),
+     "custom preset needs --file"),
+    (("--cmd", "schubert"),
+     "the schubert command needs --preset schubert"),
+    (("--cmd", "schubert", "--preset", "custom", "--file", "absent.json"),
+     "the schubert command needs --preset schubert"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FLAG_RULES, ids=[
+    "primes-on-words", "mutate-on-words-no-word", "schubert-no-word",
+    "bmatrix-no-word", "verify-no-word", "custom-no-file",
+    "schubert-custom-no-file", "schubert-on-matrices", "schubert-on-custom",
+])
+def test_flag_rules_exit_two_with_their_message(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"qcluster: {message}\n")
 
 
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):
@@ -647,6 +695,23 @@ GOLDEN_STDOUT = [
         ("--cmd", "intervals", "--m", "4", "--n", "5"),
         "42ab1923aa21d1b20615d52d98f2aac3792367ffcd355ccca3399e809e377261",
     ),
+    # recorded while a run still copied the parsed flags into a configuration
+    # object and WordData still built the word's commutation matrix; verify
+    # 2x2 runs the exchange check's test on the 2x2 mutation
+    (
+        ("--cmd", "bmatrix", "--preset", "schubert", "--type", "D", "--rank", "4",
+         "--word", *"1 3 4 2 1 3 4 2 1 3 4 2".split()),
+        "a8b413ebecab3412446e762f7861aca6ef1f4907d77a6d9e5735227fa9878c4e",
+    ),
+    (
+        ("--cmd", "verify", "--preset", "schubert", "--type", "D", "--rank", "4",
+         "--word", *"1 3 4 2 1 3 4 2 1 3 4 2".split()),
+        "b5796c5a86284d7c2bfdb77756634cd3ef337115bbfacb926f2c54e1b8d2b80e",
+    ),
+    (
+        ("--cmd", "verify", "--m", "2", "--n", "2"),
+        "6ee8ec40b790f1812f73b63def5d24b57f21de4c4c2ffa29c214fd00da83d228",
+    ),
 ]
 
 
@@ -659,6 +724,7 @@ GOLDEN_STDOUT = [
         "primes-4x5", "intervals-5x4", "bmatrix-4x5",
         "mutate-3x4", "mutate-4x4",
         "verify-3x3", "verify-3x4", "intervals-4x5",
+        "bmatrix-schubert-D4", "verify-schubert-D4", "verify-2x2",
     ],
 )
 def test_golden_stdout(capsys, argv, digest):

@@ -109,6 +109,20 @@ def test_monomial_predicates():
         (q + 1).q_exponent()
 
 
+@given(st.fractions(max_denominator=50), st.integers(1, 6))
+def test_a_constant_hashes_as_its_value(c, root):
+    """A zero or constant Coeff equals its Fraction value, so the two hash
+    alike and a set or dict key holds them once."""
+    k = Coeff.from_fraction(c, root)
+    assert k == c and hash(k) == hash(c)
+    assert len({k, c}) == 1
+    assert len({Coeff.one(2), 1}) == len({Coeff.zero(2), 0}) == 1
+    assert {Coeff.from_fraction(Fraction(1, 2), 2): "half"}[Fraction(1, 2)] == "half"
+    q = Coeff.q_power(1, root)
+    assert hash((q + c) - q) == hash(c)
+    assert len({q, q * 1, Coeff.q_power(1, root)}) == 1
+
+
 def test_mixed_roots_rejected():
     with pytest.raises(ValueError):
         Coeff.one(2) + Coeff.one(4)

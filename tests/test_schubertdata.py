@@ -32,16 +32,19 @@ from qcluster.schubertdata import (
 from qcluster.xicombinatorics import identity_frame
 from oracles import permuted
 from words import (
+    commutation_matrix,
     enumerate_reduced_words,
     exchange_matrix_for_word,
     frame_exponent_matrix,
     frame_matrix,
+    fundamental_weight,
     identity_columns,
     is_reduced,
     plus_minus,
     prefix_weight_matrices,
     quantum_matrix_word,
     reflect_weight_columns,
+    root_pairing,
     verify_prepared,
     word_report,
 )
@@ -88,7 +91,7 @@ def test_root_pairing_norms():
     for cd in (A2, B2, G2):
         for i in range(cd.rank):
             alpha = tuple(1 if t == i else 0 for t in range(cd.rank))
-            assert cd.root_pairing(alpha, alpha) == 2 * cd.d[i]
+            assert root_pairing(cd, alpha, alpha) == 2 * cd.d[i]
 
 
 def test_reflections():
@@ -99,7 +102,7 @@ def test_reflections():
     assert [_unpack(x, 2, width) for x in s1] == [[-1, 0], [1, 1]]
     assert s1 == [-1, 1 + (1 << width)]
     # s_1 fixes the other fundamental weight
-    mu = A2.fundamental_weight(2)
+    mu = fundamental_weight(A2, 2)
     assert reflect_weight_columns(A2, identity_columns(A2), 0)[1] == mu
 
 
@@ -148,13 +151,11 @@ def test_word_data_a2():
     data = WordData(A2, (1, 2, 1))
     assert data.lengths == (1, 1, 1)
     # commutation exponents are minus the root pairings
-    assert data.lam.entry(1, 0) == -1
-    assert data.lam.entry(2, 0) == 1
-    assert data.lam.entry(2, 1) == -1
-    assert data.lam_diag == (-2, -2, -2)
-    assert data.lam_star == (2, 2, 2)
-    assert all(type(x) is Fraction for x in data.lam_diag + data.lam_star)
-    assert data.eta.p == (None, None, 0)
+    lam = commutation_matrix(A2, data.word)
+    assert lam.entry(1, 0) == -1
+    assert lam.entry(2, 0) == 1
+    assert lam.entry(2, 1) == -1
+    assert EtaData(data.word).p == (None, None, 0)
 
 
 def test_frame_matrix_a2():
@@ -374,7 +375,7 @@ def test_packed_fields_stay_inside_the_width_proof():
                 coords = _fields(packed, rank, 0, width)
                 sign = (packed > 0) - (packed < 0)
                 assert sign and all(x * sign >= 0 for x in coords)
-                assert cd.root_pairing(coords, coords) in (
+                assert root_pairing(cd, coords, coords) in (
                     2 * d for d in cd.d)
 
 
@@ -443,6 +444,6 @@ def test_dictionary_with_grid_presentation(shape):
     from qcluster.mutation import ExchangeMatrix
 
     assert ExchangeMatrix(N, reversed_cols) == quantum_matrix_btilde(m, n)
-    assert permuted(data.lam, rho) == pres.lam.scaled(-1)
+    assert permuted(commutation_matrix(cd, word), rho) == pres.lam.scaled(-1)
     r = data.frame_matrix()
     assert permuted(r, rho) == identity_frame(pres).frame.emat.scaled(-1)

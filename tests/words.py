@@ -10,6 +10,11 @@ reflection of the weight matrix per letter, reflect_weight_columns), the
 frame and exchange matrices from those, and the compatibility report,
 whose symmetrizability test takes the lengths as symmetrizers
 (symmetrizers.skew_symmetrizable).
+
+They also keep the lattice arithmetic that no seed of a word reads: the
+fundamental weights in their own coordinates, the root pairing of the
+symmetrized Cartan matrix, and the word's commutation matrix, whose
+entries are root pairings (commutation_matrix).
 """
 
 from operator import mul
@@ -66,10 +71,39 @@ def reflect_weight_columns(cd: CartanData, cols, i0: int):
     return out
 
 
+def fundamental_weight(cd: CartanData, i: int):
+    """Fundamental weight i (a 1-based node label) in its own coordinates."""
+    j = cd._letter(i)
+    return tuple(int(t == j) for t in range(cd.rank))
+
+
+def root_pairing(cd: CartanData, a: Sequence[int], b: Sequence[int]) -> int:
+    """The pairing a^T D C b of two vectors in simple-root coordinates, D
+    the lengths and C the Cartan matrix: twice d_i on simple root i."""
+    acc = 0
+    for i, x in enumerate(a):
+        if x:
+            row = cd.cartan[i]
+            acc += x * cd.d[i] * sum(row[j] * y for j, y in enumerate(b))
+    return acc
+
+
+def commutation_matrix(cd: CartanData, word: Sequence[int]) -> ExpMatrix:
+    """The q-exponents of the commutations of a reduced word's generators:
+    entry (j, k), j < k, is the pairing of roots j and k, extended
+    skew-symmetrically."""
+    r = roots_for_word(cd, word)
+    n = len(r)
+    return ExpMatrix.from_upper(n, {
+        (j, k): root_pairing(cd, r[j], r[k])
+        for j in range(n) for k in range(j + 1, n)
+    })
+
+
 def identity_columns(cd: CartanData):
     """The unit vectors: the fundamental weights in their own coordinates,
     or the simple roots in theirs."""
-    return [cd.fundamental_weight(i + 1) for i in range(cd.rank)]
+    return [fundamental_weight(cd, i + 1) for i in range(cd.rank)]
 
 
 def prefix_weight_matrices(cd: CartanData, word: Sequence[int]):
