@@ -83,7 +83,6 @@ from .schubertdata import (
     WordData,
     cartan_matrix,
     compatibility_sweep,
-    roots_for_word,
 )
 
 __all__ = [
@@ -145,5 +144,4 @@ __all__ = [
     "WordData",
     "cartan_matrix",
     "compatibility_sweep",
-    "roots_for_word",
 ]

@@ -25,22 +25,19 @@ from .xicombinatorics import TauPresentation, _span_frame, _window_spans
 class LinearSystem:
     """Dense rational system A X = rhs, solved exactly by :mod:`linalg`.
 
-    Entries are ints or Fractions.  rhs is one vector, or a matrix given
-    by rows for many right-hand sides sharing one elimination; the
-    solution has the same shape.
+    Entries are ints or Fractions.  rhs is a matrix given by rows, one
+    column per right-hand side, and the columns share one elimination.
     """
 
-    def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
-        self.rows = rows
-        self.many = bool(rhs) and isinstance(rhs[0], (list, tuple))
-        self.rhs = rhs if self.many else [[b] for b in rhs]
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("one right-hand side entry per row required")
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence[Sequence]):
+        if len(rows) != len(rhs):
+            raise ValueError("one right-hand side row per row required")
+        self.rows, self.rhs = rows, rhs
 
-    def solve_unique(self) -> List:
-        """The unique solution; raises ValueError if none or many exist."""
-        sol = solve(self.rows, self.rhs)
-        return sol if self.many else [x for (x,) in sol]
+    def solve_unique(self) -> List[List]:
+        """The unique solution, by rows; raises ValueError if none or many
+        exist."""
+        return solve(self.rows, self.rhs)
 
 
 def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:

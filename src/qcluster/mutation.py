@@ -239,13 +239,15 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(new_frame, mutate_matrix(bmat, k))
 
 
-def random_compatible_pair(rng, n: int, max_entry: int = 2):
+def random_compatible_pair(rng, n: int):
     """A random compatible pair on 2n directions, plus its symmetrizers.
 
-    The exchange matrix stacks a skew-symmetrizable principal block on top
-    of an identity block; the torus exponent matrix pairs the two blocks
-    so that every column pairing is trivial except the diagonal one, which
-    comes out as half the symmetrizer.  Returns (emat, bmat, d).
+    The exchange matrix stacks a skew-symmetrizable principal block
+    (b_jk = z d_k / g and b_kj = -z d_j / g, z drawn from -2..2, g the gcd
+    of d_j and d_k) on top of an identity block; the torus exponent matrix
+    pairs the two blocks so that every column pairing is trivial except
+    the diagonal one, which comes out as half the symmetrizer.  Returns
+    (emat, bmat, d).
     """
     if n < 1:
         raise ValueError("need at least one exchangeable direction")
@@ -253,7 +255,7 @@ def random_compatible_pair(rng, n: int, max_entry: int = 2):
     b = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            z = rng.randint(-max_entry, max_entry)
+            z = rng.randint(-2, 2)
             g = gcd(d[j], d[k])
             b[j][k] = z * d[k] // g
             b[k][j] = -z * d[j] // g
@@ -276,14 +278,15 @@ def random_compatible_pair(rng, n: int, max_entry: int = 2):
     return emat, bmat, {k: d[k] for k in range(n)}
 
 
-def seed_from_pair(emat: ExpMatrix, bmat: ExchangeMatrix, root: int = 4) -> Seed:
-    """Torus-backed seed whose frame images are the plain generators.
+def seed_from_pair(emat: ExpMatrix, bmat: ExchangeMatrix) -> Seed:
+    """Torus-backed seed whose frame images are the plain generators, with
+    coefficients in Q(q**(1/4)).
 
     The reference torus multiplies by the bicharacter of emat itself, so
     recovering the frame matrix from image commutation halves back to
     emat exactly.
     """
-    n = emat.n
+    n, root = emat.n, 4
     images = [
         TorusElement.basis(emat, root, tuple(1 if i == k else 0 for i in range(n)))
         for k in range(n)

@@ -84,6 +84,8 @@ class Presentation:
         self.n = n
         self.lam = lam
         self.root = _default_root(lam) if root is None else _integer(root, "root")
+        if self.root < 1:
+            raise ValueError("root must be a positive integer")
         self.weights = tuple(
             tuple(_integer(w, "weights") for w in ws) for ws in weights
         )
@@ -231,7 +233,7 @@ class Presentation:
         dterms = self.delta.get((L, j))
         if dterms:
             for g, dc in dterms:
-                for h, c in self._mono_times_mono(fp, g).items():
+                for h, c in self._times_mono({fp: self._one}, g).items():
                     _add_term(out, h, c * dc)
         self._mtg_cache[key] = out
         return out
@@ -241,24 +243,15 @@ class Presentation:
         out: dict = {}
         for f, c in terms.items():
             for h, c2 in self._mono_times_gen(f, j).items():
-                prod = c if c2 is one else c * c2
-                acc = out.get(h)
-                if acc is None:
-                    out[h] = prod
-                else:
-                    acc = acc + prod
-                    if acc.is_zero:
-                        del out[h]
-                    else:
-                        out[h] = acc
+                _add_term(out, h, c if c2 is one else c * c2)
         return out
 
-    def _mono_times_mono(self, f: tuple, g: tuple) -> dict:
-        cur = {f: self._one}
+    def _times_mono(self, terms: dict, g: tuple) -> dict:
+        """Normal form of (sum of terms) * x^g, one generator at a time."""
         for j, e in enumerate(g):
             for _ in range(e):
-                cur = self._terms_times_gen(cur, j)
-        return cur
+                terms = self._terms_times_gen(terms, j)
+        return terms
 
     def __repr__(self) -> str:
         return f"Presentation({self.n} generators, root {self.root})"
@@ -337,21 +330,8 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
     pres = a.pres
     out: dict = {}
     for g, cb in b.terms.items():
-        cur = a.terms
-        for j, e in enumerate(g):
-            for _ in range(e):
-                cur = pres._terms_times_gen(cur, j)
-        for f, c in cur.items():
-            prod = c * cb
-            acc = out.get(f)
-            if acc is None:
-                out[f] = prod
-            else:
-                acc = acc + prod
-                if acc.is_zero:
-                    del out[f]
-                    continue
-                out[f] = acc
+        for f, c in pres._times_mono(a.terms, g).items():
+            _add_term(out, f, c * cb)
     return PBWElement(pres, out)
 
 
@@ -630,11 +610,11 @@ def presentation_from_dict(data: dict) -> Presentation:
     "weights" (N integer vectors), "lambda_diag" and optionally
     "lambda_star" (exponent lists, null allowed), optional "delta"
     ({"k,j": [[monomial, coeff], ...]} with monomial a list of N integers
-    and coeff a u-polynomial {"exp": int or "frac"} or an exponent),
-    optional "eta" (a list of integers), "names" (a list of strings),
-    "root".  Every list named here must be a JSON list, and a JSON float
-    or boolean in an exponent, a coefficient, a monomial, a weight or eta
-    is a ValueError.
+    and coeff a u-polynomial {"exp": int or "frac"} or an exponent; one
+    key per pair k, j), optional "eta" (a list of integers), "names" (a
+    list of strings), "root" (a positive integer).  Every list named here
+    must be a JSON list, and a JSON float or boolean in an exponent, a
+    coefficient, a monomial, a weight or eta is a ValueError.
 
     The finished algebra is certified by :func:`check_cgl`, since a
     malformed derivation table yields an inconsistent rewriting system, or
@@ -671,6 +651,8 @@ def presentation_from_dict(data: dict) -> Presentation:
         raise ValueError("delta is not an object")
     for key, terms in table.items():
         k, j = (int(x) for x in key.split(","))
+        if (k, j) in delta:
+            raise ValueError(f"delta[{key}] repeats the pair ({k},{j})")
         parsed = []
         for mono, coeff in terms:
             if isinstance(coeff, dict):

@@ -93,16 +93,7 @@ def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
     for f, ca in a.terms.items():
         for g, cb in b.terms.items():
             c = ca * cb * _q_power(_pairing(base, f, g), den, root)
-            h = tuple(x + y for x, y in zip(f, g))
-            acc = out.get(h)
-            if acc is None:
-                out[h] = c
-            else:
-                acc = acc + c
-                if acc.is_zero:
-                    del out[h]
-                    continue
-                out[h] = acc
+            _add_term(out, tuple(x + y for x, y in zip(f, g)), c)
     return TorusElement(base, root, out)
 
 

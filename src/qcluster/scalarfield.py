@@ -213,12 +213,8 @@ class Coeff:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Coeff):
-            if other.root != self.root:
-                raise ValueError("mixed coefficient roots")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Coeff.from_fraction(other, self.root)
+        if isinstance(other, (Coeff, int, Fraction)):
+            return as_coeff(other, self.root)
         return NotImplemented
 
     def __add__(self, other):
@@ -368,7 +364,7 @@ def as_coeff(c, root: int) -> Coeff:
     """c, a Coeff with this root or a rational value, as a Coeff."""
     if isinstance(c, Coeff):
         if c.root != root:
-            raise ValueError("coefficient root mismatch")
+            raise ValueError("mixed coefficient roots")
         return c
     return Coeff.from_fraction(c, root)
 

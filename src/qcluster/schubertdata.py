@@ -187,37 +187,18 @@ def _reflect_alpha_columns(cd: CartanData, cols, i0: int):
     return out
 
 
-def roots_for_word(cd: CartanData, word: Sequence[int]):
-    """The reflection-ordered positive roots of a reduced word.
-
-    Entry k is the image of the k-th letter's simple root under the
-    preceding prefix, in simple-root coordinates.  Raises ValueError when
-    the word is not reduced (some entry fails to be a positive root): the
-    coordinates of a root share one sign, so a packed root has the sign of
-    the root.
-    """
-    w = _field_width(cd, len(word))
-    cols = _alpha_columns(cd, w)
-    roots = []
-    for pos, i in enumerate(word):
-        i0 = cd._letter(i)
-        beta = cols[i0]
-        if beta < 0:
-            raise ValueError(f"word is not reduced at position {pos}")
-        roots.append(beta)
-        cols = _reflect_alpha_columns(cd, cols, i0)
-    if len(set(roots)) != len(roots):
-        raise AssertionError("repeated root in a positivity-checked word")
-    return tuple(tuple(_unpack(beta, cd.rank, w)) for beta in roots)
-
-
 class WordData:
     """The seed data a reduced word determines: its reflection-ordered
     roots, the lengths d of its letters, and its frame matrix, exchange
     matrix and compatibility report.  Restricted to the word's letters,
-    _walk yields its prefixes, the word last: the three matrices and the
-    report are read off that node's packed frame rows and exchange
-    columns.
+    _walk yields its prefixes, the word last: the roots are the packed
+    roots of its nodes, and the three matrices and the report are read off
+    the last node's packed frame rows and exchange columns.
+
+    A label outside 1..rank offers the walk no letter, and a letter that
+    makes the prefix unreduced has a negative packed root, so the walk
+    stops at the first bad position: a ValueError names its label if that
+    is out of range, and otherwise the position.
     """
 
     __slots__ = ("cartan", "word", "roots", "lengths", "_w", "_rows", "_bcols")
@@ -225,12 +206,19 @@ class WordData:
     def __init__(self, cd: CartanData, word: Sequence[int]):
         self.cartan = cd
         self.word = tuple(int(i) for i in word)
-        self.roots = roots_for_word(cd, self.word)
-        self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self._w = w = _field_width(cd, len(self.word))
-        rows, bcols = [], {}
-        for *_, rows, bcols in _walk(cd, [(i - 1,) for i in self.word], w):
-            pass
+        letters = [(i - 1,) if 1 <= i <= cd.rank else () for i in self.word]
+        roots, rows, bcols = [], [], {}
+        for _, root, *_, rows, bcols in _walk(cd, letters, w):
+            roots.append(root)
+        pos = len(roots)
+        if pos < len(self.word):
+            cd._letter(self.word[pos])  # a label out of range raises here
+            raise ValueError(f"word is not reduced at position {pos}")
+        if len(set(roots)) != len(roots):
+            raise AssertionError("repeated root in a positivity-checked word")
+        self.roots = tuple(tuple(_unpack(root, cd.rank, w)) for root in roots)
+        self.lengths = tuple(cd.d[i - 1] for i in self.word)
         self._rows, self._bcols = rows, bcols
 
     def frame_matrix(self) -> ExpMatrix:
@@ -314,12 +302,14 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
     """Depth-first walk over the reduced words of length 1..len(letters)
     whose letter at position n is i0 + 1 for some i0 in letters[n]: every
     reduced word when each letters[n] is range(cd.rank), one word and its
-    prefixes when each holds one letter.
+    prefixes when each holds one letter (an empty one stops the walk).
 
-    Yields (word, p, A, rows, bcols) in letter-lex order: p[k] is where the
-    letter at position k last occurred before k, or None; bcols are
-    _append_row's.  With W the word's weight matrix (column i the image of
-    fundamental weight i), pre_j column i_j of W before position j and
+    Yields (word, root, p, A, rows, bcols) in letter-lex order: root is the
+    new letter's packed simple-root image under the parent word, the
+    word's last reflection-ordered root; p[k] is where the letter at
+    position k last occurred before k, or None; bcols are _append_row's.
+    With W the word's weight matrix (column i the image of fundamental
+    weight i), pre_j column i_j of W before position j and
     G = cd._gram_scaled, A[i][j] = pre_j^T G W_i.  The frame numerators
     F[j][l] = plus_j^T G minus_l (j < l, and skew) over 2 * gram_scale,
     where plus_j and minus_j are pre_j +- W_{i_j}, and the grading tail
@@ -374,7 +364,8 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
     def grow(word, cols, A, rows, at, p, bcols):
         n = len(word)
         for i0 in letters[n]:
-            if cols[i0] < 0:
+            root = cols[i0]
+            if root < 0:
                 continue
             g0, old, t0, (J, KJ) = gram[i0], A[i0], shift[i0], at[i0]
             word2, p2 = word + (i0 + 1,), p + (J[-1] if J else None,)
@@ -396,7 +387,7 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
                 rows2[s] -= U
             rows2.append(-U)
             bcols2 = _append_row(cd, word2, p2, bcols)
-            yield word2, p2, A2, rows2, bcols2
+            yield word2, root, p2, A2, rows2, bcols2
             if n + 1 < max_len:
                 at2 = list(at)
                 at2[i0] = J + (n,), KJ2

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from qcluster import cli, primeseq
 from qcluster.cli import main
+from qcluster.exchangesolver import quantum_matrix_btilde
+from qcluster.mutation import ExchangeMatrix
 from qcluster.orealgebra import Presentation, quantum_matrix_preset
 from qcluster.primeseq import compute_primes
 from qcluster.xicombinatorics import gamma_chain
@@ -327,6 +329,16 @@ SCHUBERT_A2 = ("--preset", "schubert", "--type", "A", "--rank", "2", "--word")
 STRING_LAMBDA = {"lambda": "0", "weights": [[0]], "lambda_diag": [None]}
 STRING_LAMBDA_ROWS = {"lambda": ["00", "00"], "weights": [[0], [0]],
                       "lambda_diag": [None, None]}
+# a root below 1 once loaded where no coefficient was built with it: bmatrix
+# and verify passed with every q-power equal to 1, and primes divided 0 by 0
+ROOTLESS = {k: v for k, v in GRID22.items() if k not in ("delta", "eta")}
+ROOT_ZERO = {**ROOTLESS, "root": 0}
+ROOT_NEGATIVE = {**ROOTLESS, "root": -2}
+# a second key for one derivation pair once replaced the first: with the
+# valid term last, primes passed and ignored the conflicting one
+CONFLICT = [[GRID22["delta"]["3,0"][0][0], {"0": 1}]]
+REPEATED_PAIR_VALID_LAST = {"3, 0": CONFLICT, "3,0": GRID22["delta"]["3,0"]}
+REPEATED_PAIR_VALID_FIRST = {"3,0": GRID22["delta"]["3,0"], "3, 0": CONFLICT}
 
 
 @pytest.mark.parametrize(
@@ -392,6 +404,12 @@ STRING_LAMBDA_ROWS = {"lambda": ["00", "00"], "weights": [[0], [0]],
         ({**NO_ETA, "delta": []}, ("--cmd", "primes")),
         (STRING_LAMBDA_ROWS, ("--cmd", "primes")),
         (STRING_LAMBDA, ("--cmd", "primes")),
+        (ROOT_ZERO, ("--cmd", "bmatrix")),
+        (ROOT_ZERO, ("--cmd", "primes")),
+        (ROOT_NEGATIVE, ("--cmd", "verify")),
+        (ROOT_NEGATIVE, ("--cmd", "primes")),
+        ({**GRID22, "delta": REPEATED_PAIR_VALID_LAST}, ("--cmd", "primes")),
+        ({**GRID22, "delta": REPEATED_PAIR_VALID_FIRST}, ("--cmd", "primes")),
     ],
     ids=[
         "short-lambda-diag-bmatrix",
@@ -447,6 +465,12 @@ STRING_LAMBDA_ROWS = {"lambda": ["00", "00"], "weights": [[0], [0]],
         "delta-empty-list",
         "lambda-rows-strings",
         "lambda-a-string",
+        "root-zero-bmatrix",
+        "root-zero-primes",
+        "root-negative-verify",
+        "root-negative-primes",
+        "repeated-pair-valid-last",
+        "repeated-pair-valid-first",
     ],
 )
 def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
@@ -478,6 +502,12 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert err == "qcluster: bad presentation data: lambda is not a list\n"
     if data is STRING_LAMBDA_ROWS:
         assert err == "qcluster: bad presentation data: lambda[0] is not a list\n"
+    if data is ROOT_ZERO or data is ROOT_NEGATIVE:
+        assert err == "qcluster: bad presentation data: root must be a positive integer\n"
+    if data is not None and data.get("delta") is REPEATED_PAIR_VALID_LAST:
+        assert err == "qcluster: bad presentation data: delta[3,0] repeats the pair (3,0)\n"
+    if data is not None and data.get("delta") is REPEATED_PAIR_VALID_FIRST:
+        assert err == "qcluster: bad presentation data: delta[3, 0] repeats the pair (3,0)\n"
 
 
 # The rules between flags, each with its message; a request that breaks
@@ -511,6 +541,27 @@ FLAG_RULES = [
 ])
 def test_flag_rules_exit_two_with_their_message(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"qcluster: {message}\n")
+
+
+# words the schubert preset rejects, each with its stderr line: the first
+# bad position decides, and there a label out of range is named before
+# reducedness is tested
+BAD_WORDS = [
+    ("1 1 9", "word is not reduced at position 1"),
+    ("9 1 1", "node label 9 out of range"),
+    ("1 9", "node label 9 out of range"),
+    ("0", "node label 0 out of range"),
+    ("-1 2", "node label -1 out of range"),
+    ("1 2 1 2", "word is not reduced at position 3"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["schubert", "bmatrix", "verify"])
+@pytest.mark.parametrize("word, message", BAD_WORDS,
+                         ids=[w.replace(" ", "-") for w, _ in BAD_WORDS])
+def test_bad_words_exit_two_with_their_message(capsys, cmd, word, message):
+    rc, out, err = run_cli(capsys, "--cmd", cmd, *SCHUBERT_A2, *word.split())
     assert (rc, out, err) == (2, "", f"qcluster: {message}\n")
 
 
@@ -740,29 +791,123 @@ def _without_star(k):
     return data
 
 
+# U_q(n+) of sl3 on E12, E1, E2 (as in tests/test_primeseq.py), serialized:
+# delta_2(x1) = (q^-1 - q) x0, so the presentation is not symmetric
+SL3_NPLUS = {
+    "lambda": [["0", "-1", "1"], ["1", "0", "-1"], ["-1", "1", "0"]],
+    "weights": [[1, 1], [1, 0], [0, 1]],
+    "lambda_diag": [None, None, "-2"],
+    "delta": {"2,1": [[[1, 0, 0], {"-2": 1, "2": -1}]]},
+    "eta": [0, 1, 1],
+    "root": 2,
+}
+
 # custom files whose command exits 1, with the stdout digest recorded before
-# the first-column windows ran inside the loaded algebra.  Without
-# lambda_star[1], first-column fails on the window from 1, where generator 1
-# is the window's index 0, and bmatrix on index 1 of the whole algebra.
+# the first-column windows ran inside the loaded algebra, and the checks that
+# must read so.  Without lambda_star[1], first-column fails on the window
+# from 1, where generator 1 is the window's index 0, and bmatrix on index 1
+# of the whole algebra.  On the sl3 file (recorded before the PBW products
+# shared one term accumulator), verify runs the three checks of a
+# presentation that is not symmetric, and bmatrix fails because the chain
+# 1 -> 2 spans a range that does not present a subalgebra.
 GOLDEN_FAILURES = [
     (
         _without_star(1),
         ("--cmd", "verify"),
         "50ce1905a2fc497453cfcb8fe42996946858166b3143a60942c0ece5fa380ff0",
+        {
+            "first-column": "fail: ValueError: index 0 lacks a nontrivial squared scalar",
+            "bmatrix": "fail: ValueError: index 1 lacks a nontrivial squared scalar",
+        },
+    ),
+    (
+        SL3_NPLUS,
+        ("--cmd", "verify"),
+        "5baf884708da57b710d421b0543c26559cae30f9770aa1389924a6f4d8ad6d87",
+        {
+            "primes": "pass",
+            "bmatrix": "fail: ValueError: delta[2,1] leaves the generators 1..2",
+            "mutation-suite": "pass",
+        },
     ),
 ]
 
 
-@pytest.mark.parametrize("data, argv, digest", GOLDEN_FAILURES, ids=["verify-2x3-star1"])
-def test_golden_failures(capsys, tmp_path, data, argv, digest):
+@pytest.mark.parametrize("data, argv, digest, failing", GOLDEN_FAILURES,
+                         ids=["verify-2x3-star1", "verify-sl3-not-symmetric"])
+def test_golden_failures(capsys, tmp_path, data, argv, digest, failing):
     source = tmp_path / "custom.json"
     source.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, *argv, "--preset", "custom", "--file", str(source))
     assert rc == 1 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     checks = json.loads(out)["checks"]
-    assert checks["first-column"] == "fail: ValueError: index 0 lacks a nontrivial squared scalar"
-    assert checks["bmatrix"] == "fail: ValueError: index 1 lacks a nontrivial squared scalar"
+    assert {name: checks[name] for name in failing} == failing
+    if data is SL3_NPLUS:
+        assert list(checks) == sorted(failing)
+
+
+def _with_lengths(d):
+    """CartanData with the lengths d in place of its own, as the sweep
+    tests build it."""
+    real = cli.CartanData
+
+    def build(letter, rank):
+        cd = real(letter, rank)
+        cd.d = d
+        return cd
+
+    return build
+
+
+def _flipped_closed_form(m, n):
+    """The closed-form exchange matrix with column 0 negated."""
+    b = quantum_matrix_btilde(m, n)
+    return ExchangeMatrix(b.n_rows, {**b.cols, 0: tuple(-x for x in b.cols[0])})
+
+
+def _word_request(cmd, letter, rank, word):
+    return ("--cmd", cmd, "--preset", "schubert", "--type", letter,
+            "--rank", str(rank), "--word", *word.split())
+
+
+D4_WORD = "1 3 4 2 1 3 4 2 1 3 4 2"
+
+
+# the exit-1 branches of cli.run besides verify, run in process: a failing
+# Schubert report, on words whose reports fail with wrong lengths, and a
+# false crosscheck, from the same wrong lengths or from a closed form with a
+# column negated.  Digests recorded before the term sums shared one
+# accumulator and WordData read its roots off the walk.
+@pytest.mark.parametrize("argv, patch, digest", [
+    (_word_request("schubert", "B", 3, "1 2 3 1 2 3"),
+     ("CartanData", _with_lengths((1, 1, 1))),
+     "439170fce80e9bdee7f74b04e429ea7a4b2194db10450d95067e194b94c9e990"),
+    (_word_request("schubert", "D", 4, D4_WORD),
+     ("CartanData", _with_lengths((1, 2, 1, 1))),
+     "72fbaa3a094205385977244bce6ebb381df7b68415f6058e5b18237ef5db0019"),
+    (_word_request("bmatrix", "B", 3, "1 2 3 1 2 3"),
+     ("CartanData", _with_lengths((1, 1, 1))),
+     "8cb4c8e60365d9933109faee7e36cb59dfa3566c0103f7f09f3acc5c7d5b4cd8"),
+    (_word_request("bmatrix", "D", 4, D4_WORD),
+     ("CartanData", _with_lengths((1, 2, 1, 1))),
+     "c1d879dd27de957dbdbbd9f63b523e9865af7e5bc284213ae2580269a66ba0eb"),
+    (("--cmd", "bmatrix", "--m", "3", "--n", "3"),
+     ("quantum_matrix_btilde", _flipped_closed_form),
+     "2f21df66ee3213ee3b9ce92865a94c191d6bce5d9113d1fc0a4a8bf8960d0d23"),
+], ids=["schubert-B3", "schubert-D4", "bmatrix-B3", "bmatrix-D4", "bmatrix-3x3"])
+def test_failing_report_and_crosscheck_exit_one(capsys, monkeypatch, argv, patch,
+                                                digest):
+    monkeypatch.setattr(cli, *patch)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    payload = json.loads(out)
+    if payload["command"] == "schubert":
+        assert payload["report"]["ok"] is False
+        assert payload["report"]["pairing_failures"]
+    else:
+        assert payload["crosscheck"] is False
 
 
 MIXED_SIGN = "ValueError: squared-scalar exponents of mixed sign"

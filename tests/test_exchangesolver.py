@@ -27,17 +27,17 @@ from symmetrizers import skew_symmetrizable, symmetrizers_from_scalars
 
 
 def test_linear_system():
-    sys_ = LinearSystem([[1, 1], [1, -1]], [3, 1])
-    assert sys_.solve_unique() == [Fraction(2), Fraction(1)]
+    sys_ = LinearSystem([[1, 1], [1, -1]], [[3], [1]])
+    assert sys_.solve_unique() == [[Fraction(2)], [Fraction(1)]]
     # many right-hand sides, given by rows, share one elimination
     sys_ = LinearSystem([[1, 1], [1, -1]], [[3, 1], [1, 1]])
     assert sys_.solve_unique() == [[2, 1], [1, 0]]
+    with pytest.raises(ValueError, match="inconsistent"):
+        LinearSystem([[1, 1], [2, 2]], [[1], [3]]).solve_unique()
+    with pytest.raises(ValueError, match="not unique"):
+        LinearSystem([[1, 1], [2, 2]], [[1], [2]]).solve_unique()
     with pytest.raises(ValueError):
-        LinearSystem([[1, 1], [2, 2]], [1, 3]).solve_unique()
-    with pytest.raises(ValueError):
-        LinearSystem([[1, 1], [2, 2]], [1, 2]).solve_unique()
-    with pytest.raises(ValueError):
-        LinearSystem([[1, 1]], [1, 2])
+        LinearSystem([[1, 1]], [[1], [2]])
 
 
 def test_closed_form_2x2():

@@ -27,7 +27,6 @@ from qcluster.schubertdata import (
     _walk,
     cartan_matrix,
     compatibility_sweep,
-    roots_for_word,
 )
 from qcluster.xicombinatorics import identity_frame
 from oracles import permuted
@@ -45,6 +44,7 @@ from words import (
     quantum_matrix_word,
     reflect_weight_columns,
     root_pairing,
+    roots_for_word,
     verify_prepared,
     word_report,
 )
@@ -145,6 +145,28 @@ def test_roots_for_word_a2():
         roots_for_word(A2, (1, 1))
     with pytest.raises(ValueError):
         roots_for_word(A2, (1, 2, 1, 2))   # longer than the longest element
+
+
+def test_word_data_reads_the_oracle_roots_off_its_walk():
+    """WordData's roots, the packed roots its walk yields, are the
+    oracle's on every word of PINNED_SWEEPS."""
+    for letter, rank, max_len in PINNED_SWEEPS:
+        cd = CartanData(letter, rank)
+        for word in enumerate_reduced_words(cd, max_len):
+            assert WordData(cd, word).roots == roots_for_word(cd, word)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 9), (9, 1, 1), (1, 9), (0,), (-1, 2),
+                                  (1, 2, 1, 2)])
+def test_a_bad_word_fails_as_the_oracle_fails(word):
+    """The walk stops at the first bad position, where a label out of
+    range is named before reducedness is tested, as the oracle's loop
+    does."""
+    with pytest.raises(ValueError) as want:
+        roots_for_word(A2, word)
+    with pytest.raises(ValueError) as got:
+        WordData(A2, word)
+    assert str(got.value) == str(want.value)
 
 
 def test_word_data_a2():
@@ -267,7 +289,7 @@ def test_walk_carries_each_words_own_data():
         gram = [list(row) for row in cd._gram_scaled]
         width = _field_width(cd, max_len)
         for node in _walk(cd, [range(rank)] * max_len, width):
-            word, p, A, rows, bcols = node
+            word, root, p, A, rows, bcols = node
             n = len(word)
             rows = [_fields(row, rank, n, width) for row in rows]
             assert p == EtaData(word).p
@@ -361,15 +383,15 @@ def test_packed_fields_stay_inside_the_width_proof():
         assert cd._gram_max == M
         width = _field_width(cd, max_len)
         cols = {(): _alpha_columns(cd, width)}
-        for word, p, A, rows, bcols in _walk(cd, [range(rank)] * max_len,
-                                             width):
+        for word, root, p, A, rows, bcols in _walk(
+                cd, [range(rank)] * max_len, width):
             n = len(word)
             for row in rows:
                 fields = _fields(row, rank, n, width)
                 assert all(abs(x) <= 2 * M for x in fields[:rank])
                 assert all(abs(x) <= 4 * M for x in fields[rank:])
             parent = cols[word[:-1]]
-            assert parent[word[-1] - 1] > 0
+            assert root == parent[word[-1] - 1] > 0
             cols[word] = _reflect_alpha_columns(cd, parent, word[-1] - 1)
             for packed in cols[word]:
                 coords = _fields(packed, rank, 0, width)

@@ -3,9 +3,10 @@
 The package verifies reduced words on one walk (schubertdata._walk), which
 carries every word's weight pairings, packed frame rows and exchange
 columns from its parent without forming a weight vector; WordData follows
-that walk along its own word.  These helpers build the same things from
-the word alone: the reduced words by extending each word with every
-letter that keeps it reduced, the weight images of every prefix (one
+that walk along its own word and reads its roots off it.  These helpers
+build the same things from the word alone: the roots by their own
+reflection loop (roots_for_word), the reduced words by extending each word
+with every letter that keeps it reduced, the weight images of every prefix (one
 reflection of the weight matrix per letter, reflect_weight_columns), the
 frame and exchange matrices from those, and the compatibility report,
 whose symmetrizability test takes the lengths as symmetrizers
@@ -26,10 +27,38 @@ from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
     CompatReport,
+    _alpha_columns,
     _append_row,
-    roots_for_word,
+    _field_width,
+    _reflect_alpha_columns,
+    _unpack,
 )
 from symmetrizers import skew_symmetrizable
+
+
+def roots_for_word(cd: CartanData, word: Sequence[int]):
+    """The reflection-ordered positive roots of a reduced word.
+
+    Entry k is the image of the k-th letter's simple root under the
+    preceding prefix, in simple-root coordinates.  Raises ValueError when
+    a label is out of range or the word is not reduced (some entry fails to
+    be a positive root), for the first position where either happens: the
+    coordinates of a root share one sign, so a packed root has the sign of
+    the root.
+    """
+    w = _field_width(cd, len(word))
+    cols = _alpha_columns(cd, w)
+    roots = []
+    for pos, i in enumerate(word):
+        i0 = cd._letter(i)
+        beta = cols[i0]
+        if beta < 0:
+            raise ValueError(f"word is not reduced at position {pos}")
+        roots.append(beta)
+        cols = _reflect_alpha_columns(cd, cols, i0)
+    if len(set(roots)) != len(roots):
+        raise AssertionError("repeated root in a positivity-checked word")
+    return tuple(tuple(_unpack(beta, cd.rank, w)) for beta in roots)
 
 
 def is_reduced(cd: CartanData, word: Sequence[int]) -> bool:
