@@ -632,9 +632,11 @@ def presentation_from_dict(data: dict) -> Presentation:
     n = lam.n
     if n == 0:
         raise ValueError("a presentation needs at least one generator")
+    # read once, before any coefficient is built with it
     root = _exact(data.get("root"), "root")
-    if root is None:
-        root = _default_root(lam)
+    root = _default_root(lam) if root is None else _integer(root, "root")
+    if root < 1:
+        raise ValueError("root must be a positive integer")
 
     def listed(key):
         """data[key], a list without JSON floats, or None when absent or null."""

@@ -298,16 +298,35 @@ class CompatReport(NamedTuple):
     symmetrizable: bool
 
 
-def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
+def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int,
+          least: bool = False):
     """Depth-first walk over the reduced words of length 1..len(letters)
     whose letter at position n is i0 + 1 for some i0 in letters[n]: every
     reduced word when each letters[n] is range(cd.rank), one word and its
     prefixes when each holds one letter (an empty one stops the walk).
 
-    Yields (word, root, p, A, rows, bcols) in letter-lex order: root is the
-    new letter's packed simple-root image under the parent word, the
-    word's last reflection-ordered root; p[k] is where the letter at
+    Yields (word, root, cols, p, A, rows, bcols) in letter-lex order: root
+    is the new letter's packed simple-root image under the parent word,
+    the word's last reflection-ordered root, and cols the packed images of
+    all the simple roots under the word; p[k] is where the letter at
     position k last occurred before k, or None; bcols are _append_row's.
+
+    With least set, the walk keeps only the lexicographically least word
+    of each commutation class, the words joined by 2-moves (swaps of two
+    adjacent letters a != b with cartan[a][b] = 0).  A word is least
+    exactly when it has no factor b v a with a < b whose letters b v all
+    commute with a and differ from it (Anisimov and Knuth); such a factor
+    lets a move left past b v, to a smaller word of the class.  So the
+    least words are prefix-closed, and since a new such factor of u a must
+    end at the new letter, appending a to a least word u keeps it least
+    unless the longest suffix of u whose letters commute with a and differ
+    from it holds a letter greater than a.  Bit b of the mask blocked
+    records that for b.  Appending a grows the suffix of b by a when a
+    commutes with b and empties it otherwise, so the child's mask is
+    (blocked | below[a]) & apart[a], with apart[a] the letters that
+    commute with a and differ from it and below[a] the letters less than
+    a.  Without least, apart is empty and every mask is 0.
+
     With W the word's weight matrix (column i the image of fundamental
     weight i), pre_j column i_j of W before position j and
     G = cd._gram_scaled, A[i][j] = pre_j^T G W_i.  The frame numerators
@@ -360,12 +379,14 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
              for i in range(rank)]
     power = [1 << (w * f) for f in range(rank + max_len)]
     offsets = [w * (rank + l) for l in range(max_len)]
+    apart = [sum(1 << b for b in range(rank) if b != a and not c[a][b])
+             if least else 0 for a in range(rank)]
 
-    def grow(word, cols, A, rows, at, p, bcols):
+    def grow(word, cols, A, rows, at, p, bcols, blocked):
         n = len(word)
         for i0 in letters[n]:
             root = cols[i0]
-            if root < 0:
+            if root < 0 or blocked >> i0 & 1:
                 continue
             g0, old, t0, (J, KJ) = gram[i0], A[i0], shift[i0], at[i0]
             word2, p2 = word + (i0 + 1,), p + (J[-1] if J else None,)
@@ -387,17 +408,18 @@ def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int):
                 rows2[s] -= U
             rows2.append(-U)
             bcols2 = _append_row(cd, word2, p2, bcols)
-            yield word2, root, p2, A2, rows2, bcols2
+            cols2 = _reflect_alpha_columns(cd, cols, i0)
+            yield word2, root, cols2, p2, A2, rows2, bcols2
             if n + 1 < max_len:
                 at2 = list(at)
                 at2[i0] = J + (n,), KJ2
-                yield from grow(word2, _reflect_alpha_columns(cd, cols, i0),
-                                A2, rows2, at2, p2, bcols2)
+                yield from grow(word2, cols2, A2, rows2, at2, p2, bcols2,
+                                (blocked | (1 << i0) - 1) & apart[i0])
 
     if max_len < 1:
         return iter(())
     return grow((), _alpha_columns(cd, w), [[] for _ in range(rank)], [],
-                [((), 0)] * rank, (), {})
+                [((), 0)] * rank, (), {}, 0)
 
 
 def _carried_report(cd, word, rows, bcols, w: int) -> CompatReport:
@@ -459,34 +481,104 @@ def _carried_report(cd, word, rows, bcols, w: int) -> CompatReport:
                         tuple(grading_failures), symmetrizable)
 
 
-def _sweep_reports(cd: CartanData, max_len: int):
-    """(word, report) for each reduced word of length 1..max_len in walk
-    order; report is None for a word with no repeated letter (no column)."""
-    w = _field_width(cd, max_len)
-    for word, *_, rows, bcols in _walk(cd, [range(cd.rank)] * max_len, w):
-        yield word, _carried_report(cd, word, rows, bcols, w) if bcols else None
+def _class_words(cd: CartanData, word: Tuple[int, ...]):
+    """Every word of word's commutation class: the linear extensions of
+    its heap, where position j comes before k > j whenever their letters
+    do not commute (equal letters included, cartan[a][a] = 2)."""
+    c, n = cd.cartan, len(word)
+    before = [sum(1 << j for j in range(k) if c[word[j] - 1][word[k] - 1])
+              for k in range(n)]
+    out = []
+
+    def extend(prefix, used):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for k in range(n):
+            if not used >> k & 1 and before[k] & ~used == 0:
+                extend(prefix + (word[k],), used | 1 << k)
+
+    extend((), 0)
+    return out
 
 
 def compatibility_sweep(cd: CartanData, max_len: int):
     """Verify every reduced word of length <= max_len.
 
-    Returns (number of words checked, list of (word, report) failures).
-    The reports are WordData.compatibility's, from one walk over all the
-    words: the weight pairings A, the exchange columns and the frame rows
-    ride it from word to word, each row one int of balanced w-bit fields.
-    A new letter i0 moves only column i0 of the weight matrix, so a child
-    takes one rank-one step per row, rows[j] + u_j K, minus U on the
-    earlier positions J of i0, and appends -U; the entries between two
-    positions of J need no formula of their own, because the reflection
-    keeps the length of W_i0 (_walk).  A column then costs one int
-    operation per entry and one compare, exact because every frame entry
-    is at most 4M and every tail entry 2M in absolute value, M the largest
-    diagonal entry of the scaled weight Gram matrix (Cauchy-Schwarz on the
-    Weyl orbits of the fundamental weights, _carried_report).
+    Returns (number of words checked, list of (word, report) failures, in
+    lexicographic order of the words).  The reports are
+    WordData.compatibility's.  One walk visits the least word of each
+    commutation class (_walk with least set): the weight pairings A, the
+    exchange columns and the frame rows ride it from word to word, each
+    row one int of balanced w-bit fields.  A new letter i0 moves only
+    column i0 of the weight matrix, so a child takes one rank-one step per
+    row, rows[j] + u_j K, minus U on the earlier positions J of i0, and
+    appends -U; the entries between two positions of J need no formula of
+    their own, because the reflection keeps the length of W_i0 (_walk).  A
+    column then costs one int operation per entry and one compare, exact
+    because every frame entry is at most 4M and every tail entry 2M in
+    absolute value, M the largest diagonal entry of the scaled weight Gram
+    matrix (Cauchy-Schwarz on the Weyl orbits of the fundamental weights,
+    _carried_report).
+
+    A word passes exactly when its class's least word passes, since a
+    2-move permutes every datum of the report.  Let i' swap the letters a
+    = i_p and b = i_(p+1) of i, a != b with cartan[a][b] = 0, and let tau
+    be the transposition (p p+1).  Then s_a s_b = s_b s_a, so i and i' have
+    one weight matrix W; s_a fixes omega_b and s_b fixes omega_a, so with
+    u the prefix of length p, pre'_p = u omega_b = u s_a omega_b = pre_(p+1)
+    and pre'_(p+1) = pre_p, and every other pre_j is kept.  Hence plus' =
+    plus o tau and minus' = minus o tau, and the grading tails W^T G
+    minus_j permute by tau.  So do the frame numerators: tau keeps the
+    order of two positions other than p and p+1, and F'[p][p+1] =
+    plus_(p+1)^T G minus_p = -F[p][p+1], because plus_p^T G minus_(p+1) +
+    minus_p^T G plus_(p+1) = 2 (pre_p^T G pre_(p+1) - G[a][b]) = 0 (u keeps
+    the form G, and pre_p, pre_(p+1) are u omega_a, u omega_b).  Equal
+    letters keep their order, so p' = tau o p o tau.  Each entry of an
+    _append_row column is +-1 at a position given by p, which tau maps, or
+    +-cartan[x][y] for the letters x of its row and y of its column,
+    behind comparisons of a position holding x with one holding y; tau
+    flips such a comparison only when the two are p and p+1, and then
+    {x, y} = {a, b} and the entry is 0 either way.  So b'[tau j][tau k] =
+    b[j][k], and the targets -2 gram_scale d_k, the column sums got, the
+    pairing and grading failures, the symmetrizability pairs and the
+    width guard's weights all permute by tau: the report of i' is that of
+    i with its positions moved by tau, and ok' = ok.  2-moves join any two
+    words of a class (Cartier and Foata).
+
+    checked is still the number of reduced words.  A reduced word of w
+    ends in s exactly when s is a right descent of w, which is when
+    w alpha_s < 0, and then drops to a reduced word of w s; so w has N(w)
+    = sum N(w s) words over those s, with N(identity) = 1.  N is memoized
+    by the packed simple-root images cols, which determine w because the
+    Weyl group acts faithfully on the root lattice, and each element is
+    counted the first time the walk meets it: braid-related classes share
+    an element, as (1, 2, 1) and (2, 1, 2) do in A2.  Only a failing class
+    is expanded into its words (_class_words), each with WordData's
+    report; the full walk is depth-first with letters ascending, which is
+    lexicographic order on tuples, so sorting keeps its failure order.
     """
+    w = _field_width(cd, max_len)
+    words_of = {tuple(_alpha_columns(cd, w)): 1}
+
+    def count(cols):
+        key = tuple(cols)
+        if key not in words_of:
+            words_of[key] = sum(
+                count(_reflect_alpha_columns(cd, cols, s))
+                for s in range(cd.rank) if cols[s] < 0)
+        return words_of[key]
+
     failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
-    checked = 0
-    for checked, (word, report) in enumerate(_sweep_reports(cd, max_len), 1):
-        if report is not None and not report.ok:
-            failures.append((word, report))
+    checked, met = 0, set()
+    for word, _, cols, *_, rows, bcols in _walk(
+            cd, [range(cd.rank)] * max_len, w, least=True):
+        key = tuple(cols)
+        if key not in met:
+            met.add(key)
+            checked += count(cols)
+        if bcols and not _carried_report(cd, word, rows, bcols, w).ok:
+            failures += [(v, WordData(cd, v).compatibility())
+                         for v in _class_words(cd, word)]
+    failures.sort()
     return checked, failures

@@ -334,6 +334,13 @@ STRING_LAMBDA_ROWS = {"lambda": ["00", "00"], "weights": [[0], [0]],
 ROOTLESS = {k: v for k, v in GRID22.items() if k not in ("delta", "eta")}
 ROOT_ZERO = {**ROOTLESS, "root": 0}
 ROOT_NEGATIVE = {**ROOTLESS, "root": -2}
+# a string root was once read two ways, as given for the delta coefficients
+# and as an integer for the rest: "2" loaded without delta and was exit 2
+# with it ("'<' not supported between instances of 'str' and 'int'")
+STRING_ROOT_ZERO = {**GRID22, "root": "0"}
+STRING_ROOT_ZERO_ROOTLESS = {**ROOTLESS, "root": "0"}
+STRING_ROOT_HALF = {**GRID22, "root": "5/2"}
+STRING_ROOT_HALF_ROOTLESS = {**ROOTLESS, "root": "5/2"}
 # a second key for one derivation pair once replaced the first: with the
 # valid term last, primes passed and ignored the conflicting one
 CONFLICT = [[GRID22["delta"]["3,0"][0][0], {"0": 1}]]
@@ -408,6 +415,10 @@ REPEATED_PAIR_VALID_FIRST = {"3,0": GRID22["delta"]["3,0"], "3, 0": CONFLICT}
         (ROOT_ZERO, ("--cmd", "primes")),
         (ROOT_NEGATIVE, ("--cmd", "verify")),
         (ROOT_NEGATIVE, ("--cmd", "primes")),
+        (STRING_ROOT_ZERO, ("--cmd", "primes")),
+        (STRING_ROOT_ZERO_ROOTLESS, ("--cmd", "primes")),
+        (STRING_ROOT_HALF, ("--cmd", "bmatrix")),
+        (STRING_ROOT_HALF_ROOTLESS, ("--cmd", "bmatrix")),
         ({**GRID22, "delta": REPEATED_PAIR_VALID_LAST}, ("--cmd", "primes")),
         ({**GRID22, "delta": REPEATED_PAIR_VALID_FIRST}, ("--cmd", "primes")),
     ],
@@ -469,6 +480,10 @@ REPEATED_PAIR_VALID_FIRST = {"3,0": GRID22["delta"]["3,0"], "3, 0": CONFLICT}
         "root-zero-primes",
         "root-negative-verify",
         "root-negative-primes",
+        "string-root-zero",
+        "string-root-zero-rootless",
+        "string-root-fraction",
+        "string-root-fraction-rootless",
         "repeated-pair-valid-last",
         "repeated-pair-valid-first",
     ],
@@ -502,12 +517,31 @@ def test_unusable_input_is_a_config_error(capsys, tmp_path, data, argv):
         assert err == "qcluster: bad presentation data: lambda is not a list\n"
     if data is STRING_LAMBDA_ROWS:
         assert err == "qcluster: bad presentation data: lambda[0] is not a list\n"
-    if data is ROOT_ZERO or data is ROOT_NEGATIVE:
+    if any(data is x for x in (ROOT_ZERO, ROOT_NEGATIVE, STRING_ROOT_ZERO,
+                               STRING_ROOT_ZERO_ROOTLESS)):
         assert err == "qcluster: bad presentation data: root must be a positive integer\n"
+    if data is STRING_ROOT_HALF or data is STRING_ROOT_HALF_ROOTLESS:
+        assert err == ("qcluster: bad presentation data: "
+                       "root entry '5/2' is not an integer\n")
     if data is not None and data.get("delta") is REPEATED_PAIR_VALID_LAST:
         assert err == "qcluster: bad presentation data: delta[3,0] repeats the pair (3,0)\n"
     if data is not None and data.get("delta") is REPEATED_PAIR_VALID_FIRST:
         assert err == "qcluster: bad presentation data: delta[3, 0] repeats the pair (3,0)\n"
+
+
+@pytest.mark.parametrize("data", [GRID22, ROOTLESS], ids=["delta", "no-delta"])
+@pytest.mark.parametrize("cmd", ["primes", "bmatrix"])
+def test_a_string_root_reads_as_its_integer(capsys, tmp_path, data, cmd):
+    """"root": "2" gives exit 0 and the bytes of "root": 2, with the delta
+    coefficients built at that root or without any."""
+    runs = []
+    for root in (2, "2"):
+        source = tmp_path / "custom.json"
+        source.write_text(json.dumps({**data, "root": root}))
+        runs.append(run_cli(capsys, "--cmd", cmd, "--preset", "custom",
+                            "--file", str(source)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
 
 
 # The rules between flags, each with its message; a request that breaks

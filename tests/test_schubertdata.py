@@ -17,12 +17,13 @@ from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.primeseq import EtaData
 from qcluster.schubertdata import (
     CartanData,
+    CompatReport,
     WordData,
     _alpha_columns,
     _carried_report,
+    _class_words,
     _field_width,
     _reflect_alpha_columns,
-    _sweep_reports,
     _unpack,
     _walk,
     cartan_matrix,
@@ -31,11 +32,14 @@ from qcluster.schubertdata import (
 from qcluster.xicombinatorics import identity_frame
 from oracles import permuted
 from words import (
+    commutation_class,
     commutation_matrix,
     enumerate_reduced_words,
     exchange_matrix_for_word,
     frame_exponent_matrix,
     frame_matrix,
+    full_sweep,
+    full_sweep_reports,
     fundamental_weight,
     identity_columns,
     is_reduced,
@@ -45,6 +49,7 @@ from words import (
     reflect_weight_columns,
     root_pairing,
     roots_for_word,
+    two_moves,
     verify_prepared,
     word_report,
 )
@@ -289,7 +294,7 @@ def test_walk_carries_each_words_own_data():
         gram = [list(row) for row in cd._gram_scaled]
         width = _field_width(cd, max_len)
         for node in _walk(cd, [range(rank)] * max_len, width):
-            word, root, p, A, rows, bcols = node
+            word, root, cols, p, A, rows, bcols = node
             n = len(word)
             rows = [_fields(row, rank, n, width) for row in rows]
             assert p == EtaData(word).p
@@ -335,7 +340,7 @@ def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
     the words with no repeated letter.  WordData, which follows the walk
     along its own word, gives the oracle's report, frame matrix and
     exchange matrix on every word."""
-    for word, report in _sweep_reports(cd, max_len):
+    for word, report in full_sweep_reports(cd, max_len):
         want = word_report(cd, word)
         if report is None:
             assert len(set(word)) == len(word)
@@ -347,6 +352,100 @@ def test_sweep_reports_match_the_per_word_oracle(cd, max_len):
         assert data.compatibility() == want
         assert data.frame_matrix() == frame_exponent_matrix(cd, word)
         assert data.exchange_matrix() == exchange_matrix_for_word(cd, word)
+
+
+# the seven sweeps of the benchmark's seeds workload
+SEEDS_SWEEPS = (("A", 4, 8), ("A", 5, 7), ("B", 3, 8), ("C", 3, 8),
+                ("D", 4, 8), ("D", 4, 9), ("G", 2, 8))
+# wrong lengths fail 146 words of B3/8, and 765 of the 1036 of D4/7
+WRONG_LENGTHS = (
+    (_wrong_lengths("B", 3, (1, 1, 1)), 8),
+    (_wrong_lengths("G", 2, (3, 1)), 6),
+    (_wrong_lengths("D", 4, (1, 2, 1, 1)), 7),
+)
+WRONG_IDS = ["B3-wrong-d", "G2-wrong-d", "D4-wrong-d"]
+
+
+@pytest.mark.parametrize(
+    "cd, max_len",
+    [(CartanData(t, r), n) for t, r, n in PINNED_SWEEPS + SEEDS_SWEEPS]
+    + list(WRONG_LENGTHS),
+    ids=[f"{t}{r}-{n}" for t, r, n in PINNED_SWEEPS + SEEDS_SWEEPS] + WRONG_IDS)
+def test_sweep_by_class_matches_the_full_sweep(cd, max_len):
+    """compatibility_sweep walks one word per commutation class, counts
+    the words of each element it meets and expands a failing class into
+    its words: it returns the count, failure list and reports of the walk
+    over every word, in the same order."""
+    got = compatibility_sweep(cd, max_len)
+    assert got == full_sweep(cd, max_len)
+    assert bool(got[1]) == (cd.d != CartanData(cd.letter, cd.rank).d)
+
+
+@pytest.mark.parametrize("letter, rank, max_len", [("A", 4, 6), ("D", 4, 6)])
+def test_the_sweep_walks_the_least_word_of_each_class(letter, rank, max_len):
+    """The walk with least set yields exactly the lexicographically least
+    word of each commutation class, each once, and a class's heap
+    extensions are the words its 2-moves reach."""
+    cd = CartanData(letter, rank)
+    classes = {}
+    for word in enumerate_reduced_words(cd, max_len):
+        if not any(word in c for c in classes.values()):
+            c = commutation_class(cd, word)
+            classes[min(c)] = c
+    width = _field_width(cd, max_len)
+    walked = [node[0] for node in _walk(cd, [range(rank)] * max_len, width,
+                                        least=True)]
+    assert sorted(walked) == sorted(classes)
+    for word in walked:
+        found = _class_words(cd, word)
+        assert len(found) == len(set(found))
+        assert set(found) == classes[word]
+
+
+def test_braid_related_classes_share_an_element():
+    """(1, 2, 1) and (2, 1, 2) are the least words of two classes of one
+    element of A2, so the sweep counts that element's words once."""
+    width = _field_width(A2, 3)
+    images = {node[0]: node[2]
+              for node in _walk(A2, [range(2)] * 3, width, least=True)}
+    assert len(images) == 6
+    assert images[(1, 2, 1)] == images[(2, 1, 2)]
+    assert compatibility_sweep(A2, 3) == (6, [])
+
+
+def _moved_report(report, tau):
+    """report with each position k moved to tau[k], listed in the order
+    the report lists positions."""
+    return CompatReport(
+        report.ok,
+        tuple(sorted(tau[k] for k in report.columns)),
+        tuple(sorted((tau[k], tau[l]) for k, l in report.pairing_failures)),
+        tuple(sorted(tau[k] for k in report.grading_failures)),
+        report.symmetrizable)
+
+
+@pytest.mark.parametrize(
+    "cd, max_len",
+    [(CartanData(t, r), n) for t, r, n in PINNED_SWEEPS] + list(WRONG_LENGTHS),
+    ids=[f"{t}{r}-{n}" for t, r, n in PINNED_SWEEPS] + WRONG_IDS)
+def test_a_two_move_permutes_the_word_data(cd, max_len):
+    """Swapping adjacent distinct commuting letters at p, p + 1 gives the
+    frame matrix, exchange matrix and report of the word permuted by the
+    transposition tau = (p p+1), which is why the sweep checks one word
+    per commutation class."""
+    for word in enumerate_reduced_words(cd, max_len):
+        data = WordData(cd, word)
+        frame, bmat = data.frame_matrix(), data.exchange_matrix()
+        report, n = data.compatibility(), len(word)
+        for p, swapped in two_moves(cd, word):
+            tau = list(range(n))
+            tau[p], tau[p + 1] = p + 1, p
+            other = WordData(cd, swapped)
+            assert other.frame_matrix() == permuted(frame, tau)
+            assert other.exchange_matrix() == ExchangeMatrix(n, {
+                tau[k]: tuple(col[t] for t in tau)
+                for k, col in bmat.cols.items()})
+            assert other.compatibility() == _moved_report(report, tau)
 
 
 @pytest.mark.parametrize("entry", [(2, 3), (2, 0), (2, 2)])
@@ -382,18 +481,19 @@ def test_packed_fields_stay_inside_the_width_proof():
         M = max(cd._gram_scaled[i][i] for i in range(rank))
         assert cd._gram_max == M
         width = _field_width(cd, max_len)
-        cols = {(): _alpha_columns(cd, width)}
-        for word, root, p, A, rows, bcols in _walk(
+        images = {(): _alpha_columns(cd, width)}
+        for word, root, cols, p, A, rows, bcols in _walk(
                 cd, [range(rank)] * max_len, width):
             n = len(word)
             for row in rows:
                 fields = _fields(row, rank, n, width)
                 assert all(abs(x) <= 2 * M for x in fields[:rank])
                 assert all(abs(x) <= 4 * M for x in fields[rank:])
-            parent = cols[word[:-1]]
+            parent = images[word[:-1]]
             assert root == parent[word[-1] - 1] > 0
-            cols[word] = _reflect_alpha_columns(cd, parent, word[-1] - 1)
-            for packed in cols[word]:
+            images[word] = cols
+            assert cols == _reflect_alpha_columns(cd, parent, word[-1] - 1)
+            for packed in cols:
                 coords = _fields(packed, rank, 0, width)
                 sign = (packed > 0) - (packed < 0)
                 assert sign and all(x * sign >= 0 for x in coords)

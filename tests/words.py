@@ -16,6 +16,10 @@ They also keep the lattice arithmetic that no seed of a word reads: the
 fundamental weights in their own coordinates, the root pairing of the
 symmetrized Cartan matrix, and the word's commutation matrix, whose
 entries are root pairings (commutation_matrix).
+
+The package's sweep walks one word per commutation class; full_sweep is
+the walk over every reduced word that it replaced, and commutation_class
+finds a word's class by 2-moves, one swap at a time.
 """
 
 from operator import mul
@@ -29,9 +33,11 @@ from qcluster.schubertdata import (
     CompatReport,
     _alpha_columns,
     _append_row,
+    _carried_report,
     _field_width,
     _reflect_alpha_columns,
     _unpack,
+    _walk,
 )
 from symmetrizers import skew_symmetrizable
 
@@ -244,3 +250,42 @@ def quantum_matrix_word(m: int, n: int):
     return tuple(
         n + r - c for r in range(1, m + 1) for c in range(1, n + 1)
     )
+
+
+def full_sweep_reports(cd: CartanData, max_len: int):
+    """(word, report) for each reduced word of length 1..max_len in walk
+    order; report is None for a word with no repeated letter (no column)."""
+    w = _field_width(cd, max_len)
+    for word, *_, rows, bcols in _walk(cd, [range(cd.rank)] * max_len, w):
+        yield word, _carried_report(cd, word, rows, bcols, w) if bcols else None
+
+
+def full_sweep(cd: CartanData, max_len: int):
+    """compatibility_sweep's result from the walk over every reduced word:
+    (number of words, list of (word, report) failures in walk order)."""
+    failures = []
+    checked = 0
+    for checked, (word, report) in enumerate(full_sweep_reports(cd, max_len), 1):
+        if report is not None and not report.ok:
+            failures.append((word, report))
+    return checked, failures
+
+
+def two_moves(cd: CartanData, word: Sequence[int]):
+    """(p, swapped word) for each adjacent pair p, p + 1 of distinct
+    commuting letters."""
+    for p in range(len(word) - 1):
+        a, b = word[p], word[p + 1]
+        if a != b and not cd.cartan[a - 1][b - 1]:
+            yield p, word[:p] + (b, a) + word[p + 2:]
+
+
+def commutation_class(cd: CartanData, word: Sequence[int]):
+    """The words reached from word by 2-moves, as a set."""
+    seen, todo = {tuple(word)}, [tuple(word)]
+    while todo:
+        for _, v in two_moves(cd, todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
