@@ -9,8 +9,7 @@ and seed.  Exit status 0 means success, 1 a failed check or computation,
 from __future__ import annotations
 
 import argparse
-import json
-import random
+import os
 import sys
 from argparse import Namespace
 from functools import cached_property
@@ -64,6 +63,11 @@ from .xicombinatorics import (
     window_support_vector,
 )
 
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
+
 SCHEMA = 1
 
 PRESETS = ("quantum-matrices", "schubert", "custom")
@@ -95,12 +99,17 @@ def load_presentation(config: Namespace) -> Presentation:
         if config.m < 1 or config.n < 1:
             raise ConfigError("--m and --n must be positive")
         return quantum_matrix_preset(config.m, config.n)
+    import json  # only a --file request reads JSON
+
     try:
         with open(config.file) as fh:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {config.file}: {e}")
-    except json.JSONDecodeError as e:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+    # integer literal past int's digit limit; a deep nesting of brackets
+    # overflows the decoder's recursion
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"{config.file} is not valid JSON: {e}")
     try:
         return presentation_from_dict(data)
@@ -493,6 +502,8 @@ def _check_first_column(s: Session):
 
 
 def _check_mutation_suite(s: Session):
+    import random  # only this check draws random cases
+
     rng = random.Random(s.config.seed)
     for _ in range(25):
         n = rng.randint(1, 4)
@@ -607,8 +618,67 @@ def run(config: Namespace):
     return code, payload
 
 
+def encode(payload: dict) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2), built
+    without the json package.
+
+    With an indent, the standard library encodes in pure Python and is
+    general; this covers only what a payload holds: dicts with str keys,
+    lists, str, int, bool and None.  Any other type, a float or a tuple
+    included, raises TypeError.  Strings are escaped by the same ASCII
+    encoder json uses, and ints by int.__repr__, so the digit limit on
+    int-to-str conversion applies as it does in json.
+    """
+    out = []
+    put = out.append
+
+    def value(o, pad):
+        if type(o) is str:
+            put(_quote(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif type(o) is int:
+            put(int.__repr__(o))
+        elif type(o) is list:
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            if all(type(x) is int for x in o):
+                put(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{pad}]")
+                return
+            sep = "[" + inner
+            for x in o:
+                put(sep)
+                value(x, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif type(o) is dict:
+            if not o:
+                put("{}")
+                return
+            if any(type(k) is not str for k in o):
+                raise TypeError("payload keys must be str")
+            inner = pad + "  "
+            sep = "{" + inner
+            for k in sorted(o):
+                put(f"{sep}{_quote(k)}: ")
+                value(o[k], inner)
+                sep = "," + inner
+            put(pad + "}")
+        else:
+            raise TypeError(f"a payload holds no {type(o).__name__}: {o!r}")
+
+    value(payload, "\n")
+    return "".join(out)
+
+
 def emit(payload: dict, out: Optional[str]):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = encode(payload) + "\n"
     if out:
         try:
             with open(out, "w") as fh:
@@ -658,5 +728,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def entry() -> None:
+    """The console script: main(), then end the process without the
+    interpreter's teardown once the output is flushed.
+
+    Teardown frees every object and runs exit hooks, and a request needs
+    neither.  Skipping it with os._exit is safe: qcluster registers no
+    atexit handler, --out is closed by emit's with block, and no thread
+    is left running, so a successful flush of stdout and stderr is the
+    last thing teardown would have done that matters.  If a flush fails,
+    say on a full disk, the process exits through sys.exit as main's
+    callers always did, so the failed write is reported and never exits 0;
+    an exception that escapes main() never reaches os._exit at all.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -150,6 +150,28 @@ def test_missing_file(capsys, tmp_path):
     assert rc == 2 and err.startswith("qcluster:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"names": ["\xe9"]}',
+        b'{"root": 1' + b"0" * 4999 + b"}",
+    ],
+    ids=["nested-100000-deep", "not-utf-8", "5000-digit-int"],
+)
+def test_malformed_json_is_a_config_error(capsys, tmp_path, text):
+    """The decoder's RecursionError, UnicodeDecodeError and the int digit
+    limit's ValueError are each a file that is not valid JSON."""
+    source = tmp_path / "custom.json"
+    source.write_bytes(text)
+    rc, out, err = run_cli(
+        capsys, "--cmd", "primes", "--preset", "custom", "--file", str(source)
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"qcluster: {source} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_trivial_shape(capsys):
     rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "1", "--n", "3")
     assert rc == 0
@@ -200,22 +222,117 @@ def test_custom_bad_eta_exits_one(capsys, tmp_path):
     assert "level sets" in payload["error"]
 
 
+def child_env(**overrides):
+    """The environment of a child interpreter that imports this qcluster;
+    an override of None removes the variable."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {k: v for k, v in env.items() if v is not None}
+
+
 def test_cli_import_stays_light():
     """Every request pays for importing the CLI, and dataclasses alone
-    pulls in inspect, ast, dis and tokenize."""
+    pulls in inspect, ast, dis and tokenize.  json is imported only to
+    read a --file, and random only by the verify suite's mutation check."""
     code = (
         "import sys; before = set(sys.modules); import qcluster.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     added = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code], env=child_env(),
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert "qcluster.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
+    assert "json" not in added and "random" not in added
+
+
+def run_entry(*argv, stdout=subprocess.PIPE, **env):
+    """python -m qcluster.cli ARGV in a child, which ends through entry()."""
+    return subprocess.run(
+        [sys.executable, "-m", "qcluster.cli", *argv], env=child_env(**env),
+        stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def test_entry_prints_what_main_prints(capsys, tmp_path):
+    """entry() ends with os._exit after its flushes: stdout, the exit
+    status and an --out file must still be whole."""
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(BAD_CUSTOM))
+    target = tmp_path / "out.json"
+    for argv in (
+        ("--cmd", "bmatrix", "--m", "2", "--n", "3"),
+        ("--cmd", "primes", "--preset", "custom", "--file", str(source)),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        for env in ({"PYTHONUNBUFFERED": None}, {"PYTHONUNBUFFERED": "1"}):
+            child = run_entry(*argv, **env)
+            assert (child.returncode, child.stdout, child.stderr) == (
+                rc, out.encode(), err.encode()
+            )
+        child = run_entry(*argv, "--out", str(target))
+        assert (child.returncode, child.stdout, child.stderr) == (rc, b"", b"")
+        assert target.read_text() == out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered, status", [(None, 120), ("1", 1)],
+                         ids=["buffered", "unbuffered"])
+def test_a_failed_write_never_exits_zero(unbuffered, status):
+    """A buffered write to a full device fails only when entry() flushes;
+    entry() then exits through sys.exit, whose teardown flushes again and
+    exits 120.  Unbuffered, the write fails inside main() with a traceback
+    and exit 1.  Both are the statuses of a plain sys.exit(main())."""
+    with open("/dev/full", "wb") as full:
+        child = run_entry("--cmd", "bmatrix", "--m", "2", "--n", "2",
+                          stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert child.returncode == status
+    assert b"No space left on device" in child.stderr
+
+
+def test_unwritable_out_exits_two_through_entry(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    child = run_entry("--cmd", "bmatrix", "--m", "2", "--n", "2", "--out", str(target))
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr == (
+        f"qcluster: cannot write {target}: [Errno 2] No such file or directory: "
+        f"'{target}'\n"
+    ).encode()
+
+
+json_text = st.text(st.characters(exclude_categories=()))
+json_leaves = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**30, max_value=10**30)
+    | json_text | st.sampled_from(["", "\x00\x1f\"\\/\x7f", "\u00e9\u2028\U0001f600"])
+    | st.lists(st.integers(), max_size=6)
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(json_text, kids, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(json_payloads)
+@settings(max_examples=300, deadline=None)
+def test_encode_matches_json_dumps(payload):
+    """json.dumps, the encoder the CLI used, is the oracle for every type a
+    payload holds: None, bools, ints of any size, any string, and empty or
+    nested lists and dicts."""
+    assert cli.encode(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.0, {"a": [1, 2.5]}, (1, 2), {"a": (1,)}, {1: "a"}, {"a": {None: 0}}, {1, 2}],
+    ids=["float", "nested-float", "tuple", "nested-tuple", "int-key", "none-key", "set"],
+)
+def test_encode_rejects_what_no_payload_holds(payload):
+    with pytest.raises(TypeError):
+        cli.encode(payload)
 
 
 FAILING_CHECKS = """
@@ -245,12 +362,9 @@ except AssertionError as e:
 def test_checks_fail_alike_under_python_O():
     """The checks raise AssertionError themselves, so python -O, which
     strips assert statements, keeps every failure and its message."""
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [
         subprocess.run(
-            [sys.executable, *flags, "-c", FAILING_CHECKS],
-            env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, *flags, "-c", FAILING_CHECKS], env=child_env(),
             capture_output=True, text=True, check=True,
         ).stdout
         for flags in ([], ["-O"])
