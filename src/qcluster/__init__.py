@@ -16,7 +16,7 @@ The package is organized bottom-up:
 * ``cli``           JSON-reporting command line front end
 """
 
-from .scalarfield import Coeff, coeff_div
+from .scalarfield import Coeff, coeff_div, div_right
 from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
 from .qtorus import (
     TorusElement,
@@ -25,7 +25,6 @@ from .qtorus import (
     frame_value,
     permutation_cols,
     reindex_frame,
-    torus_div_right,
     torus_mul,
 )
 from .mutation import (
@@ -45,7 +44,6 @@ from .orealgebra import (
     PBWElement,
     Presentation,
     leading_term,
-    pbw_div_right,
     pbw_mul,
     presentation_from_dict,
     quantum_matrix_preset,
@@ -88,6 +86,7 @@ from .schubertdata import (
 __all__ = [
     "Coeff",
     "coeff_div",
+    "div_right",
     "ExpMatrix",
     "exp_mat_product",
     "omega",
@@ -98,7 +97,6 @@ __all__ = [
     "frame_value",
     "permutation_cols",
     "reindex_frame",
-    "torus_div_right",
     "torus_mul",
     "ExchangeMatrix",
     "Seed",
@@ -114,7 +112,6 @@ __all__ = [
     "PBWElement",
     "Presentation",
     "leading_term",
-    "pbw_div_right",
     "pbw_mul",
     "presentation_from_dict",
     "quantum_matrix_preset",

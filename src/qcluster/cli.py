@@ -102,7 +102,7 @@ def load_presentation(config: Namespace) -> Presentation:
     import json  # only a --file request reads JSON
 
     try:
-        with open(config.file) as fh:
+        with open(config.file, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {config.file}: {e}")

@@ -12,7 +12,8 @@ Mutation acts on three layers that are kept in sync, one rule each:
 * mutate_emat: the rank-one conjugation of the torus exponent matrix of a
   compatible pair;
 * mutate_seed: frame images change only in direction k, via the exchange
-  relation, realized by exact right division in the reference torus.
+  relation, realized by exact right division (scalarfield.div_right) in
+  the domain the images live in, the ambient algebra or a quantum torus.
 
 Matrix mutation does not depend on the sign that the factor route
 E_eps B F_eps chooses, and compatible pairs mutate to compatible pairs
@@ -26,9 +27,8 @@ from math import gcd
 from typing import Dict, Mapping, Sequence
 
 from .bicharacter import ExpMatrix, omega, pairing_row
-from .orealgebra import pbw_div_right
-from .qtorus import ToricFrame, TorusElement, frame_value, torus_div_right
-from .scalarfield import Coeff
+from .qtorus import ToricFrame, TorusElement, frame_value
+from .scalarfield import Coeff, div_right
 
 
 def gplus(v: Sequence[int]):
@@ -213,11 +213,7 @@ def mutated_variable(frame: ToricFrame, bcol: Sequence[int], k: int):
     quotient does not exist doubles as a check that the exchange relation
     is solvable over the ambient ring.
     """
-    rhs = _exchange_sum(frame, bcol, k)
-    old = frame.images[k]
-    if isinstance(old, TorusElement):
-        return torus_div_right(rhs, old)
-    return pbw_div_right(rhs, old)
+    return div_right(_exchange_sum(frame, bcol, k), frame.images[k])
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:

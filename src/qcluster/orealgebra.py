@@ -261,6 +261,7 @@ class PBWElement(TermSum):
     """Finite sum of PBW monomials with exact coefficients."""
 
     __slots__ = ("pres",)
+    _lead_key = staticmethod(_rev_key)
 
     def __init__(self, pres: Presentation, terms: dict):
         self.pres = pres
@@ -270,9 +271,9 @@ class PBWElement(TermSum):
     def root(self) -> int:
         return self.pres.root
 
-    def _check(self, other: "PBWElement"):
-        if self.pres is not other.pres:
-            raise ValueError("elements from different presentations")
+    @property
+    def _space(self) -> Presentation:
+        return self.pres
 
     def _like(self, terms: dict) -> "PBWElement":
         return PBWElement(self.pres, terms)
@@ -280,13 +281,8 @@ class PBWElement(TermSum):
     def _product(self, other: "PBWElement") -> "PBWElement":
         return pbw_mul(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.pres is other.pres and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("PBWElement is not hashable")
+    def _quotient_bound(self, other: "PBWElement"):
+        return lambda g: all(x >= 0 for x in g)
 
     def support_max(self) -> int:
         """Largest generator index occurring, or -1 for scalars."""
@@ -341,35 +337,6 @@ def leading_term(a: PBWElement) -> tuple:
         raise ValueError("leading term of zero")
     f = max(a.terms, key=_rev_key)
     return f, a.terms[f]
-
-
-def pbw_div_right(a: PBWElement, b: PBWElement) -> PBWElement:
-    """Exact right quotient: the c with c * b == a.
-
-    Eliminates the reverse-lex leading term of the remainder against the
-    leading term of b.  Leading terms are multiplicative here (derivation
-    corrections are strictly smaller), so the quotient monomial is forced
-    at each step; the commutation scalar is read off from an actual
-    product rather than guessed.  Raises ValueError when the division is
-    not exact.
-    """
-    a._check(b)
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero element")
-    pres = a.pres
-    gb, _ = leading_term(b)
-    rem = PBWElement(pres, dict(a.terms))
-    quo: dict = {}
-    while not rem.is_zero:
-        ga, ca = leading_term(rem)
-        gq = tuple(x - y for x, y in zip(ga, gb))
-        if any(x < 0 for x in gq):
-            raise ValueError("right division is not exact")
-        prod = pbw_mul(pres.monomial(gq), b)
-        c = ca / prod.terms[ga]
-        quo[gq] = c
-        rem = rem - prod.scaled(c)
-    return PBWElement(pres, quo)
 
 
 def weight_of(a: PBWElement) -> tuple:

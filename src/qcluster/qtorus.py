@@ -28,6 +28,7 @@ class TorusElement(TermSum):
     """Sum of symmetrized basis monomials with Coeff coefficients."""
 
     __slots__ = ("base", "root")
+    _lead_key = staticmethod(lambda g: (sum(g), g))  # graded lex
 
     def __init__(self, base: ExpMatrix, root: int, terms: dict):
         self.base = base
@@ -43,14 +44,8 @@ class TorusElement(TermSum):
         return cls(base, root, {tuple(int(x) for x in g): Coeff.one(root)})
 
     @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def _check(self, other: "TorusElement"):
-        if self.base is not other.base and self.base != other.base:
-            raise ValueError("elements over different tori")
-        if self.root != other.root:
-            raise ValueError("mixed coefficient roots")
+    def _space(self) -> tuple:
+        return self.base, self.root
 
     def _like(self, terms: dict) -> "TorusElement":
         return TorusElement(self.base, self.root, terms)
@@ -58,21 +53,19 @@ class TorusElement(TermSum):
     def _product(self, other: "TorusElement") -> "TorusElement":
         return torus_mul(self, other)
 
+    def _quotient_bound(self, other: "TorusElement"):
+        box = [
+            (min(xs) - min(ys), max(xs) - max(ys))
+            for xs, ys in zip(zip(*self.terms), zip(*other.terms))
+        ]
+        return lambda g: all(lo <= x <= hi for x, (lo, hi) in zip(g, box))
+
     def inverse(self) -> "TorusElement":
         """Inverse of a single monomial c Y^(g), which is c^-1 Y^(-g)."""
         if len(self.terms) != 1:
             raise ValueError("only monomial torus elements are invertible here")
         ((g, c),) = self.terms.items()
         return self._like({tuple(-x for x in g): c.inv()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.root == other.root
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -95,55 +88,6 @@ def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
             c = ca * cb * _q_power(_pairing(base, f, g), den, root)
             _add_term(out, tuple(x + y for x, y in zip(f, g)), c)
     return TorusElement(base, root, out)
-
-
-def _grlex_key(g):
-    return (sum(g), g)
-
-
-def torus_div_right(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Exact right quotient: the c with c * b == a.
-
-    Works by eliminating the graded-lex minimal term of the remainder
-    against the minimal term of b; raises ValueError when the division is
-    not exact.  The torus is a domain, so if c exists its top term is
-    max(a) - max(b) and, coordinate by coordinate, its terms lie between
-    min(a) - min(b) and max(a) - max(b).  Every quotient term the loop
-    finds is a term of c, so one outside these bounds proves the division
-    inexact; the quotient terms increase and the box is finite, so the
-    loop ends.
-    """
-    a._check(b)
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero torus element")
-    if a.is_zero:
-        return a._like({})
-    base, root = a.base, a.root
-    den = base.den
-    gb = min(b.terms, key=_grlex_key)
-    cb = b.terms[gb]
-    top_a, top_b = (max(x.terms, key=_grlex_key) for x in (a, b))
-    top = _grlex_key(tuple(x - y for x, y in zip(top_a, top_b)))
-    box = [
-        (min(xs) - min(ys), max(xs) - max(ys))
-        for xs, ys in zip(zip(*a.terms), zip(*b.terms))
-    ]
-    rem = dict(a.terms)
-    quo: dict = {}
-    while rem:
-        ga = min(rem, key=_grlex_key)
-        gq = tuple(x - y for x, y in zip(ga, gb))
-        if _grlex_key(gq) > top or any(
-            not lo <= x <= hi for x, (lo, hi) in zip(gq, box)
-        ):
-            raise ValueError("right division is not exact")
-        c = rem[ga] / (cb * _q_power(_pairing(base, gq, gb), den, root))
-        quo[gq] = c
-        # rem -= (c Y^(gq)) * b
-        for g, v in b.terms.items():
-            h = tuple(x + y for x, y in zip(gq, g))
-            _add_term(rem, h, -(c * v * _q_power(_pairing(base, gq, g), den, root)))
-    return TorusElement(base, root, quo)
 
 
 class ToricFrame:

@@ -17,7 +17,9 @@ Two layers hold the scalars themselves:
   integer dict arithmetic plus one gcd when d != 1.
 
 * :class:`TermSum` is a finite sum {key: nonzero Coeff}, the common core
-  of PBW and torus elements; a subclass fixes the keys and the product.
+  of PBW and torus elements: sums, scaling, equality, the same-algebra
+  check and exact right division (:func:`div_right`) are written once,
+  and a subclass fixes the keys, their order and the product.
 
 :meth:`Coeff.q_power` turns an exponent into the scalar q**e, and a bare
 rational anywhere else is a rational value.  Inside, exponents arrive as
@@ -386,8 +388,9 @@ class TermSum:
     """A finite sum of basis keys with nonzero Coeff coefficients.
 
     Subclasses fix the space the keys live in: they provide ``root``,
-    ``_check`` (same space or ValueError), ``_like`` (a sum in the same
-    space with the given terms) and ``_product``.
+    ``_space`` (equal for sums that may meet; sums compare by it and their
+    terms, so they are unhashable), ``_like`` (a sum in the same space with
+    the given terms), ``_product``, and div_right's ordering and bound.
     """
 
     __slots__ = ("terms",)
@@ -395,6 +398,15 @@ class TermSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _check(self, other):
+        if self._space != other._space:
+            raise ValueError("elements of different algebras")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TermSum):
+            return NotImplemented
+        return self._space == other._space and self.terms == other.terms
 
     def __add__(self, other):
         self._check(other)
@@ -423,6 +435,47 @@ class TermSum:
     def __rmul__(self, other):
         # scalars are central, so left and right scaling agree
         return self.scaled(other)
+
+
+def div_right(a: TermSum, b: TermSum) -> TermSum:
+    """Exact right quotient: the c with c * b == a.
+
+    Eliminates the leading term (largest ``_lead_key``) of the remainder
+    against that of b: the quotient key is their difference, and its
+    scalar is read off the actual product.  Both key orders are total and
+    translation invariant, and leading terms multiply with a nonzero
+    scalar: in PBW reverse lex every derivation term lies strictly below
+    the product it corrects, and in torus graded lex a product of two
+    monomials is one monomial.  So each step leaves a remainder with a
+    smaller leading term, and while c exists the remainder is (c - found)
+    * b: each key found is a key of c, with c's scalar, so it must pass
+    ``_quotient_bound``, a test that all keys of c pass.  The falling keys
+    end: PBW keys lie in N^N, which reverse lex well-orders, and torus keys
+    in the finite box from min(a) - min(b) to max(a) - max(b), because
+    grading by one coordinate makes the lowest and highest parts of c * b
+    the nonzero products of those of c and b (the torus is a domain).  The
+    loop ends only with a zero remainder, so the quotient is exact; a key
+    failing the test raises ValueError, and b = 0 ZeroDivisionError.
+    """
+    a._check(b)
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero element")
+    key = a._lead_key
+    gb = max(b.terms, key=key)
+    allowed = a._quotient_bound(b)
+    rem = dict(a.terms)
+    quo: dict = {}
+    while rem:
+        ga = max(rem, key=key)
+        gq = tuple(x - y for x, y in zip(ga, gb))
+        if not allowed(gq):
+            raise ValueError("right division is not exact")
+        prod = a._like({gq: Coeff.one(a.root)})._product(b)
+        c = rem[ga] / prod.terms[ga]
+        quo[gq] = c
+        for g, v in prod.terms.items():
+            _add_term(rem, g, -(v * c))
+    return a._like(quo)
 
 
 def _poly_str(p: dict, root: int, d: int) -> str:

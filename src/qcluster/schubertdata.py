@@ -481,27 +481,6 @@ def _carried_report(cd, word, rows, bcols, w: int) -> CompatReport:
                         tuple(grading_failures), symmetrizable)
 
 
-def _class_words(cd: CartanData, word: Tuple[int, ...]):
-    """Every word of word's commutation class: the linear extensions of
-    its heap, where position j comes before k > j whenever their letters
-    do not commute (equal letters included, cartan[a][a] = 2)."""
-    c, n = cd.cartan, len(word)
-    before = [sum(1 << j for j in range(k) if c[word[j] - 1][word[k] - 1])
-              for k in range(n)]
-    out = []
-
-    def extend(prefix, used):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for k in range(n):
-            if not used >> k & 1 and before[k] & ~used == 0:
-                extend(prefix + (word[k],), used | 1 << k)
-
-    extend((), 0)
-    return out
-
-
 def compatibility_sweep(cd: CartanData, max_len: int):
     """Verify every reduced word of length <= max_len.
 
@@ -553,10 +532,11 @@ def compatibility_sweep(cd: CartanData, max_len: int):
     by the packed simple-root images cols, which determine w because the
     Weyl group acts faithfully on the root lattice, and each element is
     counted the first time the walk meets it: braid-related classes share
-    an element, as (1, 2, 1) and (2, 1, 2) do in A2.  Only a failing class
-    is expanded into its words (_class_words), each with WordData's
-    report; the full walk is depth-first with letters ascending, which is
-    lexicographic order on tuples, so sorting keeps its failure order.
+    an element, as (1, 2, 1) and (2, 1, 2) do in A2.  Once a class fails,
+    the counting walk goes on without reports, and a second walk visits
+    every reduced word (_walk without least) and lists each failing
+    report; it is depth-first with letters ascending, which is
+    lexicographic order on tuples.
     """
     w = _field_width(cd, max_len)
     words_of = {tuple(_alpha_columns(cd, w)): 1}
@@ -569,16 +549,17 @@ def compatibility_sweep(cd: CartanData, max_len: int):
                 for s in range(cd.rank) if cols[s] < 0)
         return words_of[key]
 
-    failures: List[Tuple[Tuple[int, ...], CompatReport]] = []
-    checked, met = 0, set()
-    for word, _, cols, *_, rows, bcols in _walk(
-            cd, [range(cd.rank)] * max_len, w, least=True):
+    checked, met, failed = 0, set(), False
+    letters = [range(cd.rank)] * max_len
+    for word, _, cols, *_, rows, bcols in _walk(cd, letters, w, least=True):
         key = tuple(cols)
         if key not in met:
             met.add(key)
             checked += count(cols)
-        if bcols and not _carried_report(cd, word, rows, bcols, w).ok:
-            failures += [(v, WordData(cd, v).compatibility())
-                         for v in _class_words(cd, word)]
-    failures.sort()
-    return checked, failures
+        if not failed and bcols:
+            failed = not _carried_report(cd, word, rows, bcols, w).ok
+    if not failed:
+        return checked, []
+    reports = ((word, _carried_report(cd, word, rows, bcols, w))
+               for word, *_, rows, bcols in _walk(cd, letters, w) if bcols)
+    return checked, [(word, r) for word, r in reports if not r.ok]

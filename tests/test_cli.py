@@ -277,6 +277,22 @@ def test_entry_prints_what_main_prints(capsys, tmp_path):
         assert target.read_text() == out
 
 
+def test_a_file_reads_as_utf_8_under_any_locale(tmp_path):
+    """A --file is JSON, which is UTF-8, so a name outside ASCII reads the
+    same under the C locale as in UTF-8 mode."""
+    data = serialize(quantum_matrix_preset(2, 2))
+    data["names"][0] = "\u00e9"
+    source = tmp_path / "grid22.json"
+    source.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    argv = ("--cmd", "bmatrix", "--preset", "custom", "--file", str(source))
+    utf8 = run_entry(*argv, PYTHONUTF8="1")
+    c_locale = run_entry(*argv, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert (utf8.returncode, utf8.stderr) == (0, b"")
+    assert (c_locale.returncode, c_locale.stdout, c_locale.stderr) == (
+        0, utf8.stdout, b""
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered, status", [(None, 120), ("1", 1)],
                          ids=["buffered", "unbuffered"])
@@ -868,7 +884,7 @@ GOLDEN_STDOUT = [
         ("--cmd", "bmatrix", "--m", "4", "--n", "5"),
         "ac4906f2e93d3132372817a4f9b1525e26c1d0d9c580d446f3475cec2723650d",
     ),
-    # mutate feeds pbw_div_right, frame_value and compute_primes scalars
+    # mutate feeds div_right, frame_value and compute_primes scalars
     # into its variables; recorded before the scalars took the integer route
     (
         ("--cmd", "mutate", "--m", "3", "--n", "4",

@@ -14,10 +14,9 @@ from qcluster.qtorus import (
     frame_value,
     permutation_cols,
     reindex_frame,
-    torus_div_right,
     torus_mul,
 )
-from qcluster.scalarfield import Coeff
+from qcluster.scalarfield import Coeff, div_right
 from oracles import matrix_from_images, permuted, proportionality_scalar
 
 ROOT = 2
@@ -75,7 +74,7 @@ def test_inverse_needs_monomial():
 @given(nonzero, nonzero)
 @settings(max_examples=50)
 def test_right_division(a, b):
-    assert torus_div_right(a * b, b) == a
+    assert div_right(a * b, b) == a
 
 
 def test_division_rejects_inexact():
@@ -83,7 +82,7 @@ def test_division_rejects_inexact():
     b = Y((0, 0, 1)) + Y((1, 1, 0))
     prod = a * b
     with pytest.raises(ValueError):
-        torus_div_right(prod + one(), b)
+        div_right(prod + one(), b)
 
 
 def basis_frame():
