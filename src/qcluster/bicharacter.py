@@ -39,7 +39,8 @@ class ExpMatrix:
     __slots__ = ("n", "num", "den", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        mat = [[Fraction(x) for x in row] for row in rows]
+        # an int is its own numerator over 1; any other entry a Fraction
+        mat = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
         n = len(mat)
         for row in mat:
             if len(row) != n:
@@ -89,11 +90,10 @@ class ExpMatrix:
     @classmethod
     def from_upper(cls, n: int, upper: dict) -> "ExpMatrix":
         """Build from {(j, k): exponent} entries with j < k."""
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (j, k), e in upper.items():
             if not j < k:
                 raise ValueError("from_upper expects j < k keys")
-            e = Fraction(e)
             rows[j][k] = e
             rows[k][j] = -e
         return cls(rows)

@@ -55,6 +55,8 @@ MAX_ROOT = 1000
 
 def _integer(x, key: str) -> int:
     """x as an int; ValueError when its value is not an integer."""
+    if type(x) is int:
+        return x
     v = Fraction(x)
     if v.denominator != 1:
         raise ValueError(f"{key} entry {x!r} is not an integer")
@@ -147,6 +149,8 @@ class Presentation:
         self.symmetric = symmetric
         # the one unit of the rewriting core: _terms_times_gen skips it
         self._one = Coeff.one(self.root)
+        # the term dict of each generator, which every gen(k) shares
+        self._gens = [{tuple(int(i == k) for i in range(n)): self._one} for k in range(n)]
         # caches, filled on first use
         self._mtg_cache: dict = {}
         self._lam_coeffs: dict = {}
@@ -161,9 +165,7 @@ class Presentation:
         return self.monomial((0,) * self.n)
 
     def gen(self, k: int) -> "PBWElement":
-        f = [0] * self.n
-        f[k] = 1
-        return self.monomial(tuple(f))
+        return PBWElement(self, self._gens[k])
 
     def monomial(self, f: Sequence[int], coeff=1) -> "PBWElement":
         c = as_coeff(coeff, self.root)

@@ -36,7 +36,7 @@ from .orealgebra import (
     pbw_mul,
     weight_of,
 )
-from .scalarfield import Coeff
+from .scalarfield import Coeff, _div_laurent
 
 
 class EtaData:
@@ -168,17 +168,28 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-# Per presentation, the stages run from each start, the checked _Range of each
-# range and the checked _Span of each chain span, as term dicts and tuples: no
-# entry refers back to its presentation or outlives it.
+# Per presentation, the stages run from each start (and how many of them have
+# had their leading term checked), the checked _Range of each range and the
+# checked _Span of each chain span, as term dicts and tuples: no entry refers
+# back to its presentation or outlives it.
 _MEMO: "weakref.WeakKeyDictionary[Presentation, tuple]" = weakref.WeakKeyDictionary()
-_Range = namedtuple("_Range", "y ybar c eta_data")
+_Range = namedtuple("_Range", "y c eta_data")
 _Span = namedtuple("_Span", "y image vec weight")
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
     """Run the prime-element recursion over all generator stages (see _primes)."""
-    return PrimeSequence(pres, *_primes(pres, 0, pres.n - 1))
+    r = _primes(pres, 0, pres.n - 1)
+    return PrimeSequence(pres, r.y, _normalized(pres, r), r.c, r.eta_data)
+
+
+def _normalized(pres: Presentation, r: _Range, lo: int = 0) -> list:
+    """The normalized primes S_nu(ebar_t) y_t of the range r from lo, as term dicts."""
+    nu, pad = pres.nu(), (0,) * lo
+    return [
+        PBWElement(pres, y).scaled(Coeff.q_power(symmetrization(nu, pad + e), pres.root)).terms
+        for y, e in zip(r.y, r.eta_data.ebar)
+    ]
 
 
 def _primes(pres: Presentation, lo: int, top: int) -> _Range:
@@ -225,14 +236,15 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     c is a multiple of delta_k(y_j), which has no x_k (apply_sigma_delta
     rejects one that leaves R_(k-1)), so it lies reverse-lex below.  The
     check stays as a guard on this argument, on which interval primes and
-    the first-column window rest.
+    the first-column window rest; it runs once per stage of each start, as
+    a stage that passed is kept and a failing one fails every range.
     """
     if pres not in _CERTIFIED:
         check_cgl(pres)
     runs, checked, _ = _MEMO.setdefault(pres, ({}, {}, {}))
     if (lo, top) in checked:
         return checked[(lo, top)]
-    preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
+    preds, ys, cs, ebar, vetted = runs.setdefault(lo, ([], [], {}, [], [0]))
     n, eta, root = pres.n, pres.eta, pres.root
     for k in range(lo + len(preds), top + 1):
         t = k - lo  # the stage, counted as in R_[lo,top]
@@ -253,30 +265,27 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
         else:  # excluded by the theorem on a certified presentation
             raise ValueError(f"stage {t}: delta_{t} moves no trailing prime")
         alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
-        # s = alpha (lambda_k - 1), invertible: check_cgl proved lambda_k != 0
+        # d = s c with s = alpha (lambda_k - 1), nonzero: check_cgl proved
+        # lambda_k != 0; so each coefficient of c is one exact quotient
         s = Coeff.q_power(alpha + pres.lam_diag[k], root) - Coeff.q_power(alpha, root)
-        c = d.scaled(s.inv())
-        if not all(cf.is_laurent for cf in c.terms.values()):
+        c = {f: _div_laurent(cf, s.num) for f, cf in d.terms.items()}
+        if any(cf is None for cf in c.values()):
             raise ValueError(f"stage {t}: non-Laurent centering coefficient")
-        ys.append((pbw_mul(PBWElement(pres, ys[j]), xk) - c).terms)
+        ys.append((pbw_mul(PBWElement(pres, ys[j]), xk) - PBWElement(pres, c)).terms)
         preds.append(j)
-        cs[t] = c.terms
+        cs[t] = c
         ebar.append(tuple(a + b for a, b in zip(ebar[j], _unit_vec(n, k))))
     width = top - lo + 1
     eta_data = EtaData.from_predecessors(preds[:width])
     if pres.eta and not eta_data.same_partition(pres.eta[lo : top + 1]):
         raise ValueError("declared level sets disagree with the inferred ones")
-    for t in range(width):
+    for t in range(vetted[0], width):
         f, lead = leading_term(PBWElement(pres, ys[t]))
         if f != ebar[t] or not lead.is_one:
             raise ValueError(f"stage {t}: leading term is not the chain monomial")
-    nu = pres.nu()
-    ybar = [
-        PBWElement(pres, y).scaled(Coeff.q_power(symmetrization(nu, e), pres.root)).terms
-        for y, e in zip(ys[:width], ebar)
-    ]
+    vetted[0] = max(vetted[0], width)
     c = {t: c for t, c in cs.items() if t < width}
-    checked[(lo, top)] = out = _Range(ys[:width], ybar, c, eta_data)
+    checked[(lo, top)] = out = _Range(ys[:width], c, eta_data)
     return out
 
 

@@ -215,6 +215,8 @@ class Coeff:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
+        if type(other) is Coeff and other.root == self.root:
+            return other
         if isinstance(other, (Coeff, int, Fraction)):
             return as_coeff(other, self.root)
         return NotImplemented
@@ -362,6 +364,26 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return Coeff._make(a.root, *_normalize(num, den))
 
 
+def _div_laurent(c: Coeff, s: dict):
+    """c / s for a Laurent polynomial s whose end coefficients are +-1, as
+    a Laurent Coeff, or None when the quotient is not a Laurent polynomial.
+
+    No gcd is needed.  A non-constant denominator of c is coprime to its
+    numerator and has a nonzero root, so it stays in c / s.  Otherwise shift
+    c's numerator and s to polynomials n, t in u with nonzero constant
+    terms; u is a unit of Q[u, 1/u] coprime to t, so c / s is Laurent iff t
+    divides n in Q[u].  Division in Q[u] is unique, so _pdivmod's remainder
+    decides it, and as t's leading coefficient is +-1 each of its steps is
+    exact over Z.  t is primitive, so by Gauss's lemma the quotient has n's
+    content, coprime to c's denominator: the result is in normal form.
+    """
+    if not c.is_laurent:
+        return None
+    lo, lo_s = min(c.num), min(s)
+    quo, rem = _pdivmod(_pshift(c.num, -lo), _pshift(s, -lo_s))
+    return None if rem else Coeff._make(c.root, _pshift(quo, lo - lo_s), c.den)
+
+
 def as_coeff(c, root: int) -> Coeff:
     """c, a Coeff with this root or a rational value, as a Coeff."""
     if isinstance(c, Coeff):
@@ -479,24 +501,15 @@ def div_right(a: TermSum, b: TermSum) -> TermSum:
 
 
 def _poly_str(p: dict, root: int, d: int) -> str:
-    """p/d as a sum of q powers, highest first."""
+    """p/d as a sum of q powers, highest first (d > 0); each value and
+    exponent k/root prints in lowest terms, as a Fraction does."""
     parts = []
     for k in sorted(p, reverse=True):
-        v = Fraction(p[k], d)
-        e = Fraction(k, root)
-        if e == 0:
-            term = str(v)
-        else:
-            if e == 1:
-                mono = "q"
-            else:
-                mono = f"q^({e})" if e.denominator != 1 else f"q^{e}"
-            if v == 1:
-                term = mono
-            elif v == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{v}*{mono}"
-        parts.append(term)
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+        g, h = gcd(p[k], d), gcd(k, root)
+        v = str(p[k] // g) if g == d else f"{p[k] // g}/{d // g}"
+        mono = "" if not k else "q" if k == root else (
+            f"q^{k // h}" if h == root else f"q^({k // h}/{root // h})")
+        parts.append(
+            v if not mono else mono if v == "1" else f"-{mono}" if v == "-1" else f"{v}*{mono}"
+        )
+    return " + ".join(parts).replace("+ -", "- ")

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from .bicharacter import exp_mat_product
 from .orealgebra import PBWElement, Presentation
-from .primeseq import EtaData, _primes, _span, compute_primes
+from .primeseq import EtaData, _primes, _span
 from .qtorus import ToricFrame
 
 
@@ -216,7 +216,7 @@ def window_support_vector(
     raises ValueError when f is not in the span (which would violate the
     leading-term structure of the difference elements).
     """
-    ed = compute_primes(pres).eta_data
+    ed = _primes(pres, 0, pres.n - 1).eta_data
     top = ed.succ_power(i, m)
     width = top - i + 1
     rem = list(int(x) for x in f)

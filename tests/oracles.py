@@ -4,9 +4,11 @@ Each function here checks code it used to sit beside: enumerate_xi the
 chain of interval-prefix permutations (xicombinatorics), matrix_from_images
 with proportionality_scalar the frame matrices against their images'
 commutation (qtorus), permuted and restricted the reindexed and interval
-exponent matrices (bicharacter, tests/restriction.py), and
+exponent matrices (bicharacter, tests/restriction.py),
 normality_scalar the commutation of each prime with the generators
-(primeseq).  Like tests/restriction.py and tests/factors.py, they keep a
+(primeseq), poly_str the Fraction formatting of Coeff reprs and
+quotient_by_inverse the centering coefficients through a gcd
+(scalarfield).  Like tests/restriction.py and tests/factors.py, they keep a
 route the package replaced or never needed, so the tests can compare.
 """
 
@@ -103,3 +105,36 @@ def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
     seq = compute_primes(pres)
     unit = tuple(int(t == i) for t in range(pres.n))
     return omega(pres.lam, seq.eta_data.ebar[k], unit)
+
+
+def poly_str(p: dict, root: int, d: int) -> str:
+    """p/d as a sum of q powers, highest first, through two Fractions per
+    term: scalarfield._poly_str before it formatted integers."""
+    parts = []
+    for k in sorted(p, reverse=True):
+        v = Fraction(p[k], d)
+        e = Fraction(k, root)
+        if e == 0:
+            term = str(v)
+        else:
+            if e == 1:
+                mono = "q"
+            else:
+                mono = f"q^({e})" if e.denominator != 1 else f"q^{e}"
+            if v == 1:
+                term = mono
+            elif v == -1:
+                term = f"-{mono}"
+            else:
+                term = f"{v}*{mono}"
+        parts.append(term)
+    out = " + ".join(parts)
+    return out.replace("+ -", "- ")
+
+
+def quotient_by_inverse(c: Coeff, s: dict):
+    """c / s as c * s^-1, whose product reduces through _normalize's
+    polynomial gcd, as primeseq once formed each centering coefficient;
+    None when the quotient is not a Laurent polynomial."""
+    out = c * Coeff(c.root, s).inv()
+    return out if out.is_laurent else None

@@ -11,6 +11,7 @@ on presentations that orealgebra.check_cgl rejects.
 """
 
 import weakref
+from collections import namedtuple
 from typing import Sequence
 
 from qcluster.bicharacter import _pairing, omega, pairing_row, symmetrization
@@ -21,7 +22,7 @@ from qcluster.orealgebra import (
     leading_term,
     pbw_mul,
 )
-from qcluster.primeseq import EtaData, _Range, _unit_vec
+from qcluster.primeseq import EtaData, _unit_vec
 from qcluster.scalarfield import Coeff, _q_power
 
 
@@ -84,14 +85,18 @@ def certify_prime(
     return dc.is_zero and sig == c.scaled(a) + d
 
 
-# Per presentation, the stages run from each start and the _Range of each range
+# Per presentation, the stages run from each start and the _Scanned of each range
 _MEMO: "weakref.WeakKeyDictionary[Presentation, tuple]" = weakref.WeakKeyDictionary()
+# the arguments of primeseq.PrimeSequence after pres
+_Scanned = namedtuple("_Scanned", "y ybar c eta_data")
 
 
-def scan_primes(pres: Presentation, lo: int, top: int) -> _Range:
+def scan_primes(pres: Presentation, lo: int, top: int) -> _Scanned:
     """The primes of R_[lo,top] inside pres, as primeseq._primes returns
-    them, by the scan: stages, level sets and errors count from lo, and a
-    longer range resumes from the stages run from lo."""
+    them, with their normalized forms, by the scan: stages, level sets and
+    errors count from lo, and a longer range resumes from the stages run
+    from lo.  The normalized primes are formed here for every range, as
+    _primes once did."""
     runs, checked = _MEMO.setdefault(pres, ({}, {}))
     if (lo, top) in checked:
         return checked[(lo, top)]
@@ -159,5 +164,5 @@ def scan_primes(pres: Presentation, lo: int, top: int) -> _Range:
         for y, e in zip(ys[:width], ebar)
     ]
     c = {t: c for t, c in cs.items() if t < width}
-    checked[(lo, top)] = out = _Range(ys[:width], ybar, c, eta_data)
+    checked[(lo, top)] = out = _Scanned(ys[:width], ybar, c, eta_data)
     return out

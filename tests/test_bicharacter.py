@@ -5,6 +5,7 @@ ordering factors q^(-sum_{j<k} E_jk f_j f_k) that turn an ordered monomial
 into its symmetrized form.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -186,3 +187,33 @@ def test_exp_mat_product_matches_fraction_reference(e, mat):
     ]
     assert out.rows == tuple(tuple(Fraction(x) for x in row) for row in want)
     assert lowest_terms(out)
+
+
+def test_int_entries_build_the_matrix_their_fractions_and_strings_build():
+    """ExpMatrix takes an int entry as its own numerator over 1 and any
+    other entry through Fraction: seeded integer matrices, and mixed ones
+    with rational entries, equal the matrix of the same values given as
+    Fractions and as "a/b" strings, with integer num and den."""
+    rng = random.Random(26)
+    for n in range(1, 7):
+        for mixed in (False, True):
+            upper = {
+                (j, k): Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)) if mixed else 1)
+                for k in range(n) for j in range(k)
+            }
+            vals = [[0] * n for _ in range(n)]
+            for (j, k), e in upper.items():
+                vals[j][k], vals[k][j] = e, -e
+            m = rng.randint(1, 4)
+            routes = [
+                [[int(x) if x.denominator == 1 else x for x in row] for row in vals],
+                [[Fraction(x) for x in row] for row in vals],
+                [[f"{x.numerator * m}/{x.denominator * m}" for x in row] for row in vals],
+            ]
+            built = [ExpMatrix(rows) for rows in routes]
+            built.append(ExpMatrix.from_upper(n, {
+                key: int(e) if e.denominator == 1 else e for key, e in upper.items()
+            }))
+            assert all(e == built[1] and e.rows == built[1].rows for e in built), (n, mixed)
+            assert type(built[0].den) is int
+            assert all(type(x) is int for row in built[0].num for x in row)

@@ -1011,6 +1011,29 @@ def test_golden_failures(capsys, tmp_path, data, argv, digest, failing):
         assert list(checks) == sorted(failing)
 
 
+# The 2x2 preset serialized at a root it was not written for: its delta
+# coefficients then denote another algebra, which passes the load certificate
+# but whose c_3 is not a Laurent polynomial.  Digests recorded before each
+# centering coefficient was formed by one exact division; the payload does
+# not name the root, so a command prints the same bytes at every root.
+NON_LAURENT_DIGESTS = {
+    "bmatrix": "0642e48ac14898a7a82b1bd2cf72f64493e5a2e6de1e16151125d04f0c25d768",
+    "primes": "84d7fe1db63aac7c4f92ff80a307b2e6fe17d3cee4a3023c603008415f578f3a",
+    "verify": "8caee2e7fd3ead8b50c45f5d7f10ae8f37a80ed2ed12fb9050dc6c4c69cbcaeb",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(NON_LAURENT_DIGESTS))
+@pytest.mark.parametrize("root", [3, 6, 1000])
+def test_a_non_laurent_centering_coefficient_exits_1(capsys, tmp_path, root, cmd):
+    source = tmp_path / "custom.json"
+    source.write_text(json.dumps({**serialize(quantum_matrix_preset(2, 2)), "root": root}))
+    rc, out, err = run_cli(capsys, "--cmd", cmd, "--preset", "custom", "--file", str(source))
+    assert rc == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == NON_LAURENT_DIGESTS[cmd]
+    assert "ValueError: stage 3: non-Laurent centering coefficient" in out
+
+
 def _with_lengths(d):
     """CartanData with the lengths d in place of its own, as the sweep
     tests build it."""

@@ -40,7 +40,7 @@ from qcluster.primeseq import (
 )
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
-from oracles import normality_scalar, proportionality_scalar
+from oracles import normality_scalar, proportionality_scalar, quotient_by_inverse
 from restriction import embed_interval, restrict_presentation
 from scan import certify_prime, scan_primes
 
@@ -298,7 +298,9 @@ def test_recursion_matches_the_scan_on_every_range(monkeypatch):
     """On the presets 2x2-5x5 and the rescaled 2x3 and 3x3, certified by
     construction, compute_primes and _primes on every range agree with the
     scan of every trailing prime at every stage, and the recursion forms one
-    delta_k product per derivation stage of each start."""
+    delta_k product per derivation stage of each start.  _primes keeps no
+    normalized primes; each range's are formed on demand (_normalized) and
+    compared with the scan's."""
     calls = []
     real = primeseq.apply_sigma_delta
     monkeypatch.setattr(
@@ -313,11 +315,70 @@ def test_recursion_matches_the_scan_on_every_range(monkeypatch):
         for lo in range(n):
             for top in reversed(range(lo, n)):
                 got, want = _primes(pres, lo, top), scan_primes(pres, lo, top)
-                assert got[:3] == want[:3], (pres, lo, top)
+                ybar = primeseq._normalized(pres, got, lo)
+                assert (got.y, ybar, got.c) == want[:3], (pres, lo, top)
                 assert got.eta_data.p == want.eta_data.p, (pres, lo, top)
         stages = [k for lo in range(n) for k in range(lo, n)
                   if any((k, i) in pres.delta for i in range(lo, k))]
         assert sum(p is pres for p in calls) == len(stages), pres
+
+
+def test_centering_quotients_match_the_inverse_route(monkeypatch):
+    """Each coefficient of a centering coefficient c_k is one exact
+    quotient d / s (_div_laurent).  On every derivation stage of every
+    start of the presets 2x2-4x4 and the rescaled 2x3 and 3x3 it is the
+    oracle's d * s^-1, reduced through a gcd."""
+    seen = []
+    real = primeseq._div_laurent
+
+    def recorded(c, s):
+        seen.append((c, s, real(c, s)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(primeseq, "_div_laurent", recorded)
+    cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 5)]
+    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    stages = 0
+    for pres in cases:
+        for lo in range(pres.n):
+            _primes(pres, lo, pres.n - 1)
+            stages += len(_primes(pres, lo, pres.n - 1).c)
+    assert len(seen) >= stages > 0
+    for c, s, got in seen:
+        assert got is not None and got == quotient_by_inverse(c, s), (c, s)
+
+
+def test_leading_terms_are_checked_once_per_stage_of_each_start(monkeypatch):
+    """_primes checks each stage's leading term once per start, whichever
+    ranges ask, and in either order; a failing stage is not passed, so every
+    range that holds it fails, each time it is asked.  No certified input
+    fails the check, so the failure is simulated at stage 4 from 0 of 3x3
+    (chain monomial x0 x4; the same generator has x4 alone from start 1)."""
+    real = primeseq.leading_term
+    calls = []
+    monkeypatch.setattr(primeseq, "leading_term", lambda y: calls.append(y) or real(y))
+    for order in (1, -1):
+        pres = quantum_matrix_preset(3, 3)
+        for lo in range(pres.n):
+            for top in range(lo, pres.n)[::order]:
+                _primes(pres, lo, top)
+                _primes(pres, lo, top)
+        assert len(calls) == pres.n * (pres.n + 1) // 2
+        calls.clear()
+    bad = (1, 0, 0, 0, 1, 0, 0, 0, 0)
+
+    def lead(y):
+        f, c = real(y)
+        return (f, -c) if f == bad else (f, c)
+
+    monkeypatch.setattr(primeseq, "leading_term", lead)
+    pres = quantum_matrix_preset(3, 3)
+    for lo, top in ((0, 3), (0, 8), (1, 8), (0, 4), (0, 8), (0, 5)):
+        if lo or top < 4:
+            _primes(pres, lo, top)
+            continue
+        with pytest.raises(ValueError, match="^stage 4: leading term is not the chain monomial"):
+            _primes(pres, lo, top)
 
 
 def _two_moved_primes():

@@ -1,5 +1,6 @@
 """Field arithmetic for q-powers and rational coefficients."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.scalarfield import Coeff, coeff_div
+from qcluster.scalarfield import Coeff, _div_laurent, _poly_str, coeff_div
+from oracles import poly_str, quotient_by_inverse
 
 ROOT = 2
 
@@ -316,3 +318,53 @@ def test_unit_product_is_the_other_factor(x):
     assert one * c is c
     assert c * Coeff.from_fraction(1, ROOT) is c
     assert c * Coeff.q_power(0, ROOT) is c
+
+
+def _random_poly(rng, span):
+    """A seeded sparse polynomial with exponents in -span..span and nonzero
+    rational values, most of them +-1, +-2 over 1, 2 or 3."""
+    return {
+        rng.randint(-span, span): Fraction(rng.choice((-2, -1, 1, 2)) * rng.randint(1, 3),
+                                           rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4))
+    }
+
+
+def test_poly_str_matches_the_fraction_route():
+    """_poly_str formats integers, reducing each value and exponent with
+    gcd; the oracle, its earlier form, builds two Fractions per term.  The
+    seeded Coeffs have roots 1-12, negative exponents, a constant
+    denominator d != 1 or one that is not constant."""
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(600):
+        root = rng.randint(1, 12)
+        c = Coeff(root, _random_poly(rng, 3 * root),
+                  _random_poly(rng, 2) if rng.random() < 0.3 else None)
+        d = c.den[0]
+        seen.add((c.is_laurent, d != 1))
+        for p in (c.num, c.den):
+            assert _poly_str(p, root, d) == poly_str(p, root, d), (c.num, c.den, root)
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_div_laurent_matches_the_inverse_route():
+    """_div_laurent divides by a binomial s = u^(a+l) - u^a with one exact
+    _pdivmod; the oracle multiplies by s^-1 and reduces through a gcd.
+    Seeded numerators are divided as drawn (s rarely divides them), times
+    s (it always does), and over a denominator that is not constant (the
+    quotient is never Laurent): a quotient is refused (None) exactly when
+    the oracle's is not Laurent, and is otherwise the oracle's."""
+    rng = random.Random(26)
+    refused = accepted = 0
+    for _ in range(300):
+        root = rng.randint(1, 6)
+        a, l = rng.randint(-6, 6), rng.choice((-3, -2, -1, 1, 2, 3)) * rng.randint(1, 2)
+        s = {a + l: 1, a: -1}
+        n = Coeff(root, _random_poly(rng, 6))
+        for c in (n, n * Coeff(root, s), n / Coeff(root, {0: 1, rng.randint(1, 3): 1})):
+            got, want = _div_laurent(c, s), quotient_by_inverse(c, s)
+            assert got == want, (c, s)
+            refused += got is None
+            accepted += got is not None
+    assert refused > 300 and accepted > 300
