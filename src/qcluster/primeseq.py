@@ -12,7 +12,9 @@ the Goodearl-Yakimov theorem each stage forms one delta_k product.
 This module infers eta/p/s, builds the y_k together with the c_k, the
 normalized variants, interval versions over subranges of generators (a
 weak memo per presentation builds and checks each chain span once: its
-prime, the normalized image that toric frames share, and its weight), the
+prime, the normalized image that toric frames share and its weight; it
+keeps the nu-pairing of each span pair that frames read their exponent
+matrices from), the
 two-by-two difference elements u built from neighbouring interval primes,
 their leading coefficients and exponents (pi, f), and the generator
 rescaling that normalizes those leading coefficients.
@@ -23,9 +25,10 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bicharacter import omega, symmetrization
+from .bicharacter import ExpMatrix, omega, pairing_row, symmetrization
 from .orealgebra import (
     _CERTIFIED,
     PBWElement,
@@ -168,13 +171,32 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-# Per presentation, the stages run from each start (and how many of them have
-# had their leading term checked), the checked _Range of each range and the
-# checked _Span of each chain span, as term dicts and tuples: no entry refers
-# back to its presentation or outlives it.
-_MEMO: "weakref.WeakKeyDictionary[Presentation, tuple]" = weakref.WeakKeyDictionary()
+# Per presentation (_memo), the stages run from each start (and how many of
+# them have had their leading term checked), the checked _Range of each range,
+# the checked _Span of each chain span and the pairing table, where
+# pairings[a][b] = den * vec_a^T nu vec_b for the spans with ids a and b
+# (_span_pairings): term dicts, tuples, lists and ints, so no entry refers back
+# to its presentation or outlives it.
+class _Memo:
+    __slots__ = ("runs", "checked", "spans", "pairings")
+
+    def __init__(self):
+        self.runs, self.checked, self.spans, self.pairings = {}, {}, {}, []
+
+
+_MEMO: "weakref.WeakKeyDictionary[Presentation, _Memo]" = weakref.WeakKeyDictionary()
 _Range = namedtuple("_Range", "y c eta_data")
-_Span = namedtuple("_Span", "y image vec weight")
+# id indexes the pairing table; row is den * vec^T nu (nu = pres.nu()),
+# filled in place when the span is first paired (_span_pair)
+_Span = namedtuple("_Span", "y image vec weight id row")
+
+
+def _memo(pres: Presentation) -> _Memo:
+    """The memo entry of pres, created on first use."""
+    memo = _MEMO.get(pres)
+    if memo is None:
+        memo = _MEMO[pres] = _Memo()
+    return memo
 
 
 def compute_primes(pres: Presentation) -> PrimeSequence:
@@ -241,7 +263,8 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     """
     if pres not in _CERTIFIED:
         check_cgl(pres)
-    runs, checked, _ = _MEMO.setdefault(pres, ({}, {}, {}))
+    memo = _memo(pres)
+    runs, checked = memo.runs, memo.checked
     if (lo, top) in checked:
         return checked[(lo, top)]
     preds, ys, cs, ebar, vetted = runs.setdefault(lo, ([], [], {}, [], [0]))
@@ -312,7 +335,8 @@ def _span(pres: Presentation, i: int, top: int) -> _Span:
     """The prime y over the chain vec from i to top, its image S_nu(vec) y
     and the image's weight, checked on first use; callers have run
     compute_primes.  A failing span is not kept, so it fails alike each time."""
-    spans = _MEMO.setdefault(pres, ({}, {}, {}))[2]
+    memo = _memo(pres)
+    spans = memo.spans
     if (i, top) in spans:
         return spans[(i, top)]
     _check_range(pres, i, top)
@@ -324,8 +348,40 @@ def _span(pres: Presentation, i: int, top: int) -> _Span:
     image = y.scaled(Coeff.q_power(symmetrization(pres.nu(), vec), pres.root))
     # weight_of cannot fail: the presentation checks at load that every delta
     # monomial has the weight of its key, so every prime is weight-homogeneous
-    spans[(i, top)] = out = _Span(y.terms, image.terms, vec, weight_of(image))
+    sid = len(memo.pairings)
+    memo.pairings.append({sid: 0})  # vec^T nu vec = 0, as nu is skew
+    spans[(i, top)] = out = _Span(y.terms, image.terms, vec, weight_of(image), sid, [])
     return out
+
+
+def _span_pair(nu: ExpMatrix, a: _Span, b: _Span) -> int:
+    """den * vec_a^T nu vec_b, from a's pairing row, built on first use."""
+    if not a.row:
+        a.row[:] = pairing_row(nu, a.vec)
+    return sum(map(mul, a.row, b.vec))
+
+
+def _span_pairings(pres: Presentation, entries: Sequence[_Span]) -> tuple:
+    """den * V^T nu V, where the columns of V are the chain vectors of the
+    spans entries (from _span on pres), read from the pairing table.
+
+    A missing pair a, b is formed once, by _span_pair, and stored with its
+    mirror: b, a holds the negative, as nu is skew-symmetric.
+    """
+    table, nu = _memo(pres).pairings, pres.nu()
+    ids = [e.id for e in entries]
+    out = []
+    for a in entries:
+        known = table[a.id]
+        try:
+            out.append(tuple([known[b] for b in ids]))
+        except KeyError:
+            for b in entries:
+                if b.id not in known:
+                    known[b.id] = x = _span_pair(nu, a, b)
+                    table[b.id][a.id] = -x
+            out.append(tuple([known[b] for b in ids]))
+    return tuple(out)
 
 
 def u_element(pres: Presentation, i: int, m: int) -> PBWElement:

@@ -8,8 +8,10 @@ builds the canonical maximal chain from the identity to the full reversal
 (consecutive entries differing by one adjacent transposition), and
 assembles for each tau the toric frame whose images are the normalized
 interval primes, relabeled back to the original indices.  A frame is its
-list of chain spans, one per label; primeseq builds each span once per
-presentation, so adjacent chain frames share all images but one.
+list of chain spans, one per label.  primeseq builds each span once per
+presentation and keeps the nu-pairing of each span pair, formed on first
+use; so adjacent chain frames share all images but one, and a frame's
+exponent matrix is read off that table, pair by pair, with no product.
 
 Frames built here carry PBW images of the ambient algebra; identities
 about them are checked after clearing denominators rather than inside a
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .bicharacter import exp_mat_product
+from .bicharacter import ExpMatrix
 from .orealgebra import PBWElement, Presentation
-from .primeseq import EtaData, _primes, _span
+from .primeseq import _primes, _span, _Span, _span_pairings
 from .qtorus import ToricFrame
 
 
@@ -127,15 +129,30 @@ class TauPresentation:
         return f"TauPresentation(tau={list(self.tau)})"
 
 
-def _span_frame(pres: Presentation, spans: Sequence[Tuple[int, int]]):
-    """The frame whose image number a is the normalized interval prime over
-    the chain span spans[a] = (start, end), and the weights of its images.
+def _span_frame(pres: Presentation, entries: Sequence[_Span]):
+    """The frame whose image number a is the normalized interval prime of
+    the chain span entries[a] (from primeseq._span), and the weights of its
+    images.
 
-    The exponent matrix is the pairing matrix V^T nu V of the spans' chain
-    indicator vectors, the columns of V.
+    The exponent matrix is R = V^T nu V, where column a of V is the chain
+    vector v_a of entries[a]; its numerators over den = nu.den are read
+    from primeseq's pairing table (_span_pairings), not formed as a product.
+    Each table entry equals the entry of V^T nu V.  The span a keeps
+    row_a = pairing_row(nu, v_a), built when a is first paired, whose
+    entry j is sum_k v_a[k] den nu[k][j]; so the pairing formed for the
+    pair a, b, sum_j row_a[j] v_b[j], is den v_a^T nu v_b, the entry (a, b)
+    of den V^T nu V.  nu is skew-symmetric (ExpMatrix checks it), so
+    den v_b^T nu v_a = -den v_a^T nu v_b, which the table stores for the
+    mirror pair, and den v_a^T nu v_a = 0, which it stores on the
+    diagonal.  The table belongs to pres alone, nu = pres.nu() is fixed
+    once built, and a span's id, vec and row never change once set, so a
+    stored entry stays right.  exp_mat_product(nu, V) forms the same
+    integers, pairing_row(nu, v_a) against v_b, over the same den, and
+    ExpMatrix._make reduces both alike: the two matrices are equal
+    (tests/test_xicombinatorics.py compares them on every chain frame and
+    window of the presets up to 5x5).
     """
-    entries = [_span(pres, i, top) for i, top in spans]
-    emat = exp_mat_product(pres.nu(), list(zip(*(e.vec for e in entries))))
+    emat = ExpMatrix._make(_span_pairings(pres, entries), pres.nu().den)
     images = [PBWElement(pres, e.image) for e in entries]
     return ToricFrame(emat, images, pres.one(), pres.root), [e.weight for e in entries]
 
@@ -147,17 +164,36 @@ def frame_for_tau(pres: Presentation, tau: Sequence[int]) -> TauPresentation:
     matching of tau_bullet; image number sigma[k] is the normalized
     interval prime over the part of that generator's level-set chain
     visible in the tau-prefix where it appears.
+
+    That part is the positional chain of k: the span's chain vector, read
+    through tau, is EtaData(eta_tau).ebar[k], the positions t <= k in the
+    level set of position k.  Let x = tau[k] and [lo, hi] the prefix
+    tau([0, k]), an interval as tau has interval prefixes.  Read through
+    tau, the positional chain is the indicator of L & [lo, hi], L the
+    level set of x; L's members in increasing order are linked by p and
+    s, so L & [lo, hi] runs from L's first member >= lo to its last <= hi.
+    For k = 0, lo = hi = x.  For k > 0 the prefix tau([0, k - 1]) is an
+    interval too and holds tau[0], so x = hi when x > tau[0] and x = lo
+    when x < tau[0].  If x >= tau[0], the run ends at x and starts at
+    chain_start(x, lo); otherwise it starts at x and ends where the walk
+    along s stops below hi.  That is the span (start, end) below, and
+    _span's chain vector is interval_vector(start, end), which its leading
+    term is checked against.  So the two agree on every frame, and only
+    tests/test_xicombinatorics.py compares them, on the presets up to 5x5.
     """
     tau = tuple(int(x) for x in tau)
     n = pres.n
+    if len(tau) != n:
+        raise ValueError(
+            f"permutation has {len(tau)} entries, the presentation {n} generators"
+        )
     if not has_interval_prefixes(tau):
         raise ValueError("permutation does not have interval prefixes")
     ed = _primes(pres, 0, n - 1).eta_data
-    eta_tau = tuple(ed.eta[tau[k]] for k in range(n))
-    pos_data = EtaData(eta_tau)
+    eta_tau = tuple(ed.eta[x] for x in tau)
     bullet = tau_bullet(ed.eta, tau)
-    sigma = tuple(bullet[tau[k]] for k in range(n))
-    spans: list = [None] * n
+    sigma = tuple(bullet[x] for x in tau)
+    entries: list = [None] * n
     lo = hi = tau[0]
     for k, x in enumerate(tau):
         lo, hi = min(lo, x), max(hi, x)
@@ -167,13 +203,8 @@ def frame_for_tau(pres: Presentation, tau: Sequence[int]) -> TauPresentation:
         else:
             while ed.s[end] is not None and ed.s[end] <= hi:
                 end = ed.s[end]
-        spans[sigma[k]] = (start, end)
-        vec = _span(pres, start, end).vec
-        # positional chains must describe the same intervals: the chain of
-        # position k, read through tau, is the span's chain vector
-        if tuple(vec[t] for t in tau) != pos_data.ebar[k]:
-            raise ValueError(f"position {k}: prefix chain disagrees with interval chain")
-    frame, weights = _span_frame(pres, spans)
+        entries[sigma[k]] = _span(pres, start, end)
+    frame, weights = _span_frame(pres, entries)
     return TauPresentation(
         pres, tau, eta_tau, bullet, sigma, frame, weights, ed.exchangeable()
     )
@@ -183,7 +214,7 @@ def identity_frame(pres: Presentation) -> TauPresentation:
     return frame_for_tau(pres, range(pres.n))
 
 
-def _window_spans(pres: Presentation, i: int, m: int) -> List[Tuple[int, int]]:
+def _window_spans(pres: Presentation, i: int, m: int) -> List[_Span]:
     """The chain spans of interval_frame(pres, i, m), window-indexed."""
     ed = _primes(pres, 0, pres.n - 1).eta_data
     if m < 1:
@@ -191,7 +222,7 @@ def _window_spans(pres: Presentation, i: int, m: int) -> List[Tuple[int, int]]:
     top = ed.succ_power(i, m)
     spans = [(i, ed.succ_power(i, m - 1))]
     spans += [(ed.chain_start(k, i + 1), k) for k in range(i + 1, top)]
-    return spans + [(i, top)]
+    return [_span(pres, a, b) for a, b in spans + [(i, top)]]
 
 
 def interval_frame(pres: Presentation, i: int, m: int) -> ToricFrame:

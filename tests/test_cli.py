@@ -812,6 +812,25 @@ def test_chain_checks_each_span_once(capsys, monkeypatch, shape, spans):
     assert len(checked) == len(set(checked)) == spans
 
 
+@pytest.mark.parametrize("shape, pairs", [((3, 3), 76), ((2, 4), 49)], ids=["3x3", "2x4"])
+def test_chain_forms_each_span_pairing_once(capsys, monkeypatch, shape, pairs):
+    """Frames read their exponents from the span-pair table: each pair of
+    chain spans has its pairing formed once per request, its mirror and
+    every later frame read it."""
+    formed = []
+    real = primeseq._span_pair
+
+    def span_pair(nu, a, b):
+        formed.append(frozenset((a.id, b.id)))
+        return real(nu, a, b)
+
+    monkeypatch.setattr(primeseq, "_span_pair", span_pair)
+    m, n = shape
+    rc, _, _ = run_cli(capsys, "--cmd", "chain", "--m", str(m), "--n", str(n))
+    assert rc == 0
+    assert len(formed) == len(set(formed)) == pairs
+
+
 def test_verify_builds_once(capsys, monkeypatch):
     built, solved = [], []
 
@@ -927,6 +946,16 @@ GOLDEN_STDOUT = [
         ("--cmd", "verify", "--m", "2", "--n", "2"),
         "6ee8ec40b790f1812f73b63def5d24b57f21de4c4c2ffa29c214fd00da83d228",
     ),
+    # recorded while every frame still formed V^T nu V of its spans, before
+    # frames read their exponents from the span-pair table
+    (
+        ("--cmd", "frames", "--m", "3", "--n", "3"),
+        "08e2b3a404484a5205038b5f87ff3376cf2c940f6c3438567c3b8b93565d150d",
+    ),
+    (
+        ("--cmd", "frames", "--m", "2", "--n", "4"),
+        "d6bca5c640637b04947833b6c5e60e45602fd9f59d005496d8711cb98e935809",
+    ),
 ]
 
 
@@ -940,6 +969,7 @@ GOLDEN_STDOUT = [
         "mutate-3x4", "mutate-4x4",
         "verify-3x3", "verify-3x4", "intervals-4x5",
         "bmatrix-schubert-D4", "verify-schubert-D4", "verify-2x2",
+        "frames-3x3", "frames-2x4",
     ],
 )
 def test_golden_stdout(capsys, argv, digest):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from qcluster.bicharacter import omega, symmetrization
-from qcluster.orealgebra import quantum_matrix_preset
-from qcluster.primeseq import compute_primes
+from qcluster.bicharacter import exp_mat_product, omega, symmetrization
+from qcluster.orealgebra import leading_term, quantum_matrix_preset
+from qcluster.primeseq import EtaData, compute_primes
 from qcluster.qtorus import frame_value
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import (
@@ -104,6 +104,50 @@ def test_frame_matrix_matches_image_products():
 def test_frame_rejects_non_interval_prefix():
     with pytest.raises(ValueError):
         frame_for_tau(P22, (0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("tau", [(0, 1, 2), (0, 1, 2, 3, 4)], ids=["short", "long"])
+def test_frame_rejects_a_permutation_of_another_length(tau):
+    with pytest.raises(ValueError, match=f"has {len(tau)} entries, the presentation 4"):
+        frame_for_tau(P22, tau)
+
+
+def _chain_vectors(frame, seen):
+    """Column a: the leading exponent of image a, the chain vector of its
+    span; seen maps the id of an image's term dict to it."""
+    out = []
+    for img in frame.images:
+        key = id(img.terms)
+        if key not in seen:
+            seen[key] = (img, leading_term(img)[0])
+        out.append(seen[key][1])
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_frames_match_the_product_oracle(m):
+    """Every chain frame and window of the m x n presets, n <= 5: the
+    exponent matrix read from the pairing table is V^T nu V over the
+    frame's own chain vectors, and each span's chain vector, read through
+    tau, is the positional chain of its position (the docstrings of
+    _span_frame and frame_for_tau prove these)."""
+    for n in range(1, 6):
+        pres = quantum_matrix_preset(m, n)
+        nu, seen = pres.nu(), {}
+        ed = compute_primes(pres).eta_data
+        frames = []
+        for tau in gamma_chain(pres.n):
+            tp = frame_for_tau(pres, tau)
+            vecs = _chain_vectors(tp.frame, seen)
+            positional = EtaData(tp.eta_tau).ebar
+            for k in range(pres.n):
+                assert tuple(vecs[tp.sigma[k]][t] for t in tau) == positional[k]
+            frames.append(tp.frame)
+        for i in range(pres.n):
+            frames += [interval_frame(pres, i, s) for s in range(1, ed.o_plus[i] + 1)]
+        for fr in frames:
+            vecs = _chain_vectors(fr, seen)
+            assert fr.emat == exp_mat_product(nu, [list(r) for r in zip(*vecs)])
 
 
 def test_frame_images_quasi_commute():
