@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 from .linalg import solve
 from .mutation import ExchangeMatrix
-from .primeseq import _check_range, _primes, pi_f_data, u_element
+from .primeseq import _check_range, _primes
 from .xicombinatorics import TauPresentation, _span_frame, _window_spans
 
 
@@ -203,15 +203,15 @@ def _window(pres, i: int):
     return wed, frame, bmat
 
 
-def first_column_crosscheck(pres, i: int) -> bool:
-    """Compare the leading exponent of a one-step difference element with
-    the combination of chain vectors prescribed by the exchange column.
+def first_column_crosscheck(pres, i: int, f_big: Sequence[int]) -> bool:
+    """Compare the leading exponent f_big of the one-step difference element
+    u(i, 1) (primeseq.pi_f_data) with the combination of chain vectors
+    prescribed by the exchange column.
 
     The column at the bottom index of the window from i to s(i) (_window)
     determines the leading exponent through the window's trailing interior
     primes.  Returns True on agreement.
     """
-    _, f_big = pi_f_data(u_element(pres, i, 1), i, 1)
     ed, _, bmat = _window(pres, i)
     col, w = bmat.cols[0], ed.n
     interior = range(1, w - 1)

@@ -29,15 +29,8 @@ from .linalg import _eliminate
 from .scalarfield import Coeff, TermSum, _add_term, _q_power, as_coeff
 
 
-def reverse_lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
-    """Strict reverse-lex comparison of exponent tuples."""
-    for a, b in zip(reversed(f), reversed(g)):
-        if a != b:
-            return a < b
-    return False
-
-
 def _rev_key(f):
+    """The sort key of the reverse-lex PBW order on exponent tuples."""
     return tuple(reversed(f))
 
 
@@ -132,7 +125,7 @@ class Presentation:
                     raise ValueError(
                         f"delta[{k},{j}] monomial {f} not supported below {k}"
                     )
-                if not reverse_lex_less(f, ejk):
+                if not _rev_key(f) < _rev_key(ejk):
                     raise ValueError(
                         f"delta[{k},{j}] monomial {f} not below e_{j}+e_{k}"
                     )

@@ -121,6 +121,9 @@ class EtaData:
         return k
 
     def succ_power(self, i: int, m: int) -> int:
+        """s^m(i); ValueError unless i is an index and s^m(i) exists."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"start index {i} is not in 0..{self.n - 1}")
         j = i
         for _ in range(m):
             nxt = self.s[j]

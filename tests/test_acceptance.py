@@ -278,7 +278,8 @@ def test_criterion_09_first_column_crosscheck_everywhere():
         starts = [i for i in range(pres.n) if ed.s[i] is not None]
         assert starts
         for i in starts:
-            assert first_column_crosscheck(pres, i), (m, n, i)
+            f = pi_f_data(u_element(pres, i, 1), i, 1)[1]
+            assert first_column_crosscheck(pres, i, f), (m, n, i)
     print("criterion 09: PASS - first-column crosscheck holds at every "
           "successor pair of all four grids")
 

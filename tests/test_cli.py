@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qcluster import cli, primeseq
 from qcluster.cli import main
 from qcluster.exchangesolver import quantum_matrix_btilde
-from qcluster.mutation import ExchangeMatrix
+from qcluster.mutation import ExchangeMatrix, exchange_identity_holds, mutated_variable
 from qcluster.orealgebra import Presentation, quantum_matrix_preset
 from qcluster.primeseq import compute_primes
 from qcluster.xicombinatorics import gamma_chain
@@ -353,7 +353,7 @@ def test_encode_rejects_what_no_payload_holds(payload):
 
 FAILING_CHECKS = """
 from qcluster import cli
-from qcluster.mutation import ExchangeMatrix
+from qcluster.mutation import ExchangeMatrix, exchange_identity_holds, mutated_variable
 from qcluster.orealgebra import quantum_matrix_preset
 
 real = cli.quantum_matrix_btilde
@@ -856,6 +856,105 @@ def test_verify_builds_once(capsys, monkeypatch):
     solved.clear()
     cli.chain_walk(quantum_matrix_preset(2, 3))
     assert solved == [identity]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cmd", cmd, "--m", "2", "--n", "3") for cmd in
+    ("primes", "intervals", "bmatrix", "frames", "chain", "verify")
+] + [
+    ("--cmd", "mutate", "--m", "2", "--n", "3", "--mutations", "0"),
+    ("--cmd", "schubert", "--preset", "schubert", "--word", "1", "2", "1"),
+    ("--cmd", "verify", "--preset", "schubert", "--word", "1", "2", "1"),
+], ids=lambda argv: "-".join(argv[1:6:2]))
+def test_one_session_per_request(capsys, monkeypatch, argv):
+    """run builds the one Session of a request, and the command body reads
+    the algebra or the word through it, once."""
+    sessions, loads = [], []
+    real_init = cli.Session.__init__
+
+    def init(self, *args, **kwargs):
+        sessions.append(1)
+        real_init(self, *args, **kwargs)
+
+    for name in ("quantum_matrix_preset", "WordData"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: loads.append(1) or real(*a))
+    monkeypatch.setattr(cli.Session, "__init__", init)
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0 and len(sessions) == len(loads) == 1
+
+
+def test_chain_walks_the_request_session(capsys, monkeypatch):
+    """The chain command runs chain_walk, the benchmark's cli layer, on the
+    request's own Session."""
+    walked = []
+    real = cli.chain_walk
+    monkeypatch.setattr(cli, "chain_walk", lambda source: walked.append(source) or real(source))
+    rc, _, _ = run_cli(capsys, "--cmd", "chain", "--m", "2", "--n", "3")
+    assert rc == 0 and len(walked) == 1 and isinstance(walked[0], cli.Session)
+
+
+def test_verify_computes_the_primes_once(capsys, monkeypatch):
+    calls = []
+    real = cli.compute_primes
+    monkeypatch.setattr(cli, "compute_primes", lambda pres: calls.append(pres) or real(pres))
+    rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "3", "--n", "3")
+    assert rc == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape, windows", [((3, 3), 5), ((3, 4), 8)], ids=["3x3", "3x4"])
+def test_verify_forms_each_u_once(capsys, monkeypatch, shape, windows):
+    """intervals, interval-identity and first-column read each window's
+    (u, pi, f) from the session: one u_element per window, where the checks
+    formed u(i, 1) again for each of the exchangeable i (9 and 14 calls).
+    rescale_generators forms its own."""
+    calls = []
+    real = cli.u_element
+    monkeypatch.setattr(cli, "u_element", lambda pres, i, m: calls.append((i, m)) or real(pres, i, m))
+    m, n = shape
+    rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", str(m), "--n", str(n))
+    assert rc == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == len(set(calls)) == windows
+
+
+def test_a_failing_interval_fails_alike_each_time():
+    """Session.interval keeps no raised exception."""
+    session = cli.Session(None, quantum_matrix_preset(2, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^index 0 has no 2-th successor$"):
+            session.interval(0, 2)
+    assert session.interval(0, 1)[0] == 3
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)],
+                         ids=["2x2", "2x3", "3x2", "2x4", "3x3", "3x4"])
+def test_mutated_variables_satisfy_the_exchange_identity(shape):
+    """The oracle for the exchange check, which relies on exact division:
+    each mutated variable of the identity seed, times M(e_k), is the
+    exchange sum (the product comparison the check no longer makes)."""
+    session = cli.Session(None, quantum_matrix_preset(*shape))
+    tp, bmat = session.identity
+    assert bmat.ex
+    for k in bmat.ex:
+        var = mutated_variable(tp.frame, bmat.cols[k], k)
+        assert exchange_identity_holds(tp.frame, bmat.cols[k], k, var), (shape, k)
+
+
+def test_verify_reports_a_failing_leading_term_as_a_failed_primes_check(capsys, monkeypatch):
+    """_check_primes leaves the leading-term guard to _primes: a stage that
+    fails it (simulated, as no certified input does) fails the primes check
+    with _primes' message."""
+    bad = (1, 0, 0, 0, 1, 0, 0, 0, 0)
+    real = primeseq.leading_term
+    monkeypatch.setattr(
+        primeseq, "leading_term", lambda y: (lambda f, c: (f, -c) if f == bad else (f, c))(*real(y))
+    )
+    rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "3", "--n", "3")
+    assert rc == 1
+    assert json.loads(out)["checks"]["primes"] == (
+        "fail: ValueError: stage 4: leading term is not the chain monomial"
+    )
 
 
 # stdout digests of commands that print ExpMatrix rows (frames carries

@@ -15,7 +15,7 @@ from qcluster.exchangesolver import (
 )
 from qcluster.mutation import ExchangeMatrix, compatibility_check, mutate_matrix
 from qcluster.orealgebra import quantum_matrix_preset, weight_of
-from qcluster.primeseq import compute_primes, rescale_generators
+from qcluster.primeseq import compute_primes, pi_f_data, rescale_generators, u_element
 from qcluster.xicombinatorics import (
     frame_for_tau,
     gamma_chain,
@@ -101,12 +101,17 @@ def test_solved_matrices_are_symmetrized_by_the_squared_scalars(shape):
         assert skew_symmetrizable(bmat, symmetrizers_from_scalars(pres.lam_star, tp.ex))
 
 
+def _first_exponent(pres, i):
+    """The leading exponent of the difference element u(i, 1)."""
+    return pi_f_data(u_element(pres, i, 1), i, 1)[1]
+
+
 def test_first_column_crosscheck():
     for shape in ((2, 2), (2, 3), (3, 2)):
         pres = quantum_matrix_preset(*shape)
         seq = compute_primes(pres)
         for i in seq.eta_data.exchangeable():
-            assert first_column_crosscheck(pres, i)
+            assert first_column_crosscheck(pres, i, _first_exponent(pres, i))
 
 
 def test_windows_match_the_restricted_route():
@@ -132,7 +137,7 @@ def test_windows_match_the_restricted_route():
             assert frame.images == [embed_interval(pres, i, y) for y in tp.frame.images]
             assert [weight_of(y) for y in frame.images] == tp.image_weights, (pres, i)
             assert bmat == btilde_for_tau(tp), (pres, i)
-            assert first_column_crosscheck(pres, i), (pres, i)
+            assert first_column_crosscheck(pres, i, _first_exponent(pres, i)), (pres, i)
             windows += 1
     # (m-1)(n-1) windows per shape, and 2 + 4 on the rescaled presets
     assert windows == sum((m - 1) * (n - 1) for m, n in shapes) + 6

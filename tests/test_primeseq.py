@@ -9,6 +9,7 @@ against is_normal_in_stage, which forms every product y x_i and x_i y.
 """
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import permutations
@@ -43,6 +44,7 @@ from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
 from oracles import normality_scalar, proportionality_scalar, quotient_by_inverse
 from restriction import embed_interval, restrict_presentation
 from scan import certify_prime, scan_primes
+from twists import random_twist
 
 P22 = quantum_matrix_preset(2, 2)
 P23 = quantum_matrix_preset(2, 3)
@@ -296,11 +298,15 @@ def test_certificate_matches_the_product_oracle():
 
 def test_recursion_matches_the_scan_on_every_range(monkeypatch):
     """On the presets 2x2-5x5 and the rescaled 2x3 and 3x3, certified by
-    construction, compute_primes and _primes on every range agree with the
-    scan of every trailing prime at every stage, and the recursion forms one
-    delta_k product per derivation stage of each start.  _primes keeps no
-    normalized primes; each range's are formed on demand (_normalized) and
-    compared with the scan's."""
+    construction, and on seeded cocycle twists of 2x3 and 3x3 (tests/twists.py),
+    certified at first use, compute_primes and _primes on every range agree
+    with the scan of every trailing prime at every stage, and the recursion
+    forms one delta_k product per derivation stage of each start.  _primes
+    keeps no normalized primes; each range's are formed on demand
+    (_normalized) and compared with the scan's.  On the presets every chain
+    has symmetrization 0, so ybar = y there; the twists have chains with a
+    nonzero one, so only they tell a wrong normalization exponent, such as
+    one that drops _normalized's padding by lo, from zero."""
     calls = []
     real = primeseq.apply_sigma_delta
     monkeypatch.setattr(
@@ -308,7 +314,12 @@ def test_recursion_matches_the_scan_on_every_range(monkeypatch):
     )
     cases = [quantum_matrix_preset(m, n) for m in range(2, 6) for n in range(2, 6)]
     cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
-    for pres in cases:
+    rng = random.Random(7)
+    twisted = [random_twist(quantum_matrix_preset(m, n), rng) for m, n in ((2, 3), (2, 3), (3, 3))]
+    for pres in twisted:
+        nu, ebar = pres.nu(), compute_primes(pres).eta_data.ebar
+        assert any(symmetrization(nu, e) for e in ebar), pres
+    for pres in cases + twisted:
         n = pres.n
         scanned = PrimeSequence(pres, *scan_primes(pres, 0, n - 1))
         assert compute_primes(pres).y == scanned.y and compute_primes(pres).c == scanned.c

@@ -3,8 +3,9 @@
 import pytest
 
 from qcluster.bicharacter import exp_mat_product, omega, symmetrization
+from qcluster.exchangesolver import first_column_crosscheck
 from qcluster.orealgebra import leading_term, quantum_matrix_preset
-from qcluster.primeseq import EtaData, compute_primes
+from qcluster.primeseq import EtaData, compute_primes, interval_prime, u_element
 from qcluster.qtorus import frame_value
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import (
@@ -110,6 +111,26 @@ def test_frame_rejects_non_interval_prefix():
 def test_frame_rejects_a_permutation_of_another_length(tau):
     with pytest.raises(ValueError, match=f"has {len(tau)} entries, the presentation 4"):
         frame_for_tau(P22, tau)
+
+
+@pytest.mark.parametrize("i", [-1, 4, 5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i: interval_prime(P22, i, 1),
+        lambda i: u_element(P22, i, 1),
+        lambda i: interval_frame(P22, i, 1),
+        lambda i: window_support_vector(P22, i, 1, (0,) * 4),
+        lambda i: first_column_crosscheck(P22, i, (0,) * 4),
+    ],
+    ids=["interval_prime", "u_element", "interval_frame", "window_support_vector",
+         "first_column_crosscheck"],
+)
+def test_interval_functions_reject_a_start_outside_the_generators(call, i):
+    """EtaData.succ_power names the start index; -1 is not read as the last
+    generator, nor 4 or 5 as a bare IndexError."""
+    with pytest.raises(ValueError, match=rf"^start index {i} is not in 0\.\.3$"):
+        call(i)
 
 
 def _chain_vectors(frame, seen):
