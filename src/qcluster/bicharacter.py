@@ -13,9 +13,9 @@ exponent f is q ** symmetrization(E, f), with
     omega(E, f, g) = f^T E g,
     symmetrization(E, f) = - sum_{j<k} E[j][k] f_j f_k,
 
-and :meth:`ExpMatrix.entry` is E[k][j].  :func:`_pairing` is the integer
-den * f^T E g behind omega; per-term products read it and hand it to
-``scalarfield._q_power`` directly.
+and :meth:`ExpMatrix.entry` is E[k][j].  Products hand the integer
+numerators over den behind them, :func:`_pairing` and :func:`_symmetrization`,
+to ``scalarfield._q_power`` directly.
 
 Vectors are plain tuples/lists of ints indexed 0..N-1.
 """
@@ -153,15 +153,20 @@ def pairing_row(emat: ExpMatrix, f: Sequence[int]) -> List[int]:
     return row
 
 
-def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> Fraction:
-    """Exponent of the symmetrization scalar of the monomial x^f."""
+def _symmetrization(emat: ExpMatrix, f: Sequence[int]) -> int:
+    """den * symmetrization(E, f): its exponent in units 1/den."""
     num = emat.num
     support = [(j, fj) for j, fj in enumerate(f) if fj]
     total = 0
     for a, (j, fj) in enumerate(support):
         row = num[j]
         total -= fj * sum(row[k] * fk for k, fk in support[a + 1 :])
-    return Fraction(total, emat.den)
+    return total
+
+
+def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> Fraction:
+    """Exponent of the symmetrization scalar of the monomial x^f."""
+    return Fraction(_symmetrization(emat, f), emat.den)
 
 
 def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:

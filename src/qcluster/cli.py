@@ -42,6 +42,7 @@ from .orealgebra import (
 from .primeseq import (
     PrimeSequence,
     compute_primes,
+    generator_scalars,
     interval_prime,
     pi_f_data,
     rescale_generators,
@@ -414,6 +415,16 @@ def _check_primes(s: Session):
 
 
 def _check_intervals(s: Session):
+    """The quantum-matrix closed forms of u(i, 1), then the rescaling.
+
+    gamma is solved from the session's windows.  When every gamma_i is 1,
+    rescale_generators would build pres again (delta coefficients c gamma_k
+    gamma_j / gamma**f = c), with the same primes, windows (pi, f) and
+    targets; its check pi = q**S(j, f) at each j with s(j) is the equation
+    gamma was solved from at i = s(j), as p(s(j)) = j: 1 = gamma_i =
+    gamma_j**-1 gamma**f pi**-1 q**S = pi**-1 q**S.  So it holds, and only
+    another gamma goes through rescale_generators and its second algebra.
+    """
     config, pres = s.config, s.pres
     ed = s.primes.eta_data
     if config.preset == "quantum-matrices":
@@ -428,9 +439,10 @@ def _check_intervals(s: Session):
             _require(pi == q, f"leading coefficient at {i} is off")
             expect_f = [int(t in (i + 1, i + n)) for t in range(pres.n)]
             _require(list(f) == expect_f, f"leading exponent at {i} is off")
-    gamma, _, _ = rescale_generators(pres)
-    if config.preset == "quantum-matrices":
-        _require(all(g.is_one for g in gamma), "rescaling is not trivial")
+    gamma = generator_scalars(pres, ed, lambda j: s.interval(j, 1)[2:])
+    if not all(g.is_one for g in gamma):
+        rescale_generators(pres)
+        _require(config.preset != "quantum-matrices", "rescaling is not trivial")
 
 
 def _check_bmatrix(s: Session):

@@ -121,9 +121,11 @@ class EtaData:
         return k
 
     def succ_power(self, i: int, m: int) -> int:
-        """s^m(i); ValueError unless i is an index and s^m(i) exists."""
+        """s^m(i); ValueError unless i is an index, m >= 0 and s^m(i) exists."""
         if not 0 <= i < self.n:
             raise ValueError(f"start index {i} is not in 0..{self.n - 1}")
+        if m < 0:
+            raise ValueError(f"negative chain length {m}")
         j = i
         for _ in range(m):
             nxt = self.s[j]
@@ -395,12 +397,10 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
     the length-one interval prime; m = 0 gives the unit.  The result is
     supported strictly between i and s^m(i).
     """
-    if m < 0:
-        raise ValueError("negative chain length")
-    if m == 0:
-        return pres.one()
     ed = _primes(pres, 0, pres.n - 1).eta_data
     top = ed.succ_power(i, m)
+    if m == 0:
+        return pres.one()
     if m == 1:
         u = pbw_mul(pres.gen(i), pres.gen(top)) - interval_prime(pres, i, 1)
     else:
@@ -435,6 +435,22 @@ def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Frac
     return symmetrization(nu, g)
 
 
+def generator_scalars(pres: Presentation, ed: EtaData, window) -> List[Coeff]:
+    """The gamma of rescale_generators, from pres's level-set data ed and
+    window(j) = (pi, f) of u(j, 1): gamma_i = 1 where p(i) is None, else
+    gamma_i = gamma_j**-1 gamma**f pi**-1 q**S(j, f) for j = p(i), the
+    rescaled algebra's equation pi' = q**S(j, f) solved for gamma_i."""
+    one = Coeff.one(pres.root)
+    gamma: List[Coeff] = [one] * pres.n
+    for i in range(pres.n):
+        j = ed.p[i]
+        if j is not None:
+            pi, f = window(j)
+            target = Coeff.q_power(interval_scalar_target(pres, j, f), pres.root)
+            gamma[i] = gamma[j].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
+    return gamma
+
+
 def rescale_generators(pres: Presentation):
     """Scalars gamma making every length-one pi match its normalized target.
 
@@ -447,20 +463,11 @@ def rescale_generators(pres: Presentation):
     ValueError when the rescaled presentation fails the target equations,
     which would mean the input is not of the supported symmetric kind.
     """
-    seq = compute_primes(pres)
-    ed = seq.eta_data
     n = pres.n
     one = Coeff.one(pres.root)
-    gamma: List[Coeff] = [one] * n
-    for i in range(n):
-        pi_idx = ed.p[i]
-        if pi_idx is None:
-            continue
-        pi, f = pi_f_data(u_element(pres, pi_idx, 1), pi_idx, 1)
-        target = Coeff.q_power(interval_scalar_target(pres, pi_idx, f), pres.root)
-        gamma[i] = (
-            gamma[pi_idx].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
-        )
+    gamma = generator_scalars(
+        pres, compute_primes(pres).eta_data, lambda j: pi_f_data(u_element(pres, j, 1), j, 1)
+    )
     delta = {
         (k, j): tuple(
             (f, c * gamma[k] * gamma[j] * _gamma_power(gamma, f, one).inv())

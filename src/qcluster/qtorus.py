@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bicharacter import ExpMatrix, _pairing, exp_mat_product, omega, symmetrization
+from .bicharacter import ExpMatrix, _pairing, _symmetrization, exp_mat_product, omega
 from .linalg import det
 from .scalarfield import Coeff, TermSum, _add_term, _q_power
 
@@ -85,7 +85,8 @@ def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
     den = base.den
     for f, ca in a.terms.items():
         for g, cb in b.terms.items():
-            c = ca * cb * _q_power(_pairing(base, f, g), den, root)
+            p = _pairing(base, f, g)
+            c = ca * cb * _q_power(p, den, root) if p else ca * cb
             _add_term(out, tuple(x + y for x, y in zip(f, g)), c)
     return TorusElement(base, root, out)
 
@@ -109,27 +110,34 @@ class ToricFrame:
 def frame_value(frame: ToricFrame, g: Sequence[int]):
     """M(g): the symmetrized ordered product of image powers.
 
-    Negative exponents are taken through monomial inversion of the image,
-    so they require that image to be a torus monomial; a negative exponent
-    at a genuine sum raises ValueError.
+    M(g) = q**S(g) M(e_0)**g_0 ... M(e_(n-1))**g_(n-1), S the frame's
+    symmetrization; scalars are central, so q**S(g) rides on the first
+    factor, and M(0) is the unit.  A torus monomial c Y^v has (c Y^v)**e =
+    c**e Y^(ev) for every integer e, as its torus's base B is skew: v^T B v
+    = 0, so Y^(av) Y^v = Y^((a+1)v), and c Y^v inverts to c**-1 Y^-v.  Any
+    other image is multiplied e times; a negative exponent there raises
+    ValueError.
     """
     g = tuple(int(x) for x in g)
     if len(g) != frame.n:
         raise ValueError("vector length mismatch")
-    out = frame.one.scaled(Coeff.q_power(symmetrization(frame.emat, g), frame.root))
+    s = _symmetrization(frame.emat, g)
+    scalar = _q_power(s, frame.emat.den, frame.root)
+    out = None
     for k, e in enumerate(g):
-        if e >= 0:
-            factor = frame.images[k]
+        img = frame.images[k]
+        if e and isinstance(img, TorusElement) and len(img.terms) == 1:
+            ((v, c),) = img.terms.items()
+            factors = [img._like({tuple(e * x for x in v): c**e})]
+        elif e < 0:
+            if isinstance(img, TorusElement):
+                img.inverse()  # raises, as img is no monomial
+            raise ValueError(f"negative exponent at {k}: image is not invertible here")
         else:
-            img = frame.images[k]
-            if not isinstance(img, TorusElement):
-                raise ValueError(
-                    f"negative exponent at {k}: image is not invertible here"
-                )
-            factor = img.inverse()
-        for _ in range(abs(e)):
-            out = out * factor
-    return out
+            factors = [img] * e
+        for factor in factors:
+            out = (factor.scaled(scalar) if s else factor) if out is None else out * factor
+    return frame.one if out is None else out
 
 
 def reindex_frame(frame: ToricFrame, sigma_cols: Sequence[Sequence[int]]) -> ToricFrame:

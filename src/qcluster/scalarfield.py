@@ -282,6 +282,12 @@ class Coeff:
         return out
 
     def inv(self) -> "Coeff":
+        """1/self; +-u**k inverts to +-u**-k directly, in coeff_div's normal form."""
+        num = self.num
+        if self.den is _UNIT and len(num) == 1:
+            ((k, v),) = num.items()
+            if v == 1 or v == -1:
+                return Coeff._make(self.root, _UNIT if num == _UNIT else {-k: v}, _UNIT)
         if self.is_zero:
             raise ZeroDivisionError("inverting zero coefficient")
         return coeff_div(Coeff.one(self.root), self)

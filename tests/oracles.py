@@ -6,18 +6,20 @@ with proportionality_scalar the frame matrices against their images'
 commutation (qtorus), permuted and restricted the reindexed and interval
 exponent matrices (bicharacter, tests/restriction.py),
 normality_scalar the commutation of each prime with the generators
-(primeseq), poly_str the Fraction formatting of Coeff reprs and
-quotient_by_inverse the centering coefficients through a gcd
-(scalarfield).  Like tests/restriction.py and tests/factors.py, they keep a
+(primeseq), frame_value_by_products the frame values as |g_k| products
+per direction from the scaled unit (qtorus), poly_str the Fraction
+formatting of Coeff reprs and quotient_by_inverse the centering
+coefficients through a gcd (scalarfield).  Like tests/restriction.py and tests/factors.py, they keep a
 route the package replaced or never needed, so the tests can compare.
 """
 
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from qcluster.bicharacter import ExpMatrix, omega
+from qcluster.bicharacter import ExpMatrix, omega, symmetrization
 from qcluster.orealgebra import Presentation
 from qcluster.primeseq import compute_primes
+from qcluster.qtorus import TorusElement
 from qcluster.scalarfield import Coeff
 
 
@@ -138,3 +140,22 @@ def quotient_by_inverse(c: Coeff, s: dict):
     None when the quotient is not a Laurent polynomial."""
     out = c * Coeff(c.root, s).inv()
     return out if out.is_laurent else None
+
+
+def frame_value_by_products(frame, g):
+    """M(g) as qtorus.frame_value once formed it: the frame's unit scaled
+    by q**S(g), times the image of each direction |g_k| times, an image
+    inverted (which needs a torus monomial) where g_k < 0."""
+    g = tuple(int(x) for x in g)
+    if len(g) != frame.n:
+        raise ValueError("vector length mismatch")
+    out = frame.one.scaled(Coeff.q_power(symmetrization(frame.emat, g), frame.root))
+    for k, e in enumerate(g):
+        factor = frame.images[k]
+        if e < 0:
+            if not isinstance(factor, TorusElement):
+                raise ValueError(f"negative exponent at {k}: image is not invertible here")
+            factor = factor.inverse()
+        for _ in range(abs(e)):
+            out = out * factor
+    return out

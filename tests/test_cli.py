@@ -8,6 +8,7 @@ assertions really compare emitted text.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from qcluster.mutation import ExchangeMatrix, exchange_identity_holds, mutated_v
 from qcluster.orealgebra import Presentation, quantum_matrix_preset
 from qcluster.primeseq import compute_primes
 from qcluster.xicombinatorics import gamma_chain
+from twists import random_twist
 
 BAD_CUSTOM = {
     "lambda": [["0", "0"], ["0", "0"]],
@@ -736,28 +738,30 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path):
     assert err.startswith(f"qcluster: cannot write {target}") and err.count("\n") == 1
 
 
+def _count_builds(monkeypatch):
+    """Record each Presentation built."""
+    built = []
+    real_init = Presentation.__init__
+    monkeypatch.setattr(Presentation, "__init__", lambda self, *a, **k: built.append(1) or real_init(self, *a, **k))
+    return built
+
+
 @pytest.mark.parametrize(
     "cmd, shape, built",
     [
         ("intervals", (3, 3), 1),
         ("bmatrix", (3, 3), 1),
-        ("verify", (3, 3), 2),
-        ("verify", (4, 4), 2),
+        ("verify", (3, 3), 1),
+        ("verify", (4, 4), 1),
         ("intervals", (4, 5), 1),
     ],
-    ids=["intervals-1", "bmatrix-1", "verify-2", "verify-4x4-2", "intervals-4x5-1"],
+    ids=["intervals-1", "bmatrix-1", "verify-1", "verify-4x4-1", "intervals-4x5-1"],
 )
 def test_one_presentation_per_request(capsys, monkeypatch, cmd, shape, built):
     """Interval primes and the first-column windows run inside the loaded
-    algebra; verify adds only the rescaled algebra."""
-    count = []
-    real_init = Presentation.__init__
-
-    def init(self, *args, **kwargs):
-        count.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Presentation, "__init__", init)
+    algebra; verify's intervals check builds no rescaled algebra, as every
+    gamma_i of a quantum-matrix preset is 1."""
+    count = _count_builds(monkeypatch)
     m, n = shape
     rc, _, _ = run_cli(capsys, "--cmd", cmd, "--m", str(m), "--n", str(n))
     assert rc == 0 and len(count) == built
@@ -894,28 +898,60 @@ def test_chain_walks_the_request_session(capsys, monkeypatch):
     assert rc == 0 and len(walked) == 1 and isinstance(walked[0], cli.Session)
 
 
-def test_verify_computes_the_primes_once(capsys, monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Record the presentation of each call of name, from cli or primeseq."""
     calls = []
-    real = cli.compute_primes
-    monkeypatch.setattr(cli, "compute_primes", lambda pres: calls.append(pres) or real(pres))
-    rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", "3", "--n", "3")
-    assert rc == 0 and json.loads(out)["ok"] is True
-    assert len(calls) == 1
+    real = getattr(primeseq, name)
+    counting = lambda pres, *args: calls.append(pres) or real(pres, *args)
+    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(primeseq, name, counting)
+    return calls
+
+
+def test_verify_computes_the_primes_once(monkeypatch):
+    """One compute_primes in cli or primeseq: the intervals check solves
+    gamma from the session's primes, and builds no rescaled algebra."""
+    for m, n in ((3, 3), (3, 4)):
+        session = cli.Session(cli.build_parser().parse_args(["--cmd", "verify", "--m", str(m), "--n", str(n)]))
+        session.pres
+        calls = _count_calls(monkeypatch, "compute_primes")
+        built = _count_builds(monkeypatch)
+        assert cli.cmd_verify(session)["ok"] is True
+        assert calls == [session.pres] and not built, (m, n)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("shape, windows", [((3, 3), 5), ((3, 4), 8)], ids=["3x3", "3x4"])
 def test_verify_forms_each_u_once(capsys, monkeypatch, shape, windows):
     """intervals, interval-identity and first-column read each window's
-    (u, pi, f) from the session: one u_element per window, where the checks
-    formed u(i, 1) again for each of the exchangeable i (9 and 14 calls).
-    rescale_generators forms its own."""
-    calls = []
-    real = cli.u_element
-    monkeypatch.setattr(cli, "u_element", lambda pres, i, m: calls.append((i, m)) or real(pres, i, m))
+    (u, pi, f) from the session: one u_element per window, in cli or
+    primeseq, where the checks formed u(i, 1) again for each of the
+    exchangeable i and rescale_generators formed the length-one windows of
+    the loaded and the rescaled algebra (3x3: 9 + 4 + 4 calls)."""
+    calls = _count_u(monkeypatch)
     m, n = shape
     rc, out, _ = run_cli(capsys, "--cmd", "verify", "--m", str(m), "--n", str(n))
     assert rc == 0 and json.loads(out)["ok"] is True
     assert len(calls) == len(set(calls)) == windows
+
+
+def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
+    """The seeded twists have a nontrivial gamma, so the intervals check
+    builds the rescaled algebra through rescale_generators, which computes
+    the primes of both algebras again; the check passes on each, as before."""
+    rng = random.Random(7)
+    for shape in ((2, 3), (2, 3), (3, 3)):
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps(serialize(random_twist(quantum_matrix_preset(*shape), rng))))
+        session = cli.Session(cli.build_parser().parse_args(
+            ["--cmd", "verify", "--preset", "custom", "--file", str(path)]))
+        session.pres
+        calls = _count_calls(monkeypatch, "compute_primes")
+        built = _count_builds(monkeypatch)
+        assert cli._run_check(session, "intervals") == "pass"
+        assert len(built) == 1, shape
+        assert [p is session.pres for p in calls] == [True, True, False], shape
+        monkeypatch.undo()
 
 
 def test_a_failing_interval_fails_alike_each_time():

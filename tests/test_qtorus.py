@@ -1,5 +1,6 @@
 """Based quantum torus arithmetic and toric frames."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.bicharacter import ExpMatrix, omega, symmetrization
+from qcluster.cli import Session
+from qcluster.mutation import mutate_seed, random_compatible_pair, seed_from_pair
+from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.qtorus import (
     ToricFrame,
     TorusElement,
@@ -17,7 +21,7 @@ from qcluster.qtorus import (
     torus_mul,
 )
 from qcluster.scalarfield import Coeff, div_right
-from oracles import matrix_from_images, permuted, proportionality_scalar
+from oracles import frame_value_by_products, matrix_from_images, permuted, proportionality_scalar
 
 ROOT = 2
 BASE = ExpMatrix.from_upper(
@@ -179,3 +183,65 @@ def test_frame_value_unrolls_to_ordered_product():
         for _ in range(e):
             ordered = ordered * frame.images[k]
     assert frame_value(frame, g) == ordered.scaled(qp(symmetrization(BASE, g)))
+
+
+def _same_value(frame, g):
+    """frame_value and the product oracle agree at g, or raise the same
+    ValueError."""
+    try:
+        want = frame_value_by_products(frame, g)
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            frame_value(frame, g)
+        assert str(info.value) == str(e), g
+        return False
+    assert frame_value(frame, g) == want, g
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frame_value_matches_the_product_oracle_on_torus_seeds(n):
+    """One term per monomial direction, before and after a mutation, whose
+    new image is a sum: there a negative exponent raises, as in the oracle.
+    The seed's images scaled by +-q**a or 2 q**a power their coefficients."""
+    rng = random.Random(n)
+    raised = 0
+    for _ in range(5):
+        emat, bmat, _ = random_compatible_pair(rng, n)
+        seed = seed_from_pair(emat, bmat)
+        fr = seed.frame
+        scales = [rng.choice((1, -1, 2)) * Coeff.q_power(Fraction(rng.randint(-4, 4), 4), fr.root)
+                  for _ in fr.images]
+        scaled = ToricFrame(fr.emat, [img.scaled(c) for img, c in zip(fr.images, scales)], fr.one, fr.root)
+        for frame in (fr, scaled, mutate_seed(seed, rng.choice(bmat.ex)).frame):
+            assert _same_value(frame, (0,) * (2 * n))
+            for _ in range(12):
+                g = tuple(rng.randint(-3, 3) for _ in range(2 * n))
+                raised += not _same_value(frame, g)
+    assert raised
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4)],
+                         ids=["2x2", "2x3", "3x3", "3x4"])
+def test_frame_value_matches_the_product_oracle_on_chain_frames(shape):
+    """PBW images are multiplied e times, the scalar on the first factor."""
+    rng = random.Random(sum(shape))
+    session = Session(None, quantum_matrix_preset(*shape))
+    last = len(session.taus) - 1
+    for t in (0, last // 2, last):
+        frame = session.frame(t).frame
+        n = frame.n
+        for k in range(n):
+            assert _same_value(frame, tuple(int(j == k) for j in range(n)))
+        for _ in range(3):
+            assert _same_value(frame, tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n)))
+
+
+def test_frame_value_names_a_negative_exponent_it_cannot_take():
+    pbw = Session(None, quantum_matrix_preset(2, 2)).frame(0).frame
+    with pytest.raises(ValueError, match="^negative exponent at 1: image is not invertible here$"):
+        frame_value(pbw, (0, -1, 0, 0))
+    sums = ToricFrame(BASE, [Y((1, 0, 0)), Y((0, 1, 0)) + one(), Y((0, 0, 1))], one(), ROOT)
+    with pytest.raises(ValueError, match="^only monomial torus elements are invertible here$"):
+        frame_value(sums, (1, -1, 0))
+    assert frame_value(sums, (0, 2, 0)) == frame_value_by_products(sums, (0, 2, 0))

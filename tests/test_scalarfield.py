@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.scalarfield import Coeff, _div_laurent, _poly_str, coeff_div
+from qcluster.scalarfield import _UNIT, Coeff, _div_laurent, _poly_str, coeff_div
 from oracles import poly_str, quotient_by_inverse
 
 ROOT = 2
@@ -368,3 +368,18 @@ def test_div_laurent_matches_the_inverse_route():
             refused += got is None
             accepted += got is not None
     assert refused > 300 and accepted > 300
+
+
+@pytest.mark.parametrize("root", [1, 2, 4])
+def test_inverse_of_a_unit_monomial_is_the_quotients_normal_form(root):
+    """inv takes +-u**k to +-u**-k directly: the numerator and denominator
+    coeff_div gives, the shared unit numerator _UNIT only for 1."""
+    one = Coeff.one(root)
+    for k in (0, 3, -3):
+        for sign in (1, -1):
+            c = sign * Coeff.q_power(Fraction(k, root), root)
+            inv, want = c.inv(), coeff_div(one, c)
+            assert (inv.root, inv.num, inv.den) == (want.root, want.num, want.den)
+            assert inv.den is _UNIT
+            assert (inv.num is _UNIT) == (k == 0 and sign == 1)
+            assert inv * c == one

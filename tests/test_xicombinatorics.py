@@ -133,6 +133,26 @@ def test_interval_functions_reject_a_start_outside_the_generators(call, i):
         call(i)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: interval_prime(P22, 0, -1), "negative chain length -1"),
+        (lambda: u_element(P22, 0, -1), "negative chain length -1"),
+        (lambda: window_support_vector(P22, 0, -1, (0,) * 4), "negative chain length -1"),
+        (lambda: interval_frame(P22, 0, -1), "window needs at least one chain step"),
+        (lambda: u_element(P22, 9, 0), r"start index 9 is not in 0\.\.3"),
+    ],
+    ids=["interval_prime", "u_element", "window_support_vector", "interval_frame",
+         "u_element-start-at-m0"],
+)
+def test_interval_functions_reject_a_negative_length_or_bad_start(call, message):
+    """m = -1 is not read as m = 0, and u_element checks its start before
+    the unit it returns at m = 0."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert u_element(P22, 3, 0) == P22.one()
+
+
 def _chain_vectors(frame, seen):
     """Column a: the leading exponent of image a, the chain vector of its
     span; seen maps the id of an image's term dict to it."""
