@@ -23,7 +23,6 @@ from .qtorus import (
     ToricFrame,
     check_frame_identity,
     frame_value,
-    permutation_cols,
     reindex_frame,
     torus_mul,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "ToricFrame",
     "check_frame_identity",
     "frame_value",
-    "permutation_cols",
     "reindex_frame",
     "torus_mul",
     "ExchangeMatrix",

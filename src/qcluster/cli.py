@@ -48,12 +48,7 @@ from .primeseq import (
     rescale_generators,
     u_element,
 )
-from .qtorus import (
-    check_frame_identity,
-    frame_value,
-    permutation_cols,
-    reindex_frame,
-)
+from .qtorus import check_frame_identity, frame_value, reindex_frame
 from .scalarfield import Coeff
 from .schubertdata import CartanData, WordData
 from .xicombinatorics import (
@@ -303,18 +298,12 @@ def _require(ok, message: str) -> None:
         raise AssertionError(message)
 
 
-def chain_walk(source):
+def chain_walk(session: Session):
     """Verify the one-step laws along the canonical permutation chain of a
-    presentation, or of a request's Session, whose frames the walk shares.
+    session's presentation, on the session's frames, carrying the identity
+    frame's exchange matrix along the chain.
 
     Returns a list of step records; raises AssertionError on a violation.
-    """
-    return _walk(source if isinstance(source, Session) else Session(None, source))
-
-
-def _walk(session: Session):
-    """chain_walk on the frames of a session, carrying the identity frame's
-    exchange matrix along the chain.
 
     A step that swaps positions of two different level sets leaves the
     frame as it is, so the matrix stays.  A mutation step at kb checks
@@ -417,13 +406,14 @@ def _check_primes(s: Session):
 def _check_intervals(s: Session):
     """The quantum-matrix closed forms of u(i, 1), then the rescaling.
 
-    gamma is solved from the session's windows.  When every gamma_i is 1,
-    rescale_generators would build pres again (delta coefficients c gamma_k
-    gamma_j / gamma**f = c), with the same primes, windows (pi, f) and
-    targets; its check pi = q**S(j, f) at each j with s(j) is the equation
-    gamma was solved from at i = s(j), as p(s(j)) = j: 1 = gamma_i =
-    gamma_j**-1 gamma**f pi**-1 q**S = pi**-1 q**S.  So it holds, and only
-    another gamma goes through rescale_generators and its second algebra.
+    gamma is solved once, from the session's windows, and handed to
+    rescale_generators.  When every gamma_i is 1, rescale_generators would
+    build pres again (delta coefficients c gamma_k gamma_j / gamma**f = c),
+    with the same primes, windows (pi, f) and targets; its check
+    pi = q**S(j, f) at each j with s(j) is the equation gamma was solved
+    from at i = s(j), as p(s(j)) = j: 1 = gamma_i = gamma_j**-1 gamma**f
+    pi**-1 q**S = pi**-1 q**S.  So it holds, and only another gamma goes
+    through rescale_generators and its second algebra.
     """
     config, pres = s.config, s.pres
     ed = s.primes.eta_data
@@ -441,7 +431,7 @@ def _check_intervals(s: Session):
             _require(list(f) == expect_f, f"leading exponent at {i} is off")
     gamma = generator_scalars(pres, ed, lambda j: s.interval(j, 1)[2:])
     if not all(g.is_one for g in gamma):
-        rescale_generators(pres)
+        rescale_generators(pres, gamma)
         _require(config.preset != "quantum-matrices", "rescaling is not trivial")
 
 
@@ -531,7 +521,7 @@ def _check_mutation_suite(s: Session):
         _require(s2.frame.images == seed.frame.images, f"twice at {k}: images moved")
         perm = list(range(2 * n))
         rng.shuffle(perm)
-        re = reindex_frame(seed.frame, permutation_cols(perm))
+        re = reindex_frame(seed.frame, perm)
         g = tuple(rng.randint(-2, 2) for _ in range(2 * n))
         moved = tuple(g[perm[t]] for t in range(2 * n))
         same = frame_value(re, moved) == frame_value(seed.frame, g)
@@ -551,7 +541,7 @@ _CHECKS = {
     "intervals": _check_intervals,
     "bmatrix": _check_bmatrix,
     "exchange": _check_exchange,
-    "chain": _walk,
+    "chain": chain_walk,
     "coverage": _check_coverage,
     "interval-identity": _check_interval_identity,
     "first-column": _check_first_column,

@@ -437,8 +437,9 @@ def check_overlaps(pres: Presentation) -> None:
 
     Presentations built from a certified one inherit the certificate:
     ``rescale_generators`` applies the automorphism x_i -> gamma_i x_i of
-    the free algebra, which sends each rule to a nonzero multiple of a rule
-    and so each reduction to a reduction.  Where the rules among x_j..x_k have
+    the free algebra for the nonzero gamma its caller solved, which sends
+    each rule to a nonzero multiple of a rule and so each reduction to a
+    reduction.  Where the rules among x_j..x_k have
     right-hand sides in that range (``primeseq._check_range``), their
     overlaps are overlaps of the whole, rewritten by the same steps, so they
     present the subalgebra on x_j..x_k: interval primes and the first-column
@@ -467,7 +468,8 @@ def check_overlaps(pres: Presentation) -> None:
 
 
 # Presentations proved CGL extensions: by check_cgl, or by construction
-# (quantum_matrix_preset, primeseq.rescale_generators)
+# (quantum_matrix_preset, and primeseq.rescale_generators of a certified
+# algebra by a nonzero gamma)
 _CERTIFIED: "weakref.WeakSet[Presentation]" = weakref.WeakSet()
 
 

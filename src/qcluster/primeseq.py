@@ -436,7 +436,7 @@ def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Frac
 
 
 def generator_scalars(pres: Presentation, ed: EtaData, window) -> List[Coeff]:
-    """The gamma of rescale_generators, from pres's level-set data ed and
+    """The gamma for rescale_generators, from pres's level-set data ed and
     window(j) = (pi, f) of u(j, 1): gamma_i = 1 where p(i) is None, else
     gamma_i = gamma_j**-1 gamma**f pi**-1 q**S(j, f) for j = p(i), the
     rescaled algebra's equation pi' = q**S(j, f) solved for gamma_i."""
@@ -451,23 +451,23 @@ def generator_scalars(pres: Presentation, ed: EtaData, window) -> List[Coeff]:
     return gamma
 
 
-def rescale_generators(pres: Presentation):
-    """Scalars gamma making every length-one pi match its normalized target.
+def rescale_generators(pres: Presentation, gamma: Sequence[Coeff]):
+    """pres with x_i -> gamma_i x_i, for the gamma of generator_scalars,
+    which makes every length-one pi match its normalized target.
 
-    The rescaled presentation is pres with x_i -> gamma_i x_i, so it
-    inherits the certificate of pres: its overlaps by the argument in
+    The rescaled presentation inherits the certificate of pres for any
+    nonzero gamma: its overlaps by the argument in
     orealgebra.check_overlaps, and the rest of check_cgl, which reads only
     lam, lambda_diag and the delta monomials, all unchanged.
 
-    Returns (gamma, rescaled presentation, its prime sequence); raises
-    ValueError when the rescaled presentation fails the target equations,
-    which would mean the input is not of the supported symmetric kind.
+    Returns (rescaled presentation, its prime sequence); raises ValueError
+    when the rescaled presentation fails the target equations, which would
+    mean the input is not of the supported symmetric kind.
     """
     n = pres.n
+    if len(gamma) != n or any(g.is_zero for g in gamma):
+        raise ValueError("gamma must be one nonzero scalar per generator")
     one = Coeff.one(pres.root)
-    gamma = generator_scalars(
-        pres, compute_primes(pres).eta_data, lambda j: pi_f_data(u_element(pres, j, 1), j, 1)
-    )
     delta = {
         (k, j): tuple(
             (f, c * gamma[k] * gamma[j] * _gamma_power(gamma, f, one).inv())
@@ -496,7 +496,7 @@ def rescale_generators(pres: Presentation):
             raise ValueError(
                 f"rescaling failed to normalize the leading scalar at {i}"
             )
-    return gamma, rescaled, seq2
+    return rescaled, seq2
 
 
 def _gamma_power(gamma: Sequence[Coeff], f: Sequence[int], one: Coeff) -> Coeff:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bicharacter import ExpMatrix, _pairing, _symmetrization, exp_mat_product, omega
-from .linalg import det
+from .bicharacter import ExpMatrix, _pairing, _symmetrization, omega
 from .scalarfield import Coeff, TermSum, _add_term, _q_power
 
 
@@ -140,34 +139,26 @@ def frame_value(frame: ToricFrame, g: Sequence[int]):
     return frame.one if out is None else out
 
 
-def reindex_frame(frame: ToricFrame, sigma_cols: Sequence[Sequence[int]]) -> ToricFrame:
-    """The composed frame M o sigma for unimodular sigma.
+def reindex_frame(frame: ToricFrame, perm: Sequence[int]) -> ToricFrame:
+    """The frame relabeled by a permutation: its direction k is perm[k].
 
-    sigma is given by its columns sigma(e_k); the new frame has images
-    M(sigma(e_k)) and exponent matrix sigma^T E sigma.  Permutations are
-    the columns [e_{perm[k]} for k].
+    This is the composed frame M o sigma for the permutation matrix
+    sigma e_k = e_perm[k].  Its images are M(e_perm[k]) = images[perm[k]],
+    a basis vector's symmetrization being 0, and its exponent matrix
+    sigma^T E sigma has entries E[perm[a]][perm[b]] over the same den.  So
+    the new frame's value at g' with g'[k] = g[perm[k]] is M(g).
+    tests/oracles.py keeps the route for any sigma in GL_N(Z).
     """
-    n = frame.n
-    cols = [tuple(int(x) for x in c) for c in sigma_cols]
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise ValueError("sigma must be a square integer matrix of frame size")
-    if abs(det(cols)) != 1:
-        raise ValueError("sigma is not invertible over the integers")
-    sigma_rows = [[cols[k][i] for k in range(n)] for i in range(n)]
+    if sorted(perm) != list(range(frame.n)):
+        raise ValueError("perm is not a permutation of the frame's directions")
+    emat = frame.emat
+    num = emat.num
     return ToricFrame(
-        exp_mat_product(frame.emat, sigma_rows),
-        [frame_value(frame, cols[k]) for k in range(n)],
+        ExpMatrix._make(tuple(tuple(num[a][b] for b in perm) for a in perm), emat.den),
+        [frame.images[k] for k in perm],
         frame.one,
         frame.root,
     )
-
-
-def permutation_cols(perm: Sequence[int]):
-    """Columns of the matrix sending e_k to e_{perm[k]}."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    return [tuple(1 if i == perm[k] else 0 for i in range(n)) for k in range(n)]
 
 
 def check_frame_identity(frame: ToricFrame, target, combos) -> bool:

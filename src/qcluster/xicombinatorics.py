@@ -102,7 +102,7 @@ class TauPresentation:
     """
 
     __slots__ = (
-        "pres", "tau", "eta_tau", "bullet", "sigma", "frame", "image_weights", "ex"
+        "pres", "tau", "eta_tau", "sigma", "frame", "image_weights", "ex"
     )
 
     def __init__(
@@ -110,7 +110,6 @@ class TauPresentation:
         pres: Presentation,
         tau: Tuple[int, ...],
         eta_tau: Tuple[int, ...],
-        bullet: Tuple[int, ...],
         sigma: Tuple[int, ...],
         frame: ToricFrame,
         image_weights: list,
@@ -119,7 +118,6 @@ class TauPresentation:
         self.pres = pres
         self.tau = tau
         self.eta_tau = eta_tau
-        self.bullet = bullet
         self.sigma = sigma
         self.frame = frame
         self.image_weights = image_weights
@@ -206,7 +204,7 @@ def frame_for_tau(pres: Presentation, tau: Sequence[int]) -> TauPresentation:
         entries[sigma[k]] = _span(pres, start, end)
     frame, weights = _span_frame(pres, entries)
     return TauPresentation(
-        pres, tau, eta_tau, bullet, sigma, frame, weights, ed.exchangeable()
+        pres, tau, eta_tau, sigma, frame, weights, ed.exchangeable()
     )
 
 

@@ -6,8 +6,11 @@ with proportionality_scalar the frame matrices against their images'
 commutation (qtorus), permuted and restricted the reindexed and interval
 exponent matrices (bicharacter, tests/restriction.py),
 normality_scalar the commutation of each prime with the generators
-(primeseq), frame_value_by_products the frame values as |g_k| products
-per direction from the scaled unit (qtorus), poly_str the Fraction
+(primeseq), solved_gamma the generator rescaling from the loaded
+algebra's own primes and windows (primeseq.rescale_generators),
+frame_value_by_products the frame values as |g_k| products
+per direction from the scaled unit and reindex_by_columns the composed
+frame M o sigma for any sigma in GL_N(Z) (qtorus), poly_str the Fraction
 formatting of Coeff reprs and quotient_by_inverse the centering
 coefficients through a gcd (scalarfield).  Like tests/restriction.py and tests/factors.py, they keep a
 route the package replaced or never needed, so the tests can compare.
@@ -16,10 +19,11 @@ route the package replaced or never needed, so the tests can compare.
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from qcluster.bicharacter import ExpMatrix, omega, symmetrization
+from qcluster.bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
+from qcluster.linalg import det
 from qcluster.orealgebra import Presentation
-from qcluster.primeseq import compute_primes
-from qcluster.qtorus import TorusElement
+from qcluster.primeseq import compute_primes, generator_scalars, pi_f_data, u_element
+from qcluster.qtorus import ToricFrame, TorusElement, frame_value
 from qcluster.scalarfield import Coeff
 
 
@@ -109,6 +113,14 @@ def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
     return omega(pres.lam, seq.eta_data.ebar[k], unit)
 
 
+def solved_gamma(pres: Presentation) -> List:
+    """The gamma of primeseq.rescale_generators, solved from pres's primes
+    and each u(j, 1) formed again, as rescale_generators once solved it."""
+    return generator_scalars(
+        pres, compute_primes(pres).eta_data, lambda j: pi_f_data(u_element(pres, j, 1), j, 1)
+    )
+
+
 def poly_str(p: dict, root: int, d: int) -> str:
     """p/d as a sum of q powers, highest first, through two Fractions per
     term: scalarfield._poly_str before it formatted integers."""
@@ -159,3 +171,24 @@ def frame_value_by_products(frame, g):
         for _ in range(abs(e)):
             out = out * factor
     return out
+
+
+def reindex_by_columns(frame, sigma_cols):
+    """The composed frame M o sigma for unimodular sigma, as
+    qtorus.reindex_frame formed it for any sigma: sigma is given by its
+    columns sigma(e_k), the new frame has images M(sigma(e_k)) and exponent
+    matrix sigma^T E sigma.  A permutation is the columns [e_perm[k] for k].
+    """
+    n = frame.n
+    cols = [tuple(int(x) for x in c) for c in sigma_cols]
+    if len(cols) != n or any(len(c) != n for c in cols):
+        raise ValueError("sigma must be a square integer matrix of frame size")
+    if abs(det(cols)) != 1:
+        raise ValueError("sigma is not invertible over the integers")
+    sigma_rows = [[cols[k][i] for k in range(n)] for i in range(n)]
+    return ToricFrame(
+        exp_mat_product(frame.emat, sigma_rows),
+        [frame_value(frame, cols[k]) for k in range(n)],
+        frame.one,
+        frame.root,
+    )

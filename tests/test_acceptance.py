@@ -11,7 +11,7 @@ import time
 from itertools import permutations
 
 from qcluster.bicharacter import exp_mat_product, omega
-from qcluster.cli import chain_walk
+from qcluster.cli import Session, chain_walk
 from qcluster.exchangesolver import (
     btilde_for_tau,
     first_column_crosscheck,
@@ -40,12 +40,7 @@ from qcluster.primeseq import (
     rescale_generators,
     u_element,
 )
-from qcluster.qtorus import (
-    check_frame_identity,
-    frame_value,
-    permutation_cols,
-    reindex_frame,
-)
+from qcluster.qtorus import check_frame_identity, frame_value, reindex_frame
 from qcluster.scalarfield import Coeff
 from qcluster.bicharacter import symmetrization
 from qcluster.xicombinatorics import (
@@ -57,6 +52,7 @@ from qcluster.xicombinatorics import (
 )
 from qcluster.schubertdata import CartanData, compatibility_sweep
 from factors import e_matrix, factor_mutate
+from oracles import solved_gamma
 from words import exchange_matrix_for_word
 
 
@@ -107,7 +103,8 @@ def test_criterion_02_difference_elements_are_scaled_monomials():
         seq = compute_primes(pres)
         ed = seq.eta_data
         q = Coeff.q_power(1, pres.root)
-        gamma, rescaled, _ = rescale_generators(pres)
+        gamma = solved_gamma(pres)
+        rescaled, _ = rescale_generators(pres, gamma)
         assert all(g.is_one for g in gamma)
         assert rescaled.delta == pres.delta
         for i in range(pres.n):
@@ -183,7 +180,7 @@ def test_criterion_05_randomized_mutation_invariants():
 
         perm = list(range(2 * n))
         rng.shuffle(perm)
-        re = reindex_frame(seed.frame, permutation_cols(perm))
+        re = reindex_frame(seed.frame, perm)
         g = tuple(rng.randint(-2, 2) for _ in range(2 * n))
         moved = tuple(g[perm[t]] for t in range(2 * n))
         assert frame_value(re, moved) == frame_value(seed.frame, g)
@@ -196,7 +193,7 @@ def test_criterion_05_randomized_mutation_invariants():
 def test_criterion_06_chain_law_on_2x3():
     pres = quantum_matrix_preset(2, 3)
     assert len(gamma_chain(6)) == 16
-    steps = chain_walk(pres)
+    steps = chain_walk(Session(None, pres))
     assert len(steps) == 15
     mutated = [s["mutated_at"] for s in steps if s["mutated_at"] is not None]
     assert len(mutated) == 2

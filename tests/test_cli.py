@@ -371,7 +371,7 @@ print(code, payload["ok"], payload["checks"]["bmatrix"])
 session = cli.Session(None, quantum_matrix_preset(3, 3))
 session.frames[4].image_weights[0] = (9,) * len(session.frames[4].image_weights[0])
 try:
-    cli._walk(session)
+    cli.chain_walk(session)
 except AssertionError as e:
     print("chain:", e)
 """
@@ -858,7 +858,7 @@ def test_verify_builds_once(capsys, monkeypatch):
     identity = tuple(gamma_chain(6)[0])
     assert solved == [identity]
     solved.clear()
-    cli.chain_walk(quantum_matrix_preset(2, 3))
+    cli.chain_walk(cli.Session(None, quantum_matrix_preset(2, 3)))
     assert solved == [identity]
 
 
@@ -937,8 +937,10 @@ def test_verify_forms_each_u_once(capsys, monkeypatch, shape, windows):
 
 def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
     """The seeded twists have a nontrivial gamma, so the intervals check
-    builds the rescaled algebra through rescale_generators, which computes
-    the primes of both algebras again; the check passes on each, as before."""
+    builds the rescaled algebra through rescale_generators.  It hands over
+    the gamma it solved from the session's windows, so only the rescaled
+    algebra's primes and windows are formed again, and each u(j, 1) of the
+    loaded algebra once; the check passes on each, as before."""
     rng = random.Random(7)
     for shape in ((2, 3), (2, 3), (3, 3)):
         path = tmp_path / "twist.json"
@@ -947,10 +949,13 @@ def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
             ["--cmd", "verify", "--preset", "custom", "--file", str(path)]))
         session.pres
         calls = _count_calls(monkeypatch, "compute_primes")
+        u_calls = _count_calls(monkeypatch, "u_element")
         built = _count_builds(monkeypatch)
         assert cli._run_check(session, "intervals") == "pass"
         assert len(built) == 1, shape
-        assert [p is session.pres for p in calls] == [True, True, False], shape
+        assert [p is session.pres for p in calls] == [True, False], shape
+        windows = sum(j is not None for j in session.primes.eta_data.s)
+        assert sum(p is session.pres for p in u_calls) == windows, shape
         monkeypatch.undo()
 
 

@@ -22,6 +22,7 @@ from qcluster.xicombinatorics import (
     gamma_chain_swaps,
     identity_frame,
 )
+from oracles import solved_gamma
 from restriction import embed_interval, restrict_presentation
 from symmetrizers import skew_symmetrizable, symmetrizers_from_scalars
 
@@ -122,7 +123,7 @@ def test_windows_match_the_restricted_route():
     of two rescaled presets."""
     shapes = [(m, n) for m in range(1, 6) for n in range(1, 6) if m * n <= 20]
     cases = [quantum_matrix_preset(m, n) for m, n in shapes]
-    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     windows = 0
     for pres in cases:
         ed = compute_primes(pres).eta_data
@@ -156,7 +157,7 @@ def _carried(pres, monkeypatch):
     real = cli.certify_btilde
     monkeypatch.setattr(cli, "certify_btilde", certify)
     session = cli.Session(None, pres)
-    steps = cli._walk(session)
+    steps = cli.chain_walk(session)
     frames = session.frames
     bt = session.identity[1]
     carried, mutations = [bt], iter(certified)
@@ -228,7 +229,7 @@ def test_certificate_rejects_the_wrong_direction(monkeypatch):
     real = cli.mutate_matrix
     monkeypatch.setattr(cli, "mutate_matrix", wrong)
     with pytest.raises(AssertionError, match="exchange matrix does not mutate"):
-        cli.chain_walk(pres)
+        cli.chain_walk(cli.Session(None, pres))
 
 
 def test_walk_checks_the_mutated_weight():
@@ -239,4 +240,4 @@ def test_walk_checks_the_mutated_weight():
     tq = session.frames[4]
     tq.image_weights[0] = tuple(x + 1 for x in tq.image_weights[0])
     with pytest.raises(AssertionError, match="step 3: weight of image 0 does not mutate"):
-        cli._walk(session)
+        cli.chain_walk(session)

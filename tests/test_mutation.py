@@ -32,7 +32,6 @@ from qcluster.qtorus import (
     ToricFrame,
     TorusElement,
     frame_value,
-    permutation_cols,
     reindex_frame,
 )
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
@@ -284,7 +283,7 @@ def test_frame_reindex_respects_mutation():
         n = emat.n
         perm = list(range(n))
         rng.shuffle(perm)
-        re = reindex_frame(s1.frame, permutation_cols(perm))
+        re = reindex_frame(s1.frame, perm)
         # the mutated image is a two-term sum, so its exponent stays >= 0
         g = tuple(
             rng.randint(0, 2) if t == k else rng.randint(-2, 2) for t in range(n)

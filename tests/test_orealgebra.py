@@ -23,6 +23,7 @@ from qcluster.orealgebra import (
     weight_of,
 )
 from qcluster.primeseq import rescale_generators
+from oracles import solved_gamma
 from qcluster.scalarfield import Coeff, div_right
 
 PRES = quantum_matrix_preset(2, 2)
@@ -183,7 +184,7 @@ def test_presets_pass_the_overlap_certificate(monkeypatch):
 
     monkeypatch.setattr(primeseq, "check_cgl", unexpected)
     presets = [quantum_matrix_preset(m, n) for m in range(1, 6) for n in range(1, 6)]
-    rescaled = [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    rescaled = [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     for pres in presets + rescaled:
         assert pres in _CERTIFIED
         check_cgl(pres)

@@ -41,7 +41,7 @@ from qcluster.primeseq import (
 )
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
-from oracles import normality_scalar, proportionality_scalar, quotient_by_inverse
+from oracles import normality_scalar, proportionality_scalar, quotient_by_inverse, solved_gamma
 from restriction import embed_interval, restrict_presentation
 from scan import certify_prime, scan_primes
 from twists import random_twist
@@ -217,11 +217,22 @@ def test_u_elements():
 
 
 def test_rescaling_is_trivial_for_quantum_matrices():
-    gamma, rescaled, seq2 = rescale_generators(P23)
+    gamma = solved_gamma(P23)
+    rescaled, seq2 = rescale_generators(P23, gamma)
     assert all(g.is_one for g in gamma)
     assert rescaled.delta == P23.delta
     seq = compute_primes(P23)
     assert [e.terms for e in seq2.y] == [e.terms for e in seq.y]
+
+
+def test_rescaling_rejects_a_gamma_that_is_no_automorphism():
+    """The certificate passes to the rescaled algebra only for one nonzero
+    gamma_i per generator."""
+    gamma = solved_gamma(P23)
+    zero = Coeff.one(P23.root) - Coeff.one(P23.root)
+    for bad in (gamma[:-1], gamma + gamma[:1], [zero] + gamma[1:]):
+        with pytest.raises(ValueError, match="^gamma must be one nonzero scalar per generator$"):
+            rescale_generators(P23, bad)
 
 
 def is_normal_in_stage(pres, a, k):
@@ -261,7 +272,8 @@ def _oracle_cases():
     shapes = [(m, n) for m in range(2, 6) for n in range(2, 6)]
     cases = [(f"{m}x{n}", quantum_matrix_preset(m, n)) for m, n in shapes]
     for m, n in ((2, 3), (3, 3)):
-        rescaled = rescale_generators(quantum_matrix_preset(m, n))[1]
+        pres = quantum_matrix_preset(m, n)
+        rescaled = rescale_generators(pres, solved_gamma(pres))[0]
         cases.append((f"rescaled-{m}x{n}", rescaled))
     p45 = quantum_matrix_preset(4, 5)
     ed = compute_primes(p45).eta_data
@@ -313,7 +325,7 @@ def test_recursion_matches_the_scan_on_every_range(monkeypatch):
         primeseq, "apply_sigma_delta", lambda pres, *a: calls.append(pres) or real(pres, *a)
     )
     cases = [quantum_matrix_preset(m, n) for m in range(2, 6) for n in range(2, 6)]
-    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     rng = random.Random(7)
     twisted = [random_twist(quantum_matrix_preset(m, n), rng) for m, n in ((2, 3), (2, 3), (3, 3))]
     for pres in twisted:
@@ -348,7 +360,7 @@ def test_centering_quotients_match_the_inverse_route(monkeypatch):
 
     monkeypatch.setattr(primeseq, "_div_laurent", recorded)
     cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 5)]
-    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     stages = 0
     for pres in cases:
         for lo in range(pres.n):
@@ -450,7 +462,7 @@ def test_interval_primes_match_the_restricted_route():
     """interval_prime runs the recursion inside the algebra; the reference
     restricts the algebra to the interval's generators and runs it there."""
     cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 6)]
-    cases += [rescale_generators(quantum_matrix_preset(m, n))[1] for m, n in ((2, 3), (3, 3))]
+    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     for pres in cases:
         ed = compute_primes(pres).eta_data
         for i in range(pres.n):

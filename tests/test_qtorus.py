@@ -16,12 +16,18 @@ from qcluster.qtorus import (
     TorusElement,
     check_frame_identity,
     frame_value,
-    permutation_cols,
     reindex_frame,
     torus_mul,
 )
 from qcluster.scalarfield import Coeff, div_right
-from oracles import frame_value_by_products, matrix_from_images, permuted, proportionality_scalar
+from qcluster.xicombinatorics import identity_frame
+from oracles import (
+    frame_value_by_products,
+    matrix_from_images,
+    permuted,
+    proportionality_scalar,
+    reindex_by_columns,
+)
 
 ROOT = 2
 BASE = ExpMatrix.from_upper(
@@ -113,26 +119,73 @@ def test_matrix_recovery_rejects_non_frame():
 def test_reindex_by_permutation():
     frame = basis_frame()
     perm = (2, 0, 1)
-    re = reindex_frame(frame, permutation_cols(perm))
+    re = reindex_frame(frame, perm)
     for k in range(3):
-        assert re.images[k] == frame.images[perm[k]]
+        assert re.images[k] is frame.images[perm[k]]
     assert re.emat == permuted(BASE, perm)
+
+
+def permutation_cols(perm):
+    """Columns of the matrix sending e_k to e_perm[k]."""
+    return [tuple(int(i == p) for i in range(len(perm))) for p in perm]
+
+
+def _same_frame(frame, perm):
+    """The relabeling and the oracle's composed frame agree."""
+    re = reindex_frame(frame, perm)
+    want = reindex_by_columns(frame, permutation_cols(perm))
+    assert re.emat == want.emat, perm
+    assert re.images == want.images, perm
+    assert re.one is frame.one and re.root == frame.root
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reindex_matches_the_oracle_on_torus_seeds(n):
+    """Seeded permutations of random compatible pairs, before and after a
+    mutation, whose new image is a two-term sum."""
+    rng = random.Random(40 + n)
+    for _ in range(5):
+        emat, bmat, _ = random_compatible_pair(rng, n)
+        seed = seed_from_pair(emat, bmat)
+        for frame in (seed.frame, mutate_seed(seed, rng.choice(bmat.ex)).frame):
+            for _ in range(4):
+                perm = list(range(2 * n))
+                rng.shuffle(perm)
+                _same_frame(frame, perm)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)],
+                         ids=["2x2", "2x3", "3x2", "3x3"])
+def test_reindex_matches_the_oracle_on_pbw_identity_frames(shape):
+    frame = identity_frame(quantum_matrix_preset(*shape)).frame
+    rng = random.Random(sum(shape))
+    for _ in range(3):
+        perm = list(range(frame.n))
+        rng.shuffle(perm)
+        _same_frame(frame, perm)
+
+
+@pytest.mark.parametrize("perm", [(0, 1), (0, 1, 2, 3), (0, 1, 1), (2, 0, 2)],
+                         ids=["short", "long", "repeated", "repeated-first"])
+def test_reindex_rejects_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="^perm is not a permutation of the frame's directions$"):
+        reindex_frame(basis_frame(), perm)
 
 
 @given(vectors)
 def test_reindex_invariance(g):
-    """Y^(f) = Y_sigma^(sigma^-1 f) for an integer shear sigma."""
+    """Y^(f) = Y_sigma^(sigma^-1 f) for an integer shear sigma (oracle)."""
     frame = basis_frame()
     cols = [(1, 0, 0), (2, 1, 0), (0, 0, 1)]  # sigma: e1 -> e1 + 2 e0
     inv_rows = [[1, -2, 0], [0, 1, 0], [0, 0, 1]]
-    re = reindex_frame(frame, cols)
+    re = reindex_by_columns(frame, cols)
     pre = tuple(sum(r * x for r, x in zip(row, g)) for row in inv_rows)
     assert frame_value(re, pre) == frame_value(frame, g)
 
 
 def test_reindex_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        reindex_frame(basis_frame(), [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+        reindex_by_columns(basis_frame(), [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_proportionality_scalar():

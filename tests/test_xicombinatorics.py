@@ -87,7 +87,7 @@ def test_reversal_frame_images():
     tp = frame_for_tau(P22, tau)
     # images sit at bullet-relabeled slots: the level set {0, 3} puts the
     # single prime t22 at slot 0 and the full-chain minor at slot 3
-    assert tp.bullet == (3, 1, 2, 0)
+    assert tp.sigma == (0, 2, 1, 3)  # sigma[k] = tau_bullet[tau[k]] = (3, 1, 2, 0)[tau[k]]
     assert tp.frame.images[0] == P22.gen(3)
     assert tp.frame.images[1] == P22.gen(1)
     assert tp.frame.images[2] == P22.gen(2)
