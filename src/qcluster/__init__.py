@@ -9,7 +9,8 @@ The package is organized bottom-up:
 * ``qtorus``        based quantum torus elements and toric frames
 * ``mutation``      compatible pairs, exchange matrices, seed mutation
 * ``orealgebra``    PBW presentations of iterated skew polynomial rings
-* ``primeseq``      sequences of normal prime elements and interval data
+* ``primeseq``      sequences of normal prime elements, interval primes and
+                    the windows (i, m): u with its leading data (pi, f)
 * ``xicombinatorics`` interval-prefix orderings and their frames
 * ``exchangesolver`` exact linear solver for exchange-matrix columns
 * ``schubertdata``  Weyl/root lattice data for quantized Schubert cells
@@ -53,9 +54,9 @@ from .primeseq import (
     PrimeSequence,
     compute_primes,
     interval_prime,
-    pi_f_data,
     rescale_generators,
     u_element,
+    window,
 )
 from .xicombinatorics import (
     TauPresentation,
@@ -118,9 +119,9 @@ __all__ = [
     "PrimeSequence",
     "compute_primes",
     "interval_prime",
-    "pi_f_data",
     "rescale_generators",
     "u_element",
+    "window",
     "TauPresentation",
     "frame_for_tau",
     "gamma_chain",

@@ -378,6 +378,21 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
     t{r+1}{c+1}.  Same-row and same-column pairs q-commute; strictly
     southeast pairs carry the standard derivation term.  Weights live in
     Z^(m+n), the row/column torus.
+
+    It is a CGL extension for every shape, so it skips check_cgl.
+    Overlaps: the rule of a pair j < k depends only on where the two cells
+    lie relative to each other, and its delta monomial lies in the pair's
+    rows and columns, so rewriting x_k x_j x_i stays in the sub-grid of the
+    three cells' rows and columns, at most 3 x 3.  Row-major order restricted
+    to a sub-grid is the sub-grid's own, so the overlap resolves as it does
+    in quantum_matrix_preset(r, c) for some r, c <= 3, which a test
+    certifies.  The rest of check_cgl in closed form: a delta monomial has
+    the rows and columns of its pair, so every h_(r,c) = a_r + b_c lies in
+    V, and stage k takes h = -[r = r_k] - [c = c_k], which gives lam[k][j]
+    for j < k and h_k = -2 = lambda_diag[k], not 0; delta_k(x_j) lies in
+    the row and column of x_k, where delta_k vanishes, so the graph of
+    local nilpotence has no edges.  tests/test_orealgebra.py checks these
+    premises on every shape up to 8x8.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix shape must be positive")
@@ -413,7 +428,7 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
     pres = Presentation(
         lam, delta, weights, [-2] * N, [2] * N, eta=eta, names=names, root=root
     )
-    _CERTIFIED.add(pres)  # code, not input: certified by a test up to 5x5
+    _CERTIFIED.add(pres)  # code, not input: certified by the proof above
     return pres
 
 
@@ -437,7 +452,7 @@ def check_overlaps(pres: Presentation) -> None:
 
     Presentations built from a certified one inherit the certificate:
     ``rescale_generators`` applies the automorphism x_i -> gamma_i x_i of
-    the free algebra for the nonzero gamma its caller solved, which sends
+    the free algebra for the nonzero gamma it solves, which sends
     each rule to a nonzero multiple of a rule and so each reduction to a
     reduction.  Where the rules among x_j..x_k have
     right-hand sides in that range (``primeseq._check_range``), their
@@ -446,11 +461,9 @@ def check_overlaps(pres: Presentation) -> None:
     windows run inside the certified algebra and need no certificate of
     their own.
 
-    The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU),
-    a large share of a request on those shapes.  So it runs within
-    :func:`check_cgl` on every load, and the built-in
-    ``quantum_matrix_preset``, which is code rather than input, is certified
-    by a test over every shape up to 5x5 instead.
+    The check costs 0.07 s at 4x5 and 0.17 s at 5x5 (Python 3.11, 2 vCPU).
+    It runs within :func:`check_cgl` on every load; the built-in
+    ``quantum_matrix_preset`` is certified by the proof in its docstring.
     """
     gens = [pres.gen(i) for i in range(pres.n)]
     for k in range(pres.n):
@@ -468,8 +481,8 @@ def check_overlaps(pres: Presentation) -> None:
 
 
 # Presentations proved CGL extensions: by check_cgl, or by construction
-# (quantum_matrix_preset, and primeseq.rescale_generators of a certified
-# algebra by a nonzero gamma)
+# (quantum_matrix_preset, by the proof in its docstring, and
+# primeseq.rescale_generators of a certified algebra)
 _CERTIFIED: "weakref.WeakSet[Presentation]" = weakref.WeakSet()
 
 

@@ -16,8 +16,12 @@ prime, the normalized image that toric frames share and its weight; it
 keeps the nu-pairing of each span pair that frames read their exponent
 matrices from), the
 two-by-two difference elements u built from neighbouring interval primes,
-their leading coefficients and exponents (pi, f), and the generator
-rescaling that normalizes those leading coefficients.
+and the windows: window(pres, i, m) is the one owner of the window from i
+to s^m(i), its end, u and u's leading coefficient and exponent (pi, f),
+formed once per presentation in the same memo.  From the length-one
+windows come the generator rescaling gamma that normalizes the leading
+coefficients (generator_scalars) and the rescaled algebra
+(rescale_generators).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -178,15 +183,17 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
 
 # Per presentation (_memo), the stages run from each start (and how many of
 # them have had their leading term checked), the checked _Range of each range,
-# the checked _Span of each chain span and the pairing table, where
+# the checked _Span of each chain span, the pairing table, where
 # pairings[a][b] = den * vec_a^T nu vec_b for the spans with ids a and b
-# (_span_pairings): term dicts, tuples, lists and ints, so no entry refers back
-# to its presentation or outlives it.
+# (_span_pairings), and each window (i, m) as (top, u's terms, pi, f): term
+# dicts, tuples, lists, ints and scalars, so no entry refers back to its
+# presentation or outlives it.
 class _Memo:
-    __slots__ = ("runs", "checked", "spans", "pairings")
+    __slots__ = ("runs", "checked", "spans", "pairings", "windows")
 
     def __init__(self):
         self.runs, self.checked, self.spans, self.pairings = {}, {}, {}, []
+        self.windows = {}
 
 
 _MEMO: "weakref.WeakKeyDictionary[Presentation, _Memo]" = weakref.WeakKeyDictionary()
@@ -419,12 +426,21 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
     return u
 
 
-def pi_f_data(u: PBWElement, i: int, m: int):
-    """Leading coefficient and exponent of the difference element u at (i, m)."""
-    if u.is_zero:
-        raise ValueError(f"difference element [{i}, m={m}] vanishes")
-    f, lead = leading_term(u)
-    return lead, f
+def window(pres: Presentation, i: int, m: int):
+    """(top, u, pi, f) of the window from i to top = s^m(i): the difference
+    element u = u_element(pres, i, m) and its leading coefficient pi and
+    exponent f, formed on first use.  A failing window is not kept, so it
+    fails alike each time."""
+    windows = _memo(pres).windows
+    if (i, m) not in windows:
+        top = _primes(pres, 0, pres.n - 1).eta_data.succ_power(i, m)
+        u = u_element(pres, i, m)
+        if u.is_zero:
+            raise ValueError(f"difference element [{i}, m={m}] vanishes")
+        f, pi = leading_term(u)
+        windows[(i, m)] = (top, u.terms, pi, f)
+    top, terms, pi, f = windows[(i, m)]
+    return top, PBWElement(pres, terms), pi, f
 
 
 def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Fraction:
@@ -435,38 +451,49 @@ def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Frac
     return symmetrization(nu, g)
 
 
-def generator_scalars(pres: Presentation, ed: EtaData, window) -> List[Coeff]:
-    """The gamma for rescale_generators, from pres's level-set data ed and
-    window(j) = (pi, f) of u(j, 1): gamma_i = 1 where p(i) is None, else
-    gamma_i = gamma_j**-1 gamma**f pi**-1 q**S(j, f) for j = p(i), the
-    rescaled algebra's equation pi' = q**S(j, f) solved for gamma_i."""
+def generator_scalars(pres: Presentation) -> List[Coeff]:
+    """The gamma that rescale_generators applies, from the length-one
+    windows of pres: gamma_i = 1 where p(i) is None, else
+    gamma_i = gamma_j**-1 gamma**f pi**-1 q**S(j, f) with (pi, f) the
+    leading data of u(j, 1), j = p(i), the rescaled algebra's equation
+    pi' = q**S(j, f) solved for gamma_i (rescale_generators' docstring).
+    f lies strictly between j and i, so gamma**f reads only gamma_t, t < i,
+    and each gamma_i is a product of nonzero scalars."""
+    ed = _primes(pres, 0, pres.n - 1).eta_data
     one = Coeff.one(pres.root)
     gamma: List[Coeff] = [one] * pres.n
     for i in range(pres.n):
         j = ed.p[i]
         if j is not None:
-            pi, f = window(j)
+            _, _, pi, f = window(pres, j, 1)
             target = Coeff.q_power(interval_scalar_target(pres, j, f), pres.root)
             gamma[i] = gamma[j].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
     return gamma
 
 
-def rescale_generators(pres: Presentation, gamma: Sequence[Coeff]):
+def rescale_generators(pres: Presentation):
     """pres with x_i -> gamma_i x_i, for the gamma of generator_scalars,
     which makes every length-one pi match its normalized target.
+    Returns (rescaled presentation, its prime sequence).
 
-    The rescaled presentation inherits the certificate of pres for any
+    The rescaled presentation R' inherits the certificate of pres for any
     nonzero gamma: its overlaps by the argument in
     orealgebra.check_overlaps, and the rest of check_cgl, which reads only
     lam, lambda_diag and the delta monomials, all unchanged.
 
-    Returns (rescaled presentation, its prime sequence); raises ValueError
-    when the rescaled presentation fails the target equations, which would
-    mean the input is not of the supported symmetric kind.
+    The windows of R' need no check.  phi: x'_i -> gamma_i x_i is an
+    isomorphism R' -> R (R' has the delta coefficients c gamma_k gamma_j /
+    gamma**f) that sends x'^f to gamma**f x^f, so it keeps the level sets
+    and leading exponents.  It sends y'_k, the homogeneous prime of R'_k
+    outside R'_(k-1) with leading coefficient 1, to such a prime of R_k,
+    unique up to the scalar its leading term shows: gamma**ebar_k y_k.
+    Likewise the interval prime of [i, s(i)] goes to gamma_i gamma_s(i)
+    times that of R, so u'(i, 1) to gamma_i gamma_s(i) u(i, 1).  Thus u'
+    has u's leading exponent f and pi' = gamma_i gamma_s(i) gamma**-f pi,
+    which is q**S(i, f) (nu is R's): the equation generator_scalars solves
+    for gamma_s(i).  tests/oracles.py keeps the check (check_rescaled_windows).
     """
-    n = pres.n
-    if len(gamma) != n or any(g.is_zero for g in gamma):
-        raise ValueError("gamma must be one nonzero scalar per generator")
+    gamma = generator_scalars(pres)
     one = Coeff.one(pres.root)
     delta = {
         (k, j): tuple(
@@ -486,22 +513,8 @@ def rescale_generators(pres: Presentation, gamma: Sequence[Coeff]):
         root=pres.root,
     )
     _CERTIFIED.add(rescaled)
-    seq2 = compute_primes(rescaled)
-    for i in range(n):
-        if seq2.eta_data.s[i] is None:
-            continue
-        pi2, f2 = pi_f_data(u_element(rescaled, i, 1), i, 1)
-        want = Coeff.q_power(interval_scalar_target(rescaled, i, f2), pres.root)
-        if pi2 != want:
-            raise ValueError(
-                f"rescaling failed to normalize the leading scalar at {i}"
-            )
-    return rescaled, seq2
+    return rescaled, compute_primes(rescaled)
 
 
 def _gamma_power(gamma: Sequence[Coeff], f: Sequence[int], one: Coeff) -> Coeff:
-    out = one
-    for t, x in enumerate(f):
-        if x:
-            out = out * gamma[t] ** x
-    return out
+    return prod((g ** x for g, x in zip(gamma, f) if x), start=one)

@@ -6,8 +6,9 @@ with proportionality_scalar the frame matrices against their images'
 commutation (qtorus), permuted and restricted the reindexed and interval
 exponent matrices (bicharacter, tests/restriction.py),
 normality_scalar the commutation of each prime with the generators
-(primeseq), solved_gamma the generator rescaling from the loaded
-algebra's own primes and windows (primeseq.rescale_generators),
+(primeseq), solved_gamma the generator rescaling from each u(j, 1) formed
+again (primeseq.generator_scalars), check_rescaled_windows the rescaled
+algebra's leading scalars against their targets (primeseq.rescale_generators),
 frame_value_by_products the frame values as |g_k| products
 per direction from the scaled unit and reindex_by_columns the composed
 frame M o sigma for any sigma in GL_N(Z) (qtorus), poly_str the Fraction
@@ -21,8 +22,8 @@ from typing import List, Sequence, Tuple
 
 from qcluster.bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
 from qcluster.linalg import det
-from qcluster.orealgebra import Presentation
-from qcluster.primeseq import compute_primes, generator_scalars, pi_f_data, u_element
+from qcluster.orealgebra import Presentation, leading_term
+from qcluster.primeseq import compute_primes, interval_scalar_target, rescale_generators, u_element
 from qcluster.qtorus import ToricFrame, TorusElement, frame_value
 from qcluster.scalarfield import Coeff
 
@@ -114,11 +115,37 @@ def normality_scalar(pres: Presentation, k: int, i: int) -> Fraction:
 
 
 def solved_gamma(pres: Presentation) -> List:
-    """The gamma of primeseq.rescale_generators, solved from pres's primes
-    and each u(j, 1) formed again, as rescale_generators once solved it."""
-    return generator_scalars(
-        pres, compute_primes(pres).eta_data, lambda j: pi_f_data(u_element(pres, j, 1), j, 1)
-    )
+    """The gamma of primeseq.generator_scalars, solved from pres's primes
+    and the leading term of each u(j, 1) formed again, apart from the
+    window memo: gamma_i = gamma_j**-1 gamma**f pi**-1 q**S(j, f), j = p(i)."""
+    ed = compute_primes(pres).eta_data
+    one = Coeff.one(pres.root)
+    gamma = [one] * pres.n
+    for i, j in enumerate(ed.p):
+        if j is not None:
+            f, pi = leading_term(u_element(pres, j, 1))
+            power = one
+            for t, x in enumerate(f):
+                power = power * gamma[t] ** x
+            target = Coeff.q_power(interval_scalar_target(pres, j, f), pres.root)
+            gamma[i] = gamma[j].inv() * power * pi.inv() * target
+    return gamma
+
+
+def check_rescaled_windows(pres: Presentation):
+    """rescale_generators(pres), then each u'(i, 1) of the rescaled algebra
+    formed again and its leading scalar compared with its target, as
+    rescale_generators once checked before its docstring proved the check
+    redundant; ValueError on a mismatch."""
+    rescaled, seq = rescale_generators(pres)
+    for i in seq.eta_data.exchangeable():
+        u = u_element(rescaled, i, 1)
+        if u.is_zero:
+            raise ValueError(f"difference element [{i}, m=1] vanishes")
+        f, pi = leading_term(u)
+        if pi != Coeff.q_power(interval_scalar_target(rescaled, i, f), pres.root):
+            raise ValueError(f"rescaling failed to normalize the leading scalar at {i}")
+    return rescaled, seq
 
 
 def poly_str(p: dict, root: int, d: int) -> str:

@@ -36,9 +36,9 @@ from qcluster.primeseq import (
     compute_primes,
     interval_prime,
     interval_scalar_target,
-    pi_f_data,
     rescale_generators,
     u_element,
+    window,
 )
 from qcluster.qtorus import check_frame_identity, frame_value, reindex_frame
 from qcluster.scalarfield import Coeff
@@ -104,7 +104,7 @@ def test_criterion_02_difference_elements_are_scaled_monomials():
         ed = seq.eta_data
         q = Coeff.q_power(1, pres.root)
         gamma = solved_gamma(pres)
-        rescaled, _ = rescale_generators(pres, gamma)
+        rescaled, _ = rescale_generators(pres)
         assert all(g.is_one for g in gamma)
         assert rescaled.delta == pres.delta
         for i in range(pres.n):
@@ -115,7 +115,7 @@ def test_criterion_02_difference_elements_are_scaled_monomials():
             )
             u = u_element(pres, i, 1)
             assert u.terms == {expected: q}
-            pi, f = pi_f_data(u, i, 1)
+            pi, f = window(pres, i, 1)[2:]
             assert f == expected
             assert pi == q
             assert pi == Coeff.q_power(interval_scalar_target(pres, i, f), pres.root)
@@ -233,7 +233,7 @@ def test_criterion_08_interval_identities_and_bracketing_scalar():
             fr = interval_frame(pres, i, m)
             w = top - i + 1
             u = u_element(pres, i, m)
-            pi, f = pi_f_data(u, i, m)
+            pi, f = window(pres, i, m)[2:]
             g = window_support_vector(pres, i, m, f)
             v1 = [0] * w
             v1[0] -= 1
@@ -275,8 +275,7 @@ def test_criterion_09_first_column_crosscheck_everywhere():
         starts = [i for i in range(pres.n) if ed.s[i] is not None]
         assert starts
         for i in starts:
-            f = pi_f_data(u_element(pres, i, 1), i, 1)[1]
-            assert first_column_crosscheck(pres, i, f), (m, n, i)
+            assert first_column_crosscheck(pres, i), (m, n, i)
     print("criterion 09: PASS - first-column crosscheck holds at every "
           "successor pair of all four grids")
 

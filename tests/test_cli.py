@@ -768,7 +768,8 @@ def test_one_presentation_per_request(capsys, monkeypatch, cmd, shape, built):
 
 
 def _count_u(monkeypatch):
-    """Record each (i, m) that u_element is called with, from cli or primeseq."""
+    """Record each (i, m) that u_element is called with, from primeseq,
+    the one module that forms a window."""
     calls = []
     real = primeseq.u_element
 
@@ -776,7 +777,6 @@ def _count_u(monkeypatch):
         calls.append((i, m))
         return real(pres, i, m)
 
-    monkeypatch.setattr(cli, "u_element", u_element)
     monkeypatch.setattr(primeseq, "u_element", u_element)
     return calls
 
@@ -889,21 +889,26 @@ def test_one_session_per_request(capsys, monkeypatch, argv):
 
 
 def test_chain_walks_the_request_session(capsys, monkeypatch):
-    """The chain command runs chain_walk, the benchmark's cli layer, on the
-    request's own Session."""
+    """The chain command and verify's chain check run chain_walk, the
+    benchmark's cli layer, on the request's own Session; the check looks
+    the walk up when it runs, so a wrapper on cli.chain_walk sees it."""
     walked = []
     real = cli.chain_walk
     monkeypatch.setattr(cli, "chain_walk", lambda source: walked.append(source) or real(source))
-    rc, _, _ = run_cli(capsys, "--cmd", "chain", "--m", "2", "--n", "3")
-    assert rc == 0 and len(walked) == 1 and isinstance(walked[0], cli.Session)
+    for cmd in ("chain", "verify"):
+        walked.clear()
+        rc, _, _ = run_cli(capsys, "--cmd", cmd, "--m", "2", "--n", "3")
+        assert rc == 0 and len(walked) == 1 and isinstance(walked[0], cli.Session), cmd
 
 
 def _count_calls(monkeypatch, name):
-    """Record the presentation of each call of name, from cli or primeseq."""
+    """Record the presentation of each call of name, from cli (where it
+    imports name) or primeseq."""
     calls = []
     real = getattr(primeseq, name)
     counting = lambda pres, *args: calls.append(pres) or real(pres, *args)
-    monkeypatch.setattr(cli, name, counting)
+    if hasattr(cli, name):
+        monkeypatch.setattr(cli, name, counting)
     monkeypatch.setattr(primeseq, name, counting)
     return calls
 
@@ -924,8 +929,8 @@ def test_verify_computes_the_primes_once(monkeypatch):
 @pytest.mark.parametrize("shape, windows", [((3, 3), 5), ((3, 4), 8)], ids=["3x3", "3x4"])
 def test_verify_forms_each_u_once(capsys, monkeypatch, shape, windows):
     """intervals, interval-identity and first-column read each window's
-    (u, pi, f) from the session: one u_element per window, in cli or
-    primeseq, where the checks formed u(i, 1) again for each of the
+    (u, pi, f) from primeseq.window, which memoizes it: one u_element per
+    window, where the checks once formed u(i, 1) again for each of the
     exchangeable i and rescale_generators formed the length-one windows of
     the loaded and the rescaled algebra (3x3: 9 + 4 + 4 calls)."""
     calls = _count_u(monkeypatch)
@@ -937,10 +942,10 @@ def test_verify_forms_each_u_once(capsys, monkeypatch, shape, windows):
 
 def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
     """The seeded twists have a nontrivial gamma, so the intervals check
-    builds the rescaled algebra through rescale_generators.  It hands over
-    the gamma it solved from the session's windows, so only the rescaled
-    algebra's primes and windows are formed again, and each u(j, 1) of the
-    loaded algebra once; the check passes on each, as before."""
+    builds the rescaled algebra through rescale_generators.  gamma is
+    solved from the memoized windows, so only the rescaled algebra's primes
+    are formed again, and each u(j, 1) of the loaded algebra once; the
+    check passes on each, as before."""
     rng = random.Random(7)
     for shape in ((2, 3), (2, 3), (3, 3)):
         path = tmp_path / "twist.json"
@@ -957,15 +962,6 @@ def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
         windows = sum(j is not None for j in session.primes.eta_data.s)
         assert sum(p is session.pres for p in u_calls) == windows, shape
         monkeypatch.undo()
-
-
-def test_a_failing_interval_fails_alike_each_time():
-    """Session.interval keeps no raised exception."""
-    session = cli.Session(None, quantum_matrix_preset(2, 2))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="^index 0 has no 2-th successor$"):
-            session.interval(0, 2)
-    assert session.interval(0, 1)[0] == 3
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)],

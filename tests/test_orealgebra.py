@@ -23,7 +23,6 @@ from qcluster.orealgebra import (
     weight_of,
 )
 from qcluster.primeseq import rescale_generators
-from oracles import solved_gamma
 from qcluster.scalarfield import Coeff, div_right
 
 PRES = quantum_matrix_preset(2, 2)
@@ -184,10 +183,50 @@ def test_presets_pass_the_overlap_certificate(monkeypatch):
 
     monkeypatch.setattr(primeseq, "check_cgl", unexpected)
     presets = [quantum_matrix_preset(m, n) for m in range(1, 6) for n in range(1, 6)]
-    rescaled = [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
+    rescaled = [rescale_generators(p)[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     for pres in presets + rescaled:
         assert pres in _CERTIFIED
         check_cgl(pres)
+
+
+def test_the_preset_proof_premises_hold_up_to_8x8():
+    """The premises of the proof in quantum_matrix_preset's docstring, on
+    every shape up to 8x8.  Each pair j < k has the commutation exponent
+    and the delta term of its own cells in the preset on its rows and
+    columns (which raises where a delta monomial leaves them); each delta
+    monomial has the rows and columns of its pair, so every h_(r,c) =
+    a_r + b_c lies in check_cgl's space V, and delta_k vanishes on it; and
+    stage k's h = -[r = r_k] - [c = c_k] meets lam and lambda_diag."""
+    small = {}
+    for m in range(1, 9):
+        for n in range(1, 9):
+            pres = quantum_matrix_preset(m, n)
+            cells = [divmod(t, n) for t in range(pres.n)]
+            for k, (rk, ck) in enumerate(cells):
+                h = [-(r == rk) - (c == ck) for r, c in cells]
+                assert h[k] == pres.lam_diag[k] == -2
+                for j in range(k):
+                    (rj, cj) = cells[j]
+                    assert h[j] == pres.lam.entry(k, j)
+                    rows, cols = sorted({rj, rk}), sorted({cj, ck})
+                    shape = (len(rows), len(cols))
+                    sub = small.setdefault(shape, quantum_matrix_preset(*shape))
+                    local = lambda t: rows.index(cells[t][0]) * len(cols) + cols.index(cells[t][1])
+                    assert pres.lam.entry(k, j) == sub.lam.entry(local(k), local(j))
+                    terms = [
+                        (sorted(local(t) for t, x in enumerate(f) for _ in range(x)), c)
+                        for f, c in pres.delta.get((k, j), ())
+                    ]
+                    want = [
+                        ([t for t, x in enumerate(f) for _ in range(x)], c)
+                        for f, c in sub.delta.get((local(k), local(j)), ())
+                    ]
+                    assert terms == want, (m, n, k, j)
+                    for f, _ in pres.delta.get((k, j), ()):
+                        moved = [cells[t] for t, x in enumerate(f) for _ in range(x)]
+                        assert sorted(r for r, _ in moved) == sorted((rj, rk))
+                        assert sorted(c for _, c in moved) == sorted((cj, ck))
+                        assert not any(x and (k, t) in pres.delta for t, x in enumerate(f))
 
 
 @pytest.mark.parametrize("e", ["300000", str(10**15), "-1"])

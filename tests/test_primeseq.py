@@ -33,15 +33,22 @@ from qcluster.primeseq import (
     PrimeSequence,
     _primes,
     compute_primes,
+    generator_scalars,
     interval_prime,
     interval_scalar_target,
-    pi_f_data,
     rescale_generators,
     u_element,
+    window,
 )
 from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain, identity_frame
-from oracles import normality_scalar, proportionality_scalar, quotient_by_inverse, solved_gamma
+from oracles import (
+    check_rescaled_windows,
+    normality_scalar,
+    proportionality_scalar,
+    quotient_by_inverse,
+    solved_gamma,
+)
 from restriction import embed_interval, restrict_presentation
 from scan import certify_prime, scan_primes
 from twists import random_twist
@@ -208,7 +215,7 @@ def test_u_elements():
     for i in seq.eta_data.exchangeable():
         u = u_element(P23, i, 1)
         assert u == pbw_mul(P23.gen(i + 1), P23.gen(i + 3)).scaled(q)
-        pi, f = pi_f_data(u, i, 1)
+        pi, f = window(P23, i, 1)[2:]
         assert pi == q
         assert f == tuple(
             1 if t in (i + 1, i + 3) else 0 for t in range(6)
@@ -218,21 +225,60 @@ def test_u_elements():
 
 def test_rescaling_is_trivial_for_quantum_matrices():
     gamma = solved_gamma(P23)
-    rescaled, seq2 = rescale_generators(P23, gamma)
+    rescaled, seq2 = rescale_generators(P23)
     assert all(g.is_one for g in gamma)
     assert rescaled.delta == P23.delta
     seq = compute_primes(P23)
     assert [e.terms for e in seq2.y] == [e.terms for e in seq.y]
 
 
-def test_rescaling_rejects_a_gamma_that_is_no_automorphism():
-    """The certificate passes to the rescaled algebra only for one nonzero
-    gamma_i per generator."""
-    gamma = solved_gamma(P23)
-    zero = Coeff.one(P23.root) - Coeff.one(P23.root)
-    for bad in (gamma[:-1], gamma + gamma[:1], [zero] + gamma[1:]):
-        with pytest.raises(ValueError, match="^gamma must be one nonzero scalar per generator$"):
-            rescale_generators(P23, bad)
+def test_a_failing_window_fails_alike_each_time():
+    """window keeps no raised exception."""
+    pres = quantum_matrix_preset(2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^index 0 has no 2-th successor$"):
+            window(pres, 0, 2)
+    assert window(pres, 0, 1)[0] == 3
+    assert list(primeseq._memo(pres).windows) == [(0, 1)]
+
+
+def _scaled_delta(pres, c):
+    """pres with every delta coefficient times c; for the 2x2 preset, the
+    same algebra with x_3 sent to c x_3."""
+    delta = {key: tuple((f, x * c) for f, x in terms) for key, terms in pres.delta.items()}
+    return Presentation(
+        pres.lam, delta, pres.weights, pres.lam_diag,
+        lam_star=pres.lam_star, eta=pres.eta, names=pres.names, root=pres.root,
+    )
+
+
+def _nontrivial_rescalings():
+    rng = random.Random(7)
+    twisted = [random_twist(quantum_matrix_preset(m, n), rng) for m, n in ((2, 3), (2, 3), (3, 3))]
+    scalars = [{0: 2}, {0: Fraction(1, 2)}, {0: 1, 2: 1}]  # 2, 1/2 and 1 + q at root 2
+    return twisted + [_scaled_delta(P22, Coeff(P22.root, c)) for c in scalars]
+
+
+@pytest.mark.parametrize(
+    "pres", _nontrivial_rescalings(),
+    ids=["twist-2x3", "twist-2x3-b", "twist-3x3", "delta-x2", "delta-half", "delta-1+q"],
+)
+def test_the_rescaled_windows_meet_their_targets(pres):
+    """rescale_generators no longer forms the rescaled algebra's windows: its
+    docstring proves each pi' = gamma_i gamma_s(i) gamma**-f pi with the same
+    f, which is the target q**S(i, f).  The oracle forms them again on the
+    seeded twists and on the 2x2 preset with its delta coefficient scaled,
+    each with a nontrivial gamma, and compares."""
+    gamma = generator_scalars(pres)
+    assert gamma == solved_gamma(pres) and not all(g.is_one for g in gamma)
+    rescaled, seq = check_rescaled_windows(pres)
+    for i in seq.eta_data.exchangeable():
+        _, _, pi, f = window(pres, i, 1)
+        _, _, pi2, f2 = window(rescaled, i, 1)
+        scale = gamma[i] * gamma[seq.eta_data.s[i]]
+        for t, x in enumerate(f):
+            scale = scale * gamma[t].inv() ** x
+        assert f2 == f and pi2 == scale * pi, i
 
 
 def is_normal_in_stage(pres, a, k):
@@ -273,7 +319,7 @@ def _oracle_cases():
     cases = [(f"{m}x{n}", quantum_matrix_preset(m, n)) for m, n in shapes]
     for m, n in ((2, 3), (3, 3)):
         pres = quantum_matrix_preset(m, n)
-        rescaled = rescale_generators(pres, solved_gamma(pres))[0]
+        rescaled = rescale_generators(pres)[0]
         cases.append((f"rescaled-{m}x{n}", rescaled))
     p45 = quantum_matrix_preset(4, 5)
     ed = compute_primes(p45).eta_data
@@ -325,7 +371,7 @@ def test_recursion_matches_the_scan_on_every_range(monkeypatch):
         primeseq, "apply_sigma_delta", lambda pres, *a: calls.append(pres) or real(pres, *a)
     )
     cases = [quantum_matrix_preset(m, n) for m in range(2, 6) for n in range(2, 6)]
-    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
+    cases += [rescale_generators(p)[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     rng = random.Random(7)
     twisted = [random_twist(quantum_matrix_preset(m, n), rng) for m, n in ((2, 3), (2, 3), (3, 3))]
     for pres in twisted:
@@ -360,7 +406,7 @@ def test_centering_quotients_match_the_inverse_route(monkeypatch):
 
     monkeypatch.setattr(primeseq, "_div_laurent", recorded)
     cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 5)]
-    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
+    cases += [rescale_generators(p)[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     stages = 0
     for pres in cases:
         for lo in range(pres.n):
@@ -462,7 +508,7 @@ def test_interval_primes_match_the_restricted_route():
     """interval_prime runs the recursion inside the algebra; the reference
     restricts the algebra to the interval's generators and runs it there."""
     cases = [quantum_matrix_preset(m, n) for m in range(2, 5) for n in range(2, 6)]
-    cases += [rescale_generators(p, solved_gamma(p))[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
+    cases += [rescale_generators(p)[0] for p in map(quantum_matrix_preset, (2, 3), (3, 3))]
     for pres in cases:
         ed = compute_primes(pres).eta_data
         for i in range(pres.n):

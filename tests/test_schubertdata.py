@@ -15,7 +15,9 @@ from qcluster.exchangesolver import quantum_matrix_btilde
 from qcluster.mutation import ExchangeMatrix
 from qcluster.orealgebra import quantum_matrix_preset
 from qcluster.primeseq import EtaData
+from qcluster.linalg import det
 from qcluster.schubertdata import (
+    MAX_RANK,
     CartanData,
     CompatReport,
     WordData,
@@ -73,6 +75,28 @@ def test_cartan_matrices():
         cartan_matrix("G", 3)
     with pytest.raises(ValueError):
         cartan_matrix("E", 6)
+
+
+def test_every_cartan_matrix_is_symmetrizable_and_of_finite_type():
+    """CartanData checks neither; this certifies every (letter, rank) that
+    cartan_matrix builds: S = d C is symmetric, positive definite by
+    Sylvester's criterion (every leading principal minor positive), and
+    the weight Gram matrix d C^-1 is symmetric."""
+    built = 0
+    for letter in "ABCDG":
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                c = cartan_matrix(letter, rank)
+            except ValueError:
+                continue
+            cd = CartanData(letter, rank)
+            sym = [[cd.d[i] * c[i][j] for j in range(rank)] for i in range(rank)]
+            assert sym == [list(col) for col in zip(*sym)], (letter, rank)
+            assert all(det([row[:k] for row in sym[:k]]) > 0 for k in range(1, rank + 1)), (letter, rank)
+            assert cd.gram == tuple(zip(*cd.gram)), (letter, rank)
+            built += 1
+    # A from rank 1, B and C from 2, D from 3, and G2
+    assert built == 4 * MAX_RANK - 3
 
 
 def test_symmetrizers_by_type():

@@ -121,7 +121,7 @@ def test_frame_rejects_a_permutation_of_another_length(tau):
         lambda i: u_element(P22, i, 1),
         lambda i: interval_frame(P22, i, 1),
         lambda i: window_support_vector(P22, i, 1, (0,) * 4),
-        lambda i: first_column_crosscheck(P22, i, (0,) * 4),
+        lambda i: first_column_crosscheck(P22, i),
     ],
     ids=["interval_prime", "u_element", "interval_frame", "window_support_vector",
          "first_column_crosscheck"],
