@@ -18,7 +18,7 @@ The package is organized bottom-up:
 """
 
 from .scalarfield import Coeff, coeff_div, div_right
-from .bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
+from .bicharacter import ExpMatrix, omega, symmetrization
 from .qtorus import (
     TorusElement,
     ToricFrame,
@@ -88,7 +88,6 @@ __all__ = [
     "coeff_div",
     "div_right",
     "ExpMatrix",
-    "exp_mat_product",
     "omega",
     "symmetrization",
     "TorusElement",

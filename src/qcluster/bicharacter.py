@@ -75,6 +75,7 @@ class ExpMatrix:
         obj._rows = None
         return obj
 
+    # perfbench/tracer.py reads rows (its presentation key); keep the name
     @property
     def rows(self):
         """The entries as a tuple of tuples of Fractions."""
@@ -168,25 +169,3 @@ def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> Fraction:
     """Exponent of the symmetrization scalar of the monomial x^f."""
     return Fraction(_symmetrization(emat, f), emat.den)
 
-
-def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:
-    """Conjugated exponent matrix mat^T E mat for an integer n x m matrix.
-
-    This is the additive form of the substitution rule for scalar matrices:
-    reindexing a bicharacter by sigma in GL_N(Z), or restricting it along an
-    arbitrary integer matrix, conjugates the exponent matrix this way.
-    """
-    n = emat.n
-    if len(mat) != n:
-        raise ValueError("matrix row count must match exponent matrix size")
-    m = len(mat[0]) if mat else 0
-    for row in mat:
-        if len(row) != m:
-            raise ValueError("ragged matrix")
-    cols = list(zip(*mat))
-    supports = [[(k, c) for k, c in enumerate(col) if c] for col in cols]
-    out = []
-    for col in cols:
-        r = pairing_row(emat, col)
-        out.append(tuple(sum(r[k] * c for k, c in sup) for sup in supports))
-    return ExpMatrix._make(tuple(out), emat.den)

@@ -394,8 +394,16 @@ def _check_primes(s: Session):
 
 def _check_intervals(s: Session):
     """The quantum-matrix closed forms of u(i, 1), then the rescaling:
-    only a nontrivial gamma builds the rescaled algebra and its primes, as
-    for gamma = 1 rescale_generators would build pres again."""
+    only a nontrivial gamma builds the rescaled algebra R' and its primes, as
+    for gamma = 1 rescale_generators would build pres again.
+
+    The call is not idle.  The windows of R' meet their targets
+    (rescale_generators' docstring), but its primes have the centering
+    coefficients c'_f = gamma**(ebar_k - f) c_f, which need not be Laurent
+    where gamma is not, so the non-Laurent guard of _primes can still fail
+    on R'.  The call stays until the chain applies gamma, which will
+    either use R' or drop it.
+    """
     config, pres = s.config, s.pres
     ed = s.primes.eta_data
     if config.preset == "quantum-matrices":

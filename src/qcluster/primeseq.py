@@ -181,9 +181,9 @@ def _unit_vec(n: int, k: int) -> Tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-# Per presentation (_memo), the stages run from each start (and how many of
-# them have had their leading term checked), the checked _Range of each range,
-# the checked _Span of each chain span, the pairing table, where
+# Per presentation (_memo), the stages run from each start, the checked
+# _Range of each range, the checked _Span of each chain span, the pairing
+# table, where
 # pairings[a][b] = den * vec_a^T nu vec_b for the spans with ids a and b
 # (_span_pairings), and each window (i, m) as (top, u's terms, pi, f): term
 # dicts, tuples, lists, ints and scalars, so no entry refers back to its
@@ -231,8 +231,8 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
 
     The caller checks the range first (_check_range).  Stages, level sets and
     errors count from lo, as if R_[lo,top] were presented on its own.  A
-    longer range resumes from the stages run from lo; the level-set and
-    leading-term checks cover lo..top.  The result holds term dicts, as the
+    longer range resumes from the stages run from lo, and the level-set
+    check covers lo..top.  The result holds term dicts, as the
     memo does.  pres is certified first (check_cgl), unless it is recorded
     in _CERTIFIED; R_[lo,top] inherits the certificate.
 
@@ -270,8 +270,8 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     c is a multiple of delta_k(y_j), which has no x_k (apply_sigma_delta
     rejects one that leaves R_(k-1)), so it lies reverse-lex below.  The
     check stays as a guard on this argument, on which interval primes and
-    the first-column window rest; it runs once per stage of each start, as
-    a stage that passed is kept and a failing one fails every range.
+    the first-column window rest; it runs once, when the stage is formed,
+    and a failing stage is not kept, so every range holding it fails.
     """
     if pres not in _CERTIFIED:
         check_cgl(pres)
@@ -279,55 +279,51 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
     runs, checked = memo.runs, memo.checked
     if (lo, top) in checked:
         return checked[(lo, top)]
-    preds, ys, cs, ebar, vetted = runs.setdefault(lo, ([], [], {}, [], [0]))
+    preds, ys, cs, ebar = runs.setdefault(lo, ([], [], {}, []))
     n, eta, root = pres.n, pres.eta, pres.root
     for k in range(lo + len(preds), top + 1):
         t = k - lo  # the stage, counted as in R_[lo,top]
-        xk = pres.gen(k)
-        if not any((k, i) in pres.delta for i in range(lo, k)):
-            preds.append(None)
-            ys.append(xk.terms)
-            ebar.append(_unit_vec(n, k))
-            continue
-        # trailing primes of stage t-1 (indices never used as a predecessor),
-        # the declared predecessor first
-        used = {p for p in preds if p is not None}
-        declared = [j for j in range(t) if eta and eta[lo + j] == eta[k]][-1:]
-        for j in sorted((j for j in range(t) if j not in used), key=lambda j: j not in declared):
-            d = apply_sigma_delta(pres, k, PBWElement(pres, ys[j]))[1]
-            if not d.is_zero:
-                break
-        else:  # excluded by the theorem on a certified presentation
-            raise ValueError(f"stage {t}: delta_{t} moves no trailing prime")
-        alpha = omega(pres.lam, _unit_vec(n, k), ebar[j])
-        # d = s c with s = alpha (lambda_k - 1), nonzero: check_cgl proved
-        # lambda_k != 0; so each coefficient of c is one exact quotient
-        s = Coeff.q_power(alpha + pres.lam_diag[k], root) - Coeff.q_power(alpha, root)
-        c = {f: _div_laurent(cf, s.num) for f, cf in d.terms.items()}
-        if any(cf is None for cf in c.values()):
-            raise ValueError(f"stage {t}: non-Laurent centering coefficient")
-        ys.append((pbw_mul(PBWElement(pres, ys[j]), xk) - PBWElement(pres, c)).terms)
+        y, j, e = pres.gen(k), None, _unit_vec(n, k)
+        if any((k, i) in pres.delta for i in range(lo, k)):
+            # trailing primes of stage t-1 (indices never used as a
+            # predecessor), the declared predecessor first
+            used = {p for p in preds if p is not None}
+            declared = [j for j in range(t) if eta and eta[lo + j] == eta[k]][-1:]
+            for j in sorted((j for j in range(t) if j not in used), key=lambda j: j not in declared):
+                d = apply_sigma_delta(pres, k, PBWElement(pres, ys[j]))[1]
+                if not d.is_zero:
+                    break
+            else:  # excluded by the theorem on a certified presentation
+                raise ValueError(f"stage {t}: delta_{t} moves no trailing prime")
+            alpha = omega(pres.lam, e, ebar[j])
+            # d = s c with s = alpha (lambda_k - 1), nonzero: check_cgl proved
+            # lambda_k != 0; so each coefficient of c is one exact quotient
+            s = Coeff.q_power(alpha + pres.lam_diag[k], root) - Coeff.q_power(alpha, root)
+            c = {f: _div_laurent(cf, s.num) for f, cf in d.terms.items()}
+            if any(cf is None for cf in c.values()):
+                raise ValueError(f"stage {t}: non-Laurent centering coefficient")
+            y = pbw_mul(PBWElement(pres, ys[j]), y) - PBWElement(pres, c)
+            e = tuple(a + b for a, b in zip(ebar[j], e))
+        f, lead = leading_term(y)
+        if f != e or not lead.is_one:
+            raise ValueError(f"stage {t}: leading term is not the chain monomial")
+        if j is not None:
+            cs[t] = c
         preds.append(j)
-        cs[t] = c
-        ebar.append(tuple(a + b for a, b in zip(ebar[j], _unit_vec(n, k))))
+        ys.append(y.terms)
+        ebar.append(e)
     width = top - lo + 1
     eta_data = EtaData.from_predecessors(preds[:width])
     if pres.eta and not eta_data.same_partition(pres.eta[lo : top + 1]):
         raise ValueError("declared level sets disagree with the inferred ones")
-    for t in range(vetted[0], width):
-        f, lead = leading_term(PBWElement(pres, ys[t]))
-        if f != ebar[t] or not lead.is_one:
-            raise ValueError(f"stage {t}: leading term is not the chain monomial")
-    vetted[0] = max(vetted[0], width)
     c = {t: c for t, c in cs.items() if t < width}
     checked[(lo, top)] = out = _Range(ys[:width], c, eta_data)
     return out
 
 
 def _check_range(pres: Presentation, j: int, k: int) -> None:
-    """ValueError unless x_j..x_k are generators whose derivations stay among them."""
-    if not 0 <= j <= k < pres.n:
-        raise ValueError("bad generator range")
+    """ValueError unless the derivations of x_j..x_k stay among them; the
+    callers pass 0 <= j <= k < pres.n."""
     for (b, a), terms in pres.delta.items():
         if a >= j and b <= k and any(any(f[:j]) for f, _ in terms):
             raise ValueError(f"delta[{b},{a}] leaves the generators {j}..{k}")

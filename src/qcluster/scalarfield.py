@@ -145,7 +145,8 @@ class Coeff:
             raise ValueError("root must be a positive integer")
         self.root = root
         n = {int(k): Fraction(v) for k, v in (num or {}).items() if v}
-        d = {int(k): Fraction(v) for k, v in den.items() if v} if den else {0: 1}
+        # only a missing den is 1; an empty one is the zero polynomial
+        d = {0: 1} if den is None else {int(k): Fraction(v) for k, v in den.items() if v}
         s = lcm(*(v.denominator for p in (n, d) for v in p.values()))
         self.num, self.den = _normalize(
             *({k: int(v * s) for k, v in p.items()} for p in (n, d))
@@ -242,9 +243,6 @@ class Coeff:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -265,12 +263,6 @@ class Coeff:
         if other is NotImplemented:
             return NotImplemented
         return coeff_div(self, other)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return coeff_div(other, self)
 
     def __pow__(self, m: int):
         if m == 0:
@@ -323,10 +315,10 @@ class Coeff:
 
 def _normalize(num: dict, den: dict):
     """Reduce num/den: units into the numerator, gcd and content out."""
-    if not num:
-        return {}, _UNIT
     if not den:
         raise ZeroDivisionError("zero denominator")
+    if not num:
+        return {}, _UNIT
     vd = min(den)
     num, den = _pshift(num, -vd), _pshift(den, -vd)
     if len(den) > 1:
@@ -456,13 +448,10 @@ class TermSum:
         return self._like({key: v * c for key, v in self.terms.items()})
 
     def __mul__(self, other):
+        # a scalar multiplies through scaled(), so * is the algebra's product
         if isinstance(other, type(self)):
             return self._product(other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        # scalars are central, so left and right scaling agree
-        return self.scaled(other)
+        return NotImplemented
 
 
 def div_right(a: TermSum, b: TermSum) -> TermSum:

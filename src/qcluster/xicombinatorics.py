@@ -33,6 +33,8 @@ def has_interval_prefixes(tau: Sequence[int]) -> bool:
     n = len(tau)
     if sorted(tau) != list(range(n)):
         return False
+    if not n:  # the empty permutation, gamma_chain(0)'s one entry
+        return True
     lo = hi = tau[0]
     for x in tau[1:]:
         if x == lo - 1:
@@ -144,11 +146,11 @@ def _span_frame(pres: Presentation, entries: Sequence[_Span]):
     mirror pair, and den v_a^T nu v_a = 0, which it stores on the
     diagonal.  The table belongs to pres alone, nu = pres.nu() is fixed
     once built, and a span's id, vec and row never change once set, so a
-    stored entry stays right.  exp_mat_product(nu, V) forms the same
-    integers, pairing_row(nu, v_a) against v_b, over the same den, and
-    ExpMatrix._make reduces both alike: the two matrices are equal
-    (tests/test_xicombinatorics.py compares them on every chain frame and
-    window of the presets up to 5x5).
+    stored entry stays right.  exp_mat_product(nu, V) in tests/oracles.py
+    forms the same integers, pairing_row(nu, v_a) against v_b, over the
+    same den, and ExpMatrix._make reduces both alike: the two matrices are
+    equal (tests/test_xicombinatorics.py compares them on every chain frame
+    and window of the presets up to 5x5).
     """
     emat = ExpMatrix._make(_span_pairings(pres, entries), pres.nu().den)
     images = [PBWElement(pres, e.image) for e in entries]

@@ -3,8 +3,9 @@
 Each function here checks code it used to sit beside: enumerate_xi the
 chain of interval-prefix permutations (xicombinatorics), matrix_from_images
 with proportionality_scalar the frame matrices against their images'
-commutation (qtorus), permuted and restricted the reindexed and interval
-exponent matrices (bicharacter, tests/restriction.py),
+commutation (qtorus), exp_mat_product the conjugated exponent matrix
+and permuted and restricted the reindexed and interval exponent matrices
+(bicharacter, tests/restriction.py),
 normality_scalar the commutation of each prime with the generators
 (primeseq), solved_gamma the generator rescaling from each u(j, 1) formed
 again (primeseq.generator_scalars), check_rescaled_windows the rescaled
@@ -20,12 +21,35 @@ route the package replaced or never needed, so the tests can compare.
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from qcluster.bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
+from qcluster.bicharacter import ExpMatrix, omega, pairing_row, symmetrization
 from qcluster.linalg import det
 from qcluster.orealgebra import Presentation, leading_term
 from qcluster.primeseq import compute_primes, interval_scalar_target, rescale_generators, u_element
 from qcluster.qtorus import ToricFrame, TorusElement, frame_value
 from qcluster.scalarfield import Coeff
+
+
+def exp_mat_product(emat: ExpMatrix, mat: Sequence[Sequence[int]]) -> ExpMatrix:
+    """Conjugated exponent matrix mat^T E mat for an integer n x m matrix.
+
+    This is the additive form of the substitution rule for scalar matrices:
+    reindexing a bicharacter by sigma in GL_N(Z), or restricting it along an
+    arbitrary integer matrix, conjugates the exponent matrix this way.
+    """
+    n = emat.n
+    if len(mat) != n:
+        raise ValueError("matrix row count must match exponent matrix size")
+    m = len(mat[0]) if mat else 0
+    for row in mat:
+        if len(row) != m:
+            raise ValueError("ragged matrix")
+    cols = list(zip(*mat))
+    supports = [[(k, c) for k, c in enumerate(col) if c] for col in cols]
+    out = []
+    for col in cols:
+        r = pairing_row(emat, col)
+        out.append(tuple(sum(r[k] * c for k, c in sup) for sup in supports))
+    return ExpMatrix._make(tuple(out), emat.den)
 
 
 def enumerate_xi(n: int) -> List[Tuple[int, ...]]:

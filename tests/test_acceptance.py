@@ -10,7 +10,7 @@ import random
 import time
 from itertools import permutations
 
-from qcluster.bicharacter import exp_mat_product, omega
+from qcluster.bicharacter import omega
 from qcluster.cli import Session, chain_walk
 from qcluster.exchangesolver import (
     btilde_for_tau,
@@ -52,7 +52,7 @@ from qcluster.xicombinatorics import (
 )
 from qcluster.schubertdata import CartanData, compatibility_sweep
 from factors import e_matrix, factor_mutate
-from oracles import solved_gamma
+from oracles import exp_mat_product, solved_gamma
 from words import exchange_matrix_for_word
 
 

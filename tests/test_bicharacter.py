@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.bicharacter import ExpMatrix, exp_mat_product, omega, symmetrization
-from oracles import permuted, restricted
+from qcluster.bicharacter import ExpMatrix, omega, symmetrization
+from oracles import exp_mat_product, permuted, restricted
 
 N = 4
 
@@ -46,6 +46,8 @@ def test_entry_and_from_upper():
     assert e.entry(1, 0) == Fraction(-1, 2)
     assert e.entry(2, 2) == 0
     assert e == ExpMatrix([[0, Fraction(1, 2), 0], [Fraction(-1, 2), 0, -1], [0, 1, 0]])
+    with pytest.raises(ValueError, match="^from_upper expects j < k keys$"):
+        ExpMatrix.from_upper(3, {(1, 0): 1})
 
 
 @given(skew_matrices(), vectors, vectors, vectors)

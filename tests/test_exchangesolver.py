@@ -1,12 +1,15 @@
 """Exchange-matrix columns from exact linear algebra, with grid oracles."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from qcluster import cli
+from qcluster.bicharacter import ExpMatrix
 from qcluster.exchangesolver import (
     LinearSystem,
+    _solve_btilde,
     _window,
     btilde_for_tau,
     certify_btilde,
@@ -38,6 +41,14 @@ def test_linear_system():
         LinearSystem([[1, 1], [2, 2]], [[1], [2]]).solve_unique()
     with pytest.raises(ValueError):
         LinearSystem([[1, 1]], [[1], [2]])
+
+
+def test_a_column_off_the_integers_is_rejected():
+    """The system of a frame whose pairing gives the column -1/2 at 1:
+    the unique solution exists, but is no exchange column."""
+    emat = ExpMatrix([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match=r"^column at 0 is not integral: \[Fraction\(0, 1\), Fraction\(-1, 2\)\]$"):
+        _solve_btilde(emat, [(0,), (0,)], (0,), [Fraction(1), None])
 
 
 def test_closed_form_2x2():
@@ -184,6 +195,19 @@ def test_certificate_rejects_a_changed_entry():
         tp = frame_for_tau(pres, tau)
         bmat = btilde_for_tau(tp)
         assert certify_btilde(tp, bmat) is bmat
+        for foreign in (ExchangeMatrix(bmat.n_rows, {}), ExchangeMatrix(bmat.n_rows + 1, {})):
+            with pytest.raises(ValueError, match="^matrix has other columns than the frame's"):
+                certify_btilde(tp, foreign)
+        # a squared scalar and its column negated still solve the system,
+        # but the labels' squared scalars no longer share one sign
+        l = bmat.ex[0]
+        star = list(tp.pres.lam_star)
+        star[l] = -star[l]
+        flipped = SimpleNamespace(frame=tp.frame, ex=tp.ex, image_weights=tp.image_weights,
+                                  pres=SimpleNamespace(lam_star=star))
+        negated = ExchangeMatrix(bmat.n_rows, {**bmat.cols, l: [-x for x in bmat.cols[l]]})
+        with pytest.raises(ValueError, match="^squared-scalar exponents of mixed sign$"):
+            certify_btilde(flipped, negated)
         for l in bmat.ex:
             for i in range(bmat.n_rows):
                 for delta in (-1, 1):
@@ -224,6 +248,9 @@ def test_certificate_rejects_the_wrong_direction(monkeypatch):
     monkeypatch.setattr(cli, "mutate_matrix", wrong)
     with pytest.raises(AssertionError, match="exchange matrix does not mutate"):
         cli.chain_walk(cli.Session(None, pres))
+    # through the CLI, the failed law is the payload's error, with exit 1
+    code, payload = cli.run(cli.build_parser().parse_args(["--cmd", "chain", "--m", "3", "--n", "3"]))
+    assert code == 1 and "exchange matrix does not mutate" in payload["error"]
 
 
 def test_walk_checks_the_mutated_weight():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.bicharacter import ExpMatrix, exp_mat_product
+from qcluster.bicharacter import ExpMatrix
 from qcluster.exchangesolver import btilde_for_tau
 from qcluster.linalg import rank
 from qcluster.mutation import (
@@ -36,6 +36,7 @@ from qcluster.qtorus import (
 )
 from qcluster.xicombinatorics import frame_for_tau, gamma_chain
 from factors import e_matrix, factor_mutate
+from oracles import exp_mat_product
 from symmetrizers import find_symmetrizer, skew_symmetrizable
 
 
@@ -52,6 +53,8 @@ def test_exchange_matrix_shape():
     assert bmat.ex == (0,)
     assert bmat.column(0) == (0, -1, -1, 1)
     assert bmat.entry(3, 0) == 1
+    assert repr(bmat) == "ExchangeMatrix(n_rows=4, ex=(0,))"
+    assert bmat != "x" and not bmat == "x"
     with pytest.raises(ValueError):
         ExchangeMatrix(4, {0: (0, -1, -1)})
     with pytest.raises(ValueError):
@@ -72,6 +75,8 @@ def test_not_symmetrizable():
 
 
 def test_random_pairs_are_compatible():
+    with pytest.raises(ValueError, match="^need at least one exchangeable direction$"):
+        random_compatible_pair(random.Random(7), 0)
     for _, emat, bmat, d in pairs(7, 30):
         diag = compatibility_check(emat, bmat)
         for k in bmat.ex:
@@ -163,9 +168,13 @@ def test_rank_one_mutate_emat_on_chain_frames(shape):
 
 def test_mutate_emat_rejects_frozen_direction():
     emat, bmat, _ = random_compatible_pair(random.Random(3), 2)
+    seed = seed_from_pair(emat, bmat)
+    assert repr(seed) == "Seed(n=4, ex=(0, 1))"
     for k in (2, 3):
-        with pytest.raises(ValueError, match=f"direction {k} is not exchangeable"):
-            mutate_emat(emat, bmat, k)
+        for mutate in (lambda: mutate_emat(emat, bmat, k), lambda: mutate_matrix(bmat, k),
+                       lambda: mutate_seed(seed, k)):
+            with pytest.raises(ValueError, match=f"direction {k} is not exchangeable"):
+                mutate()
 
 
 def test_mutation_preserves_compatibility():
@@ -189,6 +198,9 @@ def test_exchange_terms_have_unit_pairing():
         # reproduces the sum; verified through the identity checker
         var = mutated_variable(seed.frame, bmat.cols[k], k)
         assert exchange_identity_holds(seed.frame, bmat.cols[k], k, var)
+        col = tuple(x + (i == k) for i, x in enumerate(bmat.cols[k]))
+        with pytest.raises(ValueError, match="^column must vanish on its own direction$"):
+            exchange_terms(seed.frame, col, k)
 
 
 def test_seed_mutation_round_trip():
@@ -228,6 +240,15 @@ def test_seed_rejects_incompatible():
     )
     with pytest.raises(ValueError):
         Seed(frame, bmat)
+    # a nontrivial diagonal pairing with a nontrivial off-diagonal one
+    skew = ExpMatrix([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match=r"^pairing of column 0 with direction 1 is q\^1 != 1$"):
+        compatibility_check(skew, ExchangeMatrix(2, {0: (1, 1)}))
+    wide = ExchangeMatrix(3, {0: (0, 1, 0)})
+    with pytest.raises(ValueError, match="^size mismatch between torus matrix and columns$"):
+        compatibility_check(emat, wide)
+    with pytest.raises(ValueError, match="^frame size and matrix row count differ$"):
+        Seed(frame, wide)
 
 
 def signed_pairs(seed, count):

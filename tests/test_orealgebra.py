@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qcluster import primeseq
 from qcluster.orealgebra import (
+    Presentation,
     _CERTIFIED,
     apply_sigma_delta,
     check_cgl,
@@ -62,6 +63,26 @@ def test_monomial_basis_is_ordered():
     # normal form rewrites da into ad plus the correction term
     assert prod.terms[(1, 0, 0, 1)] == Coeff.one(PRES.root)
     assert prod.terms[(0, 1, 1, 0)] == -(Q - Q.inv())
+    assert PRES.monomial((1, 0, 0, 1), 0) == PRES.zero()
+    with pytest.raises(ValueError, match="^exponent tuple has wrong length$"):
+        PRES.monomial((1, 0, 0))
+
+
+def test_reprs_print_the_terms_highest_first():
+    x = [PRES.gen(k) for k in range(4)]
+    elem = pbw_mul(pbw_mul(x[0], x[0]), x[3]) - x[1].scaled(Q + 1) - x[2] + PRES.one()
+    assert repr(elem) == "t11^2*t22 - t21 + (-q - 1)*t12 + 1"
+    assert repr(PRES.zero()) == "0" and repr(PRES) == "Presentation(4 generators, root 2)"
+
+
+def test_a_scalar_multiplies_through_scaled_only():
+    """* is the algebra's product: a scalar operand, on either side, is a
+    TypeError, and scaled() by zero is the zero element."""
+    x = PRES.gen(0)
+    for op in (lambda: x * 2, lambda: 2 * x, lambda: x * Q, lambda: Q * x):
+        with pytest.raises(TypeError):
+            op()
+    assert x.scaled(0) == PRES.zero() and x != "x" and not x == "x"
 
 
 @given(monomials, monomials, monomials)
@@ -108,6 +129,10 @@ def test_weights():
     assert weight_of(prod) == (1, 1, -1, -1)
     with pytest.raises(ValueError):
         weight_of(PRES.gen(0) + PRES.gen(1))
+    with pytest.raises(ValueError, match="^weight of zero is undefined$"):
+        weight_of(PRES.zero())
+    with pytest.raises(ValueError, match="^leading term of zero$"):
+        leading_term(PRES.zero())
 
 
 def test_sigma_delta_skew_leibniz():
@@ -126,6 +151,8 @@ def test_sigma_delta_skew_leibniz():
 def test_sigma_delta_requires_lower_support():
     with pytest.raises(ValueError):
         apply_sigma_delta(PRES, 1, PRES.gen(2))
+    with pytest.raises(ValueError, match="^element from a different presentation$"):
+        apply_sigma_delta(PRES, 3, quantum_matrix_preset(2, 2).gen(0))
 
 
 def serialize(pres):
@@ -171,6 +198,21 @@ def test_from_dict_rejects_bad_shapes():
     data["lambda"] = [["0", "1"], ["-1", "0"]]
     with pytest.raises(ValueError):
         presentation_from_dict(data)
+    for key, value, message in (
+        ("root", 0, "root must be a positive integer"),
+        ("delta", {"1,1": []}, r"bad derivation key \(1,1\)"),
+        ("delta", {"3,0": [[[0, 1, 1], {"0": "1"}]]}, r"bad monomial \(0, 1, 1\) in delta\[3,0\]"),
+        ("delta", {"2,0": [[[0, 0, 0, 1], {"0": "1"}]]}, r"delta\[2,0\] monomial \(0, 0, 0, 1\) not supported below 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            presentation_from_dict({**serialize(PRES), key: value})
+    with pytest.raises(ValueError, match="^matrix shape must be positive$"):
+        quantum_matrix_preset(0, 2)
+    # the constructor checks what a library caller passes it, too
+    with pytest.raises(ValueError, match="^root must be a positive integer$"):
+        Presentation(PRES.lam, {}, PRES.weights, PRES.lam_diag, root=0)
+    with pytest.raises(ValueError, match="^ragged weight vectors$"):
+        Presentation(PRES.lam, {}, [(1, 0), (1,), (0, 1), (0, 1)], PRES.lam_diag)
 
 
 def test_presets_pass_the_overlap_certificate(monkeypatch):

@@ -223,6 +223,23 @@ def test_u_elements():
         assert pi == Coeff.q_power(interval_scalar_target(P23, i, f), P23.root)
 
 
+def test_the_long_windows_of_a_twist_stay_inside():
+    """u(i, m) for m >= 2 is y_[i..s^(m-1)] y_[s..s^m] minus q**scal
+    y_[s..s^(m-2)] y_[i..s^m]; scal is 0 on the presets, so only a twist
+    shows its sign: with the other sign the two products' top terms do not
+    cancel and u_element raises that u leaks out of its window."""
+    rng = random.Random(7)
+    twisted = [random_twist(quantum_matrix_preset(m, n), rng) for m, n in ((2, 3), (2, 3), (3, 3))]
+    long = 0
+    for pres in twisted:
+        ed = compute_primes(pres).eta_data
+        for i in range(pres.n):
+            for m in range(2, ed.o_plus[i] + 1):
+                assert not u_element(pres, i, m).is_zero
+                long += 1
+    assert long == 1  # u(0, 2) of the 3x3 twist, where scal = -1
+
+
 def test_rescaling_is_trivial_for_quantum_matrices():
     gamma = solved_gamma(P23)
     rescaled, seq2 = rescale_generators(P23)

@@ -81,6 +81,12 @@ def test_inverse_needs_monomial():
         (Y((1, 0, 0)) + Y((0, 1, 0))).inverse()
 
 
+def test_reprs_print_the_terms_in_key_order():
+    assert repr(Y((0, 1, 0)).scaled(qp(1)) + Y((1, 0, 0))) == "(q)*Y[0, 1, 0] + (1)*Y[1, 0, 0]"
+    assert repr(one() - one()) == "0"
+    assert repr(basis_frame()) == "ToricFrame(n=3)"
+
+
 @given(nonzero, nonzero)
 @settings(max_examples=50)
 def test_right_division(a, b):
@@ -297,4 +303,8 @@ def test_frame_value_names_a_negative_exponent_it_cannot_take():
     sums = ToricFrame(BASE, [Y((1, 0, 0)), Y((0, 1, 0)) + one(), Y((0, 0, 1))], one(), ROOT)
     with pytest.raises(ValueError, match="^only monomial torus elements are invertible here$"):
         frame_value(sums, (1, -1, 0))
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        frame_value(sums, (1, 0))
+    with pytest.raises(ValueError, match="^one image per lattice direction required$"):
+        ToricFrame(BASE, sums.images[:2], one(), ROOT)
     assert frame_value(sums, (0, 2, 0)) == frame_value_by_products(sums, (0, 2, 0))

@@ -55,6 +55,15 @@ def test_coeff_constructors():
     assert Coeff(ROOT, {1: 2}, {0: 2}) == Coeff(ROOT, {1: 1})
     assert hash(Coeff(ROOT, {1: 2}, {0: 2})) == hash(Coeff(ROOT, {1: 1}))
     assert Coeff(ROOT, {1: 2}, {0: -4}) == Coeff(ROOT, {1: "-1/2"})
+    # only a missing denominator is 1: an empty one is the zero polynomial
+    assert Coeff(ROOT, {0: 1}) == Coeff(ROOT, {0: 1}, None) == 1
+    for den in ({}, {0: 0}):
+        with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+            Coeff(ROOT, {0: 1}, den)
+        with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+            Coeff(ROOT, {}, den)
+    with pytest.raises(ValueError, match="^root must be a positive integer$"):
+        Coeff(0)
 
 
 @given(coeffs, coeffs, coeffs)
@@ -92,6 +101,11 @@ def test_denominators_normalize():
     q = Coeff.q_power(1, ROOT)
     assert num / den == q + 1
     assert (num / den).is_laurent
+    zero = Coeff.zero(ROOT)
+    with pytest.raises(ZeroDivisionError, match="^division by zero coefficient$"):
+        coeff_div(num, zero)
+    with pytest.raises(ZeroDivisionError, match="^inverting zero coefficient$"):
+        zero.inv()
 
 
 def test_repr_is_stable():
@@ -109,6 +123,8 @@ def test_monomial_predicates():
     assert not (q + 1).is_monomial
     with pytest.raises(ValueError):
         (q + 1).q_exponent()
+    with pytest.raises(ValueError, match=r"^2\*q is not a q power \(coefficient 2\)$"):
+        (q * 2).q_exponent()
 
 
 @given(st.fractions(max_denominator=50), st.integers(1, 6))
@@ -128,6 +144,20 @@ def test_a_constant_hashes_as_its_value(c, root):
 def test_mixed_roots_rejected():
     with pytest.raises(ValueError):
         Coeff.one(2) + Coeff.one(4)
+    with pytest.raises(ValueError, match="^mixed coefficient roots$"):
+        coeff_div(Coeff.one(2), Coeff.one(4))
+
+
+def test_an_operand_of_another_type_is_not_implemented():
+    """Coeff meets only a Coeff, an int or a Fraction; any other operand
+    gets NotImplemented, and Coeff has no reflected - or /."""
+    q = Coeff.q_power(1, ROOT)
+    for op in (lambda: q + "x", lambda: q - "x", lambda: q * "x", lambda: q / "x",
+               lambda: 1 - q, lambda: 1 / q):
+        with pytest.raises(TypeError):
+            op()
+    assert q != "x" and not q == "x"
+    assert q * 2 == 2 * q and 2 + q == q + 2
 
 
 # -- oracle: a miniature of the dict-of-Fraction Coeff the integer form

@@ -75,6 +75,8 @@ def test_cartan_matrices():
         cartan_matrix("G", 3)
     with pytest.raises(ValueError):
         cartan_matrix("E", 6)
+    with pytest.raises(ValueError, match="^type A needs rank >= 1$"):
+        cartan_matrix("A", 0)
 
 
 def test_every_cartan_matrix_is_symmetrizable_and_of_finite_type():
@@ -199,6 +201,7 @@ def test_a_bad_word_fails_as_the_oracle_fails(word):
 
 def test_word_data_a2():
     data = WordData(A2, (1, 2, 1))
+    assert repr(data) == "WordData(CartanData(A2), word=(1, 2, 1))"
     assert data.lengths == (1, 1, 1)
     # commutation exponents are minus the root pairings
     lam = commutation_matrix(A2, data.word)

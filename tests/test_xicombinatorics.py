@@ -2,7 +2,7 @@
 
 import pytest
 
-from qcluster.bicharacter import exp_mat_product, omega, symmetrization
+from qcluster.bicharacter import omega, symmetrization
 from qcluster.exchangesolver import first_column_crosscheck
 from qcluster.orealgebra import leading_term, quantum_matrix_preset
 from qcluster.primeseq import EtaData, compute_primes, interval_prime, u_element
@@ -18,7 +18,7 @@ from qcluster.xicombinatorics import (
     tau_bullet,
     window_support_vector,
 )
-from oracles import enumerate_xi, matrix_from_images
+from oracles import enumerate_xi, exp_mat_product, matrix_from_images
 
 P22 = quantum_matrix_preset(2, 2)
 
@@ -29,6 +29,9 @@ def test_interval_prefix_predicate():
     assert has_interval_prefixes((2, 1, 0))
     assert not has_interval_prefixes((0, 2, 1))
     assert not has_interval_prefixes((2, 0, 1))
+    # no permutation, and the empty one, gamma_chain(0)'s one entry
+    assert not has_interval_prefixes((0, 0, 1))
+    assert gamma_chain(0) == [()] and has_interval_prefixes(())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -85,6 +88,7 @@ def test_identity_frame_images_are_normalized_primes():
 def test_reversal_frame_images():
     tau = (3, 2, 1, 0)
     tp = frame_for_tau(P22, tau)
+    assert repr(tp) == "TauPresentation(tau=[3, 2, 1, 0])"
     # images sit at bullet-relabeled slots: the level set {0, 3} puts the
     # single prime t22 at slot 0 and the full-chain minor at slot 3
     assert tp.sigma == (0, 2, 1, 3)  # sigma[k] = tau_bullet[tau[k]] = (3, 1, 2, 0)[tau[k]]
