@@ -6,26 +6,31 @@ E[j][k] = -E[k][j]).  The entries are kept as integer numerators ``num``
 over one common denominator ``den`` in lowest terms, so every pairing below
 is integer arithmetic and equal matrices have equal (num, den).
 
-A q-power is its exponent, a Fraction.  The induced pairing on integer
-vectors is q ** omega(E, f, g) and the symmetrization scalar of a monomial
-exponent f is q ** symmetrization(E, f), with
+A q-power is its exponent.  The induced pairing on integer vectors is
+q ** omega(E, f, g) and the symmetrization scalar of a monomial exponent f
+is q ** symmetrization(E, f), with
 
     omega(E, f, g) = f^T E g,
     symmetrization(E, f) = - sum_{j<k} E[j][k] f_j f_k,
 
-and :meth:`ExpMatrix.entry` is E[k][j].  Products hand the integer
-numerators over den behind them, :func:`_pairing` and :func:`_symmetrization`,
-to ``scalarfield._q_power`` directly.
+and :meth:`ExpMatrix.entry` is E[k][j].  Inside the package an exponent
+stays an integer numerator over den: :func:`pairing_row`, :func:`_pairing`
+and :func:`_symmetrization` return them, and products hand them to
+``scalarfield._q_power``.  Fractions are the API edge, which alone imports
+``fractions``: ``rows``, ``entry``, omega, symmetrization, and entries
+other than ints.
 
 Vectors are plain tuples/lists of ints indexed 0..N-1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ExpMatrix:
@@ -40,7 +45,10 @@ class ExpMatrix:
 
     def __init__(self, rows: Iterable[Iterable]):
         # an int is its own numerator over 1; any other entry a Fraction
-        mat = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
+        mat = [list(row) for row in rows]
+        if any(type(x) is not int for row in mat for x in row):
+            from fractions import Fraction
+            mat = [[x if type(x) is int else Fraction(x) for x in row] for row in mat]
         n = len(mat)
         for row in mat:
             if len(row) != n:
@@ -80,6 +88,7 @@ class ExpMatrix:
     def rows(self):
         """The entries as a tuple of tuples of Fractions."""
         if self._rows is None:
+            from fractions import Fraction
             den = self.den
             self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
         return self._rows
@@ -100,10 +109,13 @@ class ExpMatrix:
         return cls(rows)
 
     def entry(self, k: int, j: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.num[k][j], self.den)
 
     def scaled(self, c) -> "ExpMatrix":
-        c = Fraction(c)
+        if type(c) is not int:
+            from fractions import Fraction
+            c = Fraction(c)
         a = c.numerator
         return ExpMatrix._make(
             tuple(tuple(x * a for x in row) for row in self.num),
@@ -141,6 +153,7 @@ def _pairing(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> int:
 
 def omega(emat: ExpMatrix, f: Sequence[int], g: Sequence[int]) -> Fraction:
     """The exponent f^T E g of the pairing q ** (f^T E g)."""
+    from fractions import Fraction
     return Fraction(_pairing(emat, f, g), emat.den)
 
 
@@ -167,5 +180,6 @@ def _symmetrization(emat: ExpMatrix, f: Sequence[int]) -> int:
 
 def symmetrization(emat: ExpMatrix, f: Sequence[int]) -> Fraction:
     """Exponent of the symmetrization scalar of the monomial x^f."""
+    from fractions import Fraction
     return Fraction(_symmetrization(emat, f), emat.den)
 

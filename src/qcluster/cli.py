@@ -15,7 +15,7 @@ from argparse import Namespace
 from functools import cached_property
 from typing import List, Optional, Sequence
 
-from .bicharacter import symmetrization
+from .bicharacter import _symmetrization
 from .exchangesolver import (
     btilde_for_tau,
     certify_btilde,
@@ -48,7 +48,7 @@ from .primeseq import (
     window,
 )
 from .qtorus import check_frame_identity, frame_value, reindex_frame
-from .scalarfield import Coeff
+from .scalarfield import Coeff, _q_power, _ratio_str
 from .schubertdata import CartanData, WordData
 from .xicombinatorics import (
     frame_for_tau,
@@ -174,7 +174,8 @@ def term_list(elem) -> list:
 
 
 def expmat_rows(emat) -> list:
-    return [[str(x) for x in row] for row in emat.rows]
+    """The entries as str(Fraction) prints them, from their numerators."""
+    return [[_ratio_str(x, emat.den) for x in row] for row in emat.num]
 
 
 def bmat_dict(bmat) -> dict:
@@ -474,14 +475,14 @@ def _check_interval_identity(s: Session):
             v2 = list(g)
             v2[0] -= 1
             sub = interval_prime(pres, ed.s[i], m - 1)
-            e = symmetrization(nu, ed.interval_vector(ed.s[i], top))
-            target = sub.scaled(Coeff.q_power(e, pres.root))
+            e = _symmetrization(nu, ed.interval_vector(ed.s[i], top))
+            target = sub.scaled(_q_power(e, nu.den, pres.root))
             combos = [(0, tuple(v1)), (0, tuple(v2))]
             _require(check_frame_identity(fr, target, combos), (
                 f"interval identity fails at ({i},{m})"
             ))
             dec = frame_value(fr, g).scaled(
-                pi * Coeff.q_power(-symmetrization(nu, f), pres.root)
+                pi * _q_power(-_symmetrization(nu, f), nu.den, pres.root)
             )
             _require(u == dec, f"u decomposition fails at ({i},{m})")
 
@@ -501,7 +502,9 @@ def _check_mutation_suite(s: Session):
         seed = seed_from_pair(emat, bmat)
         k = rng.choice(bmat.ex)
         s1 = mutate_seed(seed, k)
-        _require(s1.pairings == seed.pairings, f"mutation at {k} moves the pairings")
+        d0, d1 = seed.frame.emat.den, s1.frame.emat.den  # the pairings are diag / den
+        same = {j: e * d0 for j, e in s1.diag.items()} == {j: e * d1 for j, e in seed.diag.items()}
+        _require(same, f"mutation at {k} moves the pairings")
         s2 = mutate_seed(s1, k)
         _require(s2.bmat == seed.bmat, f"twice at {k}: matrix moved")
         _require(s2.frame.emat == seed.frame.emat, f"twice at {k}: exponents moved")

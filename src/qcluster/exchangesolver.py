@@ -13,10 +13,11 @@ pattern for quantum matrices used to cross-check the solver.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence
 
-from .linalg import solve
+from .linalg import _solve, solve
 from .mutation import ExchangeMatrix
 from .primeseq import _check_range, _primes, window
 from .xicombinatorics import TauPresentation, _span_frame, _window_spans
@@ -28,6 +29,8 @@ class LinearSystem:
 
     Entries are ints or Fractions.  rhs is a matrix given by rows, one
     column per right-hand side, and the columns share one elimination.
+    The solution is Fractions; _solve_btilde reads integer numerators over
+    one denominator from ``linalg._solve`` instead.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence[Sequence]):
@@ -64,19 +67,19 @@ def btilde_for_tau(tau_pres: TauPresentation) -> ExchangeMatrix:
 def _btilde_system(emat, image_weights, ex, lam_star):
     """The system that the exchange matrix of a frame solves, as (rows, rhs).
 
-    The rows of den * R^T give den times the pairings with each direction,
-    then come one row per weight coordinate; the right-hand side holds one
-    column per exchangeable label l, lam*_l * den / 2 at row l and 0
-    elsewhere.
+    The rows of s * den * R^T give s * den times the pairings with each
+    direction, then come one row per weight coordinate; the right-hand side
+    holds one column per exchangeable label l, s * lam*_l * den / 2 at row l
+    and 0 elsewhere, with s > 0 the least integer that makes these integers.
     """
     for l in ex:
         if not lam_star[l]:
             raise ValueError(f"index {l} lacks a nontrivial squared scalar")
-    rows = list(zip(*emat.num)) + list(zip(*image_weights))
-    rhs = [
-        [lam_star[l] * emat.den / 2 if j == l else 0 for l in ex]
-        for j in range(len(rows))
-    ]
+    den, stars = emat.den, [lam_star[l] for l in ex]
+    s = lcm(*(2 * x.denominator // gcd(2 * x.denominator, x.numerator * den) for x in stars))
+    halves = [s * x.numerator * den // (2 * x.denominator) for x in stars]
+    rows = [tuple(s * x for x in col) for col in zip(*emat.num)] + list(zip(*image_weights))
+    rhs = [[h if j == l else 0 for l, h in zip(ex, halves)] for j in range(len(rows))]
     return rows, rhs
 
 
@@ -87,13 +90,16 @@ def _solve_btilde(emat, image_weights, ex, lam_star) -> ExchangeMatrix:
     if not ex:
         return ExchangeMatrix(emat.n, {})
     rows, rhs = _btilde_system(emat, image_weights, ex, lam_star)
-    sol = LinearSystem(rows, rhs).solve_unique()
+    sol, d = _solve(rows, rhs)
     cols = {}
     for c, l in enumerate(ex):
         col = [row[c] for row in sol]
-        if any(x.denominator != 1 for x in col):
-            raise ValueError(f"column at {l} is not integral: {col}")
-        cols[l] = tuple(int(x) for x in col)
+        if any(x % d for x in col):
+            from fractions import Fraction
+            raise ValueError(
+                f"column at {l} is not integral: {[Fraction(x, d) for x in col]}"
+            )
+        cols[l] = tuple(x // d for x in col)
     _require_one_sign(lam_star, ex)
     return ExchangeMatrix(emat.n, cols)
 

@@ -6,14 +6,18 @@ Gauss-Jordan form of Bareiss elimination: after pivot step k every entry
 is, up to sign, a minor of order k + 1 of the scaled matrix, so each
 division by the previous pivot is exact and no entry outgrows those
 minors.  Reference: E. H. Bareiss, Sylvester's identity and multistep
-integer-preserving Gaussian elimination, Math. Comp. 22 (1968).
+integer-preserving Gaussian elimination, Math. Comp. 22 (1968).  The
+package reads solutions as integer numerators over one d (:func:`_solve`);
+solve, det and inverse, the API edge, import ``fractions`` to return them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = Sequence[Sequence]  # rows of ints or Fractions
 
@@ -61,8 +65,9 @@ def _square(a: Matrix) -> int:
     return n
 
 
-def solve(a: Matrix, b: Matrix) -> List[List[Fraction]]:
-    """The unique X with A X = B; A is m x n, B is m x k, both by rows.
+def _solve(a: Matrix, b: Matrix) -> Tuple[List[List[int]], int]:
+    """The unique X with A X = B as integer numerators over one d > 0: A is
+    m x n, B is m x k, both by rows.
 
     All k right-hand sides share one elimination.  Raises ValueError
     ("inconsistent system") when some column of B lies outside the
@@ -78,7 +83,15 @@ def solve(a: Matrix, b: Matrix) -> List[List[Fraction]]:
         raise ValueError("inconsistent system")
     if len(pivots) != n:
         raise ValueError("solution is not unique")
-    return [[Fraction(x, d) for x in row[n:]] for row in mat[:n]]
+    s = 1 if d > 0 else -1
+    return [[s * x for x in row[n:]] for row in mat[:n]], s * d
+
+
+def solve(a: Matrix, b: Matrix) -> List[List[Fraction]]:
+    """The unique X with A X = B, as Fractions (see :func:`_solve`)."""
+    from fractions import Fraction
+    num, d = _solve(a, b)
+    return [[Fraction(x, d) for x in row] for row in num]
 
 
 def rank(a: Matrix) -> int:
@@ -92,6 +105,7 @@ def det(a: Matrix) -> Fraction:
     n = _square(a)
     mat, scale = _integer_rows(a)
     pivots, d, sign = _eliminate(mat, n)
+    from fractions import Fraction
     if len(pivots) != n:
         return Fraction(0)
     return Fraction(sign * d, scale**n)

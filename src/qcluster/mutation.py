@@ -22,13 +22,15 @@ E_eps B F_eps chooses, and compatible pairs mutate to compatible pairs
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence
 
-from .bicharacter import ExpMatrix, omega, pairing_row
+from .bicharacter import ExpMatrix, _pairing, pairing_row
 from .qtorus import ToricFrame, TorusElement, frame_value
-from .scalarfield import Coeff, div_right
+from .scalarfield import _q_power, _ratio_str, div_right
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def gplus(v: Sequence[int]):
@@ -85,19 +87,25 @@ def compatibility_check(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, Frac
     vanishing combination of columns pairs to zero in every direction and
     has all coefficients zero.
     """
+    from fractions import Fraction
+    return {k: Fraction(e, emat.den) for k, e in _diagonal_pairings(emat, bmat).items()}
+
+
+def _diagonal_pairings(emat: ExpMatrix, bmat: ExchangeMatrix) -> Dict[int, int]:
+    """compatibility_check with each pairing as its numerator over emat.den."""
     if emat.n != bmat.n_rows:
         raise ValueError("size mismatch between torus matrix and columns")
-    den = emat.den
-    diag: Dict[int, Fraction] = {}
+    diag: Dict[int, int] = {}
     for k in bmat.ex:
         for j, e in enumerate(pairing_row(emat, bmat.cols[k])):
             if j == k:
                 if e == 0:
                     raise ValueError(f"diagonal pairing at {k} is trivial")
-                diag[k] = Fraction(e, den)
+                diag[k] = e
             elif e != 0:
                 raise ValueError(
-                    f"pairing of column {k} with direction {j} is q^{Fraction(e, den)} != 1"
+                    f"pairing of column {k} with direction {j} is "
+                    f"q^{_ratio_str(e, emat.den)} != 1"
                 )
     return diag
 
@@ -140,8 +148,9 @@ def mutate_emat(emat: ExpMatrix, bmat: ExchangeMatrix, k: int) -> ExpMatrix:
 
 
 class Seed:
-    """A toric frame together with a compatible exchange matrix; pairings
-    holds the diagonal pairings d that compatibility_check certified.
+    """A toric frame together with a compatible exchange matrix; diag holds
+    the diagonal pairings d that compatibility_check certifies, each as its
+    numerator over frame.emat.den, and pairings gives them as Fractions.
 
     The pairings decide skew-symmetrizability with no search.  With L the
     frame's exponent matrix, (B^T L B)_kj = d_k b_kj for exchangeable k, j,
@@ -157,12 +166,19 @@ class Seed:
     def __init__(self, frame: ToricFrame, bmat: ExchangeMatrix):
         if frame.n != bmat.n_rows:
             raise ValueError("frame size and matrix row count differ")
-        self.pairings = compatibility_check(frame.emat, bmat)
-        up = {k: d > 0 for k, d in self.pairings.items()}
+        self.diag = _diagonal_pairings(frame.emat, bmat)
+        up = {k: d > 0 for k, d in self.diag.items()}
         if any(up[k] != up[j] for j in bmat.ex for k in bmat.ex if bmat.cols[j][k]):
             raise ValueError("principal part is not skew-symmetrizable")
         self.frame = frame
         self.bmat = bmat
+
+    @property
+    def pairings(self) -> Dict[int, Fraction]:
+        """The diagonal pairings d_k, as exponents of q."""
+        from fractions import Fraction
+        den = self.frame.emat.den
+        return {k: Fraction(e, den) for k, e in self.diag.items()}
 
     def __repr__(self) -> str:
         return f"Seed(n={self.frame.n}, ex={self.bmat.ex})"
@@ -175,24 +191,28 @@ def exchange_terms(frame: ToricFrame, bcol: Sequence[int], k: int):
     the negative part of the column, exponents chosen so that
     new_image * old_image == sum of q**s_i * M(h_i).
     """
+    from fractions import Fraction
+    den = frame.emat.den
+    return [(Fraction(s, den), h) for s, h in _exchange_terms(frame, bcol, k)]
+
+
+def _exchange_terms(frame: ToricFrame, bcol: Sequence[int], k: int):
+    """exchange_terms with each s as its numerator over frame.emat.den."""
     h1 = gplus(bcol)
     h2 = tuple(-x for x in gminus(bcol))
     if h1[k] or h2[k]:
         raise ValueError("column must vanish on its own direction")
     e_k = tuple(1 if i == k else 0 for i in range(frame.n))
-    return [
-        (omega(frame.emat, h1, e_k), h1),
-        (omega(frame.emat, h2, e_k), h2),
-    ]
+    return [(_pairing(frame.emat, h, e_k), h) for h in (h1, h2)]
 
 
 def _exchange_sum(frame: ToricFrame, bcol: Sequence[int], k: int):
     """The right side of the exchange relation at k: sum of q**s * M(h)."""
-    (s1, h1), (s2, h2) = exchange_terms(frame, bcol, k)
-    root = frame.root
+    (s1, h1), (s2, h2) = _exchange_terms(frame, bcol, k)
+    den, root = frame.emat.den, frame.root
     return (
-        frame_value(frame, h1).scaled(Coeff.q_power(s1, root))
-        + frame_value(frame, h2).scaled(Coeff.q_power(s2, root))
+        frame_value(frame, h1).scaled(_q_power(s1, den, root))
+        + frame_value(frame, h2).scaled(_q_power(s2, den, root))
     )
 
 

@@ -21,12 +21,14 @@ relies; every presentation passes it once, at load or on first use.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .bicharacter import ExpMatrix, _pairing
 from .linalg import _eliminate
 from .scalarfield import Coeff, TermSum, _add_term, _q_power, as_coeff
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _rev_key(f):
@@ -50,6 +52,7 @@ def _integer(x, key: str) -> int:
     """x as an int; ValueError when its value is not an integer."""
     if type(x) is int:
         return x
+    from fractions import Fraction
     v = Fraction(x)
     if v.denominator != 1:
         raise ValueError(f"{key} entry {x!r} is not an integer")
@@ -57,8 +60,12 @@ def _integer(x, key: str) -> int:
 
 
 def _exponents(vals) -> tuple:
-    """q-exponents as Fractions; None (no scalar) stays."""
-    return tuple(None if v is None else Fraction(v) for v in vals)
+    """q-exponents: an int or None (no scalar) stays, any other value a Fraction."""
+    vals = tuple(vals)
+    if any(v is not None and type(v) is not int for v in vals):
+        from fractions import Fraction
+        vals = tuple(v if v is None or type(v) is int else Fraction(v) for v in vals)
+    return vals
 
 
 class Presentation:
@@ -184,7 +191,7 @@ class Presentation:
     def nu(self) -> ExpMatrix:
         """The square-root commutation matrix (half the lam exponents)."""
         if self._nu is None:
-            self._nu = self.lam.scaled(Fraction(1, 2))
+            self._nu = ExpMatrix._make(self.lam.num, 2 * self.lam.den)
         return self._nu
 
     # -- rewriting core ------------------------------------------------------
@@ -394,7 +401,7 @@ def quantum_matrix_preset(m: int, n: int) -> Presentation:
     root = 2
     upper = {}
     delta = {}
-    qdiff = Coeff(root, {2: Fraction(-1), -2: Fraction(1)})  # -(q - q^-1)
+    qdiff = Coeff(root, {2: -1, -2: 1})  # -(q - q^-1)
     for k in range(N):
         r2, c2 = divmod(k, n)
         for j in range(k):
@@ -591,6 +598,7 @@ def presentation_from_dict(data: dict) -> Presentation:
     malformed derivation table yields an inconsistent rewriting system, or
     an algebra outside the CGL class, rather than an error.
     """
+    from fractions import Fraction
     lam = ExpMatrix(
         [
             [

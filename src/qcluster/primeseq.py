@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .bicharacter import ExpMatrix, omega, pairing_row, symmetrization
+from .bicharacter import ExpMatrix, _pairing, _symmetrization, pairing_row
 from .orealgebra import (
     _CERTIFIED,
     PBWElement,
@@ -44,7 +43,10 @@ from .orealgebra import (
     pbw_mul,
     weight_of,
 )
-from .scalarfield import Coeff, _div_laurent
+from .scalarfield import Coeff, _div_laurent, _q_power
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class EtaData:
@@ -219,9 +221,9 @@ def compute_primes(pres: Presentation) -> PrimeSequence:
 
 def _normalized(pres: Presentation, r: _Range, lo: int = 0) -> list:
     """The normalized primes S_nu(ebar_t) y_t of the range r from lo, as term dicts."""
-    nu, pad = pres.nu(), (0,) * lo
+    nu, pad, root = pres.nu(), (0,) * lo, pres.root
     return [
-        PBWElement(pres, y).scaled(Coeff.q_power(symmetrization(nu, pad + e), pres.root)).terms
+        PBWElement(pres, y).scaled(_q_power(_symmetrization(nu, pad + e), nu.den, root)).terms
         for y, e in zip(r.y, r.eta_data.ebar)
     ]
 
@@ -295,10 +297,12 @@ def _primes(pres: Presentation, lo: int, top: int) -> _Range:
                     break
             else:  # excluded by the theorem on a certified presentation
                 raise ValueError(f"stage {t}: delta_{t} moves no trailing prime")
-            alpha = omega(pres.lam, e, ebar[j])
-            # d = s c with s = alpha (lambda_k - 1), nonzero: check_cgl proved
-            # lambda_k != 0; so each coefficient of c is one exact quotient
-            s = Coeff.q_power(alpha + pres.lam_diag[k], root) - Coeff.q_power(alpha, root)
+            # d = s c with s = alpha (lambda_k - 1), alpha = q**(a/den) and
+            # lambda_k = q**lk, nonzero: check_cgl proved lk != 0; so each
+            # coefficient of c is one exact quotient
+            a, den, lk = _pairing(pres.lam, e, ebar[j]), pres.lam.den, pres.lam_diag[k]
+            s = _q_power(a * lk.denominator + lk.numerator * den, den * lk.denominator, root)
+            s = s - _q_power(a, den, root)
             c = {f: _div_laurent(cf, s.num) for f, cf in d.terms.items()}
             if any(cf is None for cf in c.values()):
                 raise ValueError(f"stage {t}: non-Laurent centering coefficient")
@@ -353,7 +357,8 @@ def _span(pres: Presentation, i: int, top: int) -> _Span:
     vec = _primes(pres, 0, pres.n - 1).eta_data.interval_vector(i, top)
     if f != vec or not lead.is_one:
         raise ValueError(f"interval prime [{i},{top}] has a wrong leading term")
-    image = y.scaled(Coeff.q_power(symmetrization(pres.nu(), vec), pres.root))
+    nu = pres.nu()
+    image = y.scaled(_q_power(_symmetrization(nu, vec), nu.den, pres.root))
     # weight_of cannot fail: the presentation checks at load that every delta
     # monomial has the weight of its key, so every prime is weight-homogeneous
     sid = len(memo.pairings)
@@ -413,8 +418,8 @@ def u_element(pres: Presentation, i: int, m: int) -> PBWElement:
         b = interval_prime(pres, s_i, m - 1)
         c = interval_prime(pres, s_i, m - 2)
         d = interval_prime(pres, i, m)
-        scal = omega(pres.lam, _unit_vec(pres.n, i), ed.interval_vector(s_i, mid_lo))
-        u = pbw_mul(a, b) - pbw_mul(c, d).scaled(Coeff.q_power(scal, pres.root))
+        scal = _pairing(pres.lam, _unit_vec(pres.n, i), ed.interval_vector(s_i, mid_lo))
+        u = pbw_mul(a, b) - pbw_mul(c, d).scaled(_q_power(scal, pres.lam.den, pres.root))
     for f in u.terms:
         sup = [t for t, x in enumerate(f) if x]
         if sup and (sup[0] <= i or sup[-1] >= top):
@@ -439,12 +444,17 @@ def window(pres: Presentation, i: int, m: int):
     return top, PBWElement(pres, terms), pi, f
 
 
-def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Fraction:
-    """Exponent of S_nu(-e_i + f), the normalized value the leading pi should match."""
-    nu = pres.nu()
+def _scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> int:
+    """den * the exponent of S_nu(-e_i + f), over den = pres.nu().den."""
     g = list(int(x) for x in f)
     g[i] -= 1
-    return symmetrization(nu, g)
+    return _symmetrization(pres.nu(), g)
+
+
+def interval_scalar_target(pres: Presentation, i: int, f: Sequence[int]) -> Fraction:
+    """Exponent of S_nu(-e_i + f), the normalized value the leading pi should match."""
+    from fractions import Fraction
+    return Fraction(_scalar_target(pres, i, f), pres.nu().den)
 
 
 def generator_scalars(pres: Presentation) -> List[Coeff]:
@@ -462,7 +472,7 @@ def generator_scalars(pres: Presentation) -> List[Coeff]:
         j = ed.p[i]
         if j is not None:
             _, _, pi, f = window(pres, j, 1)
-            target = Coeff.q_power(interval_scalar_target(pres, j, f), pres.root)
+            target = _q_power(_scalar_target(pres, j, f), pres.nu().den, pres.root)
             gamma[i] = gamma[j].inv() * _gamma_power(gamma, f, one) * pi.inv() * target
     return gamma
 

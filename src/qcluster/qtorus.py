@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bicharacter import ExpMatrix, _pairing, _symmetrization, omega
+from .bicharacter import ExpMatrix, _pairing, _symmetrization
 from .scalarfield import Coeff, TermSum, _add_term, _q_power
 
 
@@ -183,10 +183,11 @@ def check_frame_identity(frame: ToricFrame, target, combos) -> bool:
     m = tuple(m)
     lhs = frame_value(frame, m) * target
     rhs = None
+    den = frame.emat.den
     for s, g in combos:
         shifted = tuple(a + b for a, b in zip(m, g))
-        term = frame_value(frame, shifted).scaled(
-            Coeff.q_power(s + omega(frame.emat, m, g), frame.root)
-        )
+        # s + omega(m, g) over the denominator s.denominator * den
+        e = s.numerator * den + _pairing(frame.emat, m, g) * s.denominator
+        term = frame_value(frame, shifted).scaled(_q_power(e, s.denominator * den, frame.root))
         rhs = term if rhs is None else rhs + term
     return lhs == rhs

@@ -1,9 +1,13 @@
 """Exact scalar arithmetic for a single deformation parameter q.
 
-A power q**e of the generic parameter q is its rational exponent e, a plain
-Fraction (pairings, symmetrization factors, eigenvalues); exponents add
-where the powers multiply, and q**e is a root of unity only for e = 0.
-Two layers hold the scalars themselves:
+A power q**e of the generic parameter q is its rational exponent e
+(pairings, symmetrization factors, eigenvalues); exponents add where the
+powers multiply, and q**e is a root of unity only for e = 0.  Inside the
+package an exponent is an integer numerator over a denominator (the form
+``bicharacter.ExpMatrix`` keeps).  Fractions are the API edge, and only
+the branches that meet one import ``fractions``: :meth:`Coeff.q_exponent`,
+and a value or exponent that is neither an int nor a Coeff.  Two layers
+hold the scalars themselves:
 
 * :class:`Coeff` is an element of the rational function field Q(u) where
   u = q**(1/root) and ``root`` is a fixed positive integer chosen per
@@ -22,11 +26,9 @@ Two layers hold the scalars themselves:
   and a subclass fixes the keys, their order and the product.
 
 :meth:`Coeff.q_power` turns an exponent into the scalar q**e, and a bare
-rational anywhere else is a rational value.  Inside, exponents arrive as
-integer numerators over a denominator (the form ``bicharacter.ExpMatrix``
-keeps), and :func:`_q_power`, the integer core behind ``Coeff.q_power``,
-turns one into the u-monomial u**(num*root/den) with integer arithmetic
-only.
+rational anywhere else is a rational value.  :func:`_q_power`, the integer
+core behind ``Coeff.q_power``, turns an exponent num/den into the
+u-monomial u**(num*root/den) with integer arithmetic only.
 
 Everything is immutable by convention; operations return fresh objects,
 except that a product with the unit is the other factor itself.
@@ -34,8 +36,11 @@ except that a product with the unit is the other factor itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # -- sparse polynomial helpers (dict exponent -> int, no zero values) --
@@ -144,9 +149,12 @@ class Coeff:
         if root < 1:
             raise ValueError("root must be a positive integer")
         self.root = root
-        n = {int(k): Fraction(v) for k, v in (num or {}).items() if v}
+        n = {int(k): v for k, v in (num or {}).items() if v}
         # only a missing den is 1; an empty one is the zero polynomial
-        d = {0: 1} if den is None else {int(k): Fraction(v) for k, v in den.items() if v}
+        d = {0: 1} if den is None else {int(k): v for k, v in den.items() if v}
+        if any(type(v) is not int for p in (n, d) for v in p.values()):
+            from fractions import Fraction
+            n, d = ({k: Fraction(v) for k, v in p.items()} for p in (n, d))
         s = lcm(*(v.denominator for p in (n, d) for v in p.values()))
         self.num, self.den = _normalize(
             *({k: int(v * s) for k, v in p.items()} for p in (n, d))
@@ -171,7 +179,9 @@ class Coeff:
 
     @classmethod
     def from_fraction(cls, c, root: int) -> "Coeff":
-        c = Fraction(c)
+        if type(c) is not int:
+            from fractions import Fraction
+            c = Fraction(c)
         if not c:
             return cls.zero(root)
         if c == 1:
@@ -181,7 +191,9 @@ class Coeff:
     @classmethod
     def q_power(cls, e, root: int) -> "Coeff":
         """The monomial q**e, e rational with denominator dividing root."""
-        e = Fraction(e)
+        if type(e) is not int:
+            from fractions import Fraction
+            e = Fraction(e)
         return _q_power(e.numerator, e.denominator, root)
 
     # -- predicates ---------------------------------------------------------
@@ -209,8 +221,9 @@ class Coeff:
             raise ValueError(f"{self} is not a q power")
         ((k, v),) = self.num.items()
         if v != 1 or self.den[0] != 1:
-            v = Fraction(v, self.den[0])
+            v = _ratio_str(v, self.den[0])
             raise ValueError(f"{self} is not a q power (coefficient {v})")
+        from fractions import Fraction
         return Fraction(k, self.root)
 
     # -- arithmetic ---------------------------------------------------------
@@ -218,7 +231,10 @@ class Coeff:
     def _coerce(self, other):
         if type(other) is Coeff and other.root == self.root:
             return other
-        if isinstance(other, (Coeff, int, Fraction)):
+        if isinstance(other, (Coeff, int)):
+            return as_coeff(other, self.root)
+        from fractions import Fraction
+        if isinstance(other, Fraction):
             return as_coeff(other, self.root)
         return NotImplemented
 
@@ -285,10 +301,10 @@ class Coeff:
         return coeff_div(Coeff.one(self.root), self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, Coeff):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self.root == other.root
             and self.num == other.num
@@ -296,9 +312,13 @@ class Coeff:
         )
 
     def __hash__(self) -> int:
-        # a constant equals its Fraction value (__eq__), so it hashes as one
+        # a constant equals its rational value (__eq__), so it hashes as one
         if len(self.den) == 1 and self.num.keys() <= {0}:
-            return hash(Fraction(self.num.get(0, 0), self.den[0]))
+            v, d = self.num.get(0, 0), self.den[0]
+            if d == 1:
+                return hash(v)
+            from fractions import Fraction
+            return hash(Fraction(v, d))
         return hash(
             (self.root, frozenset(self.num.items()), frozenset(self.den.items()))
         )
@@ -342,7 +362,7 @@ def _q_power(num: int, den: int, root: int) -> Coeff:
     k, r = divmod(num * root, den)
     if r:
         raise ValueError(
-            f"exponent {Fraction(num, den)} not representable with root {root}"
+            f"exponent {_ratio_str(num, den)} not representable with root {root}"
         )
     if not k:
         return Coeff.one(root)
@@ -495,13 +515,19 @@ def div_right(a: TermSum, b: TermSum) -> TermSum:
     return a._like(quo)
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) in lowest terms, as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _poly_str(p: dict, root: int, d: int) -> str:
     """p/d as a sum of q powers, highest first (d > 0); each value and
     exponent k/root prints in lowest terms, as a Fraction does."""
     parts = []
     for k in sorted(p, reverse=True):
-        g, h = gcd(p[k], d), gcd(k, root)
-        v = str(p[k] // g) if g == d else f"{p[k] // g}/{d // g}"
+        h = gcd(k, root)
+        v = _ratio_str(p[k], d)
         mono = "" if not k else "q" if k == root else (
             f"q^{k // h}" if h == root else f"q^({k // h}/{root // h})")
         parts.append(

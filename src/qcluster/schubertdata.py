@@ -17,12 +17,13 @@ other index in this package.
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd
 from operator import add, lshift, neg, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bicharacter import ExpMatrix
-from .linalg import inverse
+from .linalg import _solve
 from .mutation import ExchangeMatrix
 
 
@@ -102,25 +103,28 @@ class CartanData:
     d C^-1 = d S^-1 d is symmetric too, and none of this is checked here.
     """
 
-    __slots__ = ("letter", "rank", "cartan", "d", "gram", "gram_scale",
+    __slots__ = ("letter", "rank", "cartan", "d", "gram_scale",
                  "_gram_scaled", "_gram_max")
 
     def __init__(self, letter: str, rank: int):
         self.letter = letter.upper()
-        self.rank = int(rank)
+        self.rank = r = int(rank)
         self.cartan = cartan_matrix(letter, rank)
-        self.d = _LENGTHS.get(self.letter, lambda r: (1,) * r)(self.rank)
-        inv = inverse(self.cartan)
-        self.gram = tuple(
-            tuple(self.d[i] * inv[i][j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        scale = lcm(*(x.denominator for row in self.gram for x in row))
-        self.gram_scale = scale
-        self._gram_scaled = tuple(
-            tuple(int(x * scale) for x in row) for row in self.gram
-        )
+        self.d = _LENGTHS.get(self.letter, lambda r: (1,) * r)(r)
+        # d C^-1 as numerators over one denominator, then in lowest terms:
+        # gram_scale is the lcm of the entries' denominators
+        inv, det = _solve(self.cartan, [[int(i == j) for j in range(r)] for i in range(r)])
+        num = [[di * x for x in row] for di, row in zip(self.d, inv)]
+        g = gcd(det, *chain.from_iterable(num))
+        self.gram_scale = det // g
+        self._gram_scaled = tuple(tuple(x // g for x in row) for row in num)
         self._gram_max = max(row[i] for i, row in enumerate(self._gram_scaled))
+
+    @property
+    def gram(self):
+        """The Gram matrix d C^-1 of the fundamental weights, as Fractions."""
+        from fractions import Fraction
+        return tuple(tuple(Fraction(x, self.gram_scale) for x in row) for row in self._gram_scaled)
 
     def _letter(self, i: int) -> int:
         if not 1 <= i <= self.rank:

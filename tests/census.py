@@ -16,8 +16,9 @@ every code object of the module) that ran in neither.  A line that no test
 can reach is listed in UNRUN with its reason and printed as known; the exit
 status is 1 when an unrun line has no reason there.
 
-``mutants`` applies each edit of MUTANTS to a copy of src and tests in a
-temporary directory and runs there the test files that should catch it.
+``mutants`` applies each edit of MUTANTS to a copy of src, tests and
+perfbench in a temporary directory and runs there the test files that
+should catch it.
 A mutant is killed when those tests fail; a survivor is printed, and the
 exit status is 1 unless every mutant is killed or listed in EQUIVALENT.
 """
@@ -76,6 +77,9 @@ UNRUN = {
     ("schubertdata", "WordData.__init__",
      'raise AssertionError("repeated root in a positivity-checked word")'):
         "the roots of a reduced word are distinct (Bourbaki, Lie VI 1.6)",
+    **{(module, "<module>", "from fractions import Fraction"):
+       "imported under TYPE_CHECKING, for the annotations of the Fraction API edge"
+       for module in ("bicharacter", "linalg", "mutation", "orealgebra", "primeseq", "scalarfield")},
 }
 
 
@@ -217,7 +221,8 @@ MUTANTS = {
         "out = factor if out is None", ["tests/test_qtorus.py"],
     ),
     "_normalized without lo": (
-        "primeseq.py", "nu, pad = pres.nu(), (0,) * lo", "nu, pad = pres.nu(), ()",
+        "primeseq.py", "nu, pad, root = pres.nu(), (0,) * lo, pres.root",
+        "nu, pad, root = pres.nu(), (), pres.root",
         ["tests/test_primeseq.py"],
     ),
     "generator_scalars without pi^-1": (
@@ -241,8 +246,8 @@ MUTANTS = {
         ["tests/test_scalarfield.py"],
     ),
     "u_element's scalar with the opposite sign": (
-        "primeseq.py", "pbw_mul(c, d).scaled(Coeff.q_power(scal,",
-        "pbw_mul(c, d).scaled(Coeff.q_power(-scal,", ["tests/test_primeseq.py"],
+        "primeseq.py", "pbw_mul(c, d).scaled(_q_power(scal,",
+        "pbw_mul(c, d).scaled(_q_power(-scal,", ["tests/test_primeseq.py"],
     ),
     "interval_scalar_target without -e_i": (
         "primeseq.py", "    g[i] -= 1\n", "", ["tests/test_primeseq.py"],
@@ -254,6 +259,15 @@ MUTANTS = {
     "compatibility_check skips the off-diagonal pairings": (
         "mutation.py", "            elif e != 0:", "            elif False:",
         ["tests/test_mutation.py"],
+    ),
+    "Seed's integer diagonal pairings with the opposite sign": (
+        "mutation.py", "        self.diag = _diagonal_pairings(frame.emat, bmat)\n",
+        "        self.diag = {k: -e for k, e in _diagonal_pairings(frame.emat, bmat).items()}\n",
+        ["tests/test_mutation.py"],
+    ),
+    "integer exponents printed without the gcd reduction": (
+        "scalarfield.py", "    g = gcd(n, d)\n    return str(n // g)", "    g = 1\n    return str(n // g)",
+        ["tests/test_cli.py"],
     ),
     "mutate_matrix without the sign-split term": (
         "mutation.py", "x + (abs(b) * col[k] + b * abs(col[k])) // 2", "x",
@@ -285,11 +299,12 @@ EQUIVALENT = {
 
 def _run_mutant(name, tmp: Path) -> str:
     """'killed', 'survived' or why the edit does not apply, for one mutant
-    on a fresh copy of src and tests under tmp."""
+    on a fresh copy of src, tests and perfbench under tmp."""
     module, text, repl, files = MUTANTS[name]
     copy = tmp / "repo"
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    # tests/test_cli.py reads the request shapes of perfbench/workloads.py
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, copy / part, ignore=skip)
     path = copy / "src" / "qcluster" / module
     source = path.read_text()

@@ -14,8 +14,10 @@ frame_value_by_products the frame values as |g_k| products
 per direction from the scaled unit and reindex_by_columns the composed
 frame M o sigma for any sigma in GL_N(Z) (qtorus), poly_str the Fraction
 formatting of Coeff reprs and quotient_by_inverse the centering
-coefficients through a gcd (scalarfield).  Like tests/restriction.py and tests/factors.py, they keep a
-route the package replaced or never needed, so the tests can compare.
+coefficients through a gcd (scalarfield), expmat_rows the Fraction
+formatting of exponent matrices in CLI payloads (cli).  Like
+tests/restriction.py and tests/factors.py, they keep a route the package
+replaced or never needed, so the tests can compare.
 """
 
 from fractions import Fraction
@@ -195,6 +197,12 @@ def poly_str(p: dict, root: int, d: int) -> str:
         parts.append(term)
     out = " + ".join(parts)
     return out.replace("+ -", "- ")
+
+
+def expmat_rows(emat: ExpMatrix) -> list:
+    """The entries of emat as str prints its Fractions: cli.expmat_rows
+    before it formatted integer numerators."""
+    return [[str(x) for x in row] for row in emat.rows]
 
 
 def quotient_by_inverse(c: Coeff, s: dict):

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,11 @@ from qcluster import cli, primeseq
 from qcluster.cli import main
 from qcluster.exchangesolver import quantum_matrix_btilde
 from qcluster.mutation import ExchangeMatrix, exchange_identity_holds, mutated_variable
-from qcluster.orealgebra import Presentation, quantum_matrix_preset
+from qcluster.orealgebra import Presentation, presentation_from_dict, quantum_matrix_preset
 from qcluster.primeseq import compute_primes
+from qcluster.scalarfield import Coeff
 from qcluster.xicombinatorics import gamma_chain
+import oracles
 from twists import random_twist
 
 BAD_CUSTOM = {
@@ -39,16 +42,22 @@ BAD_CUSTOM = {
 
 
 def serialize(pres):
+    """pres as the data presentation_from_dict reads back as pres.  Each
+    delta coefficient is written exactly, one rational string per
+    u-exponent; one that is not a Laurent polynomial is a ValueError."""
+
+    def coeff(c):
+        if not c.is_laurent:
+            raise ValueError(f"delta coefficient {c} is not a Laurent polynomial")
+        return {str(e): str(Fraction(v, c.den[0])) for e, v in c.num.items()}
+
     return {
         "lambda": [[str(x) for x in row] for row in pres.lam.rows],
         "weights": [list(w) for w in pres.weights],
         "lambda_diag": [None if e is None else str(e) for e in pres.lam_diag],
         "lambda_star": [None if e is None else str(e) for e in pres.lam_star],
         "delta": {
-            f"{k},{j}": [
-                [list(mono), {str(e): str(v) for e, v in c.num.items()}]
-                for mono, c in terms
-            ]
+            f"{k},{j}": [[list(mono), coeff(c)] for mono, c in terms]
             for (k, j), terms in pres.delta.items()
         },
         "eta": list(pres.eta),
@@ -61,6 +70,48 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def with_delta_times(pres, c):
+    """pres with every delta coefficient multiplied by the scalar c."""
+    delta = {key: tuple((f, v * c) for f, v in terms) for key, terms in pres.delta.items()}
+    return Presentation(pres.lam, delta, pres.weights, pres.lam_diag, pres.lam_star,
+                        eta=pres.eta, names=pres.names, root=pres.root)
+
+
+@pytest.mark.parametrize("c", [2, Fraction(1, 2), -1])
+def test_serialize_writes_each_coefficient_exactly(c):
+    """A delta coefficient with a denominator loads back as itself, not as
+    its numerator: the 2x2 preset with delta times 1/2 is another algebra
+    than with delta times 1."""
+    h = with_delta_times(quantum_matrix_preset(2, 2), c)
+    assert presentation_from_dict(serialize(h)).delta == h.delta
+
+
+def test_serialize_rejects_a_coefficient_that_is_not_laurent():
+    """The 2x2 preset with its one delta coefficient 1/(1 + q)."""
+    pres = quantum_matrix_preset(2, 2)
+    ((_, d),) = pres.delta[(3, 0)]
+    h = with_delta_times(pres, (Coeff.q_power(1, pres.root) + 1).inv() / d)
+    with pytest.raises(ValueError, match=r"^delta coefficient \(1\)/\(q \+ 1\) is not a Laurent"):
+        serialize(h)
+
+
+EXPONENT_ROW_REQUESTS = [
+    ("--cmd", "frames", "--m", str(m), "--n", str(n)) for m in range(1, 5) for n in range(1, 5)
+] + [("--cmd", "schubert", "--preset", "schubert", "--type", "D", "--rank", "4",
+      "--word", *"1 3 4 2 1 3 4 2 1 3 4 2".split())]
+
+
+@pytest.mark.parametrize("argv", EXPONENT_ROW_REQUESTS, ids=" ".join)
+def test_exponent_rows_print_as_their_fractions(capsys, monkeypatch, argv):
+    """cli.expmat_rows prints each entry from its integer numerator over
+    den, byte for byte as str prints the Fraction (tests/oracles.py)."""
+    rc, out, err = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "expmat_rows", oracles.expmat_rows)
+    assert (rc, err) == (0, "") and run_cli(capsys, *argv) == (rc, out, err)
+    if argv[1] == "schubert" or "1" not in (argv[3], argv[5]):
+        assert "/" in out  # some entries are not integers
 
 
 def test_primes_payload(capsys):
@@ -256,6 +307,73 @@ def run_entry(*argv, stdout=subprocess.PIPE, **env):
         [sys.executable, "-m", "qcluster.cli", *argv], env=child_env(**env),
         stdout=stdout, stderr=subprocess.PIPE,
     )
+
+
+# Runs one request in a child and prints its exit status, then which of
+# fractions, decimal and numbers it loaded.  kind is "cli" (argv follows),
+# "sweep" (type, rank, length) or "omega", a call to the Fraction-valued API.
+IMPORT_PROBE = """
+import os, sys
+kind, *args = sys.argv[1:]
+if kind == "cli":
+    from qcluster.cli import main
+    code = main(args + ["--out", os.devnull])
+elif kind == "sweep":
+    from qcluster.schubertdata import CartanData, compatibility_sweep
+    checked, failures = compatibility_sweep(CartanData(args[0], int(args[1])), int(args[2]))
+    code = len(failures)
+else:
+    from qcluster import ExpMatrix, omega
+    e = omega(ExpMatrix.from_upper(2, {(0, 1): 1}), (2, 0), (0, 1))
+    code = f"{type(e).__name__}:{e}"
+print(code, *sorted({"fractions", "decimal", "numbers"} & sys.modules.keys()))
+"""
+
+
+def import_probe(kind, *args):
+    """(exit status, the modules of fractions/decimal/numbers loaded) of
+    one request run by IMPORT_PROBE."""
+    code, *loaded = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, kind, *args], env=child_env(),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    return code, loaded
+
+
+def preset_request_shapes():
+    """One request per shape of the benchmark workloads (seed 1, variant
+    0), CLI requests and Schubert sweeps, then frames and the
+    schubert-preset commands on the longest word of D4."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import WORKLOADS, requests_for
+    finally:
+        sys.path.pop(0)
+    reqs = [(req.kind, *req.args) for name in WORKLOADS for req in requests_for(name, 1, 0)]
+    word = ("--word", *"1 3 4 2 1 3 4 2 1 3 4 2".split())
+    reqs.append(("cli", "--cmd", "frames", "--m", "3", "--n", "3"))
+    for cmd in ("schubert", "bmatrix", "verify"):
+        reqs.append(("cli", "--cmd", cmd, "--preset", "schubert", "--type", "D", "--rank", "4", *word))
+    return reqs
+
+
+@pytest.mark.parametrize("request_", preset_request_shapes(), ids=" ".join)
+def test_preset_requests_never_import_fractions(request_):
+    """Exponents stay integer numerators from preset load to JSON, so no
+    preset request or sweep imports fractions (nor decimal and numbers,
+    which it pulls in): each would cost every request about 2 ms."""
+    assert import_probe(*request_) == ("0", [])
+
+
+def test_the_fraction_api_edge_still_imports_fractions(tmp_path):
+    """A custom file and the Fraction-valued API load fractions and work."""
+    source = tmp_path / "grid22.json"
+    source.write_text(json.dumps(serialize(quantum_matrix_preset(2, 2))))
+    loaded = ["decimal", "fractions", "numbers"]
+    assert import_probe("cli", "--cmd", "verify", "--preset", "custom", "--file", str(source)) == (
+        "0", loaded
+    )
+    assert import_probe("omega") == ("Fraction:2", loaded)
 
 
 def test_entry_prints_what_main_prints(capsys, tmp_path):

@@ -9,6 +9,7 @@ from qcluster import cli
 from qcluster.bicharacter import ExpMatrix
 from qcluster.exchangesolver import (
     LinearSystem,
+    _btilde_system,
     _solve_btilde,
     _window,
     btilde_for_tau,
@@ -49,6 +50,24 @@ def test_a_column_off_the_integers_is_rejected():
     emat = ExpMatrix([[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match=r"^column at 0 is not integral: \[Fraction\(0, 1\), Fraction\(-1, 2\)\]$"):
         _solve_btilde(emat, [(0,), (0,)], (0,), [Fraction(1), None])
+
+
+@pytest.mark.parametrize("star", [2, 1, Fraction(1, 3), Fraction(-3, 2)])
+def test_the_integer_system_is_the_rational_one_scaled(star):
+    """_btilde_system clears the denominator of lam*_l * den / 2 with the
+    least positive integer s: its pairing rows and right-hand sides are s
+    times the rational system's, in ints, and its weight rows are the
+    image weights."""
+    pres = quantum_matrix_preset(2, 3)
+    tp = frame_for_tau(pres, gamma_chain(pres.n)[0])
+    emat, n = tp.frame.emat, tp.frame.n
+    rows, rhs = _btilde_system(emat, tp.image_weights, tp.ex, [star] * n)
+    half = Fraction(star) * emat.den / 2
+    s = half.denominator
+    assert rows[:n] == [tuple(s * x for x in col) for col in zip(*emat.num)]
+    assert rows[n:] == list(zip(*tp.image_weights))
+    assert rhs == [[s * half if j == l else 0 for l in tp.ex] for j in range(len(rows))]
+    assert all(type(x) is int for row in rows + rhs for x in row)
 
 
 def test_closed_form_2x2():

@@ -25,6 +25,7 @@ from qcluster.orealgebra import (
 )
 from qcluster.primeseq import rescale_generators
 from qcluster.scalarfield import Coeff, div_right
+from test_cli import serialize
 
 PRES = quantum_matrix_preset(2, 2)
 Q = Coeff.q_power(1, PRES.root)
@@ -153,25 +154,6 @@ def test_sigma_delta_requires_lower_support():
         apply_sigma_delta(PRES, 1, PRES.gen(2))
     with pytest.raises(ValueError, match="^element from a different presentation$"):
         apply_sigma_delta(PRES, 3, quantum_matrix_preset(2, 2).gen(0))
-
-
-def serialize(pres):
-    return {
-        "lambda": [[str(x) for x in row] for row in pres.lam.rows],
-        "weights": [list(w) for w in pres.weights],
-        "lambda_diag": [None if e is None else str(e) for e in pres.lam_diag],
-        "lambda_star": [None if e is None else str(e) for e in pres.lam_star],
-        "delta": {
-            f"{k},{j}": [
-                [list(mono), {str(e): str(v) for e, v in c.num.items()}]
-                for mono, c in terms
-            ]
-            for (k, j), terms in pres.delta.items()
-        },
-        "eta": list(pres.eta),
-        "names": list(pres.names),
-        "root": pres.root,
-    }
 
 
 def test_round_trip_through_dict():
