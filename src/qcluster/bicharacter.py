@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, List, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable, List, Sequence
 
 
 class ExpMatrix:

@@ -8,12 +8,14 @@ and seed.  Exit status 0 means success, 1 a failed check or computation,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from argparse import Namespace
 from functools import cached_property
-from typing import List, Optional, Sequence
+from types import SimpleNamespace as Namespace
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import List, Optional, Sequence
 
 from .bicharacter import _symmetrization
 from .exchangesolver import (
@@ -73,7 +75,7 @@ class ConfigError(Exception):
 
 
 def check_config(config: Namespace) -> None:
-    """The rules between flags that argparse's choices cannot state, in
+    """The rules between flags that FLAGS' choices cannot state, in
     the order they are checked: a request that breaks two is told of the
     first."""
     if config.preset == "schubert" and config.command not in (
@@ -586,7 +588,7 @@ COMMANDS = tuple(_BODIES)
 
 
 def run(config: Namespace):
-    """Execute one command of a build_parser() namespace, checked first by
+    """Execute one command of a parse_args() namespace, checked first by
     check_config; returns (exit status, payload dict)."""
     check_config(config)
     body = _BODIES[config.command]
@@ -682,36 +684,121 @@ def emit(payload: dict, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="qcluster",
-        description=(
-            "Exact quantum cluster algebra computations on iterated skew "
-            "polynomial algebras."
-        ),
-    )
-    p.add_argument(
-        "--cmd", dest="command", required=True, choices=COMMANDS,
-        help="what to run",
-    )
-    p.add_argument("--preset", default="quantum-matrices", choices=PRESETS)
-    p.add_argument("--m", type=int, default=2, help="matrix rows")
-    p.add_argument("--n", type=int, default=2, help="matrix columns")
-    p.add_argument("--type", default="A", help="root system letter")
-    p.add_argument("--rank", type=int, default=2, help="root system rank")
-    p.add_argument("--word", type=int, nargs="+", help="reduced word letters")
-    p.add_argument("--file", help="custom presentation JSON file")
-    p.add_argument(
-        "--mutations", type=int, nargs="+", default=[],
-        help="mutation directions for --cmd mutate",
-    )
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="seed for random cases")
-    return p
+# One row per flag: dest, value type, 1 value or "+" (one or more),
+# choices, default and help.  --cmd is required.
+FLAGS = {
+    "--cmd": ("command", str, 1, COMMANDS, None, "what to run"),
+    "--preset": ("preset", str, 1, PRESETS, "quantum-matrices", "the algebra"),
+    "--m": ("m", int, 1, None, 2, "matrix rows"),
+    "--n": ("n", int, 1, None, 2, "matrix columns"),
+    "--type": ("type", str, 1, None, "A", "root system letter"),
+    "--rank": ("rank", int, 1, None, 2, "root system rank"),
+    "--word": ("word", int, "+", None, None, "reduced word letters"),
+    "--file": ("file", str, 1, None, None, "custom presentation JSON file"),
+    "--mutations": ("mutations", int, "+", None, [], "mutation directions for --cmd mutate"),
+    "--out": ("out", str, 1, None, None, "write JSON here instead of stdout"),
+    "--seed": ("seed", int, 1, None, 0, "seed for random cases"),
+}
+
+
+def _usage(full: bool = False) -> str:
+    """The usage line, wrapped at 79 columns; with full, the --help text."""
+    shown, line, lines = {}, "usage: qcluster [-h]", []
+    for flag, (dest, _, nargs, choices, _, _) in FLAGS.items():
+        name = "{" + ",".join(choices) + "}" if choices else dest.upper()
+        shown[flag] = f"{flag} {name} [{name} ...]" if nargs == "+" else f"{flag} {name}"
+        part = shown[flag] if flag == "--cmd" else f"[{shown[flag]}]"
+        if len(line) + len(part) >= 79:
+            lines.append(line)
+            line = " " * 15
+        line += " " + part
+    lines.append(line)
+    if full:
+        lines += ["", "Exact quantum cluster algebra computations on iterated skew polynomial "
+                  "algebras.", "", "options:", "  -h, --help", "      show this help message and exit"]
+        lines += [f"  {shown[flag]}\n      {FLAGS[flag][5]}" for flag in FLAGS]
+    return "\n".join(lines) + "\n"
+
+
+def _reject(reason: str):
+    """Usage and reason on stderr, then exit 2: argv does not parse."""
+    sys.stderr.write(f"{_usage()}qcluster: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _option(tok: str):
+    """(flag, the value after "=" or None) if tok reads as an option, flag
+    None if unknown, or None if tok is a value.  A unique prefix names a
+    long flag; "-1", "-.5" and a word with a space that names no flag are
+    values, as no flag looks like a negative number."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if tok in FLAGS or tok in ("-h", "--help"):
+        return tok, None
+    if eq and (name in FLAGS or name in ("-h", "--help")):
+        return name, value
+    if tok[:2] == "-h":  # a value glued to -h, which takes none
+        return "-h", tok[2:]
+    found = [f for f in ("--help", *FLAGS) if f.startswith(name)]
+    if tok[:2] == "--" and (eq or len(name) > 2) and found:  # "--" alone is unknown
+        if len(found) > 1:
+            _reject(f"ambiguous option: {tok} could match {', '.join(found)}")
+        return found[0], value if eq else None
+    whole, dot, frac = tok[1:].partition(".")
+    if (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal()) or " " in tok:
+        return None
+    return None, None
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> Namespace:
+    """The request argv (default sys.argv[1:]) states: each flag's value
+    is the next word or follows "=", a "+" flag takes the words up to the
+    next option, and the last occurrence wins.  -h/--help prints help and
+    exits 0; a bad argv exits 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    seen = [_option(tok) for tok in argv]
+    config = {spec[0]: spec[4] for spec in FLAGS.values()}
+    config["mutations"] = []  # a list of the request's own, not the table's
+    unknown, i = [], 0
+    while i < len(argv):
+        (flag, value), i = seen[i] or (None, None), i + 1
+        if flag is None:
+            unknown.append(argv[i - 1])
+            continue
+        if flag in ("-h", "--help"):
+            if value is not None:
+                _reject(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_usage(full=True))
+            raise SystemExit(0)
+        dest, kind, nargs, choices, _, _ = FLAGS[flag]
+        words = [value]
+        if value is None:
+            j = i
+            while j < len(argv) and seen[j] is None and (j == i or nargs == "+"):
+                j += 1
+            words, i = argv[i:j], j
+            if not words:
+                _reject(f"argument {flag}: expected {'at least ' * (nargs == '+')}one argument")
+        values = []
+        for word in words:
+            try:
+                values.append(kind(word))
+            except ValueError:
+                _reject(f"argument {flag}: invalid int value: {word!r}")
+            if choices and word not in choices:
+                _reject(f"argument {flag}: invalid choice: {word!r} "
+                        f"(choose from {', '.join(map(repr, choices))})")
+        config[dest] = values if nargs == "+" else values[0]
+    if config["command"] is None:
+        _reject("the following arguments are required: --cmd")
+    if unknown:
+        _reject(f"unrecognized arguments: {' '.join(unknown)}")
+    return Namespace(**config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    config = build_parser().parse_args(argv)
+    config = parse_args(argv)
     try:
         code, payload = run(config)
         emit(payload, config.out)

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence
 
 from .linalg import _solve, solve
 from .mutation import ExchangeMatrix
 from .primeseq import _check_range, _primes, window
 from .xicombinatorics import TauPresentation, _span_frame, _window_spans
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import List, Sequence
 
 
 # perfbench/tracer.py times solve_unique by name; keep the class and method

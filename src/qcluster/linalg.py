@@ -14,12 +14,13 @@ solve, det and inverse, the API edge, import ``fractions`` to return them.
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING, List, Sequence, Tuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import List, Sequence, Tuple
 
-Matrix = Sequence[Sequence]  # rows of ints or Fractions
+Matrix = "Sequence[Sequence]"  # rows of ints or Fractions
 
 
 def _integer_rows(rows: Matrix) -> Tuple[List[List[int]], int]:

@@ -23,14 +23,15 @@ E_eps B F_eps chooses, and compatible pairs mutate to compatible pairs
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence
 
 from .bicharacter import ExpMatrix, _pairing, pairing_row
 from .qtorus import ToricFrame, TorusElement, frame_value
 from .scalarfield import _q_power, _ratio_str, div_right
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Dict, Mapping, Sequence
 
 
 def gplus(v: Sequence[int]):

@@ -21,14 +21,15 @@ relies; every presentation passes it once, at load or on first use.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from .bicharacter import ExpMatrix, _pairing
 from .linalg import _eliminate
 from .scalarfield import Coeff, TermSum, _add_term, _q_power, as_coeff
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Optional, Sequence
 
 
 def _rev_key(f):

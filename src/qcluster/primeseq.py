@@ -30,7 +30,6 @@ import weakref
 from collections import namedtuple
 from math import prod
 from operator import mul
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .bicharacter import ExpMatrix, _pairing, _symmetrization, pairing_row
 from .orealgebra import (
@@ -45,8 +44,10 @@ from .orealgebra import (
 )
 from .scalarfield import Coeff, _div_laurent, _q_power
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class EtaData:

@@ -17,10 +17,12 @@ denominators, see :func:`check_frame_identity`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .bicharacter import ExpMatrix, _pairing, _symmetrization
 from .scalarfield import Coeff, TermSum, _add_term, _q_power
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 
 class TorusElement(TermSum):

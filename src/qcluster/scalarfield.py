@@ -37,8 +37,8 @@ except that a product with the unit is the other factor itself.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

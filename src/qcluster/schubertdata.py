@@ -17,14 +17,18 @@ other index in this package.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 from math import gcd
 from operator import add, lshift, neg, sub
-from typing import List, NamedTuple, Sequence, Tuple
 
 from .bicharacter import ExpMatrix
 from .linalg import _solve
 from .mutation import ExchangeMatrix
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import List, Sequence, Tuple
 
 
 def _path_cartan(rank: int) -> List[List[int]]:
@@ -276,14 +280,10 @@ def _append_row(cd, word, p, bcols):
     return out
 
 
-class CompatReport(NamedTuple):
-    """Outcome of the compatible-pair verification for one word."""
-
-    ok: bool
-    columns: Tuple[int, ...]
-    pairing_failures: Tuple[Tuple[int, int], ...]
-    grading_failures: Tuple[int, ...]
-    symmetrizable: bool
+CompatReport = namedtuple(
+    "CompatReport", "ok columns pairing_failures grading_failures symmetrizable"
+)
+CompatReport.__doc__ = "Outcome of the compatible-pair verification for one word."
 
 
 def _walk(cd: CartanData, letters: Sequence[Sequence[int]], w: int,

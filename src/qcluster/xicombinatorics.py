@@ -20,12 +20,14 @@ fraction field.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 from .bicharacter import ExpMatrix
 from .orealgebra import PBWElement, Presentation
 from .primeseq import _primes, _span, _Span, _span_pairings
 from .qtorus import ToricFrame
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import List, Sequence, Tuple
 
 
 def has_interval_prefixes(tau: Sequence[int]) -> bool:

@@ -80,6 +80,10 @@ UNRUN = {
     **{(module, "<module>", "from fractions import Fraction"):
        "imported under TYPE_CHECKING, for the annotations of the Fraction API edge"
        for module in ("bicharacter", "linalg", "mutation", "orealgebra", "primeseq", "scalarfield")},
+    **{(path.stem, "<module>", line.strip()):
+       "imported under TYPE_CHECKING, for the annotations only"
+       for path in SRC.glob("*.py") for line in path.read_text().splitlines()
+       if line.startswith("    from typing import ")},
 }
 
 
@@ -283,6 +287,13 @@ MUTANTS = {
     ),
     "span pairing rows formed on every pair": (
         "primeseq.py", "    if not a.row:\n", "    if True:\n", ["tests/test_xicombinatorics.py"],
+    ),
+    "a + flag takes one value": (
+        "cli.py", "(j == i or nargs == \"+\")", "j == i", ["tests/test_cli.py"],
+    ),
+    "a negative number reads as an option": (
+        "cli.py", "if (frac if dot else whole).isdecimal()", "if False",
+        ["tests/test_cli.py"],
     ),
     "the empty permutation has no interval prefixes": (
         "xicombinatorics.py", "if not n:  # the empty permutation", "if False:  # the empty permutation",

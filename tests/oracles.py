@@ -15,15 +15,18 @@ per direction from the scaled unit and reindex_by_columns the composed
 frame M o sigma for any sigma in GL_N(Z) (qtorus), poly_str the Fraction
 formatting of Coeff reprs and quotient_by_inverse the centering
 coefficients through a gcd (scalarfield), expmat_rows the Fraction
-formatting of exponent matrices in CLI payloads (cli).  Like
+formatting of exponent matrices in CLI payloads and build_parser the
+argparse parser that cli.parse_args and its FLAGS table replaced (cli).  Like
 tests/restriction.py and tests/factors.py, they keep a route the package
 replaced or never needed, so the tests can compare.
 """
 
+import argparse
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from qcluster.bicharacter import ExpMatrix, omega, pairing_row, symmetrization
+from qcluster.cli import COMMANDS, PRESETS
 from qcluster.linalg import det
 from qcluster.orealgebra import Presentation, leading_term
 from qcluster.primeseq import compute_primes, interval_scalar_target, rescale_generators, u_element
@@ -251,3 +254,31 @@ def reindex_by_columns(frame, sigma_cols):
         frame.one,
         frame.root,
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="qcluster",
+        description=(
+            "Exact quantum cluster algebra computations on iterated skew "
+            "polynomial algebras."
+        ),
+    )
+    p.add_argument(
+        "--cmd", dest="command", required=True, choices=COMMANDS,
+        help="what to run",
+    )
+    p.add_argument("--preset", default="quantum-matrices", choices=PRESETS)
+    p.add_argument("--m", type=int, default=2, help="matrix rows")
+    p.add_argument("--n", type=int, default=2, help="matrix columns")
+    p.add_argument("--type", default="A", help="root system letter")
+    p.add_argument("--rank", type=int, default=2, help="root system rank")
+    p.add_argument("--word", type=int, nargs="+", help="reduced word letters")
+    p.add_argument("--file", help="custom presentation JSON file")
+    p.add_argument(
+        "--mutations", type=int, nargs="+", default=[],
+        help="mutation directions for --cmd mutate",
+    )
+    p.add_argument("--out", help="write JSON here instead of stdout")
+    p.add_argument("--seed", type=int, default=0, help="seed for random cases")
+    return p

@@ -287,7 +287,9 @@ def child_env(**overrides):
 def test_cli_import_stays_light():
     """Every request pays for importing the CLI, and dataclasses alone
     pulls in inspect, ast, dis and tokenize.  json is imported only to
-    read a --file, and random only by the verify suite's mutation check."""
+    read a --file, and random only by the verify suite's mutation check.
+    argv is parsed by cli.FLAGS, not argparse, which loads gettext and,
+    through it, locale."""
     code = (
         "import sys; before = set(sys.modules); import qcluster.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -299,6 +301,7 @@ def test_cli_import_stays_light():
     assert "qcluster.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
     assert "json" not in added and "random" not in added
+    assert not {"argparse", "gettext", "locale"} & set(added)
 
 
 def run_entry(*argv, stdout=subprocess.PIPE, **env):
@@ -310,11 +313,12 @@ def run_entry(*argv, stdout=subprocess.PIPE, **env):
 
 
 # Runs one request in a child and prints its exit status, then which of
-# fractions, decimal and numbers it loaded.  kind is "cli" (argv follows),
-# "sweep" (type, rank, length) or "omega", a call to the Fraction-valued API.
+# the comma-separated modules it was given it loaded.  kind is "cli" (argv
+# follows), "sweep" (type, rank, length) or "omega", a call to the
+# Fraction-valued API.
 IMPORT_PROBE = """
 import os, sys
-kind, *args = sys.argv[1:]
+watched, kind, *args = sys.argv[1:]
 if kind == "cli":
     from qcluster.cli import main
     code = main(args + ["--out", os.devnull])
@@ -326,15 +330,16 @@ else:
     from qcluster import ExpMatrix, omega
     e = omega(ExpMatrix.from_upper(2, {(0, 1): 1}), (2, 0), (0, 1))
     code = f"{type(e).__name__}:{e}"
-print(code, *sorted({"fractions", "decimal", "numbers"} & sys.modules.keys()))
+print(code, *sorted(set(watched.split(",")) & sys.modules.keys()))
 """
 
 
-def import_probe(kind, *args):
-    """(exit status, the modules of fractions/decimal/numbers loaded) of
-    one request run by IMPORT_PROBE."""
+def import_probe(kind, *args, watched=("fractions", "decimal", "numbers"), flags=()):
+    """(exit status, the watched modules loaded) of one request run by
+    IMPORT_PROBE in a child started with the interpreter flags."""
     code, *loaded = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, kind, *args], env=child_env(),
+        [sys.executable, *flags, "-c", IMPORT_PROBE, ",".join(watched), kind, *args],
+        env=child_env(),
         capture_output=True, text=True, check=True,
     ).stdout.split()
     return code, loaded
@@ -363,6 +368,16 @@ def test_preset_requests_never_import_fractions(request_):
     preset request or sweep imports fractions (nor decimal and numbers,
     which it pulls in): each would cost every request about 2 ms."""
     assert import_probe(*request_) == ("0", [])
+
+
+@pytest.mark.parametrize("request_", preset_request_shapes(), ids=" ".join)
+def test_preset_requests_never_import_argparse_or_typing(request_):
+    """argv is parsed by cli.FLAGS and the annotations' names are imported
+    only under TYPE_CHECKING, so no request or sweep loads argparse,
+    gettext, locale or typing.  python -S runs no site hook, which may
+    import typing itself."""
+    watched = ("argparse", "gettext", "locale", "typing")
+    assert import_probe(*request_, watched=watched, flags=["-S"]) == ("0", [])
 
 
 def test_the_fraction_api_edge_still_imports_fractions(tmp_path):
@@ -483,7 +498,7 @@ def flipped(m, n):
     return ExchangeMatrix(b.n_rows, {**b.cols, 0: [-x for x in b.cols[0]]})
 
 cli.quantum_matrix_btilde = flipped
-args = cli.build_parser().parse_args(["--cmd", "verify", "--m", "3", "--n", "3"])
+args = cli.parse_args(["--cmd", "verify", "--m", "3", "--n", "3"])
 code, payload = cli.run(args)
 print(code, payload["ok"], payload["checks"]["bmatrix"])
 session = cli.Session(None, quantum_matrix_preset(3, 3))
@@ -515,6 +530,104 @@ def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cmd", "nope"])
     assert exc.value.code == 2
+
+
+def parse_outcome(parse, argv):
+    """vars() of the namespace parse makes of argv, or the SystemExit code
+    it raises instead."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as e:
+        return e.code
+
+
+# The differential alphabet: every flag in full and with "=value", the
+# unique prefixes --pre, --mu, --se and --ra, an unknown flag, and values.
+# A bare "--" is left out: its handling differs between Python versions
+# (test_parse_args_pins_what_argparse_versions_disagree_on).
+ARGV_VALUES = ["0", "3", "-1", "x", "1.5", "", *cli.COMMANDS, *cli.PRESETS, "nope"]
+ARGV_WORDS = st.one_of(
+    st.sampled_from([*cli.FLAGS, "--help", "--pre", "--mu", "--se", "--ra", "--bogus", *ARGV_VALUES]),
+    st.tuples(st.sampled_from(list(cli.FLAGS)), st.sampled_from(ARGV_VALUES)).map("=".join),
+)
+
+
+@given(
+    st.one_of(st.just([]), st.sampled_from(cli.COMMANDS).map(lambda c: ["--cmd", c])),
+    st.lists(ARGV_WORDS, max_size=8),
+)
+@settings(max_examples=400, deadline=None)
+def test_parse_args_agrees_with_argparse(head, words):
+    """cli.parse_args accepts what the argparse parser it replaced
+    (tests/oracles.py) accepts, with the same values, and rejects, or
+    answers --help, with the same exit status."""
+    argv = head + words
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(
+        lambda a: oracles.build_parser().parse_args(a), argv
+    )
+
+
+def test_parse_args_reads_the_documented_grammar():
+    """--flag value and --flag=value, unique prefixes (an exact name wins:
+    --m is --m, not --mutations), a "+" flag's values up to the next
+    option, negative ints as values, and the last occurrence winning."""
+    argv = ["--cmd=chain", "--mu", "1", "-1", "--m", "5", "--m=-3", "--se", "-2",
+            "--pre=schubert", "--word", "1", "2", "--ty", "-a b", "--word=3"]
+    assert vars(cli.parse_args(argv)) == {
+        "command": "chain", "preset": "schubert", "m": -3, "n": 2, "type": "-a b",
+        "rank": 2, "word": [3], "file": None, "mutations": [1, -1], "out": None, "seed": -2,
+    }
+    assert cli.parse_args(["--cmd", "chain"]).mutations is not cli.FLAGS["--mutations"][4]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he", "--m", "x"], ["--cmd", "chain", "-h", "--cmd", "nope"]])
+def test_help_prints_every_flag(capsys, argv):
+    """--help, or a prefix of it, prints the usage and every flag to stdout
+    and exits 0 once it is reached, whatever follows."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == "" and out.startswith("usage: qcluster")
+    assert all(flag in out for flag in ("-h", "--help", *cli.FLAGS))
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--cmd", "chain", "--bogus"], "unrecognized arguments: --bogus"),
+    (["3", "--cmd", "chain", "x"], "unrecognized arguments: 3 x"),
+    (["--m", "3"], "the following arguments are required: --cmd"),
+    (["--cmd", "chain", "--m"], "argument --m: expected one argument"),
+    (["--cmd", "chain", "--word", "--m", "3"], "argument --word: expected at least one argument"),
+    (["--cmd", "chain", "--m", "x"], "argument --m: invalid int value: 'x'"),
+    (["--cmd", "chain", "--word", "1", "1.5"], "argument --word: invalid int value: '1.5'"),
+    (["--cmd", "chain", "--preset=nope"],
+     "argument --preset: invalid choice: 'nope' (choose from 'quantum-matrices', 'schubert', 'custom')"),
+    (["--cmd", "chain", "--=x"], "ambiguous option: --=x could match --help, " + ", ".join(cli.FLAGS)),
+    (["--cmd", "chain", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["--cmd", "chain", "-hx", "--help"], "argument -h/--help: ignored explicit argument 'x'"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+def test_a_bad_argv_exits_2_with_usage(capsys, argv, reason):
+    """Every kind of bad argv: nothing on stdout, the usage line on stderr
+    and, last, qcluster: error: and the reason; exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: qcluster [-h]\n") and err.endswith(f"\nqcluster: error: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cmd", "chain", "--"],
+    ["--cmd", "chain", "--word", "1", "--", "2"],
+    ["--cmd", "chain", "--", "--m", "3"],
+    ["--cmd", "chain", "-hh"],
+], ids=" ".join)
+def test_parse_args_pins_what_argparse_versions_disagree_on(capsys, argv):
+    """A bare "--" is an unknown option here, so an argv holding one is
+    rejected; Python versions differ on which "--" argparse drops.  -hh is
+    a value glued to -h, rejected, where argparse reads it as -h twice."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 GRID22 = serialize(quantum_matrix_preset(2, 2))
@@ -1035,7 +1148,7 @@ def test_verify_computes_the_primes_once(monkeypatch):
     """One compute_primes in cli or primeseq: the intervals check solves
     gamma from the session's primes, and builds no rescaled algebra."""
     for m, n in ((3, 3), (3, 4)):
-        session = cli.Session(cli.build_parser().parse_args(["--cmd", "verify", "--m", str(m), "--n", str(n)]))
+        session = cli.Session(cli.parse_args(["--cmd", "verify", "--m", str(m), "--n", str(n)]))
         session.pres
         calls = _count_calls(monkeypatch, "compute_primes")
         built = _count_builds(monkeypatch)
@@ -1068,7 +1181,7 @@ def test_a_twisted_algebra_checks_its_rescaling(capsys, monkeypatch, tmp_path):
     for shape in ((2, 3), (2, 3), (3, 3)):
         path = tmp_path / "twist.json"
         path.write_text(json.dumps(serialize(random_twist(quantum_matrix_preset(*shape), rng))))
-        session = cli.Session(cli.build_parser().parse_args(
+        session = cli.Session(cli.parse_args(
             ["--cmd", "verify", "--preset", "custom", "--file", str(path)]))
         session.pres
         calls = _count_calls(monkeypatch, "compute_primes")

@@ -268,7 +268,7 @@ def test_certificate_rejects_the_wrong_direction(monkeypatch):
     with pytest.raises(AssertionError, match="exchange matrix does not mutate"):
         cli.chain_walk(cli.Session(None, pres))
     # through the CLI, the failed law is the payload's error, with exit 1
-    code, payload = cli.run(cli.build_parser().parse_args(["--cmd", "chain", "--m", "3", "--n", "3"]))
+    code, payload = cli.run(cli.parse_args(["--cmd", "chain", "--m", "3", "--n", "3"]))
     assert code == 1 and "exchange matrix does not mutate" in payload["error"]
 
 
